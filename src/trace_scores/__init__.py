@@ -4,11 +4,10 @@ from .analytics import GroupComparison, ScoreSeries, aggregate, rank_targets, we
 from .errors import (AggregateError, ConfigError, CorpusError, DegenerateGeometry,
                      DimensionError, ImputeError, StatsError, TargetError,
                      TraceError, TrajectoryError)
-from .geometry import (DEFAULT_EPSILON, ChangeVector, Degeneracy, FeatureVector,
-                       StepGeometry, closest_point, inner, norm_of, r1, r2,
-                       step_score)
+from .geometry import (DEFAULT_EPSILON, Degeneracy, FeatureVector, StepGeometry,
+                       closest_point, inner, norm_of, r1, r2, step_score)
 from .pipeline import (NormStats, RawRecord, Trajectory, build_trajectory,
-                       fit_normalizer, group_by, impute, load_trajectory_csv)
+                       fit_normalizer, impute, load_trajectory_csv)
 from .scoring import (Polarity, SkipReason, StepScore, TargetSpec,
                       TrajectoryScore, feature_scores, mask_static, score_step,
                       score_trajectory)
@@ -17,14 +16,14 @@ from .targets import (Corpus, TargetSeries, build_index, fixed_targets,
                       series_provider)
 
 __all__ = [
-    "AggregateError", "ChangeVector", "ConfigError", "Corpus", "CorpusError",
+    "AggregateError", "ConfigError", "Corpus", "CorpusError",
     "DEFAULT_EPSILON", "Degeneracy", "DegenerateGeometry", "DimensionError",
     "FeatureVector", "GroupComparison", "ImputeError", "NormStats", "Polarity",
     "RawRecord", "ScoreSeries", "SkipReason", "StatsError", "StepGeometry",
     "StepScore", "TargetError", "TargetSeries", "TargetSpec", "TraceError",
     "Trajectory", "TrajectoryError", "TrajectoryScore", "aggregate",
     "build_index", "build_trajectory", "closest_point", "feature_scores",
-    "fit_normalizer", "fixed_targets", "group_by", "impute", "inner",
+    "fit_normalizer", "fixed_targets", "impute", "inner",
     "knn_provider", "knn_targets", "load_corpus", "load_trajectory_csv",
     "mask_static", "norm_of", "r1", "r2", "rank_targets", "save_corpus",
     "score_step", "score_trajectory", "series_provider", "step_score",

@@ -37,6 +37,11 @@ class GroupComparison:
     dof: float
     p_value: float
 
+    def to_json(self) -> dict:
+        return {"mean_a": self.mean_a, "sd_a": self.sd_a, "n_a": self.n_a,
+                "mean_b": self.mean_b, "sd_b": self.sd_b, "n_b": self.n_b,
+                "t": self.t_stat, "dof": self.dof, "p": self.p_value}
+
 
 def aggregate(traj_score: TrajectoryScore, subject_id: str = "") -> ScoreSeries:
     """Condense a trajectory's step scores into the three reporting forms."""

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,11 +16,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import click
 import numpy as np
 
-from . import analytics, demo, pipeline, scoring, targets
-from .errors import (AggregateError, ConfigError, CorpusError, DimensionError,
-                     StatsError, TargetError, TraceError, TrajectoryError)
+from . import analytics, demo, scoring
+from .errors import (ConfigError, CorpusError, DimensionError, TargetError,
+                     TraceError, TrajectoryError)
 from .geometry import FeatureVector
-from .pipeline import NormStats, build_trajectory, fit_normalizer, load_trajectory_csv
+from .pipeline import build_trajectory, fit_normalizer, load_trajectory_csv, parse_cells
 from .scoring import Polarity
 from .targets import (TargetSeries, build_index, knn_provider, load_corpus,
                       save_corpus, series_provider)
@@ -48,47 +49,48 @@ class RunConfig:
     epsilon: float = 1e-9
     polarity_map: Dict[str, Polarity] = field(default_factory=dict)
     feature_weights: Optional[List[float]] = None
-    mode: Optional[str] = None
 
-    _KEYS = {"lambda", "k_neighbors", "epsilon", "polarity_map",
-             "feature_weights", "mode"}
+    _KEYS = {"lambda", "k_neighbors", "epsilon", "polarity_map", "feature_weights"}
 
     def validate(self) -> "RunConfig":
+        # the range test also rejects a nan or infinite lambda
         if not (0.0 <= self.lam <= 1.0):
             raise ConfigError(f"lambda must lie in [0, 1], got {self.lam}")
         if self.k_neighbors < 1:
             raise ConfigError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.feature_weights is not None:
-            if any(w <= 0 for w in self.feature_weights):
-                raise ConfigError("feature_weights must all be positive")
-        if self.mode not in (None, "corpus_knn", "fixed_series"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
+            if not all(math.isfinite(w) and w > 0 for w in self.feature_weights):
+                raise ConfigError("feature_weights must all be finite and positive")
         return self
 
     @classmethod
     def from_json_file(cls, path) -> "RunConfig":
         with open(path) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as e:
+                raise ConfigError(f"{path}: not valid JSON: {e}") from None
         unknown = set(doc) - cls._KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls()
-        if "lambda" in doc:
-            cfg.lam = float(doc["lambda"])
-        if "k_neighbors" in doc:
-            cfg.k_neighbors = int(doc["k_neighbors"])
-        if "epsilon" in doc:
-            cfg.epsilon = float(doc["epsilon"])
-        if "polarity_map" in doc:
-            cfg.polarity_map = {k: _parse_polarity(v)
-                                for k, v in doc["polarity_map"].items()}
-        if "feature_weights" in doc and doc["feature_weights"] is not None:
-            cfg.feature_weights = [float(w) for w in doc["feature_weights"]]
-        if "mode" in doc:
-            cfg.mode = doc["mode"]
-        return cfg.validate()
+        try:
+            if "lambda" in doc:
+                cfg.lam = float(doc["lambda"])
+            if "k_neighbors" in doc:
+                cfg.k_neighbors = int(doc["k_neighbors"])
+            if "epsilon" in doc:
+                cfg.epsilon = float(doc["epsilon"])
+            if "polarity_map" in doc:
+                cfg.polarity_map = {k: _parse_polarity(v)
+                                    for k, v in doc["polarity_map"].items()}
+            if "feature_weights" in doc and doc["feature_weights"] is not None:
+                cfg.feature_weights = [float(w) for w in doc["feature_weights"]]
+            return cfg.validate()
+        except (ConfigError, OverflowError, TypeError, ValueError) as e:
+            raise ConfigError(f"{path}: {e}") from None
 
 
 def _load_config(config_path, lam, k, epsilon) -> RunConfig:
@@ -130,11 +132,7 @@ def read_corpus_csv(path):
             if len(row) != len(header):
                 raise CorpusError(
                     f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-            try:
-                values = [float(v) for v in row[:-1]]
-            except ValueError as e:
-                raise CorpusError(f"{path}:{lineno}: {e}") from None
-            rows.append((values, row[-1]))
+            rows.append((parse_cells(row[:-1], f"{path}:{lineno}", CorpusError), row[-1]))
         if not rows:
             raise CorpusError(f"{path}: no data rows")
     return names, rows
@@ -158,9 +156,9 @@ def run_build_index(corpus_csv, out_path, norm_path=None) -> Dict[str, int]:
     return {label: corpus.class_size(label) for label in corpus.classes()}
 
 
-def _polarity_averages(scored_steps, polarity_by_class):
+def _polarity_averages(ts, polarity_by_class) -> dict:
     des, undes = [], []
-    for step in scored_steps:
+    for step in ts.scored_steps():
         d = [v for c, v in step.per_class.items()
              if polarity_by_class.get(c) == Polarity.DESIRABLE]
         u = [v for c, v in step.per_class.items()
@@ -169,65 +167,98 @@ def _polarity_averages(scored_steps, polarity_by_class):
             des.append(float(np.mean(d)))
         if u:
             undes.append(float(np.mean(u)))
-    return (float(np.mean(des)) if des else None,
-            float(np.mean(undes)) if undes else None)
+    return {"average_desirable": float(np.mean(des)) if des else None,
+            "average_undesirable": float(np.mean(undes)) if undes else None}
 
 
-def run_score_corpus(traj_csv, index_path, cfg: RunConfig, out_dir) -> dict:
-    corpus, index_names = load_corpus(index_path)
-    by_subject, labels, names = load_trajectory_csv(traj_csv)
-    if len(names) != corpus.dim:
-        raise DimensionError(
-            f"trajectory dimension {len(names)} does not match index dimension {corpus.dim}")
-    if not cfg.polarity_map:
-        raise ConfigError("corpus mode requires a polarity_map in the config")
-    provider = knn_provider(corpus, cfg.k_neighbors, cfg.polarity_map)
+def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
+                  build_kwargs, row_extra=None) -> Tuple[List[dict], dict]:
+    """Score every subject against each ``(series, provider)`` target set.
+
+    Each subject's trajectory is built once. A series of None marks the
+    corpus's single target set; a named one tags step lines, summary rows
+    and error messages with it, and a subject that cannot be scored against
+    a set gets one error row for that set. Writes ``steps.jsonl``,
+    ``scores_wide.csv``, ``summary.csv`` (``columns``) and ``errors.csv``;
+    returns the summary rows and the run info.
+    """
+    by_subject, labels, names = traj_data
+    if cfg.feature_weights is not None and len(cfg.feature_weights) != len(names):
+        raise ConfigError(f"feature_weights has {len(cfg.feature_weights)} entries, "
+                          f"the trajectories have {len(names)} features")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     step_lines: List[dict] = []
     summary_rows: List[dict] = []
     errors: List[Tuple[str, str]] = []
     for subject in sorted(by_subject):
+        label = labels.get(subject)
         try:
-            traj = build_trajectory(by_subject[subject], label=labels.get(subject),
-                                    class_means=corpus.class_means,
-                                    normalizer=corpus.norm_stats)
-            ts = scoring.score_trajectory(traj, provider, cfg.lam,
-                                          epsilon=cfg.epsilon,
-                                          feature_weights=cfg.feature_weights)
-            series = analytics.aggregate(ts, subject)
+            traj = build_trajectory(by_subject[subject], label=label, **build_kwargs)
         except TraceError as e:
-            errors.append((subject, str(e)))
+            errors += [(subject, _error_text(series, e)) for series, _ in target_sets]
             continue
-        for step in ts.scored_steps():
-            step_lines.append({"subject": subject, "t": step.t_index,
-                               "combined": step.combined,
-                               "per_class": step.per_class})
-        avg_des, avg_undes = _polarity_averages(ts.scored_steps(), cfg.polarity_map)
-        summary_rows.append({
-            "subject_id": subject,
-            "label": labels.get(subject, ""),
-            "n_steps": len(series.values),
-            "n_skipped": ts.skipped_count,
-            "average": series.average,
-            "final_cumulative": series.cumulative[-1],
-            "average_desirable": avg_des,
-            "average_undesirable": avg_undes,
-        })
+        for series, provider in target_sets:
+            try:
+                ts = scoring.score_trajectory(traj, provider, cfg.lam,
+                                              epsilon=cfg.epsilon,
+                                              feature_weights=cfg.feature_weights)
+                agg = analytics.aggregate(ts, subject)
+            except TraceError as e:
+                errors.append((subject, _error_text(series, e)))
+                continue
+            tag = {} if series is None else {"series": series}
+            for step in ts.scored_steps():
+                step_lines.append({"subject": subject, **tag, "t": step.t_index,
+                                   "combined": step.combined,
+                                   "per_class": step.per_class})
+            summary_rows.append({
+                "subject_id": subject, **tag,
+                "label": label or "",
+                "n_steps": len(agg.values),
+                "n_skipped": ts.skipped_count,
+                "average": agg.average,
+                "final_cumulative": agg.cumulative[-1],
+                **(row_extra(ts) if row_extra else {}),
+            })
     if not summary_rows:
         raise TraceError("no subject could be scored")
+    key_fields = ["subject"] if target_sets[0][0] is None else ["subject", "series"]
     _write_jsonl(out_dir / "steps.jsonl", step_lines)
-    _write_wide(out_dir / "scores_wide.csv", step_lines, ["subject"])
-    _write_summary(out_dir / "summary.csv", summary_rows,
-                   ["subject_id", "label", "n_steps", "n_skipped", "average",
-                    "final_cumulative", "average_desirable", "average_undesirable"])
+    _write_wide(out_dir / "scores_wide.csv", step_lines, key_fields)
+    _write_summary(out_dir / "summary.csv", summary_rows, columns)
     if errors:
         _write_summary(out_dir / "errors.csv",
                        [{"subject_id": s, "error": e} for s, e in errors],
                        ["subject_id", "error"])
         for subject, message in errors:
             click.echo(f"subject {subject}: {message}", err=True)
-    return {"subjects": len(summary_rows), "errors": len(errors)}
+    info = {"subjects": len({row["subject_id"] for row in summary_rows}),
+            "errors": len(errors)}
+    return summary_rows, info
+
+
+def _error_text(series, error) -> str:
+    return str(error) if series is None else f"{series}: {error}"
+
+
+def run_score_corpus(traj_csv, index_path, cfg: RunConfig, out_dir) -> dict:
+    corpus, _ = load_corpus(index_path)
+    traj_data = load_trajectory_csv(traj_csv)
+    names = traj_data[2]
+    if len(names) != corpus.dim:
+        raise DimensionError(
+            f"trajectory dimension {len(names)} does not match index dimension {corpus.dim}")
+    if not cfg.polarity_map:
+        raise ConfigError("corpus mode requires a polarity_map in the config")
+    provider = knn_provider(corpus, cfg.k_neighbors, cfg.polarity_map)
+    _, info = _score_cohort(
+        traj_data, [(None, provider)], cfg, out_dir,
+        ["subject_id", "label", "n_steps", "n_skipped", "average",
+         "final_cumulative", "average_desirable", "average_undesirable"],
+        {"class_means": corpus.class_means, "normalizer": corpus.norm_stats},
+        row_extra=lambda ts: _polarity_averages(ts, cfg.polarity_map))
+    return info
 
 
 def read_series_csv(path, feature_names) -> Dict[int, FeatureVector]:
@@ -241,73 +272,46 @@ def read_series_csv(path, feature_names) -> Dict[int, FeatureVector]:
                 f"{path}: series features {header[1:]} do not match "
                 f"trajectory features {list(feature_names)}")
         points = {}
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            points[int(row[0])] = FeatureVector([float(v) for v in row[1:]])
+            if len(row) != len(header):
+                raise TargetError(
+                    f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
+            try:
+                t = int(row[0])
+            except ValueError:
+                raise TargetError(
+                    f"{path}:{lineno}: t must be an integer, got {row[0]!r}") from None
+            points[t] = FeatureVector(parse_cells(row[1:], f"{path}:{lineno}", TargetError))
         if not points:
             raise TargetError(f"{path}: no target points")
     return points
 
 
 def run_score_series(traj_csv, targets_dir, cfg: RunConfig, out_dir) -> dict:
-    by_subject, labels, names = load_trajectory_csv(traj_csv)
+    traj_data = load_trajectory_csv(traj_csv)
     files = sorted(Path(targets_dir).glob("*.csv"))
     if not files:
         raise TargetError(f"no target series found in {targets_dir}")
-    series = []
+    target_sets = []
     for f in files:
         polarity = cfg.polarity_map.get(f.stem, Polarity.DESIRABLE)
-        series.append(TargetSeries(class_label=f.stem, polarity=polarity,
-                                   points=read_series_csv(f, names)))
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    step_lines: List[dict] = []
-    summary_rows: List[dict] = []
-    errors: List[Tuple[str, str]] = []
-    rankings: Dict[str, List[str]] = {}
-    for subject in sorted(by_subject):
-        averages: Dict[str, float] = {}
-        for s in series:
-            try:
-                traj = build_trajectory(by_subject[subject],
-                                        label=labels.get(subject))
-                ts = scoring.score_trajectory(traj, series_provider([s]), cfg.lam,
-                                              epsilon=cfg.epsilon,
-                                              feature_weights=cfg.feature_weights)
-                agg = analytics.aggregate(ts, subject)
-            except TraceError as e:
-                errors.append((subject, f"{s.class_label}: {e}"))
-                continue
-            for step in ts.scored_steps():
-                step_lines.append({"subject": subject, "series": s.class_label,
-                                   "t": step.t_index, "combined": step.combined,
-                                   "per_class": step.per_class})
-            averages[s.class_label] = agg.average
-            summary_rows.append({
-                "subject_id": subject,
-                "series": s.class_label,
-                "n_steps": len(agg.values),
-                "n_skipped": ts.skipped_count,
-                "average": agg.average,
-                "final_cumulative": agg.cumulative[-1],
-            })
-        if averages:
-            rankings[subject] = analytics.rank_targets(averages)
-    if not summary_rows:
-        raise TraceError("no subject could be scored")
-    _write_jsonl(out_dir / "steps.jsonl", step_lines)
-    _write_wide(out_dir / "scores_wide.csv", step_lines, ["subject", "series"])
-    _write_summary(out_dir / "summary.csv", summary_rows,
-                   ["subject_id", "series", "n_steps", "n_skipped",
-                    "average", "final_cumulative"])
-    with open(out_dir / "ranking.json", "w") as fh:
+        s = TargetSeries(class_label=f.stem, polarity=polarity,
+                         points=read_series_csv(f, traj_data[2]))
+        target_sets.append((s.class_label, series_provider([s])))
+    summary_rows, info = _score_cohort(
+        traj_data, target_sets, cfg, out_dir,
+        ["subject_id", "series", "n_steps", "n_skipped", "average", "final_cumulative"],
+        {})
+    averages: Dict[str, Dict[str, float]] = {}
+    for row in summary_rows:
+        averages.setdefault(row["subject_id"], {})[row["series"]] = row["average"]
+    rankings = {subject: analytics.rank_targets(a) for subject, a in averages.items()}
+    with open(Path(out_dir) / "ranking.json", "w") as fh:
         json.dump(rankings, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    if errors:
-        for subject, message in errors:
-            click.echo(f"subject {subject}: {message}", err=True)
-    return {"subjects": len(rankings), "errors": len(errors)}
+    return info
 
 
 def _write_jsonl(path, lines: Sequence[dict]) -> None:
@@ -377,11 +381,9 @@ def _exit_on_error(fn):
 @click.option("--normalizer", "norm_path", default=None, type=click.Path())
 def cmd_build_index(corpus_csv, out_path, norm_path):
     """Build per-class nearest-neighbor indices from a labeled corpus CSV."""
-    def run():
-        counts = _exit_on_error(lambda: run_build_index(corpus_csv, out_path, norm_path))
-        for label in sorted(counts):
-            click.echo(f"{label}: {counts[label]}")
-    run()
+    counts = _exit_on_error(lambda: run_build_index(corpus_csv, out_path, norm_path))
+    for label in sorted(counts):
+        click.echo(f"{label}: {counts[label]}")
 
 
 @main.command("score")
@@ -419,11 +421,7 @@ def cmd_compare(scores_a, scores_b):
         a = read_averages_csv(scores_a)
         b = read_averages_csv(scores_b)
         cmp = analytics.welch_t_test(a, b)
-        click.echo(json.dumps({
-            "mean_a": cmp.mean_a, "sd_a": cmp.sd_a, "n_a": cmp.n_a,
-            "mean_b": cmp.mean_b, "sd_b": cmp.sd_b, "n_b": cmp.n_b,
-            "t": cmp.t_stat, "dof": cmp.dof, "p": cmp.p_value,
-        }, sort_keys=True))
+        click.echo(json.dumps(cmp.to_json(), sort_keys=True))
     _exit_on_error(run)
 
 
@@ -498,10 +496,7 @@ def _demo_icu_compare(out: Path) -> None:
         cmp = analytics.welch_t_test([float(r["average"]) for r in ra],
                                      [float(r["average"]) for r in rb])
         with open(out / "comparison.json", "w") as fh:
-            json.dump({"group_a": la, "group_b": lb,
-                       "mean_a": cmp.mean_a, "sd_a": cmp.sd_a, "n_a": cmp.n_a,
-                       "mean_b": cmp.mean_b, "sd_b": cmp.sd_b, "n_b": cmp.n_b,
-                       "t": cmp.t_stat, "dof": cmp.dof, "p": cmp.p_value},
+            json.dump({"group_a": la, "group_b": lb, **cmp.to_json()},
                       fh, sort_keys=True)
             fh.write("\n")
 

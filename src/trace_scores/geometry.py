@@ -55,56 +55,20 @@ class FeatureVector:
 
 
 @dataclass(frozen=True, eq=False)
-class ChangeVector:
-    """A displacement in feature space with its cached norm."""
-
-    values: np.ndarray
-    norm: float = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim != 1:
-            raise DimensionError(f"expected a 1-D vector, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite value in change vector")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-        n = float(np.sqrt(np.dot(arr, arr)))
-        if self.norm is not None and not math.isclose(self.norm, n, rel_tol=1e-12, abs_tol=1e-300):
-            raise ValueError(f"cached norm {self.norm} disagrees with computed norm {n}")
-        object.__setattr__(self, "norm", n)
-
-    @classmethod
-    def between(cls, start, end) -> "ChangeVector":
-        """Displacement from ``start`` to ``end`` (end - start)."""
-        return cls(_as_array(end) - _as_array(start))
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class StepGeometry:
-    """Raw per-step, per-target scores.
+    """Raw per-step, per-target scores."""
 
-    ``theta`` and ``r1`` are the same quantity (the angle cosine); both
-    names are kept because ``theta`` also selects the projection branch.
-    """
-
-    theta: float
     r1: float
     r2: float
     s: float
-    best_point: FeatureVector
     degenerate: Degeneracy = Degeneracy.NONE
 
 
-VectorLike = Union[FeatureVector, ChangeVector, np.ndarray, Sequence[float]]
+VectorLike = Union[FeatureVector, np.ndarray, Sequence[float]]
 
 
 def _as_array(x: VectorLike) -> np.ndarray:
-    if isinstance(x, (FeatureVector, ChangeVector)):
+    if isinstance(x, FeatureVector):
         return x.values
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
@@ -232,18 +196,12 @@ def step_score(x_t: VectorLike, x_next: VectorLike, x_target: VectorLike,
     xt, xn, xp = _as_array(x_t), _as_array(x_next), _as_array(x_target)
     r2_val, flag = r2(xt, xn, xp, epsilon=epsilon, weights=weights)
     if flag is Degeneracy.GOAL_REACHED:
-        return StepGeometry(theta=1.0, r1=1.0, r2=1.0, s=1.0,
-                            best_point=FeatureVector(xp), degenerate=flag)
-    v_t = xn - xt
-    v_prime = xp - xt
-    theta = r1(v_t, v_prime, epsilon=epsilon, weights=weights)
-    best = FeatureVector(_best_point(xt, v_t, norm_of(v_t, weights),
-                                     norm_of(v_prime, weights), theta))
+        return StepGeometry(r1=1.0, r2=1.0, s=1.0, degenerate=flag)
+    r1_val = r1(xn - xt, xp - xt, epsilon=epsilon, weights=weights)
     if lam == 1.0:
-        s = theta
+        s = r1_val
     elif lam == 0.0:
         s = r2_val
     else:
-        s = lam * theta + (1.0 - lam) * r2_val
-    return StepGeometry(theta=theta, r1=theta, r2=r2_val, s=s,
-                        best_point=best, degenerate=flag)
+        s = lam * r1_val + (1.0 - lam) * r2_val
+    return StepGeometry(r1=r1_val, r2=r2_val, s=s, degenerate=flag)

@@ -1,7 +1,7 @@
-"""Ingestion: CSV loading, imputation, normalization and period grouping.
+"""Ingestion: CSV loading, imputation and normalization.
 
 Order of operations for a cohort run: load raw records, impute per
-subject (forward fill, backward fill, then class mean/mode), fit a
+subject (forward fill, backward fill, then class mean), fit a
 min-max normalizer on the corpus, and normalize every vector with the
 stored statistics.
 """
@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +27,6 @@ class RawRecord:
     subject_id: str
     t_index: int
     values: List[Optional[float]]
-    categorical: Dict[str, Optional[str]] = field(default_factory=dict)
 
 
 @dataclass(eq=False)
@@ -49,19 +49,17 @@ class Trajectory:
 
 
 def impute(records: Sequence[RawRecord],
-           class_means: Optional[Sequence[float]] = None,
-           class_modes: Optional[Mapping[str, str]] = None) -> List[RawRecord]:
+           class_means: Optional[Sequence[float]] = None) -> List[RawRecord]:
     """Fill every missing value for one subject's sorted records.
 
     Forward fill first, backward fill leading gaps, and fall back to the
-    class mean (numeric) or class mode (categorical) for columns missing
-    across the whole stay.
+    class mean for columns missing across the whole stay.
     """
     if not records:
         return []
     n_cols = len(records[0].values)
     out = [RawRecord(subject_id=r.subject_id, t_index=r.t_index,
-                     values=list(r.values), categorical=dict(r.categorical))
+                     values=list(r.values))
            for r in records]
     for col in range(n_cols):
         column = [r.values[col] for r in out]
@@ -73,16 +71,6 @@ def impute(records: Sequence[RawRecord],
             filled = [float(class_means[col])] * len(column)
         for r, v in zip(out, filled):
             r.values[col] = v
-    for name in records[0].categorical:
-        column = [r.categorical.get(name) for r in out]
-        filled = _fill_column(column)
-        if filled is None:
-            if class_modes is None or name not in class_modes:
-                raise ImputeError(
-                    f"categorical {name!r} is entirely missing and no class mode is available")
-            filled = [class_modes[name]] * len(column)
-        for r, v in zip(out, filled):
-            r.categorical[name] = v
     return out
 
 
@@ -169,36 +157,16 @@ def fit_normalizer(rows, names: Optional[Sequence[str]] = None) -> NormStats:
     return NormStats(names=list(names), mins=arr.min(axis=0), maxs=arr.max(axis=0))
 
 
-def group_by(records: Iterable[Tuple[str, str, Sequence[Optional[float]]]],
-             period: str = "month") -> List[Tuple[str, str, List[Optional[float]]]]:
-    """Missing-aware mean per (subject, period, feature).
-
-    Records are (subject_id, timestamp, values); timestamps are ISO
-    strings or datetime-likes. The default period key is the calendar
-    month (YYYY-MM). Output is sorted by (subject, period).
-    """
-    if period != "month":
-        raise ValueError(f"unsupported period {period!r}")
-    groups: Dict[Tuple[str, str], List[Sequence[Optional[float]]]] = {}
-    for subject, ts, values in records:
-        key = (subject, _month_key(ts))
-        groups.setdefault(key, []).append(values)
-    out = []
-    for (subject, pkey) in sorted(groups):
-        rows = groups[(subject, pkey)]
-        width = len(rows[0])
-        means: List[Optional[float]] = []
-        for col in range(width):
-            present = [r[col] for r in rows if r[col] is not None]
-            means.append(float(np.mean(present)) if present else None)
-        out.append((subject, pkey, means))
-    return out
-
-
-def _month_key(ts) -> str:
-    if hasattr(ts, "strftime"):
-        return ts.strftime("%Y-%m")
-    return str(ts)[:7]
+def parse_cells(cells: Sequence[str], where: str, error: type) -> List[float]:
+    """CSV cells as finite floats; any other cell raises ``error`` at ``where``."""
+    try:
+        values = [float(c) for c in cells]
+    except ValueError as e:
+        raise error(f"{where}: {e}") from None
+    if not all(map(math.isfinite, values)):
+        bad = next(c for c, v in zip(cells, values) if not math.isfinite(v))
+        raise error(f"{where}: non-finite value {bad!r}")
+    return values
 
 
 def load_trajectory_csv(path):
@@ -226,9 +194,15 @@ def load_trajectory_csv(path):
                 raise TrajectoryError(
                     f"{path}:{lineno}: expected {expected} columns, got {len(row)}")
             subject = row[0]
-            t = int(row[1])
+            try:
+                t = int(row[1])
+            except ValueError:
+                raise TrajectoryError(
+                    f"{path}:{lineno}: t must be an integer, got {row[1]!r}") from None
             raw_vals = row[2:2 + len(feature_names)]
-            values = [float(v) if v != "" else None for v in raw_vals]
+            present = iter(parse_cells([v for v in raw_vals if v != ""],
+                                       f"{path}:{lineno}", TrajectoryError))
+            values = [next(present) if v != "" else None for v in raw_vals]
             by_subject.setdefault(subject, []).append(
                 RawRecord(subject_id=subject, t_index=t, values=values))
             if has_label and row[-1] != "":
@@ -258,24 +232,3 @@ def build_trajectory(records: Sequence[RawRecord], *,
         vec = normalizer.apply(r.values) if normalizer else FeatureVector(r.values)
         points.append((r.t_index, vec))
     return Trajectory(subject_id=records[0].subject_id, points=points, label=label)
-
-
-def one_hot_categories(records: Iterable[RawRecord]) -> Dict[str, List[str]]:
-    """Sorted category list per categorical column, for one-hot encoding."""
-    cats: Dict[str, set] = {}
-    for r in records:
-        for name, val in r.categorical.items():
-            if val is not None:
-                cats.setdefault(name, set()).add(val)
-    return {name: sorted(vals) for name, vals in sorted(cats.items())}
-
-
-def one_hot_encode(record: RawRecord,
-                   categories: Mapping[str, Sequence[str]]) -> List[float]:
-    """Numeric values followed by one-hot indicators, in category order."""
-    out = [float(v) for v in record.values]
-    for name in categories:
-        val = record.categorical.get(name)
-        for cat in categories[name]:
-            out.append(1.0 if val == cat else 0.0)
-    return out

@@ -65,17 +65,6 @@ class TrajectoryScore:
         return [s for s in self.steps if not s.skipped]
 
 
-@dataclass(frozen=True, eq=False)
-class MaskedStep:
-    """A step restricted to the dimensions where any target differs from
-    the factual."""
-
-    x_t: np.ndarray
-    x_next: np.ndarray
-    target_points: Tuple[np.ndarray, ...]
-    active: np.ndarray  # active dimension indices
-
-
 LambdaSchedule = Union[float, Sequence[float]]
 TargetProvider = Callable[[int, FeatureVector], Sequence[TargetSpec]]
 
@@ -87,32 +76,25 @@ def _lambda_at(lam: LambdaSchedule, step: int) -> float:
 
 
 def mask_static(x_t, x_next, targets: Sequence[TargetSpec], *,
-                epsilon: float = DEFAULT_EPSILON) -> MaskedStep:
-    """Restrict a step to the dimensions where the factual differs from at
-    least one target by more than epsilon.
+                epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+    """Indices of the dimensions where the factual differs from at least
+    one target by more than epsilon.
 
-    An empty active set means the step must be skipped (reason AllMasked);
-    the caller checks ``masked.active.size``.
+    An empty result means the step must be skipped (reason AllMasked).
     """
     xt = geometry._as_array(x_t)
     xn = geometry._as_array(x_next)
     if xn.shape != xt.shape:
         raise geometry.DimensionError(
             f"dimension mismatch: {xt.shape[0]} vs {xn.shape[0]}")
-    pts = []
+    diff = np.zeros(xt.shape[0], dtype=bool)
     for spec in targets:
         p = geometry._as_array(spec.point)
         if p.shape != xt.shape:
             raise geometry.DimensionError(
                 f"target dimension {p.shape[0]} does not match factual {xt.shape[0]}")
-        pts.append(p)
-    diff = np.zeros(xt.shape[0], dtype=bool)
-    for p in pts:
         diff |= np.abs(p - xt) > epsilon
-    active = np.flatnonzero(diff)
-    return MaskedStep(x_t=xt[active], x_next=xn[active],
-                      target_points=tuple(p[active] for p in pts),
-                      active=active)
+    return np.flatnonzero(diff)
 
 
 def score_step(x_t, x_next, targets: Sequence[TargetSpec], lam: float, *,
@@ -126,14 +108,16 @@ def score_step(x_t, x_next, targets: Sequence[TargetSpec], lam: float, *,
     """
     if not targets:
         raise TargetError("no targets supplied for step")
-    masked = mask_static(x_t, x_next, targets, epsilon=epsilon)
-    if masked.active.size == 0:
+    active = mask_static(x_t, x_next, targets, epsilon=epsilon)
+    if active.size == 0:
         return StepScore(t_index=t_index, skipped=True,
                          skip_reason=SkipReason.ALL_MASKED)
+    xt = geometry._as_array(x_t)[active]
+    xn = geometry._as_array(x_next)[active]
     w = None
     if feature_weights is not None:
-        w = np.asarray(feature_weights, dtype=float)[masked.active]
-    move = masked.x_next - masked.x_t
+        w = np.asarray(feature_weights, dtype=float)[active]
+    move = xn - xt
     if geometry.norm_of(move, w) <= epsilon:
         return StepScore(t_index=t_index, skipped=True,
                          skip_reason=SkipReason.NO_FEATURE_CHANGE)
@@ -142,14 +126,14 @@ def score_step(x_t, x_next, targets: Sequence[TargetSpec], lam: float, *,
     class_scores: Dict[str, List[float]] = {}
     class_weights: Dict[str, List[float]] = {}
     class_polarity: Dict[str, Polarity] = {}
-    for spec, point in zip(targets, masked.target_points):
+    for spec in targets:
         prev = class_polarity.setdefault(spec.class_label, spec.polarity)
         if prev != spec.polarity:
             raise ConfigError(
                 f"class {spec.class_label!r} carries conflicting polarities")
         try:
-            geom = geometry.step_score(masked.x_t, masked.x_next, point, lam,
-                                       epsilon=epsilon, weights=w)
+            geom = geometry.step_score(xt, xn, geometry._as_array(spec.point)[active],
+                                       lam, epsilon=epsilon, weights=w)
         except DegenerateGeometry:
             continue  # target coincides with the factual in the subspace
         per_target.append((spec.class_label, spec.polarity, geom))

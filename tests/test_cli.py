@@ -157,23 +157,30 @@ class TestScoreCorpusMode:
         assert res.exit_code == 2
 
 
-class TestScoreSeriesMode:
-    def test_five_series(self, tmp_path):
-        rng = np.random.default_rng(1)
-        traj = tmp_path / "traj.csv"
-        rows = ["subject_id,t,a,b"]
-        x = np.array([0.0, 0.0])
+@pytest.fixture
+def series_setup(tmp_path):
+    """One subject moving in a fixed direction and five target series."""
+    rng = np.random.default_rng(1)
+    traj = tmp_path / "series_traj.csv"
+    rows = ["subject_id,t,a,b"]
+    x = np.array([0.0, 0.0])
+    for t in range(6):
+        rows.append(f"nor,{t},{float(x[0])!r},{float(x[1])!r}")
+        x = x + np.array([0.1, 0.05]) + rng.normal(0, 0.002, 2)
+    traj.write_text("\n".join(rows) + "\n")
+    tdir = tmp_path / "targets"
+    tdir.mkdir()
+    for i in range(1, 6):
+        lines = ["t,a,b"]
         for t in range(6):
-            rows.append(f"nor,{t},{float(x[0])!r},{float(x[1])!r}")
-            x = x + np.array([0.1, 0.05]) + rng.normal(0, 0.002, 2)
-        traj.write_text("\n".join(rows) + "\n")
-        tdir = tmp_path / "targets"
-        tdir.mkdir()
-        for i in range(1, 6):
-            lines = ["t,a,b"]
-            for t in range(6):
-                lines.append(f"{t},{(t + 1) * 0.1 * i!r},{(t + 1) * 0.05!r}")
-            (tdir / f"SSP{i}.csv").write_text("\n".join(lines) + "\n")
+            lines.append(f"{t},{(t + 1) * 0.1 * i!r},{(t + 1) * 0.05!r}")
+        (tdir / f"SSP{i}.csv").write_text("\n".join(lines) + "\n")
+    return tmp_path, traj, tdir
+
+
+class TestScoreSeriesMode:
+    def test_five_series(self, series_setup):
+        tmp_path, traj, tdir = series_setup
         res = runner.invoke(main, ["score", str(traj), "--targets-dir",
                                    str(tdir), "--out", str(tmp_path / "out")])
         assert res.exit_code == 0, res.output
@@ -183,6 +190,100 @@ class TestScoreSeriesMode:
         assert all(r["subject_id"] == "nor" for r in rows)
         ranking = json.loads((tmp_path / "out" / "ranking.json").read_text())
         assert sorted(ranking["nor"]) == [f"SSP{i}" for i in range(1, 6)]
+
+    def test_single_point_subject_one_error_per_series(self, series_setup):
+        tmp_path, traj, tdir = series_setup
+        with open(traj, "a") as fh:
+            fh.write("lonely,0,0.5,0.5\n")
+        res = runner.invoke(main, ["score", str(traj), "--targets-dir",
+                                   str(tdir), "--out", str(tmp_path / "out")])
+        assert res.exit_code == 0, res.output
+        with open(tmp_path / "out" / "errors.csv") as fh:
+            errs = list(csv.DictReader(fh))
+        assert [e["subject_id"] for e in errs] == ["lonely"] * 5
+        assert [e["error"].split(":")[0] for e in errs] == [f"SSP{i}" for i in range(1, 6)]
+        with open(tmp_path / "out" / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["subject_id"] for r in rows] == ["nor"] * 5
+        assert json.loads(res.output.splitlines()[-1]) == {"errors": 5, "subjects": 1}
+
+
+def _bad_config(doc, expect=None):
+    """Config rows: ``doc`` (JSON text) is the config; the error names the file."""
+    def setup(corpus, traj, config, tdir):
+        config.write_text(doc)
+        return ["--config", str(config)], expect or str(config)
+    return setup
+
+
+def _bad_cell(which, lineno, col, new):
+    """CSV rows: one cell of ``which`` file is replaced; the error names the
+    file and the line."""
+    def setup(corpus, traj, config, tdir):
+        path = {"traj": traj, "series": tdir / "SSP1.csv", "corpus": corpus}[which]
+        lines = path.read_text().splitlines()
+        cells = lines[lineno - 1].split(",")
+        cells[col] = new
+        lines[lineno - 1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        return ["--config", str(config)], f"{path}:{lineno}:"
+    return setup
+
+
+def _flag(name, value):
+    def setup(corpus, traj, config, tdir):
+        return ["--config", str(config), f"--{name}", value], f"{name} must"
+    return setup
+
+
+_POLARITY = '"polarity_map": {"RFD": "desirable", "mortality": "undesirable"}'
+
+MALFORMED_INPUTS = [
+    # (id, command and target mode, setup)
+    ("epsilon-nan-flag", "corpus", _flag("epsilon", "nan")),
+    ("lambda-inf-flag", "corpus", _flag("lambda", "inf")),
+    ("epsilon-nan-config", "corpus", _bad_config('{"epsilon": NaN, %s}' % _POLARITY)),
+    ("weight-inf-config", "corpus",
+     _bad_config('{"feature_weights": [1, Infinity], %s}' % _POLARITY)),
+    ("weight-nan-config", "series", _bad_config('{"feature_weights": [1, NaN]}')),
+    ("weight-count-config", "corpus",
+     _bad_config('{"feature_weights": [1, 1, 1], %s}' % _POLARITY,
+                 expect="feature_weights has 3 entries")),
+    ("config-not-json", "corpus", _bad_config('{"lambda": 0.9,')),
+    ("epsilon-not-number", "corpus", _bad_config('{"epsilon": "small"}')),
+    ("traj-cell-abc", "corpus", _bad_cell("traj", 3, 2, "abc")),
+    ("traj-cell-nan", "corpus", _bad_cell("traj", 3, 2, "nan")),
+    ("traj-cell-inf", "series", _bad_cell("traj", 4, 3, "-inf")),
+    ("traj-t-float", "corpus", _bad_cell("traj", 2, 1, "0.5")),
+    ("series-cell-abc", "series", _bad_cell("series", 3, 1, "abc")),
+    ("series-cell-inf", "series", _bad_cell("series", 2, 2, "inf")),
+    ("series-t-text", "series", _bad_cell("series", 4, 0, "three")),
+    ("corpus-cell-nan", "build-index", _bad_cell("corpus", 2, 0, "nan")),
+    ("corpus-cell-abc", "build-index", _bad_cell("corpus", 5, 1, "abc")),
+]
+
+
+@pytest.mark.parametrize("mode,setup", [row[1:] for row in MALFORMED_INPUTS],
+                         ids=[row[0] for row in MALFORMED_INPUTS])
+def test_malformed_input_exits_2(corpus_setup, series_setup, mode, setup):
+    tmp, corpus, traj, config = corpus_setup
+    _, series_traj, tdir = series_setup
+    if mode == "series":
+        traj = series_traj
+    res = runner.invoke(main, ["build-index", str(corpus), "--out", str(tmp / "index.json")])
+    assert res.exit_code == 0, res.output
+    flags, expected = setup(corpus, traj, config, tdir)
+    if mode == "build-index":
+        args = ["build-index", str(corpus), "--out", str(tmp / "index2.json")]
+    else:
+        source = (["--index", str(tmp / "index.json")] if mode == "corpus"
+                  else ["--targets-dir", str(tdir)])
+        args = ["score", str(traj), *source, *flags, "--out", str(tmp / "out")]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert expected in res.output
 
 
 class TestCompare:

@@ -200,7 +200,6 @@ class TestStepScore:
         assert g.r1 == -1.0
         assert g.r2 == 1.0
         assert g.s == pytest.approx(-0.8, abs=1e-15)
-        np.testing.assert_allclose(g.best_point.values, [0, 0])
 
     def test_goal_reached_scores_one_exactly(self):
         for lam in (0.0, 0.5, 0.9, 1.0):

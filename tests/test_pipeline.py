@@ -5,9 +5,7 @@ import pytest
 
 from trace_scores import (DimensionError, ImputeError, NormStats, RawRecord,
                           Trajectory, TrajectoryError, build_trajectory,
-                          fit_normalizer, group_by, impute,
-                          load_trajectory_csv)
-from trace_scores.pipeline import one_hot_categories, one_hot_encode
+                          fit_normalizer, impute, load_trajectory_csv)
 
 
 def records(columns, subject="s"):
@@ -54,17 +52,6 @@ class TestImpute:
                     if not mask[i, j]:
                         assert once[i].values[j] == float(vals[i, j])
 
-    def test_categorical_mode_fill(self):
-        recs = [RawRecord("s", t, [1.0], categorical={"unit": v})
-                for t, v in enumerate([None, None])]
-        out = impute(recs, class_modes={"unit": "icu"})
-        assert [r.categorical["unit"] for r in out] == ["icu", "icu"]
-
-    def test_categorical_ffill(self):
-        recs = [RawRecord("s", t, [1.0], categorical={"unit": v})
-                for t, v in enumerate(["a", None, "b"])]
-        out = impute(recs)
-        assert [r.categorical["unit"] for r in out] == ["a", "a", "b"]
 
 
 class TestNormalizer:
@@ -104,34 +91,6 @@ class TestNormalizer:
                                     {"name": "rr", "min": 0.0, "max": 5.0}]}
         loaded = NormStats.load(path)
         np.testing.assert_array_equal(loaded.apply([15, 2.5]).values, [0.5, 0.5])
-
-
-class TestGroupBy:
-    def test_mean_within_period(self):
-        out = group_by([("s", "2020-01-03", [2.0]),
-                        ("s", "2020-01-20", [4.0])])
-        assert out == [("s", "2020-01", [3.0])]
-
-    def test_single_record_identity(self):
-        out = group_by([("s", "2020-02-01", [7.0])])
-        assert out == [("s", "2020-02", [7.0])]
-
-    def test_missing_aware_mean(self):
-        # pairwise oracle: mean of the present values only
-        out = group_by([("s", "2020-01-01", [None]),
-                        ("s", "2020-01-02", [6.0])])
-        assert out == [("s", "2020-01", [6.0])]
-
-    def test_all_missing_stays_missing(self):
-        out = group_by([("s", "2020-01-01", [None])])
-        assert out == [("s", "2020-01", [None])]
-
-    def test_separate_subjects_and_months(self):
-        out = group_by([("a", "2020-01-01", [1.0]),
-                        ("a", "2020-02-01", [2.0]),
-                        ("b", "2020-01-01", [3.0])])
-        assert out == [("a", "2020-01", [1.0]), ("a", "2020-02", [2.0]),
-                       ("b", "2020-01", [3.0])]
 
 
 class TestTrajectory:
@@ -187,13 +146,3 @@ class TestCsvLoading:
         assert [r.t_index for r in first[0]["p1"]] == [0, 1]
         assert [r.values for r in first[0]["p1"]] == \
                [r.values for r in second[0]["p1"]]
-
-
-class TestOneHot:
-    def test_encode(self):
-        recs = [RawRecord("s", 0, [1.0], categorical={"unit": "icu"}),
-                RawRecord("s", 1, [2.0], categorical={"unit": "ward"})]
-        cats = one_hot_categories(recs)
-        assert cats == {"unit": ["icu", "ward"]}
-        assert one_hot_encode(recs[0], cats) == [1.0, 1.0, 0.0]
-        assert one_hot_encode(recs[1], cats) == [2.0, 0.0, 1.0]

@@ -29,19 +29,19 @@ def single_target_provider(point, label="goal"):
 class TestMaskStatic:
     def test_static_dim_dropped(self):
         m = mask_static([1, 5], [2, 5], [target([3, 5])])
-        assert list(m.active) == [0]
+        assert list(m) == [0]
 
     def test_all_dims_differ(self):
         m = mask_static([1, 5], [2, 6], [target([3, 7])])
-        assert list(m.active) == [0, 1]
+        assert list(m) == [0, 1]
 
     def test_all_masked(self):
         m = mask_static([1, 5], [2, 6], [target([1, 5])])
-        assert m.active.size == 0
+        assert m.size == 0
 
     def test_union_over_targets(self):
         m = mask_static([1, 5], [2, 6], [target([1, 7]), target([3, 5])])
-        assert list(m.active) == [0, 1]
+        assert list(m) == [0, 1]
 
 
 class TestScoreStep:
