@@ -72,20 +72,29 @@ class RunConfig:
                 doc = json.load(fh)
             except json.JSONDecodeError as e:
                 raise ConfigError(f"{path}: not valid JSON: {e}") from None
-        unknown = set(doc) - cls._KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls()
         try:
+            if not isinstance(doc, dict):
+                raise ConfigError(f"config must be a JSON object, not {type(doc).__name__}")
+            unknown = set(doc) - cls._KEYS
+            if unknown:
+                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
             if "lambda" in doc:
                 cfg.lam = float(doc["lambda"])
             if "k_neighbors" in doc:
-                cfg.k_neighbors = int(doc["k_neighbors"])
+                k = doc["k_neighbors"]
+                # int() would truncate 2.7 and accept true as 1
+                if isinstance(k, bool) or not isinstance(k, int):
+                    raise ConfigError(f"k_neighbors must be an integer, got {k!r}")
+                cfg.k_neighbors = k
             if "epsilon" in doc:
                 cfg.epsilon = float(doc["epsilon"])
             if "polarity_map" in doc:
-                cfg.polarity_map = {k: _parse_polarity(v)
-                                    for k, v in doc["polarity_map"].items()}
+                pmap = doc["polarity_map"]
+                if not isinstance(pmap, dict):
+                    raise ConfigError(
+                        f"polarity_map must be a JSON object, not {type(pmap).__name__}")
+                cfg.polarity_map = {k: _parse_polarity(v) for k, v in pmap.items()}
             if "feature_weights" in doc and doc["feature_weights"] is not None:
                 cfg.feature_weights = [float(w) for w in doc["feature_weights"]]
             return cfg.validate()
@@ -138,21 +147,16 @@ def read_corpus_csv(path):
     return names, rows
 
 
-def run_build_index(corpus_csv, out_path, norm_path=None) -> Dict[str, int]:
+def run_build_index(corpus_csv, out_path) -> Dict[str, int]:
     names, rows = read_corpus_csv(corpus_csv)
     raw = np.array([v for v, _ in rows], dtype=float)
     stats = fit_normalizer(raw, names)
     normalized = [(stats.apply(v).values, label) for v, label in rows]
     corpus = build_index(normalized, norm_stats=stats)
     # imputation fallbacks operate on raw values, so store raw class means
-    labels = [label for _, label in rows]
-    corpus.class_means = {
-        label: raw[[i for i, l in enumerate(labels) if l == label]].mean(axis=0).tolist()
-        for label in dict.fromkeys(labels)}
+    corpus.class_means = {label: raw[idx.rows].mean(axis=0).tolist()
+                          for label, idx in corpus.class_indices.items()}
     save_corpus(corpus, names, out_path)
-    if norm_path is None:
-        norm_path = str(out_path) + ".normalizer.json"
-    stats.save(norm_path)
     return {label: corpus.class_size(label) for label in corpus.classes()}
 
 
@@ -378,10 +382,9 @@ def _exit_on_error(fn):
 @main.command("build-index")
 @click.argument("corpus_csv", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--normalizer", "norm_path", default=None, type=click.Path())
-def cmd_build_index(corpus_csv, out_path, norm_path):
+def cmd_build_index(corpus_csv, out_path):
     """Build per-class nearest-neighbor indices from a labeled corpus CSV."""
-    counts = _exit_on_error(lambda: run_build_index(corpus_csv, out_path, norm_path))
+    counts = _exit_on_error(lambda: run_build_index(corpus_csv, out_path))
     for label in sorted(counts):
         click.echo(f"{label}: {counts[label]}")
 

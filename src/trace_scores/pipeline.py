@@ -9,7 +9,6 @@ stored statistics.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -96,7 +95,7 @@ def _fill_column(column):
 
 @dataclass(eq=False)
 class NormStats:
-    """Per-feature min-max statistics, persisted alongside the corpus."""
+    """Per-feature min-max statistics, persisted inside the corpus index."""
 
     names: List[str]
     mins: np.ndarray
@@ -133,16 +132,6 @@ class NormStats:
         return cls(names=[f["name"] for f in feats],
                    mins=np.array([f["min"] for f in feats], dtype=float),
                    maxs=np.array([f["max"] for f in feats], dtype=float))
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "NormStats":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 def fit_normalizer(rows, names: Optional[Sequence[str]] = None) -> NormStats:

@@ -1,7 +1,7 @@
 """Per-step counterfactual target generation.
 
 Two modes: corpus-backed exact nearest-neighbor retrieval per outcome
-class (one KD-tree per class), and fixed per-timestep target series.
+class, and fixed per-timestep target series.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ConfigError, CorpusError, TargetError
 from .geometry import FeatureVector
@@ -23,18 +22,15 @@ from .scoring import Polarity, TargetSpec
 class _ClassIndex:
     rows: np.ndarray      # corpus row ids, in insertion order
     points: np.ndarray    # (n_class, dim)
-    tree: cKDTree
 
     def query(self, x: np.ndarray, k: int) -> List[int]:
         """Exact k nearest class members; ties broken by corpus row order."""
-        k = min(k, len(self.rows))
-        dists, _ = self.tree.query(x, k=k)
-        dmax = float(np.max(np.atleast_1d(dists)))
-        # re-rank every candidate within the kth distance so that ties at
-        # the boundary resolve by insertion order, not tree layout
-        cand = self.tree.query_ball_point(x, r=dmax * (1.0 + 1e-9) + 1e-300)
-        cand = sorted(cand, key=lambda i: (float(np.linalg.norm(self.points[i] - x)), i))
-        return [int(self.rows[i]) for i in cand[:k]]
+        d = np.linalg.norm(self.points - x, axis=1)
+        k = min(k, len(d))
+        # every row within the k-th distance, stably sorted so ties keep row order
+        near = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1])
+        order = near[np.argsort(d[near], kind="stable")]
+        return self.rows[order[:k]].tolist()
 
 
 @dataclass(eq=False)
@@ -60,7 +56,7 @@ class Corpus:
 
 def build_index(rows: Iterable[Tuple[Sequence[float], str]], *,
                 norm_stats=None) -> Corpus:
-    """Build per-class exact nearest-neighbor indices from labeled rows."""
+    """Group labeled rows by class for exact nearest-neighbor queries."""
     pts: List[Sequence[float]] = []
     labels: List[str] = []
     for values, label in rows:
@@ -76,16 +72,13 @@ def build_index(rows: Iterable[Tuple[Sequence[float], str]], *,
         raise CorpusError("corpus rows have inconsistent dimensions")
     if not np.all(np.isfinite(arr)):
         raise CorpusError("corpus contains non-finite values")
+    label_arr = np.array(labels)
     indices: Dict[str, _ClassIndex] = {}
     for label in dict.fromkeys(labels):
-        rows_l = np.array([i for i, lab in enumerate(labels) if lab == label])
-        class_pts = arr[rows_l]
-        indices[label] = _ClassIndex(rows=rows_l, points=class_pts,
-                                     tree=cKDTree(class_pts))
-    class_means = {label: idx.points.mean(axis=0).tolist()
-                   for label, idx in indices.items()}
+        rows_l = np.flatnonzero(label_arr == label)
+        indices[label] = _ClassIndex(rows=rows_l, points=arr[rows_l])
     return Corpus(points=arr, labels=labels, class_indices=indices,
-                  norm_stats=norm_stats, class_means=class_means)
+                  norm_stats=norm_stats)
 
 
 def knn_targets(corpus: Corpus, x, k: int,
@@ -170,9 +163,8 @@ def corpus_from_json(doc: dict) -> Tuple[Corpus, List[str]]:
     stats = NormStats.from_json(doc["normalizer"]) if "normalizer" in doc else None
     rows = [(p["values"], p["label"]) for p in doc["points"]]
     corpus = build_index(rows, norm_stats=stats)
-    if "class_means" in doc:
-        corpus.class_means = {k: list(map(float, v))
-                              for k, v in doc["class_means"].items()}
+    corpus.class_means = {k: list(map(float, v))
+                          for k, v in doc.get("class_means", {}).items()}
     return corpus, list(doc["features"])
 
 
@@ -183,5 +175,12 @@ def save_corpus(corpus: Corpus, feature_names: Sequence[str], path) -> None:
 
 
 def load_corpus(path) -> Tuple[Corpus, List[str]]:
+    """Read an index written by ``save_corpus``; a document that does not
+    fit its layout raises CorpusError naming ``path``."""
     with open(path) as fh:
-        return corpus_from_json(json.load(fh))
+        try:
+            return corpus_from_json(json.load(fh))
+        except KeyError as e:
+            raise CorpusError(f"{path}: malformed index: missing key {e}") from None
+        except (AttributeError, CorpusError, TypeError, ValueError) as e:
+            raise CorpusError(f"{path}: malformed index: {e}") from None

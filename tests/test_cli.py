@@ -53,7 +53,6 @@ class TestBuildIndex:
         assert "RFD: 8" in res.output
         assert "mortality: 8" in res.output
         assert (tmp / "index.json").exists()
-        assert (tmp / "index.json.normalizer.json").exists()
 
     def test_missing_label_column(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -230,6 +229,18 @@ def _bad_cell(which, lineno, col, new):
     return setup
 
 
+def _bad_index(edit):
+    """Index rows: ``edit`` changes the built index's JSON document in place;
+    the error names the index."""
+    def setup(corpus, traj, config, tdir):
+        index = corpus.parent / "index.json"
+        doc = json.loads(index.read_text())
+        edit(doc)
+        index.write_text(json.dumps(doc))
+        return ["--config", str(config)], f"{index}: malformed index:"
+    return setup
+
+
 def _flag(name, value):
     def setup(corpus, traj, config, tdir):
         return ["--config", str(config), f"--{name}", value], f"{name} must"
@@ -251,6 +262,11 @@ MALFORMED_INPUTS = [
                  expect="feature_weights has 3 entries")),
     ("config-not-json", "corpus", _bad_config('{"lambda": 0.9,')),
     ("epsilon-not-number", "corpus", _bad_config('{"epsilon": "small"}')),
+    ("config-not-object", "corpus", _bad_config('5')),
+    ("polarity-map-list", "corpus", _bad_config('{"polarity_map": ["RFD", "mortality"]}')),
+    ("k-float-config", "corpus", _bad_config('{"k_neighbors": 2.7, %s}' % _POLARITY)),
+    ("k-bool-config", "corpus", _bad_config('{"k_neighbors": true, %s}' % _POLARITY)),
+    ("index-no-label", "corpus", _bad_index(lambda doc: doc["points"][0].pop("label"))),
     ("traj-cell-abc", "corpus", _bad_cell("traj", 3, 2, "abc")),
     ("traj-cell-nan", "corpus", _bad_cell("traj", 3, 2, "nan")),
     ("traj-cell-inf", "series", _bad_cell("traj", 4, 3, "-inf")),

@@ -82,14 +82,12 @@ class TestNormalizer:
         with pytest.raises(DimensionError):
             ns.apply([1, 2, 3])
 
-    def test_json_persistence(self, tmp_path):
+    def test_json_persistence(self):
         ns = fit_normalizer([[10, 0], [20, 5]], names=["hr", "rr"])
-        path = tmp_path / "norm.json"
-        ns.save(path)
-        doc = json.loads(path.read_text())
+        doc = json.loads(json.dumps(ns.to_json()))
         assert doc == {"features": [{"name": "hr", "min": 10.0, "max": 20.0},
                                     {"name": "rr", "min": 0.0, "max": 5.0}]}
-        loaded = NormStats.load(path)
+        loaded = NormStats.from_json(doc)
         np.testing.assert_array_equal(loaded.apply([15, 2.5]).values, [0.5, 0.5])
 
 

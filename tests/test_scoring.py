@@ -142,6 +142,11 @@ class TestScoreStep:
         assert s.combined == pytest.approx(1.0)
         s = score_step([0, 0], [-0.5, 0], targets, 1.0)
         assert s.combined == pytest.approx((3 * -1 + 1 * -1 * -1 * -1) / 4.0)
+        # the undesirable target lies square to the move: weighted 0.75, unweighted 0.5
+        targets = [target([1, 0], "good", Polarity.DESIRABLE, weight=3.0),
+                   target([0, -1], "bad", Polarity.UNDESIRABLE, weight=1.0)]
+        s = score_step([0, 0], [0.5, 0], targets, 1.0)
+        assert s.combined == pytest.approx(0.75)
 
     def test_degenerate_target_dropped(self):
         # one target sits exactly on the factual; the other still scores

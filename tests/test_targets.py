@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +121,23 @@ class TestKnnTargets:
             for got, want in zip(specs, expected):
                 np.testing.assert_array_equal(got.point.values, want)
 
+    def test_row_ids_match_brute_force_on_duplicates(self):
+        # integer coordinates make equal distances; the last ten rows repeat
+        # the first ten, each in the same class
+        rng = np.random.default_rng(5)
+        pts = rng.integers(-2, 3, size=(40, 3)).astype(float)
+        pts[30:] = pts[:10]
+        labels = ["a" if i % 3 else "b" for i in range(40)]
+        corpus = build_index(zip(pts.tolist(), labels))
+        queries = np.concatenate([pts[:10], rng.integers(-2, 3, size=(10, 3)),
+                                  rng.normal(size=(10, 3))])
+        for label in ("a", "b"):
+            rows = np.array([i for i, l in enumerate(labels) if l == label])
+            for x in queries:
+                for k in (1, 3, 7, len(rows), len(rows) + 2):
+                    got = corpus.class_indices[label].query(x, k)
+                    assert got == [int(rows[j]) for j in brute_knn(pts[rows], x, k)]
+
     def test_concurrent_queries_identical(self):
         corpus, pts, _ = make_corpus()
         x = np.full(5, -0.2)
@@ -160,3 +181,13 @@ class TestFixedTargets:
     def test_values_at_t(self):
         specs = fixed_targets([self.series()], 2)
         np.testing.assert_array_equal(specs[0].point.values, [2.0, 1.0])
+
+
+def test_cli_import_leaves_out_scipy_spatial():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, trace_scores.cli; print('scipy.spatial' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"
