@@ -29,15 +29,23 @@ _USAGE_ERRORS = (ConfigError, CorpusError, TargetError, TrajectoryError)
 
 
 def _parse_polarity(value) -> Polarity:
-    if isinstance(value, str):
-        try:
-            return Polarity[value.upper()]
-        except KeyError:
-            raise ConfigError(f"unknown polarity {value!r}") from None
+    """A polarity name (``"desirable"``) or its integer value (1 or -1)."""
     try:
-        return Polarity(int(value))
-    except ValueError:
-        raise ConfigError(f"unknown polarity {value!r}") from None
+        if isinstance(value, str):
+            return Polarity[value.upper()]
+        # a JSON true or 1.0 is neither a name nor an integer
+        if isinstance(value, int) and not isinstance(value, bool):
+            return Polarity(value)
+    except (KeyError, ValueError):
+        pass
+    raise ConfigError(f"unknown polarity {value!r}")
+
+
+def _json_number(key: str, value) -> float:
+    # float() would read true as 1.0 and "0.5" as 0.5
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -80,7 +88,7 @@ class RunConfig:
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
             if "lambda" in doc:
-                cfg.lam = float(doc["lambda"])
+                cfg.lam = _json_number("lambda", doc["lambda"])
             if "k_neighbors" in doc:
                 k = doc["k_neighbors"]
                 # int() would truncate 2.7 and accept true as 1
@@ -88,7 +96,7 @@ class RunConfig:
                     raise ConfigError(f"k_neighbors must be an integer, got {k!r}")
                 cfg.k_neighbors = k
             if "epsilon" in doc:
-                cfg.epsilon = float(doc["epsilon"])
+                cfg.epsilon = _json_number("epsilon", doc["epsilon"])
             if "polarity_map" in doc:
                 pmap = doc["polarity_map"]
                 if not isinstance(pmap, dict):
@@ -96,7 +104,8 @@ class RunConfig:
                         f"polarity_map must be a JSON object, not {type(pmap).__name__}")
                 cfg.polarity_map = {k: _parse_polarity(v) for k, v in pmap.items()}
             if "feature_weights" in doc and doc["feature_weights"] is not None:
-                cfg.feature_weights = [float(w) for w in doc["feature_weights"]]
+                cfg.feature_weights = [_json_number("feature_weights entry", w)
+                                       for w in doc["feature_weights"]]
             return cfg.validate()
         except (ConfigError, OverflowError, TypeError, ValueError) as e:
             raise ConfigError(f"{path}: {e}") from None
@@ -255,6 +264,10 @@ def run_score_corpus(traj_csv, index_path, cfg: RunConfig, out_dir) -> dict:
             f"trajectory dimension {len(names)} does not match index dimension {corpus.dim}")
     if not cfg.polarity_map:
         raise ConfigError("corpus mode requires a polarity_map in the config")
+    unknown = [c for c in cfg.polarity_map if c not in corpus.class_indices]
+    if unknown:
+        raise ConfigError(f"polarity_map names class {unknown[0]!r}, which the index "
+                          f"{index_path} lacks (classes: {corpus.classes()})")
     provider = knn_provider(corpus, cfg.k_neighbors, cfg.polarity_map)
     _, info = _score_cohort(
         traj_data, [(None, provider)], cfg, out_dir,

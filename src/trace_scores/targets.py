@@ -163,6 +163,8 @@ def corpus_from_json(doc: dict) -> Tuple[Corpus, List[str]]:
     stats = NormStats.from_json(doc["normalizer"]) if "normalizer" in doc else None
     rows = [(p["values"], p["label"]) for p in doc["points"]]
     corpus = build_index(rows, norm_stats=stats)
+    if stats is not None and stats.dim != corpus.dim:
+        raise CorpusError(f"normalizer has {stats.dim} features, the points have {corpus.dim}")
     corpus.class_means = {k: list(map(float, v))
                           for k, v in doc.get("class_means", {}).items()}
     return corpus, list(doc["features"])

@@ -266,7 +266,17 @@ MALFORMED_INPUTS = [
     ("polarity-map-list", "corpus", _bad_config('{"polarity_map": ["RFD", "mortality"]}')),
     ("k-float-config", "corpus", _bad_config('{"k_neighbors": 2.7, %s}' % _POLARITY)),
     ("k-bool-config", "corpus", _bad_config('{"k_neighbors": true, %s}' % _POLARITY)),
+    ("lambda-bool-config", "corpus", _bad_config('{"lambda": true, %s}' % _POLARITY)),
+    ("epsilon-bool-config", "corpus", _bad_config('{"epsilon": true, %s}' % _POLARITY)),
+    ("weight-bool-config", "series", _bad_config('{"feature_weights": [1, true]}')),
+    ("polarity-bool-config", "corpus",
+     _bad_config('{"polarity_map": {"RFD": true, "mortality": "undesirable"}}')),
+    ("polarity-unknown-class", "corpus",
+     _bad_config('{"polarity_map": {"RFD": "desirable", "death": "undesirable"}}',
+                 expect="polarity_map names class 'death'")),
     ("index-no-label", "corpus", _bad_index(lambda doc: doc["points"][0].pop("label"))),
+    ("index-normalizer-dim", "corpus",
+     _bad_index(lambda doc: doc["normalizer"]["features"].pop())),
     ("traj-cell-abc", "corpus", _bad_cell("traj", 3, 2, "abc")),
     ("traj-cell-nan", "corpus", _bad_cell("traj", 3, 2, "nan")),
     ("traj-cell-inf", "series", _bad_cell("traj", 4, 3, "-inf")),

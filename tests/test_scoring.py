@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trace_scores import (FeatureVector, Polarity, SkipReason, TargetError,
-                          TargetSpec, Trajectory, TrajectoryError,
-                          feature_scores, mask_static, score_step,
-                          score_trajectory)
+from trace_scores import (DEFAULT_EPSILON, ConfigError, Degeneracy,
+                          DegenerateGeometry, FeatureVector, Polarity,
+                          SkipReason, TargetError, TargetSpec, Trajectory,
+                          TrajectoryError, feature_scores, mask_static,
+                          norm_of, score_step, score_trajectory, step_score)
 
 
 def fv(*xs):
@@ -241,3 +244,160 @@ class TestFeatureScores:
         f0 = per[0].scored_steps()[0].combined
         f1 = per[1].scored_steps()[0].combined
         assert not (min(f0, f1) - 1e-12 <= full <= max(f0, f1) + 1e-12)
+
+
+# -- the array kernel against the scalar reference -----------------------------
+
+def reference_step(x_t, x_next, targets, lam, weights=None, epsilon=DEFAULT_EPSILON):
+    """One step on the scalar path: ``geometry.step_score`` per target on the
+    active dims, then class means and the weighted polarity combination.
+    Returns ``(skip_reason, per_target, per_class, combined)``."""
+    xt, xn = np.asarray(x_t, dtype=float), np.asarray(x_next, dtype=float)
+    points = [spec.point.values for spec in targets]
+    active = [d for d in range(xt.size) if any(abs(p[d] - xt[d]) > epsilon for p in points)]
+    if not active:
+        return SkipReason.ALL_MASKED, [], {}, None
+    w = None if weights is None else np.asarray(weights, dtype=float)[active]
+    if norm_of(xn[active] - xt[active], w) <= epsilon:
+        return SkipReason.NO_FEATURE_CHANGE, [], {}, None
+    per_target, scores, class_weights = [], {}, {}
+    for spec, p in zip(targets, points):
+        try:
+            geom = step_score(xt[active], xn[active], p[active], lam, epsilon=epsilon, weights=w)
+        except DegenerateGeometry:
+            continue
+        per_target.append((spec.class_label, spec.polarity, geom))
+        scores.setdefault(spec.class_label, []).append(geom.s)
+        class_weights.setdefault(spec.class_label, []).append(spec.weight)
+    per_class = {c: float(np.mean(v)) for c, v in scores.items()}
+    polarity = {label: pol for label, pol, _ in per_target}
+    cw = {c: float(np.mean(v)) for c, v in class_weights.items()}
+    combined = (sum(cw[c] * float(polarity[c]) * per_class[c] for c in per_class)
+                / sum(cw.values())) if per_class else None
+    return None, per_target, per_class, combined
+
+
+def assert_matches_reference(step, x_t, x_next, targets, lam, weights=None):
+    reason, per_target, per_class, combined = reference_step(x_t, x_next, targets, lam, weights)
+    assert step.skipped == (reason is not None)
+    assert step.skip_reason is reason
+    assert [(c, p) for c, p, _ in step.per_target] == [(c, p) for c, p, _ in per_target]
+    for (_, _, got), (_, _, want) in zip(step.per_target, per_target):
+        assert got.degenerate is want.degenerate
+        # the documented ranges, and the exact ones of a reached goal, hold bit for bit
+        assert -1.0 <= got.r1 <= 1.0 and 0.0 <= got.r2 <= 1.0
+        if got.degenerate is Degeneracy.GOAL_REACHED:
+            assert got.r1 == got.r2 == got.s == 1.0
+        np.testing.assert_allclose([got.r1, got.r2, got.s], [want.r1, want.r2, want.s],
+                                   rtol=0, atol=1e-12)
+    assert list(step.per_class) == list(per_class)
+    np.testing.assert_allclose(list(step.per_class.values()), list(per_class.values()),
+                               rtol=0, atol=1e-12)
+    if combined is None:
+        assert step.combined is None
+    else:
+        assert step.combined == pytest.approx(combined, rel=0, abs=1e-12)
+
+
+# grid values make repeated coordinates, static dims and collinear targets common
+COORD = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                  st.floats(-2, 2, allow_subnormal=False))
+
+
+@st.composite
+def trajectory_cases(draw):
+    """Points, per-step targets, a lambda schedule and feature weights."""
+    dim = draw(st.integers(1, 4))
+    n_steps = draw(st.integers(1, 4))
+    vec = st.lists(COORD, min_size=dim, max_size=dim).map(np.array)
+    xs = draw(st.lists(vec, min_size=n_steps + 1, max_size=n_steps + 1))
+    polarity = {c: draw(st.sampled_from(list(Polarity))) for c in "abc"}
+    target_lists = []
+    for i in range(n_steps):
+        step_targets = []
+        for _ in range(draw(st.integers(1, 4))):
+            # a free point, the factual (dropped), the landing point (goal
+            # reached) or a point along the move (best achieved)
+            kind = draw(st.sampled_from(["free", "x_t", "x_next", "on_move"]))
+            if kind == "free":
+                point = draw(vec)
+            elif kind == "x_t":
+                point = xs[i]
+            elif kind == "x_next":
+                point = xs[i + 1]
+            else:
+                point = xs[i] + draw(st.sampled_from([0.5, 2.0])) * (xs[i + 1] - xs[i])
+            label = draw(st.sampled_from("abc"))
+            step_targets.append(TargetSpec(point=FeatureVector(point), class_label=label,
+                                           polarity=polarity[label],
+                                           weight=draw(st.floats(0.1, 5.0))))
+        target_lists.append(step_targets)
+    lam_value = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
+    lam = draw(st.one_of(lam_value, st.lists(lam_value, min_size=n_steps, max_size=n_steps)))
+    weights = draw(st.none() | st.lists(st.floats(0.1, 5.0), min_size=dim, max_size=dim))
+    return xs, target_lists, lam, weights
+
+
+def column_targets(targets, d):
+    return [TargetSpec(point=FeatureVector(spec.point.values[d:d + 1]),
+                       class_label=spec.class_label, polarity=spec.polarity,
+                       weight=spec.weight) for spec in targets]
+
+
+@settings(max_examples=300)
+@given(trajectory_cases())
+def test_kernel_matches_scalar_step_score(case):
+    xs, target_lists, lam, weights = case
+    points = [(t, FeatureVector(x)) for t, x in enumerate(xs)]
+    lams = [lam if isinstance(lam, float) else lam[i] for i in range(len(target_lists))]
+    provider = lambda t, x: target_lists[t]
+    ts = score_trajectory(points, provider, lam, feature_weights=weights)
+    assert [s.t_index for s in ts.steps] == list(range(1, len(xs)))
+    assert ts.skipped_count == sum(s.skipped for s in ts.steps)
+    for i, step in enumerate(ts.steps):
+        assert_matches_reference(step, xs[i], xs[i + 1], target_lists[i], lams[i], weights)
+    for d, fs in feature_scores(points, provider, lam).items():
+        for i, step in enumerate(fs.steps):
+            assert_matches_reference(step, xs[i][d:d + 1], xs[i + 1][d:d + 1],
+                                     column_targets(target_lists[i], d), lams[i])
+
+
+@pytest.mark.parametrize("x_t, x_next, points, weights, expect", [
+    ([0, 0], [1, 1], [[1, 1]], None, Degeneracy.GOAL_REACHED),
+    # the move's cosine with itself rounds to 1.0000000000000002 here
+    ([0.2, -0.2, 1.0], [1.0, 0.4, 0.3], [[1.0, 0.4, 0.3]], None, Degeneracy.GOAL_REACHED),
+    ([0, 0], [2, 0], [[1, 0]], None, Degeneracy.BEST_ACHIEVED),
+    ([0, 0], [1, 0], [[2, 0]], None, Degeneracy.BEST_ACHIEVED),
+    ([1, 5], [2, 6], [[1, 5]], None, SkipReason.ALL_MASKED),
+    ([1, 5], [1, 6], [[2, 5]], None, SkipReason.NO_FEATURE_CHANGE),
+    ([0, 0], [0.5, 0], [[0, 0], [1, 0]], None, "dropped"),
+    # the target's dim is active, but its weighted distance is within epsilon
+    ([0], [1], [[2e-9]], [0.01], "all dropped"),
+], ids=["goal-reached", "goal-reached-rounded", "best-achieved", "best-achieved-past", "all-masked",
+        "no-move", "dropped-target", "every-target-dropped"])
+def test_kernel_matches_scalar_on_degenerate_steps(x_t, x_next, points, weights, expect):
+    targets = [target(p, label) for p, label in zip(points, "ab")]
+    for lam in (0.0, 0.4, 1.0):
+        step = score_step(x_t, x_next, targets, lam, feature_weights=weights)
+        assert_matches_reference(step, x_t, x_next, targets, lam, weights)
+        if isinstance(expect, Degeneracy):
+            assert [g.degenerate for _, _, g in step.per_target] == [expect]
+        elif isinstance(expect, SkipReason):
+            assert step.skip_reason is expect
+        else:
+            assert len(step.per_target) == len(points) - 1
+            assert not step.skipped
+
+
+def test_first_bad_scored_step_raises():
+    # step 0 is all masked, so its lambda is never used; step 1 reports its own
+    pts = [(0, 0), (1, 0), (2, 0)]
+    ts = score_trajectory(traj(pts), lambda t, x: [target([0, 0] if t == 0 else [5, 0])],
+                          [1.0, 0.5])
+    assert ts.steps[0].skip_reason is SkipReason.ALL_MASKED
+    with pytest.raises(ConfigError, match="got 1.5"):
+        score_trajectory(traj(pts), lambda t, x: [target([0, 0] if t == 0 else [5, 0])],
+                         [7.0, 1.5])
+    conflicting = [target([5, 0], "a"), target([6, 1], "a", Polarity.UNDESIRABLE)]
+    with pytest.raises(ConfigError, match="'a' carries conflicting polarities"):
+        score_trajectory(traj(pts), lambda t, x: conflicting, 0.5)
