@@ -158,12 +158,10 @@ def read_corpus_csv(path):
 
 def run_build_index(corpus_csv, out_path) -> Dict[str, int]:
     names, rows = read_corpus_csv(corpus_csv)
-    raw = np.array([v for v, _ in rows], dtype=float)
-    stats = fit_normalizer(raw, names)
-    normalized = [(stats.apply(v).values, label) for v, label in rows]
-    corpus = build_index(normalized, norm_stats=stats)
+    stats = fit_normalizer([v for v, _ in rows], names)
+    corpus = build_index(rows, norm_stats=stats)
     # imputation fallbacks operate on raw values, so store raw class means
-    corpus.class_means = {label: raw[idx.rows].mean(axis=0).tolist()
+    corpus.class_means = {label: corpus.points[idx.rows].mean(axis=0).tolist()
                           for label, idx in corpus.class_indices.items()}
     save_corpus(corpus, names, out_path)
     return {label: corpus.class_size(label) for label in corpus.classes()}
@@ -332,9 +330,11 @@ def run_score_series(traj_csv, targets_dir, cfg: RunConfig, out_dir) -> dict:
 
 
 def _write_jsonl(path, lines: Sequence[dict]) -> None:
+    # one encoder for every line: json.dumps builds a new one per call
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w") as fh:
         for line in lines:
-            fh.write(json.dumps(line, sort_keys=True))
+            fh.write(encode(line))
             fh.write("\n")
 
 

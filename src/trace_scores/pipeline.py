@@ -105,14 +105,22 @@ class NormStats:
     def dim(self) -> int:
         return len(self.names)
 
+    def apply_rows(self, rows) -> np.ndarray:
+        """Normalize each row of an ``(n, dim)`` matrix; a constant feature
+        maps to 0.5."""
+        v = np.asarray(rows, dtype=float)
+        if v.ndim != 2 or v.shape[1] != self.dim:
+            raise DimensionError(
+                f"rows of shape {v.shape} do not match normalizer {self.dim}")
+        span = self.maxs - self.mins
+        return np.where(span > 0, (v - self.mins) / np.where(span > 0, span, 1.0), 0.5)
+
     def apply(self, values) -> FeatureVector:
         v = np.asarray(values, dtype=float)
         if v.shape != (self.dim,):
             raise DimensionError(
                 f"vector dimension {v.shape[0]} does not match normalizer {self.dim}")
-        span = self.maxs - self.mins
-        out = np.where(span > 0, (v - self.mins) / np.where(span > 0, span, 1.0), 0.5)
-        return FeatureVector(out)
+        return FeatureVector(self.apply_rows(v[None, :])[0])
 
     def invert(self, values) -> np.ndarray:
         v = np.asarray(values, dtype=float)
@@ -216,8 +224,8 @@ def build_trajectory(records: Sequence[RawRecord], *,
     if class_means is not None and label is not None and label in class_means:
         means = class_means[label]
     filled = impute(records, class_means=means)
-    points = []
-    for r in filled:
-        vec = normalizer.apply(r.values) if normalizer else FeatureVector(r.values)
-        points.append((r.t_index, vec))
+    values = [r.values for r in filled]
+    if normalizer:
+        values = normalizer.apply_rows(values)
+    points = [(r.t_index, FeatureVector(v)) for r, v in zip(filled, values)]
     return Trajectory(subject_id=records[0].subject_id, points=points, label=label)

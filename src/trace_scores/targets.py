@@ -21,23 +21,23 @@ from .scoring import Polarity, TargetSpec
 @dataclass(eq=False)
 class _ClassIndex:
     rows: np.ndarray      # corpus row ids, in insertion order
-    points: np.ndarray    # (n_class, dim)
+    points: np.ndarray    # (n_class, dim), normalized when the corpus has a normalizer
 
-    def query(self, x: np.ndarray, k: int) -> List[int]:
-        """Exact k nearest class members; ties broken by corpus row order."""
+    def query(self, x: np.ndarray, k: int) -> np.ndarray:
+        """Positions in ``rows``/``points`` of the exact k nearest class
+        members; ties broken by corpus row order."""
         d = np.linalg.norm(self.points - x, axis=1)
         k = min(k, len(d))
         # every row within the k-th distance, stably sorted so ties keep row order
         near = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1])
-        order = near[np.argsort(d[near], kind="stable")]
-        return self.rows[order[:k]].tolist()
+        return near[np.argsort(d[near], kind="stable")][:k]
 
 
 @dataclass(eq=False)
 class Corpus:
     """Immutable labeled reference points with per-class exact NN indices."""
 
-    points: np.ndarray                 # (n, dim)
+    points: np.ndarray                 # (n, dim), as given to build_index
     labels: List[str]
     class_indices: Dict[str, _ClassIndex] = field(default_factory=dict)
     norm_stats: Optional[object] = None
@@ -56,7 +56,11 @@ class Corpus:
 
 def build_index(rows: Iterable[Tuple[Sequence[float], str]], *,
                 norm_stats=None) -> Corpus:
-    """Group labeled rows by class for exact nearest-neighbor queries."""
+    """Group labeled rows by class for exact nearest-neighbor queries.
+
+    With ``norm_stats``, each class's rows are normalized for the queries;
+    ``Corpus.points`` keeps the rows as given.
+    """
     pts: List[Sequence[float]] = []
     labels: List[str] = []
     for values, label in rows:
@@ -72,11 +76,15 @@ def build_index(rows: Iterable[Tuple[Sequence[float], str]], *,
         raise CorpusError("corpus rows have inconsistent dimensions")
     if not np.all(np.isfinite(arr)):
         raise CorpusError("corpus contains non-finite values")
+    if norm_stats is not None and norm_stats.dim != arr.shape[1]:
+        raise CorpusError(
+            f"normalizer has {norm_stats.dim} features, the points have {arr.shape[1]}")
     label_arr = np.array(labels)
     indices: Dict[str, _ClassIndex] = {}
     for label in dict.fromkeys(labels):
         rows_l = np.flatnonzero(label_arr == label)
-        indices[label] = _ClassIndex(rows=rows_l, points=arr[rows_l])
+        points = arr[rows_l] if norm_stats is None else norm_stats.apply_rows(arr[rows_l])
+        indices[label] = _ClassIndex(rows=rows_l, points=points)
     return Corpus(points=arr, labels=labels, class_indices=indices,
                   norm_stats=norm_stats)
 
@@ -99,8 +107,8 @@ def knn_targets(corpus: Corpus, x, k: int,
             warnings.warn(
                 f"k={k} exceeds class {label!r} size {len(idx.rows)}; clamping",
                 stacklevel=2)
-        for row in idx.query(xv, k):
-            out.append(TargetSpec(point=FeatureVector(corpus.points[row]),
+        for pos in idx.query(xv, k):
+            out.append(TargetSpec(point=FeatureVector(idx.points[pos]),
                                   class_label=label,
                                   polarity=Polarity(polarity)))
     return out
@@ -125,32 +133,41 @@ class TargetSeries:
 
 def fixed_targets(series: Sequence[TargetSeries], t: int) -> List[TargetSpec]:
     """One target per series at time index ``t``; no interpolation."""
-    if not series:
-        raise TargetError("no target series supplied")
-    out: List[TargetSpec] = []
-    for s in series:
-        if t not in s.points:
-            raise TargetError(
-                f"series {s.class_label!r} has no target at t={t}")
-        out.append(TargetSpec(point=s.points[t], class_label=s.class_label,
-                              polarity=s.polarity))
-    return out
+    return series_provider(series)(t, None)
 
 
 def series_provider(series: Sequence[TargetSeries]):
-    """Target provider closure for a fixed set of target series."""
+    """Target provider closure for a fixed set of target series; each
+    series' targets are built once, here."""
+    if not series:
+        raise TargetError("no target series supplied")
+    specs = [(s.class_label,
+              {t: TargetSpec(point=p, class_label=s.class_label, polarity=s.polarity)
+               for t, p in s.points.items()})
+             for s in series]
+
     def provide(t_index: int, x: FeatureVector) -> List[TargetSpec]:
-        return fixed_targets(series, t_index)
+        out: List[TargetSpec] = []
+        for label, by_t in specs:
+            if t_index not in by_t:
+                raise TargetError(f"series {label!r} has no target at t={t_index}")
+            out.append(by_t[t_index])
+        return out
     return provide
 
 
 # -- serialization ----------------------------------------------------------
 
+# index.json holds the rows as given (raw corpus values, which shortest-repr
+# floats reproduce exactly) in ``points``, their ``labels`` in the same order,
+# the ``normalizer``, the raw ``class_means`` and the ``features``. Loading
+# normalizes each class's rows again.
+
 def corpus_to_json(corpus: Corpus, feature_names: Sequence[str]) -> dict:
     doc = {
         "features": list(feature_names),
-        "points": [{"values": corpus.points[i].tolist(), "label": corpus.labels[i]}
-                   for i in range(len(corpus.labels))],
+        "points": corpus.points.tolist(),
+        "labels": corpus.labels,
         "class_means": corpus.class_means,
     }
     if corpus.norm_stats is not None:
@@ -161,18 +178,22 @@ def corpus_to_json(corpus: Corpus, feature_names: Sequence[str]) -> dict:
 def corpus_from_json(doc: dict) -> Tuple[Corpus, List[str]]:
     from .pipeline import NormStats
     stats = NormStats.from_json(doc["normalizer"]) if "normalizer" in doc else None
-    rows = [(p["values"], p["label"]) for p in doc["points"]]
-    corpus = build_index(rows, norm_stats=stats)
-    if stats is not None and stats.dim != corpus.dim:
-        raise CorpusError(f"normalizer has {stats.dim} features, the points have {corpus.dim}")
+    points, labels = doc["points"], doc["labels"]
+    if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
+        raise CorpusError("labels must be a list of strings")
+    if len(points) != len(labels):
+        raise CorpusError(f"{len(points)} points but {len(labels)} labels")
+    corpus = build_index(zip(points, labels), norm_stats=stats)
     corpus.class_means = {k: list(map(float, v))
                           for k, v in doc.get("class_means", {}).items()}
     return corpus, list(doc["features"])
 
 
 def save_corpus(corpus: Corpus, feature_names: Sequence[str], path) -> None:
+    # json.dumps encodes in C; json.dump always takes the pure-Python encoder
+    text = json.dumps(corpus_to_json(corpus, feature_names), sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(corpus_to_json(corpus, feature_names), fh, sort_keys=True)
+        fh.write(text)
         fh.write("\n")
 
 

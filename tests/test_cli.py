@@ -274,7 +274,14 @@ MALFORMED_INPUTS = [
     ("polarity-unknown-class", "corpus",
      _bad_config('{"polarity_map": {"RFD": "desirable", "death": "undesirable"}}',
                  expect="polarity_map names class 'death'")),
-    ("index-no-label", "corpus", _bad_index(lambda doc: doc["points"][0].pop("label"))),
+    ("index-no-label", "corpus", _bad_index(lambda doc: doc["labels"].pop())),
+    ("index-no-labels-key", "corpus", _bad_index(lambda doc: doc.pop("labels"))),
+    ("index-ragged-point", "corpus", _bad_index(lambda doc: doc["points"][1].pop())),
+    ("index-nonfinite-point", "corpus",
+     _bad_index(lambda doc: doc["points"][0].__setitem__(0, float("nan")))),
+    ("index-old-layout-point", "corpus",
+     _bad_index(lambda doc: doc["points"].__setitem__(
+         0, {"values": doc["points"][0], "label": doc["labels"][0]}))),
     ("index-normalizer-dim", "corpus",
      _bad_index(lambda doc: doc["normalizer"]["features"].pop())),
     ("traj-cell-abc", "corpus", _bad_cell("traj", 3, 2, "abc")),

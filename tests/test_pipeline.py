@@ -82,6 +82,22 @@ class TestNormalizer:
         with pytest.raises(DimensionError):
             ns.apply([1, 2, 3])
 
+    def test_rows_match_scalar_formula(self):
+        rng = np.random.default_rng(4)
+        rows = np.round(rng.uniform(-30, 30, size=(50, 5)), 3)
+        rows[:, 2] = 1.5  # constant feature
+        ns = fit_normalizer(rows)
+        got = ns.apply_rows(rows)
+        want = [[(v - lo) / (hi - lo) if hi > lo else 0.5
+                 for v, lo, hi in zip(row, ns.mins.tolist(), ns.maxs.tolist())]
+                for row in rows.tolist()]
+        assert np.array_equal(got, want)
+        assert all(np.array_equal(ns.apply(row).values, g) for row, g in zip(rows, got))
+        with pytest.raises(DimensionError):
+            ns.apply_rows(rows[:, :4])
+        with pytest.raises(DimensionError):
+            ns.apply_rows(rows[0])
+
     def test_json_persistence(self):
         ns = fit_normalizer([[10, 0], [20, 5]], names=["hr", "rr"])
         doc = json.loads(json.dumps(ns.to_json()))
@@ -102,6 +118,14 @@ class TestTrajectory:
         recs = records([[5.0], [None]])
         traj = build_trajectory(recs, normalizer=ns)
         assert [p.values[0] for _, p in traj.points] == [0.5, 0.5]
+
+    def test_build_trajectory_matches_per_row_apply(self):
+        ns = fit_normalizer([[0.0, -3.0, 7.0], [10.0, 4.0, 7.0]])
+        recs = records([[None, 1.25, 7.0], [2.5, None, 7.0], [9.75, 3.5, None]])
+        traj = build_trajectory(recs, normalizer=ns)
+        want = [ns.apply(r.values).values for r in impute(recs)]
+        assert all(np.array_equal(p.values, w) for (_, p), w in zip(traj.points, want))
+        assert [t for t, _ in traj.points] == [0, 1, 2]
 
 
 class TestCsvLoading:

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +10,9 @@ import pytest
 
 from trace_scores import (ConfigError, CorpusError, FeatureVector, Polarity,
                           TargetError, TargetSeries, build_index,
-                          fixed_targets, knn_targets)
+                          fixed_targets, knn_targets, load_corpus, save_corpus,
+                          series_provider)
+from trace_scores.cli import run_build_index
 from oracles import brute_knn
 
 PMAP = {"a": Polarity.DESIRABLE, "b": Polarity.UNDESIRABLE}
@@ -135,7 +138,8 @@ class TestKnnTargets:
             rows = np.array([i for i, l in enumerate(labels) if l == label])
             for x in queries:
                 for k in (1, 3, 7, len(rows), len(rows) + 2):
-                    got = corpus.class_indices[label].query(x, k)
+                    idx = corpus.class_indices[label]
+                    got = idx.rows[idx.query(x, k)].tolist()
                     assert got == [int(rows[j]) for j in brute_knn(pts[rows], x, k)]
 
     def test_concurrent_queries_identical(self):
@@ -156,6 +160,56 @@ class TestKnnTargets:
         for res in results:
             for got, want in zip(res, expected):
                 np.testing.assert_array_equal(got, want)
+
+
+class TestIndexRoundTrip:
+    @pytest.fixture
+    def built(self, tmp_path):
+        """A built index of a CSV with two-decimal cells, a constant feature
+        and duplicate rows."""
+        rng = np.random.default_rng(9)
+        raw = np.round(rng.uniform(-50, 50, size=(60, 4)), 2)
+        raw[:, 2] = 7.25
+        raw[45:55] = raw[:10]
+        labels = ["a" if i % 3 else "b" for i in range(60)]
+        cells = [[repr(v) for v in row] for row in raw.tolist()]
+        corpus_csv = tmp_path / "corpus.csv"
+        corpus_csv.write_text("f0,f1,f2,f3,label\n" + "".join(
+            ",".join(row + [label]) + "\n" for row, label in zip(cells, labels)))
+        run_build_index(corpus_csv, tmp_path / "index.json")
+        return raw, cells, labels, tmp_path / "index.json"
+
+    def test_stores_csv_values_verbatim(self, built):
+        _, cells, labels, path = built
+        doc = json.loads(path.read_text())
+        assert [[repr(v) for v in row] for row in doc["points"]] == cells
+        assert doc["labels"] == labels
+
+    def test_loaded_rows_are_normalized_per_row(self, built):
+        raw, _, labels, path = built
+        corpus, names = load_corpus(path)
+        assert names == ["f0", "f1", "f2", "f3"]
+        stats = corpus.norm_stats
+        normalized = np.array([stats.apply(row).values for row in raw])
+        for label, idx in corpus.class_indices.items():
+            assert idx.rows.tolist() == [i for i, l in enumerate(labels) if l == label]
+            assert np.array_equal(idx.points, normalized[idx.rows])
+        rng = np.random.default_rng(10)
+        queries = np.concatenate([normalized[:12], rng.uniform(-0.2, 1.2, size=(12, 4))])
+        for x in queries:
+            specs = knn_targets(corpus, x, 4, PMAP)
+            for label in ("a", "b"):
+                class_pts = normalized[[i for i, l in enumerate(labels) if l == label]]
+                got = [s.point.values for s in specs if s.class_label == label]
+                want = [class_pts[j] for j in brute_knn(class_pts, x, 4)]
+                assert len(got) == 4
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_save_of_load_is_byte_identical(self, built, tmp_path):
+        *_, path = built
+        corpus, names = load_corpus(path)
+        save_corpus(corpus, names, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 class TestFixedTargets:
@@ -181,6 +235,14 @@ class TestFixedTargets:
     def test_values_at_t(self):
         specs = fixed_targets([self.series()], 2)
         np.testing.assert_array_equal(specs[0].point.values, [2.0, 1.0])
+
+    def test_provider_builds_targets_once(self):
+        provide = series_provider([self.series("A"), self.series("B", n=2)])
+        first = provide(1, None)
+        assert [s.class_label for s in first] == ["A", "B"]
+        assert all(a is b for a, b in zip(first, provide(1, None)))
+        with pytest.raises(TargetError, match="series 'B' has no target at t=2"):
+            provide(2, None)
 
 
 def test_cli_import_leaves_out_scipy_spatial():
