@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 from scipy.special import betainc
 

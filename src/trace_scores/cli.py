@@ -20,10 +20,10 @@ from . import analytics, demo, scoring
 from .errors import (ConfigError, CorpusError, DimensionError, TargetError,
                      TraceError, TrajectoryError)
 from .geometry import FeatureVector
-from .pipeline import build_trajectory, fit_normalizer, load_trajectory_csv, parse_cells
+from .pipeline import (build_trajectory, fit_normalizer, load_trajectory_csv, parse_cells,
+                       parse_t, read_csv)
 from .scoring import Polarity
-from .targets import (TargetSeries, build_index, knn_provider, load_corpus,
-                      save_corpus, series_provider)
+from .targets import build_index, knn_provider, load_corpus, save_corpus, series_provider
 
 _USAGE_ERRORS = (ConfigError, CorpusError, TargetError, TrajectoryError)
 
@@ -133,26 +133,16 @@ def _load_config(config_path, lam, k, epsilon) -> RunConfig:
 
 def read_corpus_csv(path):
     """CSV with feature columns and a final `label` column."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise CorpusError(f"{path}: empty file")
-        if header[-1] != "label":
-            raise CorpusError("missing column: label")
-        names = header[:-1]
-        if not names:
-            raise CorpusError(f"{path}: no feature columns")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CorpusError(
-                    f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-            rows.append((parse_cells(row[:-1], f"{path}:{lineno}", CorpusError), row[-1]))
-        if not rows:
-            raise CorpusError(f"{path}: no data rows")
+    lines = read_csv(path, CorpusError)
+    header = next(lines)
+    if header[-1] != "label":
+        raise CorpusError(f"{path}: missing column: label")
+    names = header[:-1]
+    if not names:
+        raise CorpusError(f"{path}: no feature columns")
+    rows = [(parse_cells(row[:-1], where, CorpusError), row[-1]) for where, row in lines]
+    if not rows:
+        raise CorpusError(f"{path}: no data rows")
     return names, rows
 
 
@@ -277,30 +267,19 @@ def run_score_corpus(traj_csv, index_path, cfg: RunConfig, out_dir) -> dict:
 
 
 def read_series_csv(path, feature_names) -> Dict[int, FeatureVector]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0] != "t":
-            raise TargetError(f"{path}: header must start with t")
-        if header[1:] != list(feature_names):
-            raise DimensionError(
-                f"{path}: series features {header[1:]} do not match "
-                f"trajectory features {list(feature_names)}")
-        points = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise TargetError(
-                    f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-            try:
-                t = int(row[0])
-            except ValueError:
-                raise TargetError(
-                    f"{path}:{lineno}: t must be an integer, got {row[0]!r}") from None
-            points[t] = FeatureVector(parse_cells(row[1:], f"{path}:{lineno}", TargetError))
-        if not points:
-            raise TargetError(f"{path}: no target points")
+    lines = read_csv(path, TargetError)
+    header = next(lines)
+    if header[0] != "t":
+        raise TargetError(f"{path}: header must start with t")
+    if header[1:] != list(feature_names):
+        raise DimensionError(
+            f"{path}: series features {header[1:]} do not match "
+            f"trajectory features {list(feature_names)}")
+    points = {parse_t(row[0], where, TargetError):
+              FeatureVector(parse_cells(row[1:], where, TargetError))
+              for where, row in lines}
+    if not points:
+        raise TargetError(f"{path}: no target points")
     return points
 
 
@@ -309,12 +288,10 @@ def run_score_series(traj_csv, targets_dir, cfg: RunConfig, out_dir) -> dict:
     files = sorted(Path(targets_dir).glob("*.csv"))
     if not files:
         raise TargetError(f"no target series found in {targets_dir}")
-    target_sets = []
-    for f in files:
-        polarity = cfg.polarity_map.get(f.stem, Polarity.DESIRABLE)
-        s = TargetSeries(class_label=f.stem, polarity=polarity,
-                         points=read_series_csv(f, traj_data[2]))
-        target_sets.append((s.class_label, series_provider([s])))
+    target_sets = [(f.stem, series_provider(f.stem,
+                                            cfg.polarity_map.get(f.stem, Polarity.DESIRABLE),
+                                            read_series_csv(f, traj_data[2])))
+                   for f in files]
     summary_rows, info = _score_cohort(
         traj_data, target_sets, cfg, out_dir,
         ["subject_id", "series", "n_steps", "n_skipped", "average", "final_cumulative"],
@@ -364,14 +341,12 @@ def _write_summary(path, rows: Sequence[dict], columns: Sequence[str]) -> None:
 
 
 def read_averages_csv(path) -> List[float]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "average" not in reader.fieldnames:
-            raise ConfigError(f"{path}: missing column: average")
-        try:
-            return [float(row["average"]) for row in reader]
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"{path}: malformed average column: {e}") from None
+    lines = read_csv(path, ConfigError)
+    header = next(lines)
+    if "average" not in header:
+        raise ConfigError(f"{path}: missing column: average")
+    col = header.index("average")
+    return [parse_cells([row[col]], where, ConfigError)[0] for where, row in lines]
 
 
 # -- click wiring -----------------------------------------------------------
@@ -494,23 +469,22 @@ def run_demo(scenario, seed, out_dir, lam=None, k=None) -> None:
 
 def _demo_icu_compare(out: Path) -> None:
     """Split the summary by outcome label and compare the groups."""
-    with open(out / "summary.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    groups: Dict[str, List[dict]] = {}
-    for row in rows:
-        groups.setdefault(row["label"], []).append(row)
-    columns = list(rows[0].keys())
+    lines = read_csv(out / "summary.csv", TraceError)
+    header = next(lines)
+    col = header.index("label")
+    groups: Dict[str, List[List[str]]] = {}
+    for _, row in lines:
+        groups.setdefault(row[col], []).append(row)
     for label in sorted(groups):
         with open(out / f"summary_{label}.csv", "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(columns)
-            for row in groups[label]:
-                w.writerow([row[c] for c in columns])
+            w.writerow(header)
+            w.writerows(groups[label])
         click.echo(f"cohort {label}: {len(groups[label])}")
     if len(groups) == 2:
-        (la, ra), (lb, rb) = sorted(groups.items())
-        cmp = analytics.welch_t_test([float(r["average"]) for r in ra],
-                                     [float(r["average"]) for r in rb])
+        la, lb = sorted(groups)
+        cmp = analytics.welch_t_test(read_averages_csv(out / f"summary_{la}.csv"),
+                                     read_averages_csv(out / f"summary_{lb}.csv"))
         with open(out / "comparison.json", "w") as fh:
             json.dump({"group_a": la, "group_b": lb, **cmp.to_json()},
                       fh, sort_keys=True)

@@ -12,10 +12,6 @@ class DimensionError(TraceError):
 class DegenerateGeometry(TraceError):
     """A geometric operation received an input with no usable direction."""
 
-    def __init__(self, message, reason=None):
-        super().__init__(message)
-        self.reason = reason
-
 
 class ConfigError(TraceError):
     """Invalid configuration value."""

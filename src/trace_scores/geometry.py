@@ -24,7 +24,6 @@ class Degeneracy(Enum):
     """Why a step's geometry collapsed to a special case."""
 
     NONE = "none"
-    NO_MOVE = "no_move"
     GOAL_REACHED = "goal_reached"
     BEST_ACHIEVED = "best_achieved"
 
@@ -49,9 +48,6 @@ class FeatureVector:
     @property
     def dim(self) -> int:
         return self.values.shape[0]
-
-    def tolist(self) -> list:
-        return self.values.tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +107,7 @@ def r1(v_t: VectorLike, v_prime: VectorLike, *, epsilon: float = DEFAULT_EPSILON
     n1 = norm_of(v_t, weights)
     n2 = norm_of(v_prime, weights)
     if n1 <= epsilon or n2 <= epsilon:
-        raise DegenerateGeometry("zero-norm change vector", Degeneracy.NO_MOVE)
+        raise DegenerateGeometry("zero-norm change vector")
     val = inner(v_t, v_prime, weights) / (n1 * n2)
     return min(1.0, max(-1.0, val))
 
@@ -132,9 +128,9 @@ def closest_point(a: VectorLike, b: VectorLike, c: VectorLike, *,
     nh = norm_of(h, weights)
     ng = norm_of(g, weights)
     if nh <= epsilon:
-        raise DegenerateGeometry("direction c - b is degenerate", Degeneracy.NO_MOVE)
+        raise DegenerateGeometry("direction c - b is degenerate")
     if ng <= epsilon:
-        raise DegenerateGeometry("a coincides with b", Degeneracy.NO_MOVE)
+        raise DegenerateGeometry("a coincides with b")
     theta = inner(h, g, weights) / (nh * ng)
     d = bv + (h / nh) * ng * theta
     return FeatureVector(d)
@@ -167,9 +163,9 @@ def r2(x_t: VectorLike, x_next: VectorLike, x_target: VectorLike, *,
     n_vt = norm_of(v_t, weights)
     n_vp = norm_of(v_prime, weights)
     if n_vt <= epsilon:
-        raise DegenerateGeometry("no movement between steps", Degeneracy.NO_MOVE)
+        raise DegenerateGeometry("no movement between steps")
     if n_vp <= epsilon:
-        raise DegenerateGeometry("target coincides with factual", Degeneracy.NO_MOVE)
+        raise DegenerateGeometry("target coincides with factual")
     v_star = xp - xn
     if norm_of(v_star, weights) <= epsilon:
         return 1.0, Degeneracy.GOAL_REACHED

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -166,44 +166,57 @@ def parse_cells(cells: Sequence[str], where: str, error: type) -> List[float]:
     return values
 
 
-def load_trajectory_csv(path):
-    """Read a `subject_id,t,<feature...>[,label]` CSV with empty cells as
-    missing. Returns (records by subject, labels by subject, feature names)."""
+def read_csv(path, error: type) -> Iterator:
+    """Yield a CSV's header, then ``(where, row)`` for each non-blank row,
+    ``where`` being ``path:line``. Rows stream from the file one at a time.
+    A file with no header, or a row whose length differs from the
+    header's, raises ``error``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise TrajectoryError(f"{path}: empty file")
-        if header[:2] != ["subject_id", "t"]:
-            raise TrajectoryError(
-                f"{path}: header must start with subject_id,t")
-        has_label = header[-1] == "label"
-        feature_names = header[2:-1] if has_label else header[2:]
-        if not feature_names:
-            raise TrajectoryError(f"{path}: no feature columns")
-        by_subject: Dict[str, List[RawRecord]] = {}
-        labels: Dict[str, Optional[str]] = {}
+            raise error(f"{path}: empty file")
+        yield header
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            expected = 2 + len(feature_names) + (1 if has_label else 0)
-            if len(row) != expected:
-                raise TrajectoryError(
-                    f"{path}:{lineno}: expected {expected} columns, got {len(row)}")
-            subject = row[0]
-            try:
-                t = int(row[1])
-            except ValueError:
-                raise TrajectoryError(
-                    f"{path}:{lineno}: t must be an integer, got {row[1]!r}") from None
-            raw_vals = row[2:2 + len(feature_names)]
-            present = iter(parse_cells([v for v in raw_vals if v != ""],
-                                       f"{path}:{lineno}", TrajectoryError))
-            values = [next(present) if v != "" else None for v in raw_vals]
-            by_subject.setdefault(subject, []).append(
-                RawRecord(subject_id=subject, t_index=t, values=values))
-            if has_label and row[-1] != "":
-                labels[subject] = row[-1]
+            where = f"{path}:{lineno}"
+            if len(row) != len(header):
+                raise error(f"{where}: expected {len(header)} columns, got {len(row)}")
+            yield where, row
+
+
+def parse_t(cell: str, where: str, error: type) -> int:
+    """A time-index cell as an int; any other cell raises ``error`` at ``where``."""
+    try:
+        return int(cell)
+    except ValueError:
+        raise error(f"{where}: t must be an integer, got {cell!r}") from None
+
+
+def load_trajectory_csv(path):
+    """Read a `subject_id,t,<feature...>[,label]` CSV with empty cells as
+    missing. Returns (records by subject, labels by subject, feature names)."""
+    lines = read_csv(path, TrajectoryError)
+    header = next(lines)
+    if header[:2] != ["subject_id", "t"]:
+        raise TrajectoryError(f"{path}: header must start with subject_id,t")
+    has_label = header[-1] == "label"
+    feature_names = header[2:-1] if has_label else header[2:]
+    if not feature_names:
+        raise TrajectoryError(f"{path}: no feature columns")
+    by_subject: Dict[str, List[RawRecord]] = {}
+    labels: Dict[str, Optional[str]] = {}
+    for where, row in lines:
+        subject = row[0]
+        t = parse_t(row[1], where, TrajectoryError)
+        raw_vals = row[2:2 + len(feature_names)]
+        present = iter(parse_cells([v for v in raw_vals if v != ""], where, TrajectoryError))
+        values = [next(present) if v != "" else None for v in raw_vals]
+        by_subject.setdefault(subject, []).append(
+            RawRecord(subject_id=subject, t_index=t, values=values))
+        if has_label and row[-1] != "":
+            labels[subject] = row[-1]
     for records in by_subject.values():
         records.sort(key=lambda r: r.t_index)
         seen = set()

@@ -13,7 +13,7 @@ reproduces target by target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -95,10 +95,6 @@ class _Rows:
     polarity: np.ndarray     # (rows,)
     weight: np.ndarray       # (rows,)
     points: np.ndarray       # (rows, dim)
-
-    def column(self, d: int) -> "_Rows":
-        """The same rows restricted to feature ``d``."""
-        return replace(self, x=self.x[:, d:d + 1], points=self.points[:, d:d + 1])
 
 
 def _stack(xs: Sequence, t_index: Sequence[int], target_lists: Sequence[Sequence[TargetSpec]],
@@ -248,44 +244,16 @@ def _score_rows(rows: _Rows, epsilon: float, feature_weights) -> List[StepScore]
     return out
 
 
-def mask_static(x_t, x_next, targets: Sequence[TargetSpec], *,
-                epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """Indices of the dimensions where the factual differs from at least
-    one target by more than epsilon.
-
-    An empty result means the step must be skipped (reason AllMasked).
-    """
-    targets = list(targets)
-    if not targets:
-        return np.flatnonzero([])  # no target differs anywhere
-    return np.flatnonzero(_active(_stack([x_t, x_next], [0], [targets], 0.0), epsilon)[0])
-
-
 def score_step(x_t, x_next, targets: Sequence[TargetSpec], lam: float, *,
-               epsilon: float = DEFAULT_EPSILON, feature_weights=None,
-               t_index: int = 0) -> StepScore:
+               epsilon: float = DEFAULT_EPSILON, feature_weights=None) -> StepScore:
     """Score one consecutive step against a set of targets.
 
     Targets that coincide with the factual in the masked subspace are
     dropped; a class with no surviving targets contributes nothing to the
     combined score.
     """
-    rows = _stack([x_t, x_next], [t_index], [list(targets)], lam)
+    rows = _stack([x_t, x_next], [0], [list(targets)], lam)
     return _score_rows(rows, epsilon, feature_weights)[0]
-
-
-def _gather(traj, target_provider: TargetProvider, lam: LambdaSchedule) -> _Rows:
-    """Query the provider once per step with ``(t, x)`` of its earlier point."""
-    points = traj.points if hasattr(traj, "points") else list(traj)
-    if len(points) < 2:
-        raise TrajectoryError(
-            f"trajectory needs at least 2 points, got {len(points)}")
-    target_lists = [list(target_provider(t, x)) for t, x in points[:-1]]
-    return _stack([x for _, x in points], [t for t, _ in points[1:]], target_lists, lam)
-
-
-def _trajectory_score(steps: List[StepScore]) -> TrajectoryScore:
-    return TrajectoryScore(steps=steps, skipped_count=sum(s.skipped for s in steps))
 
 
 def score_trajectory(traj, target_provider: TargetProvider,
@@ -294,23 +262,16 @@ def score_trajectory(traj, target_provider: TargetProvider,
                      feature_weights=None) -> TrajectoryScore:
     """One StepScore per consecutive pair, targets re-queried at every step.
 
-    ``traj`` is any object with a ``points`` attribute holding an ordered
-    list of ``(t_index, FeatureVector)`` pairs (see pipeline.Trajectory).
-    Step scores are labelled with the t_index of the later point, so index
-    0 never appears.
+    ``traj`` is a pipeline.Trajectory: its ``points`` are an ordered list
+    of ``(t_index, FeatureVector)`` pairs, and the provider is queried once
+    per step with ``(t, x)`` of the step's earlier point. Step scores are
+    labelled with the t_index of the later point, so index 0 never appears.
     """
-    rows = _gather(traj, target_provider, lam)
-    return _trajectory_score(_score_rows(rows, epsilon, feature_weights))
-
-
-def feature_scores(traj, target_provider: TargetProvider,
-                   lam: LambdaSchedule, *,
-                   epsilon: float = DEFAULT_EPSILON) -> Dict[int, TrajectoryScore]:
-    """Score each feature dimension on its own 1-D projection.
-
-    Note these are not a linear decomposition of the full-vector score;
-    in 1-D the angle score is exactly +/-1 for every scored step.
-    """
-    rows = _gather(traj, target_provider, lam)
-    return {d: _trajectory_score(_score_rows(rows.column(d), epsilon, None))
-            for d in range(rows.x.shape[1])}
+    points = traj.points
+    if len(points) < 2:
+        raise TrajectoryError(
+            f"trajectory needs at least 2 points, got {len(points)}")
+    target_lists = [list(target_provider(t, x)) for t, x in points[:-1]]
+    rows = _stack([x for _, x in points], [t for t, _ in points[1:]], target_lists, lam)
+    steps = _score_rows(rows, epsilon, feature_weights)
+    return TrajectoryScore(steps=steps, skipped_count=sum(s.skipped for s in steps))

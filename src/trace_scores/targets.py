@@ -7,6 +7,7 @@ class, and fixed per-timestep target series.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -122,37 +123,18 @@ def knn_provider(corpus: Corpus, k: int,
     return provide
 
 
-@dataclass(eq=False)
-class TargetSeries:
-    """A fixed per-timestep target series for one class."""
-
-    class_label: str
-    polarity: Polarity
-    points: Dict[int, FeatureVector]
-
-
-def fixed_targets(series: Sequence[TargetSeries], t: int) -> List[TargetSpec]:
-    """One target per series at time index ``t``; no interpolation."""
-    return series_provider(series)(t, None)
-
-
-def series_provider(series: Sequence[TargetSeries]):
-    """Target provider closure for a fixed set of target series; each
-    series' targets are built once, here."""
-    if not series:
-        raise TargetError("no target series supplied")
-    specs = [(s.class_label,
-              {t: TargetSpec(point=p, class_label=s.class_label, polarity=s.polarity)
-               for t, p in s.points.items()})
-             for s in series]
+def series_provider(label: str, polarity: Polarity,
+                    points: Mapping[int, FeatureVector]):
+    """Target provider closure for one fixed per-timestep target series:
+    the series' point at the step's time index, with no interpolation. The
+    targets are built once, here."""
+    by_t = {t: [TargetSpec(point=p, class_label=label, polarity=polarity)]
+            for t, p in points.items()}
 
     def provide(t_index: int, x: FeatureVector) -> List[TargetSpec]:
-        out: List[TargetSpec] = []
-        for label, by_t in specs:
-            if t_index not in by_t:
-                raise TargetError(f"series {label!r} has no target at t={t_index}")
-            out.append(by_t[t_index])
-        return out
+        if t_index not in by_t:
+            raise TargetError(f"series {label!r} has no target at t={t_index}")
+        return by_t[t_index]
     return provide
 
 
@@ -178,6 +160,8 @@ def corpus_to_json(corpus: Corpus, feature_names: Sequence[str]) -> dict:
 def corpus_from_json(doc: dict) -> Tuple[Corpus, List[str]]:
     from .pipeline import NormStats
     stats = NormStats.from_json(doc["normalizer"]) if "normalizer" in doc else None
+    if stats is not None and not np.isfinite(np.concatenate([stats.mins, stats.maxs])).all():
+        raise CorpusError("normalizer has a non-finite min or max")
     points, labels = doc["points"], doc["labels"]
     if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
         raise CorpusError("labels must be a list of strings")
@@ -186,6 +170,9 @@ def corpus_from_json(doc: dict) -> Tuple[Corpus, List[str]]:
     corpus = build_index(zip(points, labels), norm_stats=stats)
     corpus.class_means = {k: list(map(float, v))
                           for k, v in doc.get("class_means", {}).items()}
+    for label, mean in corpus.class_means.items():
+        if not all(map(math.isfinite, mean)):
+            raise CorpusError(f"class_means of {label!r} has a non-finite value")
     return corpus, list(doc["features"])
 
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from trace_scores import (AggregateError, FeatureVector, StatsError,
-                          Trajectory, aggregate, rank_targets, score_trajectory,
-                          welch_t_test)
-from trace_scores.scoring import StepScore, TrajectoryScore
+from trace_scores.analytics import aggregate, rank_targets, welch_t_test
+from trace_scores.errors import AggregateError, StatsError
+from trace_scores.geometry import FeatureVector
+from trace_scores.pipeline import Trajectory
+from trace_scores.scoring import StepScore, TargetSpec, TrajectoryScore, score_trajectory
 from oracles import welch_oracle
 
 
@@ -143,7 +144,6 @@ class TestRankTargets:
 
 
 def test_end_to_end_aggregate_from_scoring():
-    from trace_scores import TargetSpec
     pts = [(t, FeatureVector([0.1 * t, 0.0])) for t in range(4)]
     traj = Trajectory("s", pts)
     spec = TargetSpec(point=FeatureVector([5.0, 0.0]), class_label="goal")

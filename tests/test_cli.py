@@ -102,9 +102,10 @@ class TestScoreCorpusMode:
                              "--index", str(tmp / "index.json"),
                              "--config", str(config),
                              "--out", str(tmp / "out")])
-        from trace_scores import (Polarity, aggregate, build_trajectory,
-                                  knn_provider, load_corpus,
-                                  load_trajectory_csv, score_trajectory)
+        from trace_scores.analytics import aggregate
+        from trace_scores.pipeline import build_trajectory, load_trajectory_csv
+        from trace_scores.scoring import Polarity, score_trajectory
+        from trace_scores.targets import knn_provider, load_corpus
         corpus_obj, _ = load_corpus(tmp / "index.json")
         by_subject, labels, _ = load_trajectory_csv(traj)
         provider = knn_provider(corpus_obj, 3,
@@ -284,6 +285,12 @@ MALFORMED_INPUTS = [
          0, {"values": doc["points"][0], "label": doc["labels"][0]}))),
     ("index-normalizer-dim", "corpus",
      _bad_index(lambda doc: doc["normalizer"]["features"].pop())),
+    ("index-nan-class-mean", "corpus",
+     _bad_index(lambda doc: doc["class_means"]["RFD"].__setitem__(0, float("nan")))),
+    ("index-nan-normalizer-max", "corpus",
+     _bad_index(lambda doc: doc["normalizer"]["features"][0].__setitem__("max", float("nan")))),
+    ("index-inf-normalizer-min", "corpus",
+     _bad_index(lambda doc: doc["normalizer"]["features"][1].__setitem__("min", float("inf")))),
     ("traj-cell-abc", "corpus", _bad_cell("traj", 3, 2, "abc")),
     ("traj-cell-nan", "corpus", _bad_cell("traj", 3, 2, "nan")),
     ("traj-cell-inf", "series", _bad_cell("traj", 4, 3, "-inf")),
@@ -354,6 +361,16 @@ class TestCompare:
         self.make_summary(ok, [0.1, 0.2])
         res = runner.invoke(main, ["compare", str(bad), str(ok)])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_average(self, tmp_path, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"subject_id,average\ns0,0.1\ns1,{cell}\ns2,0.3\n")
+        ok = tmp_path / "ok.csv"
+        self.make_summary(ok, [0.1, 0.2])
+        res = runner.invoke(main, ["compare", str(ok), str(bad)])
+        assert res.exit_code == 2, res.output
+        assert f"{bad}:3: non-finite value '{cell}'" in res.output
 
     def test_undersized(self, tmp_path):
         a = tmp_path / "a.csv"

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trace_scores import (ConfigError, Degeneracy, DegenerateGeometry,
-                          DimensionError, FeatureVector, closest_point, inner,
-                          norm_of, r1, r2, step_score)
+from trace_scores.errors import ConfigError, DegenerateGeometry, DimensionError
+from trace_scores.geometry import (Degeneracy, FeatureVector, closest_point, inner,
+                                   norm_of, r1, r2, step_score)
 from oracles import grid_closest_point, random_projection_triple
 
 

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from trace_scores import (DimensionError, ImputeError, NormStats, RawRecord,
-                          Trajectory, TrajectoryError, build_trajectory,
-                          fit_normalizer, impute, load_trajectory_csv)
+from trace_scores.errors import DimensionError, ImputeError, TrajectoryError
+from trace_scores.geometry import FeatureVector
+from trace_scores.pipeline import (NormStats, RawRecord, Trajectory, build_trajectory,
+                                   fit_normalizer, impute, load_trajectory_csv, read_csv)
 
 
 def records(columns, subject="s"):
@@ -109,7 +110,6 @@ class TestNormalizer:
 
 class TestTrajectory:
     def test_strictly_increasing_t(self):
-        from trace_scores import FeatureVector
         with pytest.raises(TrajectoryError):
             Trajectory("s", [(0, FeatureVector([1.0])), (0, FeatureVector([2.0]))])
 
@@ -168,3 +168,18 @@ class TestCsvLoading:
         assert [r.t_index for r in first[0]["p1"]] == [0, 1]
         assert [r.values for r in first[0]["p1"]] == \
                [r.values for r in second[0]["p1"]]
+
+
+class TestReadCsv:
+    def test_header_then_rows_with_their_line(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("a,b\n1,2\n\n3,4\n")
+        rows = read_csv(path, TrajectoryError)
+        assert next(rows) == ["a", "b"]
+        assert list(rows) == [(f"{path}:2", ["1", "2"]), (f"{path}:4", ["3", "4"])]
+
+    def test_ragged_row_names_its_line(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("a,b\n1,2\n3\n")
+        with pytest.raises(TrajectoryError, match=r"x\.csv:3: expected 2 columns, got 1"):
+            list(read_csv(path, TrajectoryError))

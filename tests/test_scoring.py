@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trace_scores import (DEFAULT_EPSILON, ConfigError, Degeneracy,
-                          DegenerateGeometry, FeatureVector, Polarity,
-                          SkipReason, TargetError, TargetSpec, Trajectory,
-                          TrajectoryError, feature_scores, mask_static,
-                          norm_of, score_step, score_trajectory, step_score)
+from trace_scores.errors import ConfigError, DegenerateGeometry, TargetError, TrajectoryError
+from trace_scores.geometry import (DEFAULT_EPSILON, Degeneracy, FeatureVector, norm_of,
+                                   step_score)
+from trace_scores.pipeline import Trajectory
+from trace_scores.scoring import (Polarity, SkipReason, TargetSpec, score_step,
+                                  score_trajectory)
 
 
 def fv(*xs):
@@ -29,22 +30,43 @@ def single_target_provider(point, label="goal"):
     return lambda t, x: [spec]
 
 
+def assert_same_geometry(got, want):
+    """Two lists of StepGeometry agree: flags exactly, scores to 1e-12."""
+    assert [g.degenerate for g in got] == [g.degenerate for g in want]
+    np.testing.assert_allclose([(g.r1, g.r2, g.s) for g in got],
+                               [(g.r1, g.r2, g.s) for g in want], rtol=0, atol=1e-12)
+
+
+def geometries(step):
+    return [g for _, _, g in step.per_target]
+
+
 class TestMaskStatic:
+    """A dimension where the factual equals every target is left out of
+    the step's geometry."""
+
     def test_static_dim_dropped(self):
-        m = mask_static([1, 5], [2, 5], [target([3, 5])])
-        assert list(m) == [0]
+        # the move along dim 1 would cost r1 if dim 1 were scored
+        step = score_step([1, 5], [2, 6], [target([3, 5])], 0.9)
+        without = score_step([1], [2], [target([3])], 0.9)
+        assert_same_geometry(geometries(step), geometries(without))
+        assert step.combined == without.combined == 1.0
 
     def test_all_dims_differ(self):
-        m = mask_static([1, 5], [2, 6], [target([3, 7])])
-        assert list(m) == [0, 1]
+        step = score_step([1, 5], [2, 6], [target([3, 7])], 0.9)
+        assert_same_geometry(geometries(step), [step_score([1, 5], [2, 6], [3, 7], 0.9)])
 
     def test_all_masked(self):
-        m = mask_static([1, 5], [2, 6], [target([1, 5])])
-        assert m.size == 0
+        step = score_step([1, 5], [2, 6], [target([1, 5])], 0.9)
+        assert step.skip_reason is SkipReason.ALL_MASKED
 
     def test_union_over_targets(self):
-        m = mask_static([1, 5], [2, 6], [target([1, 7]), target([3, 5])])
-        assert list(m) == [0, 1]
+        # each target is static in one dim, so the union keeps both dims
+        points = [[1, 7], [3, 5]]
+        step = score_step([1, 5], [2, 6], [target(p) for p in points], 0.9)
+        assert not step.skipped
+        assert_same_geometry(geometries(step),
+                             [step_score([1, 5], [2, 6], p, 0.9) for p in points])
 
 
 class TestScoreStep:
@@ -151,6 +173,19 @@ class TestScoreStep:
         s = score_step([0, 0], [0.5, 0], targets, 1.0)
         assert s.combined == pytest.approx(0.75)
 
+    def test_one_dim_toward_target_is_plus_one(self):
+        assert score_step([0], [1], [target([2])], 1.0).combined == 1.0
+
+    def test_one_dim_away_from_target_is_minus_one(self):
+        assert score_step([0], [-1], [target([2])], 1.0).combined == -1.0
+
+    def test_one_dim_r1_is_exactly_plus_minus_one(self):
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            x_t, x_next, p = rng.normal(size=(3, 1))
+            for _, _, geom in score_step(x_t, x_next, [target(p)], 1.0).per_target:
+                assert geom.r1 in (-1.0, 1.0)
+
     def test_degenerate_target_dropped(self):
         # one target sits exactly on the factual; the other still scores
         targets = [target([0, 0], "a"), target([1, 0], "b")]
@@ -204,46 +239,6 @@ class TestScoreTrajectory:
 
         score_trajectory(traj([(0, 0), (1, 1), (2, 2)]), provider, 0.9)
         assert calls == [0, 1]
-
-
-class TestFeatureScores:
-    def test_toward_target_is_plus_one(self):
-        fs = feature_scores(traj([(0, 0), (1, 0)]),
-                            single_target_provider([2, 5]), 1.0)
-        step = fs[0].scored_steps()[0]
-        assert step.combined == 1.0
-
-    def test_away_from_target_is_minus_one(self):
-        fs = feature_scores(traj([(0, 0), (-1, 0)]),
-                            single_target_provider([2, 5]), 1.0)
-        step = fs[0].scored_steps()[0]
-        assert step.combined == -1.0
-
-    def test_unchanged_feature_skipped(self):
-        fs = feature_scores(traj([(0, 0), (1, 0)]),
-                            single_target_provider([2, 5]), 1.0)
-        assert fs[1].skipped_count == 1
-
-    def test_one_dim_r1_is_exactly_plus_minus_one(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            p0, p1, tp = rng.normal(size=(3, 2))
-            fs = feature_scores(traj([p0, p1]), single_target_provider(tp), 1.0)
-            for d in fs:
-                for step in fs[d].scored_steps():
-                    _, _, geom = step.per_target[0]
-                    assert geom.r1 in (-1.0, 1.0)
-
-    def test_not_a_linear_decomposition(self):
-        # 2-D counterexample: the combined score cannot be written as any
-        # fixed convex combination of the per-feature scores
-        t2 = traj([(0, 0), (0.9, 0.1)])
-        provider = single_target_provider([0.1, 0.9])
-        full = score_trajectory(t2, provider, 0.9).scored_steps()[0].combined
-        per = feature_scores(t2, provider, 0.9)
-        f0 = per[0].scored_steps()[0].combined
-        f1 = per[1].scored_steps()[0].combined
-        assert not (min(f0, f1) - 1e-12 <= full <= max(f0, f1) + 1e-12)
 
 
 # -- the array kernel against the scalar reference -----------------------------
@@ -338,28 +333,17 @@ def trajectory_cases(draw):
     return xs, target_lists, lam, weights
 
 
-def column_targets(targets, d):
-    return [TargetSpec(point=FeatureVector(spec.point.values[d:d + 1]),
-                       class_label=spec.class_label, polarity=spec.polarity,
-                       weight=spec.weight) for spec in targets]
-
-
 @settings(max_examples=300)
 @given(trajectory_cases())
 def test_kernel_matches_scalar_step_score(case):
     xs, target_lists, lam, weights = case
-    points = [(t, FeatureVector(x)) for t, x in enumerate(xs)]
+    traj = Trajectory("s", [(t, FeatureVector(x)) for t, x in enumerate(xs)])
     lams = [lam if isinstance(lam, float) else lam[i] for i in range(len(target_lists))]
-    provider = lambda t, x: target_lists[t]
-    ts = score_trajectory(points, provider, lam, feature_weights=weights)
+    ts = score_trajectory(traj, lambda t, x: target_lists[t], lam, feature_weights=weights)
     assert [s.t_index for s in ts.steps] == list(range(1, len(xs)))
     assert ts.skipped_count == sum(s.skipped for s in ts.steps)
     for i, step in enumerate(ts.steps):
         assert_matches_reference(step, xs[i], xs[i + 1], target_lists[i], lams[i], weights)
-    for d, fs in feature_scores(points, provider, lam).items():
-        for i, step in enumerate(fs.steps):
-            assert_matches_reference(step, xs[i][d:d + 1], xs[i + 1][d:d + 1],
-                                     column_targets(target_lists[i], d), lams[i])
 
 
 @pytest.mark.parametrize("x_t, x_next, points, weights, expect", [

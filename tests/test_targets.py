@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trace_scores import (ConfigError, CorpusError, FeatureVector, Polarity,
-                          TargetError, TargetSeries, build_index,
-                          fixed_targets, knn_targets, load_corpus, save_corpus,
-                          series_provider)
+from trace_scores.errors import ConfigError, CorpusError, TargetError
+from trace_scores.geometry import FeatureVector
+from trace_scores.scoring import Polarity
+from trace_scores.targets import (build_index, knn_targets, load_corpus, save_corpus,
+                                  series_provider)
 from trace_scores.cli import run_build_index
 from oracles import brute_knn
 
@@ -214,33 +215,22 @@ class TestIndexRoundTrip:
 
 class TestFixedTargets:
     def series(self, label="SSP1", polarity=Polarity.DESIRABLE, n=3):
-        return TargetSeries(class_label=label, polarity=polarity,
-                            points={t: FeatureVector([float(t), 1.0])
-                                    for t in range(n)})
-
-    def test_one_spec_per_series(self):
-        series = [self.series(f"SSP{i}") for i in range(1, 6)]
-        specs = fixed_targets(series, 0)
-        assert len(specs) == 5
-        assert all(s.polarity == Polarity.DESIRABLE for s in specs)
-
-    def test_empty_series_list(self):
-        with pytest.raises(TargetError):
-            fixed_targets([], 0)
+        return series_provider(label, polarity,
+                               {t: FeatureVector([float(t), 1.0]) for t in range(n)})
 
     def test_t_out_of_range(self):
         with pytest.raises(TargetError):
-            fixed_targets([self.series(n=3)], 7)
+            self.series(n=3)(7, None)
 
     def test_values_at_t(self):
-        specs = fixed_targets([self.series()], 2)
+        specs = self.series()(2, None)
         np.testing.assert_array_equal(specs[0].point.values, [2.0, 1.0])
 
     def test_provider_builds_targets_once(self):
-        provide = series_provider([self.series("A"), self.series("B", n=2)])
+        provide = self.series("B", Polarity.UNDESIRABLE, n=2)
         first = provide(1, None)
-        assert [s.class_label for s in first] == ["A", "B"]
-        assert all(a is b for a, b in zip(first, provide(1, None)))
+        assert [(s.class_label, s.polarity) for s in first] == [("B", Polarity.UNDESIRABLE)]
+        assert first[0] is provide(1, None)[0]
         with pytest.raises(TargetError, match="series 'B' has no target at t=2"):
             provide(2, None)
 
