@@ -19,7 +19,6 @@ import numpy as np
 from . import analytics, demo, scoring
 from .errors import (ConfigError, CorpusError, DimensionError, TargetError,
                      TraceError, TrajectoryError)
-from .geometry import FeatureVector
 from .pipeline import (build_trajectory, fit_normalizer, load_trajectory_csv, parse_cells,
                        parse_t, read_csv)
 from .scoring import Polarity
@@ -132,7 +131,8 @@ def _load_config(config_path, lam, k, epsilon) -> RunConfig:
 
 
 def read_corpus_csv(path):
-    """CSV with feature columns and a final `label` column."""
+    """CSV with feature columns and a final `label` column: the feature
+    names, the rows as one float matrix and their labels."""
     lines = read_csv(path, CorpusError)
     header = next(lines)
     if header[-1] != "label":
@@ -143,13 +143,13 @@ def read_corpus_csv(path):
     rows = [(parse_cells(row[:-1], where, CorpusError), row[-1]) for where, row in lines]
     if not rows:
         raise CorpusError(f"{path}: no data rows")
-    return names, rows
+    return names, np.array([v for v, _ in rows]), [label for _, label in rows]
 
 
 def run_build_index(corpus_csv, out_path) -> Dict[str, int]:
-    names, rows = read_corpus_csv(corpus_csv)
-    stats = fit_normalizer([v for v, _ in rows], names)
-    corpus = build_index(rows, norm_stats=stats)
+    names, points, labels = read_corpus_csv(corpus_csv)
+    stats = fit_normalizer(points, names)
+    corpus = build_index(zip(points, labels), norm_stats=stats)
     # imputation fallbacks operate on raw values, so store raw class means
     corpus.class_means = {label: corpus.points[idx.rows].mean(axis=0).tolist()
                           for label, idx in corpus.class_indices.items()}
@@ -158,18 +158,20 @@ def run_build_index(corpus_csv, out_path) -> Dict[str, int]:
 
 
 def _polarity_averages(ts, polarity_by_class) -> dict:
-    des, undes = [], []
-    for step in ts.scored_steps():
-        d = [v for c, v in step.per_class.items()
-             if polarity_by_class.get(c) == Polarity.DESIRABLE]
-        u = [v for c, v in step.per_class.items()
-             if polarity_by_class.get(c) == Polarity.UNDESIRABLE]
-        if d:
-            des.append(float(np.mean(d)))
-        if u:
-            undes.append(float(np.mean(u)))
-    return {"average_desirable": float(np.mean(des)) if des else None,
-            "average_undesirable": float(np.mean(undes)) if undes else None}
+    """Per polarity, the mean over the scored steps of each step's mean over
+    the classes of that polarity it scores."""
+    steps = ts.scored_steps()
+    out = {}
+    for key, polarity in (("average_desirable", Polarity.DESIRABLE),
+                          ("average_undesirable", Polarity.UNDESIRABLE)):
+        classes = [c for c, p in polarity_by_class.items() if p == polarity]
+        # (scored steps, classes); nan where a step scores no target of a class
+        m = np.array([[s.per_class.get(c, np.nan) for c in classes] for s in steps], ndmin=2)
+        scored = ~np.isnan(m)
+        n = scored.sum(axis=1)
+        means = np.where(scored, m, 0.0).sum(axis=1)[n > 0] / n[n > 0]
+        out[key] = float(np.mean(means)) if len(means) else None
+    return out
 
 
 def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
@@ -266,7 +268,7 @@ def run_score_corpus(traj_csv, index_path, cfg: RunConfig, out_dir) -> dict:
     return info
 
 
-def read_series_csv(path, feature_names) -> Dict[int, FeatureVector]:
+def read_series_csv(path, feature_names) -> Dict[int, List[float]]:
     lines = read_csv(path, TargetError)
     header = next(lines)
     if header[0] != "t":
@@ -275,9 +277,12 @@ def read_series_csv(path, feature_names) -> Dict[int, FeatureVector]:
         raise DimensionError(
             f"{path}: series features {header[1:]} do not match "
             f"trajectory features {list(feature_names)}")
-    points = {parse_t(row[0], where, TargetError):
-              FeatureVector(parse_cells(row[1:], where, TargetError))
-              for where, row in lines}
+    points: Dict[int, List[float]] = {}
+    for where, row in lines:
+        t = parse_t(row[0], where, TargetError)
+        if t in points:
+            raise TargetError(f"{where}: duplicate t={t}")
+        points[t] = parse_cells(row[1:], where, TargetError)
     if not points:
         raise TargetError(f"{path}: no target points")
     return points

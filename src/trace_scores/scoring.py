@@ -6,9 +6,10 @@ factual and every target are masked out, each target gets its own raw
 step geometry, targets are averaged within their class, and classes are
 combined into one signed score in [-1, 1].
 
-A trajectory is scored by one array kernel (``_score_rows``) over one row
-per (step, target); ``geometry.step_score`` is the scalar reference it
-reproduces target by target.
+A trajectory's targets come from one provider call as a ``Targets`` block
+of arrays, one row per (step, target), and one array kernel
+(``_score_rows``) scores all of them; ``geometry.step_score`` is the scalar
+reference it reproduces target by target.
 """
 
 from __future__ import annotations
@@ -69,76 +70,53 @@ class TrajectoryScore:
         return [s for s in self.steps if not s.skipped]
 
 
+@dataclass(eq=False)
+class Targets:
+    """The targets of a trajectory's steps, one row per (step, target): rows
+    in step order and, within a step, in the provider's order. ``len`` is
+    the number of rows."""
+
+    step: np.ndarray      # (rows,) the step of each row
+    cls: np.ndarray       # (rows,) index into ``labels``
+    labels: List[str]
+    polarity: np.ndarray  # (rows,) 1.0 or -1.0
+    weight: np.ndarray    # (rows,)
+    points: np.ndarray    # (rows, dim)
+
+    def __len__(self) -> int:
+        return len(self.step)
+
+
 LambdaSchedule = Union[float, Sequence[float]]
-TargetProvider = Callable[[int, FeatureVector], Sequence[TargetSpec]]
+# called once per trajectory with its steps' t indices and (n_steps, dim) points
+TargetProvider = Callable[[np.ndarray, np.ndarray], Targets]
 
 # degeneracy flags by the code the kernel computes: goal_reached + 2 * best_achieved
 _FLAGS = (Degeneracy.NONE, Degeneracy.GOAL_REACHED, Degeneracy.BEST_ACHIEVED)
 # skip reasons by the code the kernel computes: all_masked + 2 * no_move
 _SKIPS = (None, SkipReason.ALL_MASKED, SkipReason.NO_FEATURE_CHANGE)
+_POLARITIES = {float(p): p for p in Polarity}
 
 
-@dataclass(eq=False)
-class _Rows:
-    """A trajectory's steps with their targets stacked one row per
-    (step, target): rows in step order and, within a step, in provider order.
-    Every step has at least one row."""
-
-    x: np.ndarray            # (n_steps + 1, dim) the trajectory's points
-    t_index: List[int]       # per step, the t_index of its later point
-    lam: np.ndarray          # (n_steps,) each step's lambda
-    specs: List[TargetSpec]  # per row
-    step: np.ndarray         # (rows,) step id
-    starts: np.ndarray       # (n_steps,) first row of each step
-    cls: np.ndarray          # (rows,) index into ``labels``
-    labels: List[str]
-    polarity: np.ndarray     # (rows,)
-    weight: np.ndarray       # (rows,)
-    points: np.ndarray       # (rows, dim)
-
-
-def _stack(xs: Sequence, t_index: Sequence[int], target_lists: Sequence[Sequence[TargetSpec]],
-           lam: LambdaSchedule) -> _Rows:
-    """Stack ``len(xs) - 1`` steps; step ``i`` runs from ``xs[i]`` to
-    ``xs[i + 1]`` and is scored against ``target_lists[i]``."""
-    specs: List[TargetSpec] = []
-    counts = []
-    for targets in target_lists:
-        if not targets:
-            raise TargetError("no targets supplied for step")
-        specs += targets
-        counts.append(len(targets))
-    xs = [geometry._as_array(x) for x in xs]
-    for a, b in zip(xs, xs[1:]):
-        if b.shape != a.shape:
-            raise DimensionError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    dim = xs[0].shape[0]
-    pts = [geometry._as_array(spec.point) for spec in specs]
-    bad = next((p for p in pts if p.shape != (dim,)), None)
-    if bad is not None:
-        raise DimensionError(f"target dimension {bad.shape[0]} does not match factual {dim}")
-    ids: Dict[str, int] = {}
-    cls = [ids.setdefault(spec.class_label, len(ids)) for spec in specs]
-    n = len(counts)
-    if isinstance(lam, (int, float)):
-        lams = np.full(n, float(lam))
-    else:
-        lams = np.array([float(lam[i]) for i in range(n)])
-    counts = np.array(counts)
-    return _Rows(x=np.array(xs), t_index=list(t_index), lam=lams, specs=specs,
-                 step=np.repeat(np.arange(n), counts),
-                 starts=np.cumsum(counts) - counts,
-                 cls=np.array(cls), labels=list(ids),
-                 polarity=np.array([float(spec.polarity) for spec in specs]),
-                 weight=np.array([spec.weight for spec in specs], dtype=float),
-                 points=np.array(pts))
-
-
-def _active(rows: _Rows, epsilon: float) -> np.ndarray:
-    """(n_steps, dim): where some target of the step differs from x_t by
-    more than epsilon."""
-    far = np.abs(rows.points - rows.x[:-1][rows.step]) > epsilon
-    return np.logical_or.reduceat(far, rows.starts, axis=0)
+def per_step(fn: Callable[[int, np.ndarray], Sequence[TargetSpec]]) -> TargetProvider:
+    """The provider that asks ``fn(t, x)`` for each step's TargetSpecs in
+    turn, ``t`` and ``x`` being the step's earlier t index and point."""
+    def provide(t_index, xs) -> Targets:
+        lists = [list(fn(t, x)) for t, x in zip(np.asarray(t_index).tolist(), xs)]
+        specs = [spec for targets in lists for spec in targets]
+        step = np.repeat(np.arange(len(lists)), [len(targets) for targets in lists])
+        pts = [geometry._as_array(spec.point) for spec in specs]
+        bad = next((p for p in pts if p.shape != xs.shape[1:]), None)
+        if bad is not None:
+            raise DimensionError(
+                f"target dimension {bad.shape[0]} does not match factual {xs.shape[1]}")
+        ids: Dict[str, int] = {}
+        cls = [ids.setdefault(spec.class_label, len(ids)) for spec in specs]
+        return Targets(step=step, cls=np.array(cls, dtype=int), labels=list(ids),
+                       polarity=np.array([float(s.polarity) for s in specs]),
+                       weight=np.array([s.weight for s in specs], dtype=float),
+                       points=np.array(pts))
+    return provide
 
 
 def _inner(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -149,48 +127,61 @@ def _norm(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.sqrt(_inner(v, v, w))
 
 
-def _check_live_steps(rows: _Rows, live: np.ndarray) -> None:
+def _check_live_steps(tg: Targets, lams: np.ndarray, live: np.ndarray) -> None:
     """Raise for the first scored step whose lambda lies outside [0, 1] or
     whose targets give one class two polarities."""
-    n_cls = len(rows.labels)
-    key = rows.step * n_cls + rows.cls
-    first = np.zeros(len(rows.lam) * n_cls)
-    first[key[::-1]] = rows.polarity[::-1]   # the first row of each (step, class) wins
-    conflict = np.flatnonzero(live[rows.step] & (rows.polarity != first[key]))
-    bad_lam = np.flatnonzero(live & ~((rows.lam >= 0.0) & (rows.lam <= 1.0)))
-    if bad_lam.size and (not conflict.size or bad_lam[0] <= rows.step[conflict[0]]):
-        raise ConfigError(f"lambda must lie in [0, 1], got {rows.lam[bad_lam[0]]}")
+    n_cls = len(tg.labels)
+    key = tg.step * n_cls + tg.cls
+    first = np.zeros(len(lams) * n_cls)
+    first[key[::-1]] = tg.polarity[::-1]   # the first row of each (step, class) wins
+    conflict = np.flatnonzero(live[tg.step] & (tg.polarity != first[key]))
+    bad_lam = np.flatnonzero(live & ~((lams >= 0.0) & (lams <= 1.0)))
+    if bad_lam.size and (not conflict.size or bad_lam[0] <= tg.step[conflict[0]]):
+        raise ConfigError(f"lambda must lie in [0, 1], got {lams[bad_lam[0]]}")
     if conflict.size:
-        label = rows.labels[rows.cls[conflict[0]]]
+        label = tg.labels[tg.cls[conflict[0]]]
         raise ConfigError(f"class {label!r} carries conflicting polarities")
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _score_rows(rows: _Rows, epsilon: float, feature_weights) -> List[StepScore]:
-    """Score every step of ``rows`` with ``geometry.step_score``'s
-    arithmetic, applied to all rows at once. A division by a zero norm only
-    reaches a reached goal's r2, which is overwritten, or the combined score
-    of a step whose every target was dropped, which is never read."""
-    xt, xn = rows.x[:-1], rows.x[1:]
-    n = len(xt)
-    # zero weight on the masked dims gives the inner products of the active subspace
-    active = _active(rows, epsilon)
-    w_full = geometry._check_weights(feature_weights, xt.shape[1])
+def _score_rows(x: np.ndarray, t_index: Sequence[int], lam: LambdaSchedule, tg: Targets,
+                epsilon: float, feature_weights) -> List[StepScore]:
+    """Score the steps of the ``(n_steps + 1, dim)`` points ``x`` against
+    ``tg`` with ``geometry.step_score``'s arithmetic, applied to all rows at
+    once; step ``i`` runs from ``x[i]`` to ``x[i + 1]`` and is labelled
+    ``t_index[i]``. A division by a zero norm only reaches a reached goal's
+    r2, which is overwritten, or the combined score of a step whose every
+    target was dropped, which is never read."""
+    xt, xn = x[:-1], x[1:]
+    n, dim = xt.shape
+    counts = np.bincount(tg.step, minlength=n)
+    if len(counts) > n or not counts.all():
+        raise TargetError("no targets supplied for step")
+    if tg.points.shape != (len(tg), dim):
+        raise DimensionError(f"target points of shape {tg.points.shape} do not match "
+                             f"factual dimension {dim}")
+    lams = (np.full(n, float(lam)) if isinstance(lam, (int, float))
+            else np.array([float(lam[i]) for i in range(n)]))
+    # zero weight on the masked dims gives the inner products of the active
+    # subspace: a dim is active where some target of the step differs from x_t
+    far = np.abs(tg.points - xt[tg.step]) > epsilon
+    active = np.logical_or.reduceat(far, np.cumsum(counts) - counts, axis=0)
+    w_full = geometry._check_weights(feature_weights, dim)
     w_step = active * (1.0 if w_full is None else w_full)
     move = xn - xt
     n_move = _norm(move, w_step)
     all_masked = ~active.any(axis=1)
     no_move = ~all_masked & (n_move <= epsilon)
     live = ~(all_masked | no_move)
-    _check_live_steps(rows, live)
+    _check_live_steps(tg, lams, live)
 
     # a target on the factual in the active subspace is dropped
-    v_prime = rows.points - xt[rows.step]
-    n_vp = _norm(v_prime, w_step[rows.step])
-    kept = np.flatnonzero(live[rows.step] & (n_vp > epsilon))
-    ks = rows.step[kept]
+    v_prime = tg.points - xt[tg.step]
+    n_vp = _norm(v_prime, w_step[tg.step])
+    kept = np.flatnonzero(live[tg.step] & (n_vp > epsilon))
+    ks = tg.step[kept]
     w, v_t, n_vt = w_step[ks], move[ks], n_move[ks][:, None]
-    v_prime, n_vp, p = v_prime[kept], n_vp[kept][:, None], rows.points[kept]
+    v_prime, n_vp, p = v_prime[kept], n_vp[kept][:, None], tg.points[kept]
 
     v_star = p - xn[ks]
     n_vs = _norm(v_star, w)
@@ -206,41 +197,39 @@ def _score_rows(rows: _Rows, epsilon: float, feature_weights) -> List[StepScore]
     r2[goal | best] = 1.0
     r1 = np.clip(theta, -1.0, 1.0)
     r1[goal] = 1.0
-    lam = rows.lam[ks]
+    lam = lams[ks]
     # a reached goal blends r1 = r2 = 1 into exactly 1 for every lambda in [0, 1]
     s = np.where(lam == 1.0, r1, np.where(lam == 0.0, r2, lam * r1 + (1.0 - lam) * r2))
 
     # class means per (step, class), then the weighted polarity combination
-    n_cls = len(rows.labels)
+    n_cls = len(tg.labels)
     size = n * n_cls
-    key = ks * n_cls + rows.cls[kept]
+    key = ks * n_cls + tg.cls[kept]
     count = np.maximum(np.bincount(key, minlength=size), 1)  # empty cells stay 0
     mean_s = np.bincount(key, s, size) / count
-    mean_w = np.bincount(key, rows.weight[kept], size) / count
+    mean_w = np.bincount(key, tg.weight[kept], size) / count
     polarity = np.zeros(size)
-    polarity[key] = rows.polarity[kept]
+    polarity[key] = tg.polarity[kept]
     acc = (mean_w * polarity * mean_s).reshape(n, n_cls).sum(axis=1)
     total = mean_w.reshape(n, n_cls).sum(axis=1)
 
     geoms = [StepGeometry(r1=a, r2=b, s=c, degenerate=_FLAGS[f]) for a, b, c, f in
              zip(r1.tolist(), r2.tolist(), s.tolist(), (goal + 2 * best).tolist())]
+    label = [tg.labels[c] for c in tg.cls[kept].tolist()]
+    per_target = list(zip(label, [_POLARITIES[v] for v in tg.polarity[kept].tolist()], geoms))
+    per_class = list(zip(label, mean_s[key].tolist()))
     bounds = np.searchsorted(ks, np.arange(n + 1)).tolist()
     combined = (acc / total).tolist()
-    kept, key, mean_s = kept.tolist(), key.tolist(), mean_s.tolist()
     out: List[StepScore] = []
-    for i, (t, skip) in enumerate(zip(rows.t_index, (all_masked + 2 * no_move).tolist())):
+    for i, (t, skip) in enumerate(zip(t_index, (all_masked + 2 * no_move).tolist())):
         if skip:
             out.append(StepScore(t_index=t, skipped=True, skip_reason=_SKIPS[skip]))
             continue
-        per_target = []
-        per_class: Dict[str, float] = {}
-        for j in range(bounds[i], bounds[i + 1]):
-            spec = rows.specs[kept[j]]
-            per_target.append((spec.class_label, spec.polarity, geoms[j]))
-            per_class.setdefault(spec.class_label, mean_s[key[j]])
+        a, b = bounds[i], bounds[i + 1]
         # a step whose every target was dropped has no combined score
-        out.append(StepScore(t_index=t, per_target=per_target, per_class=per_class,
-                             combined=combined[i] if per_target else None))
+        out.append(StepScore(t_index=t, per_target=per_target[a:b],
+                             per_class=dict(per_class[a:b]),
+                             combined=combined[i] if b > a else None))
     return out
 
 
@@ -252,8 +241,12 @@ def score_step(x_t, x_next, targets: Sequence[TargetSpec], lam: float, *,
     dropped; a class with no surviving targets contributes nothing to the
     combined score.
     """
-    rows = _stack([x_t, x_next], [0], [list(targets)], lam)
-    return _score_rows(rows, epsilon, feature_weights)[0]
+    x_t, x_next = geometry._as_array(x_t), geometry._as_array(x_next)
+    if x_next.shape != x_t.shape:
+        raise DimensionError(f"dimension mismatch: {x_t.shape[0]} vs {x_next.shape[0]}")
+    x = np.array([x_t, x_next])
+    tg = per_step(lambda t, x: targets)(np.zeros(1, dtype=int), x[:1])
+    return _score_rows(x, [0], lam, tg, epsilon, feature_weights)[0]
 
 
 def score_trajectory(traj, target_provider: TargetProvider,
@@ -263,15 +256,18 @@ def score_trajectory(traj, target_provider: TargetProvider,
     """One StepScore per consecutive pair, targets re-queried at every step.
 
     ``traj`` is a pipeline.Trajectory: its ``points`` are an ordered list
-    of ``(t_index, FeatureVector)`` pairs, and the provider is queried once
-    per step with ``(t, x)`` of the step's earlier point. Step scores are
-    labelled with the t_index of the later point, so index 0 never appears.
+    of ``(t_index, FeatureVector)`` pairs. The provider is called once,
+    with the t indices of the steps' earlier points and those points as an
+    ``(n_steps, dim)`` matrix, and returns their Targets; ``per_step`` turns
+    a per-step callable into a provider. Step scores are labelled with the
+    t_index of the later point, so index 0 never appears.
     """
     points = traj.points
     if len(points) < 2:
         raise TrajectoryError(
             f"trajectory needs at least 2 points, got {len(points)}")
-    target_lists = [list(target_provider(t, x)) for t, x in points[:-1]]
-    rows = _stack([x for _, x in points], [t for t, _ in points[1:]], target_lists, lam)
-    steps = _score_rows(rows, epsilon, feature_weights)
+    t = np.array([t for t, _ in points])
+    x = np.array([p.values for _, p in points])
+    steps = _score_rows(x, t[1:].tolist(), lam, target_provider(t[:-1], x[:-1]),
+                        epsilon, feature_weights)
     return TrajectoryScore(steps=steps, skipped_count=sum(s.skipped for s in steps))

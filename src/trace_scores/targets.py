@@ -15,8 +15,11 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, CorpusError, TargetError
-from .geometry import FeatureVector
-from .scoring import Polarity, TargetSpec
+from .geometry import FeatureVector, _as_array
+from .scoring import Polarity, Targets, TargetSpec
+
+
+_BLOCK_VALUES = 1 << 19   # point differences a batched kNN query holds at a time (4 MB)
 
 
 @dataclass(eq=False)
@@ -24,14 +27,31 @@ class _ClassIndex:
     rows: np.ndarray      # corpus row ids, in insertion order
     points: np.ndarray    # (n_class, dim), normalized when the corpus has a normalizer
 
+    def query_rows(self, xs: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """For each row of the ``(n_q, dim)`` queries ``xs``, the positions in
+        ``rows``/``points`` of its exact ``min(k, n_class)`` nearest class
+        members, nearest first with ties broken by position, and their
+        distances: two ``(n_q, min(k, n_class))`` matrices."""
+        k = min(k, len(self.rows))
+        pos, dist = np.empty((len(xs), k), dtype=np.intp), np.empty((len(xs), k))
+        block = max(1, _BLOCK_VALUES // self.points.size)
+        for i in range(0, len(xs), block):
+            # the squares and sums of np.linalg.norm(points - x, axis=1)
+            diff = self.points[None, :, :] - xs[i:i + block, None, :]
+            np.multiply(diff, diff, out=diff)
+            d = np.sqrt(np.add.reduce(diff, axis=2))
+            # every row within its query's k-th distance, ordered by (query,
+            # distance, position); each query keeps its first k
+            q, p = np.nonzero(d <= np.partition(d, k - 1, axis=1)[:, k - 1:k])
+            order = np.lexsort((p, d[q, p], q))
+            keep = order[np.arange(len(q)) - np.searchsorted(q, q) < k]
+            pos[i:i + block] = p[keep].reshape(-1, k)
+            dist[i:i + block] = d[q[keep], p[keep]].reshape(-1, k)
+        return pos, dist
+
     def query(self, x: np.ndarray, k: int) -> np.ndarray:
-        """Positions in ``rows``/``points`` of the exact k nearest class
-        members; ties broken by corpus row order."""
-        d = np.linalg.norm(self.points - x, axis=1)
-        k = min(k, len(d))
-        # every row within the k-th distance, stably sorted so ties keep row order
-        near = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1])
-        return near[np.argsort(d[near], kind="stable")][:k]
+        """``query_rows`` of the one query ``x``."""
+        return self.query_rows(x[None, :], k)[0][0]
 
 
 @dataclass(eq=False)
@@ -92,49 +112,65 @@ def build_index(rows: Iterable[Tuple[Sequence[float], str]], *,
 
 def knn_targets(corpus: Corpus, x, k: int,
                 polarity_map: Mapping[str, Polarity]) -> List[TargetSpec]:
-    """The k nearest corpus points to ``x`` in each mapped class."""
+    """The k nearest corpus points to ``x`` in each mapped class: the
+    one-step case of ``knn_provider``."""
+    xv = x.values if isinstance(x, FeatureVector) else np.asarray(x, dtype=float)
+    found = knn_provider(corpus, k, polarity_map)(np.zeros(1, dtype=int), xv[None])
+    return [TargetSpec(FeatureVector(p), found.labels[c], Polarity(int(s)))
+            for p, c, s in zip(found.points, found.cls.tolist(), found.polarity.tolist())]
+
+
+def knn_provider(corpus: Corpus, k: int, polarity_map: Mapping[str, Polarity]):
+    """Target provider for scoring.score_trajectory: each step's k nearest
+    corpus points in each mapped class, in map order, found with one batched
+    query per class."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    xv = x.values if isinstance(x, FeatureVector) else np.asarray(x, dtype=float)
-    if xv.shape != (corpus.dim,):
-        raise ConfigError(
-            f"query dimension {xv.shape[0]} does not match corpus dimension {corpus.dim}")
-    out: List[TargetSpec] = []
-    for label, polarity in polarity_map.items():
+    if not polarity_map:
+        raise ConfigError("polarity map names no class")
+    indices = []
+    for label in polarity_map:
         if label not in corpus.class_indices:
             raise ConfigError(f"polarity map names unknown class {label!r}")
         idx = corpus.class_indices[label]
         if k > len(idx.rows):
-            warnings.warn(
-                f"k={k} exceeds class {label!r} size {len(idx.rows)}; clamping",
-                stacklevel=2)
-        for pos in idx.query(xv, k):
-            out.append(TargetSpec(point=FeatureVector(idx.points[pos]),
-                                  class_label=label,
-                                  polarity=Polarity(polarity)))
-    return out
+            warnings.warn(f"k={k} exceeds class {label!r} size {len(idx.rows)}; clamping",
+                          stacklevel=2)
+        indices.append(idx)
+    # one step's rows: the nearest of the first class, then of the next, ...
+    per_class = [min(k, len(idx.rows)) for idx in indices]
+    cls = np.repeat(np.arange(len(indices)), per_class)
+    polarity = np.repeat([float(Polarity(p)) for p in polarity_map.values()], per_class)
 
-
-def knn_provider(corpus: Corpus, k: int,
-                 polarity_map: Mapping[str, Polarity]):
-    """Target provider closure for scoring.score_trajectory."""
-    def provide(t_index: int, x: FeatureVector) -> List[TargetSpec]:
-        return knn_targets(corpus, x, k, polarity_map)
+    def provide(t_index, xs) -> Targets:
+        if xs.shape[1:] != (corpus.dim,):
+            raise ConfigError(f"query dimension {xs.shape[-1]} does not match "
+                              f"corpus dimension {corpus.dim}")
+        n = len(xs)
+        points = np.concatenate([idx.points[idx.query_rows(xs, k)[0]] for idx in indices],
+                                axis=1)
+        return Targets(step=np.repeat(np.arange(n), len(cls)), cls=np.tile(cls, n),
+                       labels=list(polarity_map), polarity=np.tile(polarity, n),
+                       weight=np.ones(n * len(cls)), points=points.reshape(-1, corpus.dim))
     return provide
 
 
 def series_provider(label: str, polarity: Polarity,
-                    points: Mapping[int, FeatureVector]):
-    """Target provider closure for one fixed per-timestep target series:
-    the series' point at the step's time index, with no interpolation. The
-    targets are built once, here."""
-    by_t = {t: [TargetSpec(point=p, class_label=label, polarity=polarity)]
-            for t, p in points.items()}
+                    points: Mapping[int, Sequence[float]]):
+    """Target provider for one fixed per-timestep target series: the series'
+    point at each step's time index, with no interpolation. The points are
+    stacked into one matrix once, here."""
+    ts = np.array(sorted(points), dtype=int)
+    matrix = np.array([_as_array(points[t]) for t in ts.tolist()])
 
-    def provide(t_index: int, x: FeatureVector) -> List[TargetSpec]:
-        if t_index not in by_t:
-            raise TargetError(f"series {label!r} has no target at t={t_index}")
-        return by_t[t_index]
+    def provide(t_index, xs) -> Targets:
+        i = np.minimum(np.searchsorted(ts, t_index), len(ts) - 1)
+        missing = np.flatnonzero(ts[i] != t_index)
+        if missing.size:
+            raise TargetError(f"series {label!r} has no target at t={t_index[missing[0]]}")
+        n = len(i)
+        return Targets(step=np.arange(n), cls=np.zeros(n, dtype=int), labels=[label],
+                       polarity=np.full(n, float(polarity)), weight=np.ones(n), points=matrix[i])
     return provide
 
 
@@ -171,6 +207,9 @@ def corpus_from_json(doc: dict) -> Tuple[Corpus, List[str]]:
     corpus.class_means = {k: list(map(float, v))
                           for k, v in doc.get("class_means", {}).items()}
     for label, mean in corpus.class_means.items():
+        if len(mean) != corpus.dim:
+            raise CorpusError(f"class_means of {label!r} has {len(mean)} values, "
+                              f"the points have {corpus.dim}")
         if not all(map(math.isfinite, mean)):
             raise CorpusError(f"class_means of {label!r} has a non-finite value")
     return corpus, list(doc["features"])

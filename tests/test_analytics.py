@@ -5,7 +5,8 @@ from trace_scores.analytics import aggregate, rank_targets, welch_t_test
 from trace_scores.errors import AggregateError, StatsError
 from trace_scores.geometry import FeatureVector
 from trace_scores.pipeline import Trajectory
-from trace_scores.scoring import StepScore, TargetSpec, TrajectoryScore, score_trajectory
+from trace_scores.scoring import (StepScore, TargetSpec, TrajectoryScore, per_step,
+                                  score_trajectory)
 from oracles import welch_oracle
 
 
@@ -147,7 +148,7 @@ def test_end_to_end_aggregate_from_scoring():
     pts = [(t, FeatureVector([0.1 * t, 0.0])) for t in range(4)]
     traj = Trajectory("s", pts)
     spec = TargetSpec(point=FeatureVector([5.0, 0.0]), class_label="goal")
-    ts = score_trajectory(traj, lambda t, x: [spec], 0.9)
+    ts = score_trajectory(traj, per_step(lambda t, x: [spec]), 0.9)
     s = aggregate(ts, "s")
     assert s.subject_id == "s"
     assert len(s.values) == 3

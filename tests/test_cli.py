@@ -291,6 +291,7 @@ MALFORMED_INPUTS = [
      _bad_index(lambda doc: doc["normalizer"]["features"][0].__setitem__("max", float("nan")))),
     ("index-inf-normalizer-min", "corpus",
      _bad_index(lambda doc: doc["normalizer"]["features"][1].__setitem__("min", float("inf")))),
+    ("index-short-class-mean", "corpus", _bad_index(lambda doc: doc["class_means"]["RFD"].pop())),
     ("traj-cell-abc", "corpus", _bad_cell("traj", 3, 2, "abc")),
     ("traj-cell-nan", "corpus", _bad_cell("traj", 3, 2, "nan")),
     ("traj-cell-inf", "series", _bad_cell("traj", 4, 3, "-inf")),
@@ -298,6 +299,7 @@ MALFORMED_INPUTS = [
     ("series-cell-abc", "series", _bad_cell("series", 3, 1, "abc")),
     ("series-cell-inf", "series", _bad_cell("series", 2, 2, "inf")),
     ("series-t-text", "series", _bad_cell("series", 4, 0, "three")),
+    ("series-duplicate-t", "series", _bad_cell("series", 3, 0, "0")),
     ("corpus-cell-nan", "build-index", _bad_cell("corpus", 2, 0, "nan")),
     ("corpus-cell-abc", "build-index", _bad_cell("corpus", 5, 1, "abc")),
 ]
@@ -324,6 +326,20 @@ def test_malformed_input_exits_2(corpus_setup, series_setup, mode, setup):
     assert isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output
     assert expected in res.output
+
+
+def test_polarity_averages_leave_out_classes_a_step_does_not_score():
+    from trace_scores.cli import _polarity_averages
+    from trace_scores.scoring import Polarity, StepScore, TrajectoryScore
+    steps = [StepScore(t_index=1, per_class={"a": 0.5, "b": -0.25, "c": 0.125}),
+             StepScore(t_index=2, per_class={"b": 0.75}),
+             StepScore(t_index=3, skipped=True)]
+    pmap = {"a": Polarity.DESIRABLE, "b": Polarity.UNDESIRABLE, "c": Polarity.DESIRABLE}
+    assert _polarity_averages(TrajectoryScore(steps, 1), pmap) == {
+        "average_desirable": (0.5 + 0.125) / 2, "average_undesirable": (-0.25 + 0.75) / 2}
+    pmap = {"a": Polarity.DESIRABLE}
+    assert _polarity_averages(TrajectoryScore(steps[1:], 1), pmap) == {
+        "average_desirable": None, "average_undesirable": None}
 
 
 class TestCompare:

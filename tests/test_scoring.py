@@ -7,7 +7,7 @@ from trace_scores.errors import ConfigError, DegenerateGeometry, TargetError, Tr
 from trace_scores.geometry import (DEFAULT_EPSILON, Degeneracy, FeatureVector, norm_of,
                                    step_score)
 from trace_scores.pipeline import Trajectory
-from trace_scores.scoring import (Polarity, SkipReason, TargetSpec, score_step,
+from trace_scores.scoring import (Polarity, SkipReason, TargetSpec, per_step, score_step,
                                   score_trajectory)
 
 
@@ -27,7 +27,7 @@ def traj(points, subject="s"):
 
 def single_target_provider(point, label="goal"):
     spec = target(point, label)
-    return lambda t, x: [spec]
+    return per_step(lambda t, x: [spec])
 
 
 def assert_same_geometry(got, want):
@@ -237,7 +237,7 @@ class TestScoreTrajectory:
             calls.append(t)
             return [target([5, 5], "goal")]
 
-        score_trajectory(traj([(0, 0), (1, 1), (2, 2)]), provider, 0.9)
+        score_trajectory(traj([(0, 0), (1, 1), (2, 2)]), per_step(provider), 0.9)
         assert calls == [0, 1]
 
 
@@ -339,7 +339,8 @@ def test_kernel_matches_scalar_step_score(case):
     xs, target_lists, lam, weights = case
     traj = Trajectory("s", [(t, FeatureVector(x)) for t, x in enumerate(xs)])
     lams = [lam if isinstance(lam, float) else lam[i] for i in range(len(target_lists))]
-    ts = score_trajectory(traj, lambda t, x: target_lists[t], lam, feature_weights=weights)
+    ts = score_trajectory(traj, per_step(lambda t, x: target_lists[t]), lam,
+                          feature_weights=weights)
     assert [s.t_index for s in ts.steps] == list(range(1, len(xs)))
     assert ts.skipped_count == sum(s.skipped for s in ts.steps)
     for i, step in enumerate(ts.steps):
@@ -376,12 +377,11 @@ def test_kernel_matches_scalar_on_degenerate_steps(x_t, x_next, points, weights,
 def test_first_bad_scored_step_raises():
     # step 0 is all masked, so its lambda is never used; step 1 reports its own
     pts = [(0, 0), (1, 0), (2, 0)]
-    ts = score_trajectory(traj(pts), lambda t, x: [target([0, 0] if t == 0 else [5, 0])],
-                          [1.0, 0.5])
+    provider = per_step(lambda t, x: [target([0, 0] if t == 0 else [5, 0])])
+    ts = score_trajectory(traj(pts), provider, [1.0, 0.5])
     assert ts.steps[0].skip_reason is SkipReason.ALL_MASKED
     with pytest.raises(ConfigError, match="got 1.5"):
-        score_trajectory(traj(pts), lambda t, x: [target([0, 0] if t == 0 else [5, 0])],
-                         [7.0, 1.5])
+        score_trajectory(traj(pts), provider, [7.0, 1.5])
     conflicting = [target([5, 0], "a"), target([6, 1], "a", Polarity.UNDESIRABLE)]
     with pytest.raises(ConfigError, match="'a' carries conflicting polarities"):
-        score_trajectory(traj(pts), lambda t, x: conflicting, 0.5)
+        score_trajectory(traj(pts), per_step(lambda t, x: conflicting), 0.5)

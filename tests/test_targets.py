@@ -3,16 +3,21 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trace_scores import targets
 from trace_scores.errors import ConfigError, CorpusError, TargetError
 from trace_scores.geometry import FeatureVector
 from trace_scores.scoring import Polarity
-from trace_scores.targets import (build_index, knn_targets, load_corpus, save_corpus,
-                                  series_provider)
+from trace_scores.targets import (build_index, knn_provider, knn_targets, load_corpus,
+                                  save_corpus, series_provider)
 from trace_scores.cli import run_build_index
 from oracles import brute_knn
 
@@ -163,6 +168,47 @@ class TestKnnTargets:
                 np.testing.assert_array_equal(got, want)
 
 
+@st.composite
+def knn_cases(draw):
+    """A two-class corpus of 1-decimal rows, some repeated, with queries
+    that include corpus rows, and a k up to two past the larger class."""
+    dim = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-10, 10).map(lambda v: v / 10), min_size=dim, max_size=dim)
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=6))
+    labels = draw(st.lists(st.sampled_from("ab"), min_size=len(rows), max_size=len(rows)))
+    queries = draw(st.lists(st.one_of(row, st.sampled_from(rows)), min_size=1, max_size=6))
+    largest = max(labels.count("a"), labels.count("b"))
+    # a query block of one query, of a few, or of all of them
+    block_values = draw(st.sampled_from([1, 16, targets._BLOCK_VALUES]))
+    return rows, labels, np.array(queries), draw(st.integers(1, largest + 2)), block_values
+
+
+@settings(max_examples=200)
+@given(knn_cases())
+def test_batched_query_is_exact(case):
+    rows, labels, xs, k, block_values = case
+    corpus = build_index(zip(rows, labels))
+    for idx in corpus.class_indices.values():
+        with mock.patch.object(targets, "_BLOCK_VALUES", block_values):
+            pos, dist = idx.query_rows(xs, k)
+        assert pos.shape == dist.shape == (len(xs), min(k, len(idx.rows)))
+        for x, got, d in zip(xs, pos, dist):
+            assert got.tolist() == brute_knn(idx.points, x, k)
+            assert np.array_equal(d, np.linalg.norm(idx.points - x, axis=1)[got])
+    pmap = {label: Polarity.DESIRABLE if label == "a" else Polarity.UNDESIRABLE
+            for label in corpus.classes()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # k may exceed a class's size
+        found = knn_provider(corpus, k, pmap)(np.arange(len(xs)), xs)
+        per_query = [knn_targets(corpus, x, k, pmap) for x in xs]
+    assert found.step.tolist() == [i for i, specs in enumerate(per_query) for _ in specs]
+    specs = [spec for specs in per_query for spec in specs]
+    assert np.array_equal(found.points, [spec.point.values for spec in specs])
+    assert [found.labels[c] for c in found.cls] == [spec.class_label for spec in specs]
+    assert found.polarity.tolist() == [float(spec.polarity) for spec in specs]
+
+
 class TestIndexRoundTrip:
     @pytest.fixture
     def built(self, tmp_path):
@@ -220,19 +266,22 @@ class TestFixedTargets:
 
     def test_t_out_of_range(self):
         with pytest.raises(TargetError):
-            self.series(n=3)(7, None)
+            self.series(n=3)(np.array([1, 7]), None)
 
     def test_values_at_t(self):
-        specs = self.series()(2, None)
-        np.testing.assert_array_equal(specs[0].point.values, [2.0, 1.0])
+        found = self.series()(np.array([2, 0]), None)
+        np.testing.assert_array_equal(found.points, [[2.0, 1.0], [0.0, 1.0]])
+        assert found.step.tolist() == [0, 1]
 
     def test_provider_builds_targets_once(self):
-        provide = self.series("B", Polarity.UNDESIRABLE, n=2)
-        first = provide(1, None)
-        assert [(s.class_label, s.polarity) for s in first] == [("B", Polarity.UNDESIRABLE)]
-        assert first[0] is provide(1, None)[0]
+        points = {t: [float(t), 1.0] for t in range(2)}
+        provide = series_provider("B", Polarity.UNDESIRABLE, points)
+        points[1][0] = 9.0   # the provider stacked the points when it was built
+        found = provide(np.array([1]), None)
+        assert (found.labels, found.polarity.tolist(), len(found)) == (["B"], [-1.0], 1)
+        np.testing.assert_array_equal(found.points, [[1.0, 1.0]])
         with pytest.raises(TargetError, match="series 'B' has no target at t=2"):
-            provide(2, None)
+            provide(np.array([1, 2]), None)
 
 
 def test_cli_import_leaves_out_scipy_spatial():
