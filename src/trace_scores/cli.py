@@ -258,6 +258,10 @@ def run_score_corpus(traj_csv, index_path, cfg: RunConfig, out_dir) -> dict:
     if unknown:
         raise ConfigError(f"polarity_map names class {unknown[0]!r}, which the index "
                           f"{index_path} lacks (classes: {corpus.classes()})")
+    for label in cfg.polarity_map:
+        if cfg.k_neighbors > corpus.class_size(label):
+            click.echo(f"warning: k={cfg.k_neighbors} exceeds class {label!r} size "
+                       f"{corpus.class_size(label)}; clamping", err=True)
     provider = knn_provider(corpus, cfg.k_neighbors, cfg.polarity_map)
     _, info = _score_cohort(
         traj_data, [(None, provider)], cfg, out_dir,

@@ -216,7 +216,10 @@ def load_trajectory_csv(path):
         by_subject.setdefault(subject, []).append(
             RawRecord(subject_id=subject, t_index=t, values=values))
         if has_label and row[-1] != "":
-            labels[subject] = row[-1]
+            earlier = labels.setdefault(subject, row[-1])
+            if earlier != row[-1]:
+                raise TrajectoryError(f"{where}: subject {subject!r} has label {row[-1]!r}, "
+                                      f"earlier rows say {earlier!r}")
     for records in by_subject.values():
         records.sort(key=lambda r: r.t_index)
         seen = set()

@@ -143,15 +143,16 @@ def _check_live_steps(tg: Targets, lams: np.ndarray, live: np.ndarray) -> None:
         raise ConfigError(f"class {label!r} carries conflicting polarities")
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _score_rows(x: np.ndarray, t_index: Sequence[int], lam: LambdaSchedule, tg: Targets,
-                epsilon: float, feature_weights) -> List[StepScore]:
+                epsilon: float, feature_weights, subject=None) -> List[StepScore]:
     """Score the steps of the ``(n_steps + 1, dim)`` points ``x`` against
     ``tg`` with ``geometry.step_score``'s arithmetic, applied to all rows at
     once; step ``i`` runs from ``x[i]`` to ``x[i + 1]`` and is labelled
     ``t_index[i]``. A division by a zero norm only reaches a reached goal's
     r2, which is overwritten, or the combined score of a step whose every
-    target was dropped, which is never read."""
+    target was dropped, which is never read. A value whose square overflows
+    raises TrajectoryError naming ``subject`` and the step's t."""
     xt, xn = x[:-1], x[1:]
     n, dim = xt.shape
     counts = np.bincount(tg.step, minlength=n)
@@ -200,6 +201,12 @@ def _score_rows(x: np.ndarray, t_index: Sequence[int], lam: LambdaSchedule, tg: 
     lam = lams[ks]
     # a reached goal blends r1 = r2 = 1 into exactly 1 for every lambda in [0, 1]
     s = np.where(lam == 1.0, r1, np.where(lam == 0.0, r2, lam * r1 + (1.0 - lam) * r2))
+    # each norm is at most sqrt(max float): the sum is finite iff all five are
+    bad = np.flatnonzero(~np.isfinite(s + n_vt[:, 0] + n_vp[:, 0] + n_vs + n_vhat))
+    if bad.size:
+        where = "" if subject is None else f"subject {subject!r}: "
+        raise TrajectoryError(f"{where}score at t={t_index[ks[bad[0]]]} is not finite: "
+                              "a value's square overflows")
 
     # class means per (step, class), then the weighted polarity combination
     n_cls = len(tg.labels)
@@ -269,5 +276,5 @@ def score_trajectory(traj, target_provider: TargetProvider,
     t = np.array([t for t, _ in points])
     x = np.array([p.values for _, p in points])
     steps = _score_rows(x, t[1:].tolist(), lam, target_provider(t[:-1], x[:-1]),
-                        epsilon, feature_weights)
+                        epsilon, feature_weights, traj.subject_id)
     return TrajectoryScore(steps=steps, skipped_count=sum(s.skipped for s in steps))

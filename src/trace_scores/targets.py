@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -19,34 +18,70 @@ from .geometry import FeatureVector, _as_array
 from .scoring import Polarity, Targets, TargetSpec
 
 
-_BLOCK_VALUES = 1 << 19   # point differences a batched kNN query holds at a time (4 MB)
+_BLOCK_VALUES = 1 << 19   # float64 values a batched kNN query holds at a time (4 MB)
+_U = np.finfo(float).eps / 2                 # unit roundoff
+_TINY = np.finfo(float).smallest_subnormal   # spacing of the subnormals
+
+# The prefilter keeps each row whose approximate squared distance A is at
+# most the query's k-th smallest, A_k, plus _MARGIN * g * N + 8 n * _TINY:
+# N = ||x||^2 + max ||p||^2, n = dim + 4, g = n u / (1 - n u). With D the
+# exact ||x - p||^2 (D <= 2 N), the rounding errors are bounded thus:
+# * A = fl(fl(||p||^2 - 2 x.p) + ||x||^2): the norms and x.p err by g_dim
+#   times their terms' sizes, each add by u, so |A - D| <= 2 g N;
+# * the rescore's S = fl(sum fl(fl(p - x)^2)): |S - D| <= g D;
+# * sqrt rounds some S(q) > S(p) equal, but E(q) <= E(p) gives
+#   S(q) <= (1 + g_4) S(p), E = fl(sqrt(S)), g_4 = 4u / (1 - 4u) <= g.
+# The k rows of smallest A have D <= A_k + 2 g N, so a row q whose E
+# reaches theirs has A(q) <= (A_k + 2gN)(1 + g)(1 + g_4) / (1 - g) + 2gN
+# <= A_k + 10 g N + O(u^2) N, as A_k <= 2 N + 2 g N; 2 g N more covers the
+# O(u^2) terms and rounding N and A_k + margin. Below the normal range each
+# product errs by up to _TINY / 2 instead: 4 dim in A (x.p twice) and dim
+# in S per row, 10 dim halves for two rows, which 8 n * _TINY covers.
+_MARGIN = 12
 
 
 @dataclass(eq=False)
 class _ClassIndex:
     rows: np.ndarray      # corpus row ids, in insertion order
     points: np.ndarray    # (n_class, dim), normalized when the corpus has a normalizer
+    sq_norms: np.ndarray = field(init=False)   # (n_class,) ||p||**2 of each point
 
+    def __post_init__(self):
+        self.sq_norms = np.einsum("ij,ij->i", self.points, self.points)
+
+    @np.errstate(over="ignore", invalid="ignore")
     def query_rows(self, xs: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """For each row of the ``(n_q, dim)`` queries ``xs``, the positions in
         ``rows``/``points`` of its exact ``min(k, n_class)`` nearest class
         members, nearest first with ties broken by position, and their
-        distances: two ``(n_q, min(k, n_class))`` matrices."""
+        distances: two ``(n_q, min(k, n_class))`` matrices. One matrix
+        product prefilters the candidates; only those get the exact distance
+        of ``np.linalg.norm(points - x, axis=1)``."""
         k = min(k, len(self.rows))
+        n = self.points.shape[1] + 4
+        gamma = n * _U / (1 - n * _U)
         pos, dist = np.empty((len(xs), k), dtype=np.intp), np.empty((len(xs), k))
+        # sized for a block in which every row is a candidate
         block = max(1, _BLOCK_VALUES // self.points.size)
         for i in range(0, len(xs), block):
-            # the squares and sums of np.linalg.norm(points - x, axis=1)
-            diff = self.points[None, :, :] - xs[i:i + block, None, :]
-            np.multiply(diff, diff, out=diff)
-            d = np.sqrt(np.add.reduce(diff, axis=2))
-            # every row within its query's k-th distance, ordered by (query,
-            # distance, position); each query keeps its first k
-            q, p = np.nonzero(d <= np.partition(d, k - 1, axis=1)[:, k - 1:k])
-            order = np.lexsort((p, d[q, p], q))
+            x = xs[i:i + block]
+            sq_x = np.einsum("ij,ij->i", x, x)
+            approx = (-2.0 * x) @ self.points.T   # scaling by 2 is exact
+            approx += self.sq_norms
+            approx += sq_x[:, None]
+            kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+            margin = _MARGIN * gamma * (sq_x + self.sq_norms.max()) + 8 * n * _TINY
+            candidate = approx <= (kth + margin)[:, None]
+            candidate[~np.isfinite(approx).all(axis=1)] = True   # a full exact scan
+            q, p = np.divmod(np.flatnonzero(candidate), len(self.rows))
+            diff = self.points[p] - x[q]
+            d = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+            # candidates ordered by (query, distance, position); each query
+            # keeps its first k
+            order = np.lexsort((p, d, q))
             keep = order[np.arange(len(q)) - np.searchsorted(q, q) < k]
             pos[i:i + block] = p[keep].reshape(-1, k)
-            dist[i:i + block] = d[q[keep], p[keep]].reshape(-1, k)
+            dist[i:i + block] = d[keep].reshape(-1, k)
         return pos, dist
 
     def query(self, x: np.ndarray, k: int) -> np.ndarray:
@@ -132,11 +167,7 @@ def knn_provider(corpus: Corpus, k: int, polarity_map: Mapping[str, Polarity]):
     for label in polarity_map:
         if label not in corpus.class_indices:
             raise ConfigError(f"polarity map names unknown class {label!r}")
-        idx = corpus.class_indices[label]
-        if k > len(idx.rows):
-            warnings.warn(f"k={k} exceeds class {label!r} size {len(idx.rows)}; clamping",
-                          stacklevel=2)
-        indices.append(idx)
+        indices.append(corpus.class_indices[label])
     # one step's rows: the nearest of the first class, then of the next, ...
     per_class = [min(k, len(idx.rows)) for idx in indices]
     cls = np.repeat(np.arange(len(indices)), per_class)

@@ -208,6 +208,51 @@ class TestScoreSeriesMode:
         assert json.loads(res.output.splitlines()[-1]) == {"errors": 5, "subjects": 1}
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def _check_overflowing_subject(res, out, series):
+    """``big`` has a value whose square overflows at t=1: it gets one error
+    row per target set naming it and t=1, the rest are scored, every output
+    is finite and stderr carries no numpy warning."""
+    assert res.exit_code == 0, res.output
+    assert "RuntimeWarning" not in res.stderr
+    with open(out / "errors.csv") as fh:
+        errs = list(csv.DictReader(fh))
+    assert [e["subject_id"] for e in errs] == ["big"] * len(series)
+    for e, name in zip(errs, series):
+        assert e["error"].startswith(f"{name}: " if name else "subject 'big': ")
+        assert "subject 'big': score at t=1 is not finite" in e["error"]
+    lines = [_strict_json(line) for line in (out / "steps.jsonl").read_text().splitlines()]
+    assert lines and "big" not in {line["subject"] for line in lines}
+    summary = (out / "summary.csv").read_text()
+    assert "big" not in summary and "nan" not in summary and "inf" not in summary
+
+
+def test_overflowing_subject_corpus_mode(corpus_setup):
+    tmp, corpus, traj, config = corpus_setup
+    with open(traj, "a") as fh:
+        fh.write("big,0,0.5,0.5,RFD\nbig,1,1e200,0.5,RFD\nbig,2,0.6,0.6,RFD\n")
+    runner.invoke(main, ["build-index", str(corpus), "--out", str(tmp / "index.json")])
+    res = runner.invoke(main, ["score", str(traj), "--index", str(tmp / "index.json"),
+                               "--config", str(config), "--out", str(tmp / "out")])
+    _check_overflowing_subject(res, tmp / "out", [None])
+    assert json.loads(res.stdout.splitlines()[-1]) == {"errors": 1, "subjects": 4}
+
+
+def test_overflowing_subject_series_mode(series_setup):
+    tmp, traj, tdir = series_setup
+    with open(traj, "a") as fh:
+        # no series target has a=0.45 at t=0, so the step to t=1 masks no feature
+        fh.write("big,0,0.45,0.45\nbig,1,1e200,0.5\nbig,2,0.6,0.6\n")
+    res = runner.invoke(main, ["score", str(traj), "--targets-dir", str(tdir),
+                               "--out", str(tmp / "out")])
+    _check_overflowing_subject(res, tmp / "out", [f"SSP{i}" for i in range(1, 6)])
+
+
 def _bad_config(doc, expect=None):
     """Config rows: ``doc`` (JSON text) is the config; the error names the file."""
     def setup(corpus, traj, config, tdir):
@@ -216,9 +261,9 @@ def _bad_config(doc, expect=None):
     return setup
 
 
-def _bad_cell(which, lineno, col, new):
+def _bad_cell(which, lineno, col, new, expect=""):
     """CSV rows: one cell of ``which`` file is replaced; the error names the
-    file and the line."""
+    file and the line, followed by ``expect``."""
     def setup(corpus, traj, config, tdir):
         path = {"traj": traj, "series": tdir / "SSP1.csv", "corpus": corpus}[which]
         lines = path.read_text().splitlines()
@@ -226,7 +271,7 @@ def _bad_cell(which, lineno, col, new):
         cells[col] = new
         lines[lineno - 1] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
-        return ["--config", str(config)], f"{path}:{lineno}:"
+        return ["--config", str(config)], f"{path}:{lineno}: {expect}"
     return setup
 
 
@@ -296,6 +341,8 @@ MALFORMED_INPUTS = [
     ("traj-cell-nan", "corpus", _bad_cell("traj", 3, 2, "nan")),
     ("traj-cell-inf", "series", _bad_cell("traj", 4, 3, "-inf")),
     ("traj-t-float", "corpus", _bad_cell("traj", 2, 1, "0.5")),
+    ("traj-conflicting-label", "corpus", _bad_cell(
+        "traj", 3, 4, "mortality", "subject 's0' has label 'mortality', earlier rows say 'RFD'")),
     ("series-cell-abc", "series", _bad_cell("series", 3, 1, "abc")),
     ("series-cell-inf", "series", _bad_cell("series", 2, 2, "inf")),
     ("series-t-text", "series", _bad_cell("series", 4, 0, "three")),

@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +20,7 @@ from trace_scores.geometry import FeatureVector
 from trace_scores.scoring import Polarity
 from trace_scores.targets import (build_index, knn_provider, knn_targets, load_corpus,
                                   save_corpus, series_provider)
-from trace_scores.cli import run_build_index
+from trace_scores.cli import main, run_build_index
 from oracles import brute_knn
 
 PMAP = {"a": Polarity.DESIRABLE, "b": Polarity.UNDESIRABLE}
@@ -96,11 +98,25 @@ class TestKnnTargets:
         with pytest.raises(ConfigError):
             knn_targets(corpus, pts[0], 3, {"zzz": Polarity.DESIRABLE})
 
-    def test_k_clamped_with_warning(self):
+    def test_k_clamped_with_warning(self, tmp_path):
         corpus = build_index([([0, 0], "a"), ([1, 1], "a")])
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             specs = knn_targets(corpus, [0, 0], 5, {"a": Polarity.DESIRABLE})
         assert len(specs) == 2
+        # the CLI prints one notice per clamped class on every run
+        (tmp_path / "corpus.csv").write_text("a,b,label\n0,0,A\n1,1,A\n0,1,B\n1,0,B\n2,2,B\n")
+        (tmp_path / "traj.csv").write_text("subject_id,t,a,b\ns1,0,0.5,0.5\ns1,1,0.7,0.6\n")
+        run_build_index(tmp_path / "corpus.csv", tmp_path / "index.json")
+        (tmp_path / "config.json").write_text('{"polarity_map": {"A": 1, "B": -1}}')
+        args = ["score", str(tmp_path / "traj.csv"), "--index", str(tmp_path / "index.json"),
+                "--config", str(tmp_path / "config.json"), "--k", "3",
+                "--out", str(tmp_path / "out")]
+        for _ in range(2):
+            res = CliRunner().invoke(main, args)
+            assert res.exit_code == 0, res.output
+            assert res.stderr.splitlines()[1:] == [
+                "warning: k=3 exceeds class 'A' size 2; clamping"]
 
     def test_k_zero(self):
         corpus, pts, _ = make_corpus()
@@ -198,15 +214,95 @@ def test_batched_query_is_exact(case):
             assert np.array_equal(d, np.linalg.norm(idx.points - x, axis=1)[got])
     pmap = {label: Polarity.DESIRABLE if label == "a" else Polarity.UNDESIRABLE
             for label in corpus.classes()}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # k may exceed a class's size
-        found = knn_provider(corpus, k, pmap)(np.arange(len(xs)), xs)
-        per_query = [knn_targets(corpus, x, k, pmap) for x in xs]
+    found = knn_provider(corpus, k, pmap)(np.arange(len(xs)), xs)
+    per_query = [knn_targets(corpus, x, k, pmap) for x in xs]
     assert found.step.tolist() == [i for i, specs in enumerate(per_query) for _ in specs]
     specs = [spec for specs in per_query for spec in specs]
     assert np.array_equal(found.points, [spec.point.values for spec in specs])
     assert [found.labels[c] for c in found.cls] == [spec.class_label for spec in specs]
     assert found.polarity.tolist() == [float(spec.polarity) for spec in specs]
+
+
+@st.composite
+def near_tie_cases(draw):
+    """One class of rows on a grid scaled by 1e-170 to 1e100, with duplicates
+    and rows one or two ulps or a few thousandths from another row, queried
+    at corpus rows, near them and at other grid rows. Some queries hold one
+    value whose square overflows: 1e200, or the largest float, whose
+    products with the rows overflow too."""
+    dim = draw(st.integers(1, 17))
+    # squares of 1e-164 to 1e-156 are subnormal: they underflow with an absolute error
+    scale = 10.0 ** draw(st.one_of(st.integers(-170, 100), st.integers(-164, -156)))
+    row = st.lists(st.integers(-10, 10), min_size=dim, max_size=dim).map(
+        lambda v: np.array(v) / 10 * scale)
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    away = st.sampled_from([np.inf, -np.inf])
+
+    def nudged(base):
+        r = draw(st.sampled_from(base))
+        if draw(st.booleans()):
+            steps = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+            return r * (1 + np.array(steps) * 1e-3)
+        for _ in range(draw(st.integers(1, 2))):
+            r = np.nextafter(r, draw(st.lists(away, min_size=dim, max_size=dim)))
+        return r
+    rows += [draw(st.sampled_from(rows)) for _ in range(draw(st.integers(0, 4)))]
+    rows += [nudged(rows) for _ in range(draw(st.integers(0, 8)))]
+    queries = []
+    for kind in draw(st.lists(st.sampled_from(["row", "nudged", "grid", "huge"]),
+                              min_size=1, max_size=6)):
+        q = (draw(st.sampled_from(rows)) if kind == "row" else
+             nudged(rows) if kind == "nudged" else draw(row))
+        if kind == "huge":
+            q[draw(st.integers(0, dim - 1))] = draw(
+                st.sampled_from([1e200, -1e200, np.finfo(float).max]))
+        queries.append(q)
+    return np.array(rows), np.array(queries), draw(st.integers(1, len(rows) + 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_tie_cases())
+def test_query_is_exact_at_every_scale_and_near_tie(case):
+    rows, xs, k = case
+    idx = build_index(zip(rows, ["a"] * len(rows))).class_indices["a"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # overflow stays inside query_rows
+        pos, dist = idx.query_rows(xs, k)
+    for x, got, d in zip(xs, pos, dist):
+        with np.errstate(over="ignore"):
+            assert got.tolist() == brute_knn(rows, x, k)
+            assert np.array_equal(d, np.linalg.norm(rows - x, axis=1)[got])
+
+
+def test_query_is_exact_where_squares_underflow():
+    # coordinates near 1e-161 have subnormal squares, so both distance forms
+    # carry absolute rounding errors a relative margin does not cover
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        dim, n = rng.integers(1, 6), rng.integers(2, 10)
+        rows = rng.integers(-10, 11, size=(n, dim)) * 10.0 ** rng.uniform(-164, -159)
+        rows = np.concatenate([rows, rows[rng.integers(0, n, 4)] * rng.normal(1, 1e-3, (4, dim))])
+        xs = np.concatenate([rows[:2] * rng.normal(1, 1e-2, (2, dim)), rows[-2:]])
+        k = rng.integers(1, len(rows) + 1)
+        pos, dist = build_index(zip(rows, ["a"] * len(rows))).class_indices["a"].query_rows(xs, k)
+        for x, got, d in zip(xs, pos, dist):
+            assert got.tolist() == brute_knn(rows, x, k)
+            assert np.array_equal(d, np.linalg.norm(rows - x, axis=1)[got])
+
+
+def test_query_memory_is_bounded_by_the_block():
+    rng = np.random.default_rng(3)
+    idx = build_index(zip(rng.uniform(size=(5000, 17)), ["a"] * 5000)).class_indices["a"]
+    xs = rng.uniform(size=(200, 17))
+    tracemalloc.start()
+    try:
+        idx.query_rows(xs, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block holds at most _BLOCK_VALUES float64 differences of candidates;
+    # its approximate-distance matrix is 1/dim of that
+    assert peak < 8 * targets._BLOCK_VALUES
 
 
 class TestIndexRoundTrip:
