@@ -2,8 +2,8 @@
 
 Order of operations for a cohort run: load raw records, impute per
 subject (forward fill, backward fill, then class mean), fit a
-min-max normalizer on the corpus, and normalize every vector with the
-stored statistics.
+min-max normalizer on the corpus, and normalize each subject's rows with
+the stored statistics.
 """
 
 from __future__ import annotations
@@ -11,11 +11,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ImputeError, TrajectoryError
+from .errors import CorpusError, DimensionError, ImputeError, TrajectoryError
 from .geometry import FeatureVector
 
 
@@ -30,66 +30,53 @@ class RawRecord:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Fully imputed, ordered point sequence for one subject."""
+    """One subject's imputed points: strictly increasing time indices ``t``
+    and the ``(n, dim)`` matrix ``x`` of finite values, one row per ``t``."""
 
     subject_id: str
-    points: List[Tuple[int, FeatureVector]]
-    label: Optional[str] = None
+    t: np.ndarray
+    x: np.ndarray
 
     def __post_init__(self):
-        ts = [t for t, _ in self.points]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise TrajectoryError(
-                f"t_index not strictly increasing for subject {self.subject_id!r}")
-        dims = {p.dim for _, p in self.points}
-        if len(dims) > 1:
-            raise DimensionError(
-                f"inconsistent dimensions in trajectory {self.subject_id!r}: {sorted(dims)}")
+        self.t = np.asarray(self.t, dtype=int)
+        self.x = np.asarray(self.x, dtype=float)
+        if self.x.ndim != 2 or self.x.shape[1] == 0 or self.t.shape != self.x.shape[:1]:
+            raise DimensionError(f"x of shape {self.x.shape} does not fit {self.t.size} t indices")
+        if (np.diff(self.t) <= 0).any():
+            raise TrajectoryError("t_index not strictly increasing")
+        finite = np.isfinite(self.x).all(axis=1)
+        if not finite.all():
+            raise TrajectoryError(f"value at t={self.t[np.argmin(finite)]} is not finite")
 
 
 def impute(records: Sequence[RawRecord],
            class_means: Optional[Sequence[float]] = None) -> List[RawRecord]:
-    """Fill every missing value for one subject's sorted records.
-
-    Forward fill first, backward fill leading gaps, and fall back to the
-    class mean for columns missing across the whole stay.
-    """
+    """One subject's sorted records with every None filled by ``_fill``."""
     if not records:
         return []
-    n_cols = len(records[0].values)
-    out = [RawRecord(subject_id=r.subject_id, t_index=r.t_index,
-                     values=list(r.values))
-           for r in records]
-    for col in range(n_cols):
-        column = [r.values[col] for r in out]
-        filled = _fill_column(column)
-        if filled is None:
-            if class_means is None or class_means[col] is None:
-                raise ImputeError(
-                    f"column {col} is entirely missing and no class mean is available")
-            filled = [float(class_means[col])] * len(column)
-        for r, v in zip(out, filled):
-            r.values[col] = v
-    return out
+    x = _fill(np.array([r.values for r in records], dtype=float), class_means)
+    return [RawRecord(subject_id=r.subject_id, t_index=r.t_index, values=row)
+            for r, row in zip(records, x.tolist())]
 
 
-def _fill_column(column):
-    """Forward then backward fill; None if the column is entirely missing."""
-    if all(v is None for v in column):
-        return None
-    filled = list(column)
-    last = None
-    for i, v in enumerate(filled):
-        if v is None:
-            filled[i] = last
-        else:
-            last = filled[i]
-    nxt = None
-    for i in range(len(filled) - 1, -1, -1):
-        if filled[i] is None:
-            filled[i] = nxt
-        else:
-            nxt = filled[i]
+def _fill(x: np.ndarray, class_means: Optional[Sequence[float]] = None) -> np.ndarray:
+    """Fill the NaNs of one subject's ``(n, dim)`` rows: each takes its
+    column's nearest earlier value (forward fill), else its nearest later one
+    (backward fill), else, in a column with no value, the class mean."""
+    missing = np.isnan(x)
+    if not missing.any():
+        return x
+    n = len(x)
+    rows = np.arange(n)[:, None]
+    earlier = np.maximum.accumulate(np.where(missing, -1, rows), axis=0)
+    later = np.minimum.accumulate(np.where(missing, n, rows)[::-1], axis=0)[::-1]
+    source = np.where(earlier >= 0, earlier, later)
+    filled = x[np.minimum(source, n - 1), np.arange(x.shape[1])]
+    for col in np.flatnonzero(source[0] == n).tolist():
+        if class_means is None or class_means[col] is None:
+            raise ImputeError(
+                f"column {col} is entirely missing and no class mean is available")
+        filled[:, col] = float(class_means[col])
     return filled
 
 
@@ -101,13 +88,21 @@ class NormStats:
     mins: np.ndarray
     maxs: np.ndarray
 
+    @np.errstate(over="ignore", invalid="ignore")
+    def __post_init__(self):
+        # a non-finite min or max makes the span non-finite too
+        bad = np.flatnonzero(~np.isfinite(self.maxs - self.mins))
+        if bad.size:
+            raise CorpusError(f"feature {self.names[bad[0]]!r} spans a non-finite range")
+
     @property
     def dim(self) -> int:
         return len(self.names)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def apply_rows(self, rows) -> np.ndarray:
         """Normalize each row of an ``(n, dim)`` matrix; a constant feature
-        maps to 0.5."""
+        maps to 0.5. A quotient that overflows comes out infinite."""
         v = np.asarray(rows, dtype=float)
         if v.ndim != 2 or v.shape[1] != self.dim:
             raise DimensionError(
@@ -116,11 +111,7 @@ class NormStats:
         return np.where(span > 0, (v - self.mins) / np.where(span > 0, span, 1.0), 0.5)
 
     def apply(self, values) -> FeatureVector:
-        v = np.asarray(values, dtype=float)
-        if v.shape != (self.dim,):
-            raise DimensionError(
-                f"vector dimension {v.shape[0]} does not match normalizer {self.dim}")
-        return FeatureVector(self.apply_rows(v[None, :])[0])
+        return FeatureVector(self.apply_rows(np.asarray(values, dtype=float)[None, :])[0])
 
     def invert(self, values) -> np.ndarray:
         v = np.asarray(values, dtype=float)
@@ -235,13 +226,10 @@ def build_trajectory(records: Sequence[RawRecord], *,
                      label: Optional[str] = None,
                      class_means: Optional[Mapping[str, Sequence[float]]] = None,
                      normalizer: Optional[NormStats] = None) -> Trajectory:
-    """Impute one subject's sorted records and (optionally) normalize."""
-    means = None
-    if class_means is not None and label is not None and label in class_means:
-        means = class_means[label]
-    filled = impute(records, class_means=means)
-    values = [r.values for r in filled]
+    """Impute one subject's sorted records, the class mean of ``label``
+    filling a column with no value, and (optionally) normalize."""
+    means = None if class_means is None else class_means.get(label)
+    x = _fill(np.array([r.values for r in records], dtype=float), means)
     if normalizer:
-        values = normalizer.apply_rows(values)
-    points = [(r.t_index, FeatureVector(v)) for r, v in zip(filled, values)]
-    return Trajectory(subject_id=records[0].subject_id, points=points, label=label)
+        x = normalizer.apply_rows(x)
+    return Trajectory(records[0].subject_id, [r.t_index for r in records], x)

@@ -145,14 +145,14 @@ def _check_live_steps(tg: Targets, lams: np.ndarray, live: np.ndarray) -> None:
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _score_rows(x: np.ndarray, t_index: Sequence[int], lam: LambdaSchedule, tg: Targets,
-                epsilon: float, feature_weights, subject=None) -> List[StepScore]:
+                epsilon: float, feature_weights) -> List[StepScore]:
     """Score the steps of the ``(n_steps + 1, dim)`` points ``x`` against
     ``tg`` with ``geometry.step_score``'s arithmetic, applied to all rows at
     once; step ``i`` runs from ``x[i]`` to ``x[i + 1]`` and is labelled
     ``t_index[i]``. A division by a zero norm only reaches a reached goal's
     r2, which is overwritten, or the combined score of a step whose every
     target was dropped, which is never read. A value whose square overflows
-    raises TrajectoryError naming ``subject`` and the step's t."""
+    raises TrajectoryError naming the step's t."""
     xt, xn = x[:-1], x[1:]
     n, dim = xt.shape
     counts = np.bincount(tg.step, minlength=n)
@@ -204,8 +204,7 @@ def _score_rows(x: np.ndarray, t_index: Sequence[int], lam: LambdaSchedule, tg: 
     # each norm is at most sqrt(max float): the sum is finite iff all five are
     bad = np.flatnonzero(~np.isfinite(s + n_vt[:, 0] + n_vp[:, 0] + n_vs + n_vhat))
     if bad.size:
-        where = "" if subject is None else f"subject {subject!r}: "
-        raise TrajectoryError(f"{where}score at t={t_index[ks[bad[0]]]} is not finite: "
+        raise TrajectoryError(f"score at t={t_index[ks[bad[0]]]} is not finite: "
                               "a value's square overflows")
 
     # class means per (step, class), then the weighted polarity combination
@@ -262,19 +261,16 @@ def score_trajectory(traj, target_provider: TargetProvider,
                      feature_weights=None) -> TrajectoryScore:
     """One StepScore per consecutive pair, targets re-queried at every step.
 
-    ``traj`` is a pipeline.Trajectory: its ``points`` are an ordered list
-    of ``(t_index, FeatureVector)`` pairs. The provider is called once,
-    with the t indices of the steps' earlier points and those points as an
-    ``(n_steps, dim)`` matrix, and returns their Targets; ``per_step`` turns
-    a per-step callable into a provider. Step scores are labelled with the
-    t_index of the later point, so index 0 never appears.
+    ``traj`` is a pipeline.Trajectory: time indices ``t`` and one row of
+    ``x`` per index. The provider is called once, with the t indices of the
+    steps' earlier points and those points as an ``(n_steps, dim)`` matrix,
+    and returns their Targets; ``per_step`` turns a per-step callable into a
+    provider. Step scores are labelled with the t_index of the later point,
+    so index 0 never appears.
     """
-    points = traj.points
-    if len(points) < 2:
-        raise TrajectoryError(
-            f"trajectory needs at least 2 points, got {len(points)}")
-    t = np.array([t for t, _ in points])
-    x = np.array([p.values for _, p in points])
+    t, x = traj.t, traj.x
+    if len(t) < 2:
+        raise TrajectoryError(f"trajectory needs at least 2 points, got {len(t)}")
     steps = _score_rows(x, t[1:].tolist(), lam, target_provider(t[:-1], x[:-1]),
-                        epsilon, feature_weights, traj.subject_id)
+                        epsilon, feature_weights)
     return TrajectoryScore(steps=steps, skipped_count=sum(s.skipped for s in steps))

@@ -227,8 +227,6 @@ def corpus_to_json(corpus: Corpus, feature_names: Sequence[str]) -> dict:
 def corpus_from_json(doc: dict) -> Tuple[Corpus, List[str]]:
     from .pipeline import NormStats
     stats = NormStats.from_json(doc["normalizer"]) if "normalizer" in doc else None
-    if stats is not None and not np.isfinite(np.concatenate([stats.mins, stats.maxs])).all():
-        raise CorpusError("normalizer has a non-finite min or max")
     points, labels = doc["points"], doc["labels"]
     if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
         raise CorpusError("labels must be a list of strings")

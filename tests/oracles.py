@@ -1,8 +1,8 @@
 """Independent oracles used to freeze expected values.
 
 These deliberately avoid the library's own code paths: grid search for
-the projection, a linear scan for nearest neighbors, and mpmath for the
-t distribution.
+the projection, a linear scan for nearest neighbors, mpmath for the t
+distribution, and list loops for imputation.
 """
 
 import math
@@ -40,6 +40,29 @@ def brute_knn(points, x, k):
     dists = np.linalg.norm(points - x[None, :], axis=1)
     order = sorted(range(len(points)), key=lambda i: (dists[i], i))
     return order[:k]
+
+
+def fill_reference(rows, class_means):
+    """One subject's rows (None = missing) imputed column by column with
+    plain loops: forward fill, then backward fill, then the column's class
+    mean where it holds no value."""
+    columns = [list(col) for col in zip(*rows)]
+    for j, col in enumerate(columns):
+        last = None
+        for i, v in enumerate(col):
+            if v is None:
+                col[i] = last
+            else:
+                last = v
+        first = None
+        for i in reversed(range(len(col))):
+            if col[i] is None:
+                col[i] = first
+            else:
+                first = col[i]
+        if first is None:
+            col[:] = [class_means[j]] * len(col)
+    return [list(row) for row in zip(*columns)]
 
 
 def welch_oracle(sample_a, sample_b):

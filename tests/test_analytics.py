@@ -145,8 +145,7 @@ class TestRankTargets:
 
 
 def test_end_to_end_aggregate_from_scoring():
-    pts = [(t, FeatureVector([0.1 * t, 0.0])) for t in range(4)]
-    traj = Trajectory("s", pts)
+    traj = Trajectory("s", range(4), [[0.1 * t, 0.0] for t in range(4)])
     spec = TargetSpec(point=FeatureVector([5.0, 0.0]), class_label="goal")
     ts = score_trajectory(traj, per_step(lambda t, x: [spec]), 0.9)
     s = aggregate(ts, "s")

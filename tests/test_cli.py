@@ -216,7 +216,8 @@ def _strict_json(text):
 
 def _check_overflowing_subject(res, out, series):
     """``big`` has a value whose square overflows at t=1: it gets one error
-    row per target set naming it and t=1, the rest are scored, every output
+    row per target set, its ``subject_id`` naming it and its message t=1, and
+    one stderr line per row naming it once; the rest are scored, every output
     is finite and stderr carries no numpy warning."""
     assert res.exit_code == 0, res.output
     assert "RuntimeWarning" not in res.stderr
@@ -224,14 +225,18 @@ def _check_overflowing_subject(res, out, series):
         errs = list(csv.DictReader(fh))
     assert [e["subject_id"] for e in errs] == ["big"] * len(series)
     for e, name in zip(errs, series):
-        assert e["error"].startswith(f"{name}: " if name else "subject 'big': ")
-        assert "subject 'big': score at t=1 is not finite" in e["error"]
+        assert e["error"] == (f"{name}: " if name else "") + \
+            "score at t=1 is not finite: a value's square overflows"
+    named = [line for line in res.stderr.splitlines() if "big" in line]
+    assert named == [f"subject big: {e['error']}" for e in errs]
+    assert all(line.count("big") == 1 for line in named)
     lines = [_strict_json(line) for line in (out / "steps.jsonl").read_text().splitlines()]
     assert lines and "big" not in {line["subject"] for line in lines}
     summary = (out / "summary.csv").read_text()
     assert "big" not in summary and "nan" not in summary and "inf" not in summary
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_subject_corpus_mode(corpus_setup):
     tmp, corpus, traj, config = corpus_setup
     with open(traj, "a") as fh:
@@ -243,6 +248,7 @@ def test_overflowing_subject_corpus_mode(corpus_setup):
     assert json.loads(res.stdout.splitlines()[-1]) == {"errors": 1, "subjects": 4}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_subject_series_mode(series_setup):
     tmp, traj, tdir = series_setup
     with open(traj, "a") as fh:
@@ -251,6 +257,28 @@ def test_overflowing_subject_series_mode(series_setup):
     res = runner.invoke(main, ["score", str(traj), "--targets-dir", str(tdir),
                                "--out", str(tmp / "out")])
     _check_overflowing_subject(res, tmp / "out", [f"SSP{i}" for i in range(1, 6)])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_normalized_value_isolates_its_subject(tmp_path):
+    # hr spans [0, 1e-300] in the corpus, so big's 1e10 normalizes past the
+    # largest float
+    corpus, traj = tmp_path / "corpus.csv", tmp_path / "traj.csv"
+    corpus.write_text("hr,rr,label\n0,0.1,A\n1e-300,0.2,A\n0,0.8,B\n1e-300,0.9,B\n")
+    traj.write_text("subject_id,t,hr,rr,label\n"
+                    "s0,0,0,0.3,A\ns0,1,5e-301,0.5,A\ns0,2,1e-300,0.7,A\n"
+                    "big,0,0,0.3,A\nbig,1,1e10,0.5,A\nbig,2,0,0.7,A\n")
+    config = tmp_path / "config.json"
+    config.write_text('{"k_neighbors": 1, "polarity_map": {"A": "desirable", "B": "undesirable"}}')
+    runner.invoke(main, ["build-index", str(corpus), "--out", str(tmp_path / "index.json")])
+    res = runner.invoke(main, ["score", str(traj), "--index", str(tmp_path / "index.json"),
+                               "--config", str(config), "--out", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
+    assert "Traceback" not in res.output and "RuntimeWarning" not in res.output
+    with open(tmp_path / "out" / "errors.csv") as fh:
+        assert list(csv.DictReader(fh)) == [
+            {"subject_id": "big", "error": "value at t=1 is not finite"}]
+    assert json.loads(res.stdout.splitlines()[-1]) == {"errors": 1, "subjects": 1}
 
 
 def _bad_config(doc, expect=None):
@@ -272,6 +300,16 @@ def _bad_cell(which, lineno, col, new, expect=""):
         lines[lineno - 1] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         return ["--config", str(config)], f"{path}:{lineno}: {expect}"
+    return setup
+
+
+def _corpus_rows(*rows, expect):
+    """Corpus rows: ``rows`` are appended to the corpus CSV; the error
+    contains ``expect``."""
+    def setup(corpus, traj, config, tdir):
+        with open(corpus, "a") as fh:
+            fh.write("".join(row + "\n" for row in rows))
+        return ["--config", str(config)], expect
     return setup
 
 
@@ -336,6 +374,8 @@ MALFORMED_INPUTS = [
      _bad_index(lambda doc: doc["normalizer"]["features"][0].__setitem__("max", float("nan")))),
     ("index-inf-normalizer-min", "corpus",
      _bad_index(lambda doc: doc["normalizer"]["features"][1].__setitem__("min", float("inf")))),
+    ("index-normalizer-range-overflow", "corpus",
+     _bad_index(lambda doc: doc["normalizer"]["features"][0].update(min=-1e308, max=1e308))),
     ("index-short-class-mean", "corpus", _bad_index(lambda doc: doc["class_means"]["RFD"].pop())),
     ("traj-cell-abc", "corpus", _bad_cell("traj", 3, 2, "abc")),
     ("traj-cell-nan", "corpus", _bad_cell("traj", 3, 2, "nan")),
@@ -349,6 +389,8 @@ MALFORMED_INPUTS = [
     ("series-duplicate-t", "series", _bad_cell("series", 3, 0, "0")),
     ("corpus-cell-nan", "build-index", _bad_cell("corpus", 2, 0, "nan")),
     ("corpus-cell-abc", "build-index", _bad_cell("corpus", 5, 1, "abc")),
+    ("corpus-range-overflow", "build-index",
+     _corpus_rows("-1e308,0.5,RFD", "1e308,0.5,RFD", expect="feature 'hr'")),
 ]
 
 

@@ -2,11 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from trace_scores.errors import DimensionError, ImputeError, TrajectoryError
-from trace_scores.geometry import FeatureVector
+from trace_scores.errors import CorpusError, DimensionError, ImputeError, TrajectoryError
 from trace_scores.pipeline import (NormStats, RawRecord, Trajectory, build_trajectory,
                                    fit_normalizer, impute, load_trajectory_csv, read_csv)
+
+from oracles import fill_reference
 
 
 def records(columns, subject="s"):
@@ -54,6 +57,35 @@ class TestImpute:
                         assert once[i].values[j] == float(vals[i, j])
 
 
+@st.composite
+def gappy_subjects(draw):
+    """One subject's rows with random gaps, single rows and empty columns
+    included, and a class mean per column."""
+    n, d = draw(st.integers(1, 7)), draw(st.integers(1, 5))
+    value = st.floats(-1e6, 1e6, allow_nan=False)
+    rows = draw(st.lists(st.lists(st.none() | value, min_size=d, max_size=d),
+                         min_size=n, max_size=n))
+    return rows, draw(st.lists(value, min_size=d, max_size=d))
+
+
+@settings(max_examples=300)
+@given(gappy_subjects())
+@example(([[None, 1.0, None], [2.0, None, None], [None, 3.0, None]], [7.0, 8.0, 9.0]))
+@example(([[None, 4.0]], [5.0, 6.0]))
+def test_fill_matches_reference(case):
+    rows, means = case
+    recs = records(rows)
+    want = fill_reference(rows, means)
+    assert [r.values for r in impute(recs, class_means=means)] == want
+    traj = build_trajectory(recs, label="c", class_means={"c": means})
+    assert traj.x.tolist() == want
+    assert traj.t.tolist() == list(range(len(rows)))
+    if any(all(v is None for v in col) for col in zip(*rows)):
+        with pytest.raises(ImputeError):
+            build_trajectory(recs, label="other", class_means={"c": means})
+    else:
+        assert build_trajectory(recs).x.tolist() == want
+
 
 class TestNormalizer:
     def test_midpoint(self):
@@ -99,6 +131,19 @@ class TestNormalizer:
         with pytest.raises(DimensionError):
             ns.apply_rows(rows[0])
 
+    def test_non_finite_range_names_the_feature(self):
+        with pytest.raises(CorpusError, match="feature 'rr' spans a non-finite range"):
+            fit_normalizer([[0.0, -1e308], [1.0, 1e308]], names=["hr", "rr"])
+        doc = {"features": [{"name": "hr", "min": 0.0, "max": float("inf")}]}
+        with pytest.raises(CorpusError, match="feature 'hr'"):
+            NormStats.from_json(doc)
+
+    def test_overflowing_quotient_is_infinite_without_warning(self, recwarn):
+        ns = fit_normalizer([[0.0], [1e-300]])
+        assert ns.apply_rows([[1e10], [-1e10], [5e-301]]).tolist() == \
+            [[np.inf], [-np.inf], [0.5]]
+        assert not recwarn.list
+
     def test_json_persistence(self):
         ns = fit_normalizer([[10, 0], [20, 5]], names=["hr", "rr"])
         doc = json.loads(json.dumps(ns.to_json()))
@@ -111,21 +156,31 @@ class TestNormalizer:
 class TestTrajectory:
     def test_strictly_increasing_t(self):
         with pytest.raises(TrajectoryError):
-            Trajectory("s", [(0, FeatureVector([1.0])), (0, FeatureVector([2.0]))])
+            Trajectory("s", [0, 0], [[1.0], [2.0]])
+
+    def test_rejects_a_non_finite_value_naming_its_t(self):
+        with pytest.raises(TrajectoryError, match=r"^value at t=7 is not finite$"):
+            Trajectory("s", [3, 7], [[1.0, 2.0], [np.inf, 0.0]])
+
+    @pytest.mark.parametrize("t, x", [([0, 1], [1.0, 2.0]), ([0, 1], [[], []]),
+                                      ([0, 1, 2], [[1.0], [2.0]])])
+    def test_rejects_a_matrix_that_does_not_fit_t(self, t, x):
+        with pytest.raises(DimensionError):
+            Trajectory("s", t, x)
 
     def test_build_trajectory_imputes_and_normalizes(self):
         ns = fit_normalizer([[0.0], [10.0]])
         recs = records([[5.0], [None]])
         traj = build_trajectory(recs, normalizer=ns)
-        assert [p.values[0] for _, p in traj.points] == [0.5, 0.5]
+        assert traj.x.tolist() == [[0.5], [0.5]]
 
     def test_build_trajectory_matches_per_row_apply(self):
         ns = fit_normalizer([[0.0, -3.0, 7.0], [10.0, 4.0, 7.0]])
         recs = records([[None, 1.25, 7.0], [2.5, None, 7.0], [9.75, 3.5, None]])
         traj = build_trajectory(recs, normalizer=ns)
         want = [ns.apply(r.values).values for r in impute(recs)]
-        assert all(np.array_equal(p.values, w) for (_, p), w in zip(traj.points, want))
-        assert [t for t, _ in traj.points] == [0, 1, 2]
+        assert np.array_equal(traj.x, want)
+        assert traj.t.tolist() == [0, 1, 2]
 
 
 class TestCsvLoading:

@@ -11,18 +11,13 @@ from trace_scores.scoring import (Polarity, SkipReason, TargetSpec, per_step, sc
                                   score_trajectory)
 
 
-def fv(*xs):
-    return FeatureVector(list(xs))
-
-
 def target(point, label="c", polarity=Polarity.DESIRABLE, weight=1.0):
     return TargetSpec(point=FeatureVector(point), class_label=label,
                       polarity=polarity, weight=weight)
 
 
 def traj(points, subject="s"):
-    return Trajectory(subject_id=subject,
-                      points=[(t, fv(*p)) for t, p in enumerate(points)])
+    return Trajectory(subject_id=subject, t=range(len(points)), x=points)
 
 
 def single_target_provider(point, label="goal"):
@@ -337,7 +332,7 @@ def trajectory_cases(draw):
 @given(trajectory_cases())
 def test_kernel_matches_scalar_step_score(case):
     xs, target_lists, lam, weights = case
-    traj = Trajectory("s", [(t, FeatureVector(x)) for t, x in enumerate(xs)])
+    traj = Trajectory("s", range(len(xs)), xs)
     lams = [lam if isinstance(lam, float) else lam[i] for i in range(len(target_lists))]
     ts = score_trajectory(traj, per_step(lambda t, x: target_lists[t]), lam,
                           feature_weights=weights)

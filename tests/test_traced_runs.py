@@ -1,10 +1,13 @@
 """The benchmark's tracer still reaches the library's call sites: a traced
 corpus score and series score finish, with one provider call per subject
-and target set, and every target row and step counted."""
+and target set, and every target row, step, trajectory row and empty cell
+counted."""
 
 import importlib.util
 from collections import Counter
 from pathlib import Path
+
+from click.testing import CliRunner
 
 from trace_scores import cli
 
@@ -34,3 +37,29 @@ def test_traced_corpus_and_series_scores(tmp_path):
     assert tracer.counts["scoring.steps_skipped"] == 0
     assert (tmp_path / "toy" / "summary.csv").exists()
     assert (tmp_path / "ssp" / "ranking.json").exists()
+
+
+def test_traced_gappy_corpus_score_counts_rows_and_empty_cells(tmp_path):
+    corpus, traj, config = tmp_path / "corpus.csv", tmp_path / "traj.csv", tmp_path / "c.json"
+    corpus.write_text("hr,rr,label\n0.8,0.7,A\n0.9,0.8,A\n0.2,0.1,B\n0.1,0.2,B\n")
+    # 8 rows, 7 empty cells; s2 has no hr at all and takes A's class mean
+    traj.write_text("subject_id,t,hr,rr,label\n"
+                    "s0,0,,0.5,A\ns0,1,0.4,,A\ns0,2,0.5,0.6,A\n"
+                    "s1,0,0.6,0.4,B\ns1,1,,,B\ns1,2,,0.3,B\n"
+                    "s2,0,,0.5,A\ns2,1,,0.55,A\n")
+    config.write_text('{"k_neighbors": 1, "polarity_map": {"A": "desirable", "B": "undesirable"}}')
+    tracer = load_tracing().Tracer()
+    runner = CliRunner()
+    with tracer.installed():
+        res = runner.invoke(cli.main, ["build-index", str(corpus),
+                                       "--out", str(tmp_path / "index.json")])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(cli.main, ["score", str(traj), "--index", str(tmp_path / "index.json"),
+                                       "--config", str(config), "--out", str(tmp_path / "out")])
+        assert res.exit_code == 0, res.output
+    calls = Counter(name for name, *_ in tracer.spans)
+    assert calls["pipeline.build_trajectory"] == 3
+    assert tracer.counts["pipeline.rows"] == 8
+    assert tracer.counts["pipeline.missing_cells"] == 7
+    assert tracer.counts["scoring.steps"] == 2 + 2 + 1
+    assert not (tmp_path / "out" / "errors.csv").exists()
