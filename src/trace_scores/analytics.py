@@ -45,10 +45,11 @@ class GroupComparison:
 
 def aggregate(traj_score: TrajectoryScore, subject_id: str = "") -> ScoreSeries:
     """Condense a trajectory's step scores into the three reporting forms."""
-    scored = traj_score.scored_steps()
-    if not scored:
+    scored = traj_score.skip == 0
+    if not scored.any():
         raise AggregateError("no scored steps to aggregate")
-    values = [(s.t_index, s.combined) for s in scored]
+    values = list(zip(traj_score.steps[scored].tolist(), traj_score.combined[scored].tolist()))
+    # a running sum from 0.0 writes a leading -0.0 as 0.0; np.cumsum would keep -0.0
     total = 0.0
     cumulative = []
     for _, v in values:

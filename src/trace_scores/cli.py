@@ -148,7 +148,10 @@ def read_corpus_csv(path):
 
 def run_build_index(corpus_csv, out_path) -> Dict[str, int]:
     names, points, labels = read_corpus_csv(corpus_csv)
-    stats = fit_normalizer(points, names)
+    try:
+        stats = fit_normalizer(points, names)
+    except CorpusError as e:
+        raise CorpusError(f"{corpus_csv}: {e}") from None
     corpus = build_index(zip(points, labels), norm_stats=stats)
     # imputation fallbacks operate on raw values, so store raw class means
     corpus.class_means = {label: corpus.points[idx.rows].mean(axis=0).tolist()
@@ -160,16 +163,14 @@ def run_build_index(corpus_csv, out_path) -> Dict[str, int]:
 def _polarity_averages(ts, polarity_by_class) -> dict:
     """Per polarity, the mean over the scored steps of each step's mean over
     the classes of that polarity it scores."""
-    steps = ts.scored_steps()
+    rows = ts.per_class[ts.skip == 0]
     out = {}
     for key, polarity in (("average_desirable", Polarity.DESIRABLE),
                           ("average_undesirable", Polarity.UNDESIRABLE)):
-        classes = [c for c, p in polarity_by_class.items() if p == polarity]
         # (scored steps, classes); nan where a step scores no target of a class
-        m = np.array([[s.per_class.get(c, np.nan) for c in classes] for s in steps], ndmin=2)
-        scored = ~np.isnan(m)
-        n = scored.sum(axis=1)
-        means = np.where(scored, m, 0.0).sum(axis=1)[n > 0] / n[n > 0]
+        m = rows[:, [polarity_by_class.get(c) == polarity for c in ts.labels]]
+        n = (~np.isnan(m)).sum(axis=1)
+        means = np.nansum(m, axis=1)[n > 0] / n[n > 0]
         out[key] = float(np.mean(means)) if len(means) else None
     return out
 
@@ -211,10 +212,11 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
                 errors.append((subject, _error_text(series, e)))
                 continue
             tag = {} if series is None else {"series": series}
-            for step in ts.scored_steps():
-                step_lines.append({"subject": subject, **tag, "t": step.t_index,
-                                   "combined": step.combined,
-                                   "per_class": step.per_class})
+            # agg.values holds the scored steps' t labels and combined scores
+            for (t, combined), means in zip(agg.values, ts.per_class[ts.skip == 0].tolist()):
+                step_lines.append({"subject": subject, **tag, "t": t, "combined": combined,
+                                   "per_class": {c: v for c, v in zip(ts.labels, means)
+                                                 if v == v}})
             summary_rows.append({
                 "subject_id": subject, **tag,
                 "label": label or "",
@@ -246,12 +248,11 @@ def _error_text(series, error) -> str:
 
 
 def run_score_corpus(traj_csv, index_path, cfg: RunConfig, out_dir) -> dict:
-    corpus, _ = load_corpus(index_path)
+    corpus, features = load_corpus(index_path)
     traj_data = load_trajectory_csv(traj_csv)
-    names = traj_data[2]
-    if len(names) != corpus.dim:
-        raise DimensionError(
-            f"trajectory dimension {len(names)} does not match index dimension {corpus.dim}")
+    if traj_data[2] != features:
+        raise DimensionError(f"{traj_csv}: trajectory features {traj_data[2]} do not match "
+                             f"index features {features}")
     if not cfg.polarity_map:
         raise ConfigError("corpus mode requires a polarity_map in the config")
     unknown = [c for c in cfg.polarity_map if c not in corpus.class_indices]

@@ -21,11 +21,12 @@ DEFAULT_EPSILON = 1e-9
 
 
 class Degeneracy(Enum):
-    """Why a step's geometry collapsed to a special case."""
+    """Why a step's geometry collapsed to a special case; each value is the
+    code the scoring kernel stores, ``Degeneracy(code)`` its member."""
 
-    NONE = "none"
-    GOAL_REACHED = "goal_reached"
-    BEST_ACHIEVED = "best_achieved"
+    NONE = 0
+    GOAL_REACHED = 1
+    BEST_ACHIEVED = 2
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,21 +8,22 @@ combined into one signed score in [-1, 1].
 
 A trajectory's targets come from one provider call as a ``Targets`` block
 of arrays, one row per (step, target), and one array kernel
-(``_score_rows``) scores all of them; ``geometry.step_score`` is the scalar
-reference it reproduces target by target.
+(``_score_rows``) scores all of them into a ``TrajectoryScore`` of arrays;
+``geometry.step_score`` is the scalar reference it reproduces target by
+target.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum, IntEnum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from enum import IntEnum
+from typing import Callable, Dict, List, Sequence, Union
 
 import numpy as np
 
 from . import geometry
 from .errors import ConfigError, DimensionError, TargetError, TrajectoryError
-from .geometry import DEFAULT_EPSILON, Degeneracy, FeatureVector, StepGeometry
+from .geometry import DEFAULT_EPSILON, FeatureVector
 
 
 class Polarity(IntEnum):
@@ -30,9 +31,13 @@ class Polarity(IntEnum):
     UNDESIRABLE = -1
 
 
-class SkipReason(Enum):
-    NO_FEATURE_CHANGE = "no_feature_change"
-    ALL_MASKED = "all_masked"
+class SkipReason(IntEnum):
+    """Why a step has no score, by the code the kernel stores; a scored step
+    stores 0."""
+
+    ALL_MASKED = 1
+    NO_FEATURE_CHANGE = 2
+    ALL_TARGETS_DROPPED = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,24 +55,26 @@ class TargetSpec:
 
 
 @dataclass(eq=False)
-class StepScore:
-    """Scores for one consecutive step, per target, per class and combined."""
-
-    t_index: int
-    per_target: List[Tuple[str, Polarity, StepGeometry]] = field(default_factory=list)
-    per_class: Dict[str, float] = field(default_factory=dict)
-    combined: Optional[float] = None
-    skipped: bool = False
-    skip_reason: Optional[SkipReason] = None
-
-
-@dataclass(eq=False)
 class TrajectoryScore:
-    steps: List[StepScore]
-    skipped_count: int
+    """A trajectory's scores as the kernel's arrays: first one entry per
+    step, then one per kept target, in step order."""
 
-    def scored_steps(self) -> List[StepScore]:
-        return [s for s in self.steps if not s.skipped]
+    steps: np.ndarray      # the t index of the step's later point
+    skip: np.ndarray       # SkipReason code, 0 for a scored step
+    combined: np.ndarray   # NaN for a skipped step
+    labels: List[str]
+    per_class: np.ndarray  # (n_steps, len(labels)) means, NaN for a class not scored
+    step: np.ndarray       # index into ``steps``
+    cls: np.ndarray        # index into ``labels``
+    polarity: np.ndarray   # 1.0 or -1.0
+    r1: np.ndarray
+    r2: np.ndarray
+    s: np.ndarray
+    flag: np.ndarray       # Degeneracy code
+
+    @property
+    def skipped_count(self) -> int:
+        return int(np.count_nonzero(self.skip))
 
 
 @dataclass(eq=False)
@@ -90,12 +97,6 @@ class Targets:
 LambdaSchedule = Union[float, Sequence[float]]
 # called once per trajectory with its steps' t indices and (n_steps, dim) points
 TargetProvider = Callable[[np.ndarray, np.ndarray], Targets]
-
-# degeneracy flags by the code the kernel computes: goal_reached + 2 * best_achieved
-_FLAGS = (Degeneracy.NONE, Degeneracy.GOAL_REACHED, Degeneracy.BEST_ACHIEVED)
-# skip reasons by the code the kernel computes: all_masked + 2 * no_move
-_SKIPS = (None, SkipReason.ALL_MASKED, SkipReason.NO_FEATURE_CHANGE)
-_POLARITIES = {float(p): p for p in Polarity}
 
 
 def per_step(fn: Callable[[int, np.ndarray], Sequence[TargetSpec]]) -> TargetProvider:
@@ -144,15 +145,15 @@ def _check_live_steps(tg: Targets, lams: np.ndarray, live: np.ndarray) -> None:
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _score_rows(x: np.ndarray, t_index: Sequence[int], lam: LambdaSchedule, tg: Targets,
-                epsilon: float, feature_weights) -> List[StepScore]:
+def _score_rows(x: np.ndarray, steps: np.ndarray, lam: LambdaSchedule, tg: Targets,
+                epsilon: float, feature_weights) -> TrajectoryScore:
     """Score the steps of the ``(n_steps + 1, dim)`` points ``x`` against
     ``tg`` with ``geometry.step_score``'s arithmetic, applied to all rows at
     once; step ``i`` runs from ``x[i]`` to ``x[i + 1]`` and is labelled
-    ``t_index[i]``. A division by a zero norm only reaches a reached goal's
-    r2, which is overwritten, or the combined score of a step whose every
-    target was dropped, which is never read. A value whose square overflows
-    raises TrajectoryError naming the step's t."""
+    ``steps[i]``. A division by a zero norm only reaches a reached goal's
+    r2, which is overwritten, or the mean of an empty (step, class) cell or
+    a skipped step's combined score, which are NaN. A value whose square
+    overflows raises TrajectoryError naming the step's t."""
     xt, xn = x[:-1], x[1:]
     n, dim = xt.shape
     counts = np.bincount(tg.step, minlength=n)
@@ -204,73 +205,63 @@ def _score_rows(x: np.ndarray, t_index: Sequence[int], lam: LambdaSchedule, tg: 
     # each norm is at most sqrt(max float): the sum is finite iff all five are
     bad = np.flatnonzero(~np.isfinite(s + n_vt[:, 0] + n_vp[:, 0] + n_vs + n_vhat))
     if bad.size:
-        raise TrajectoryError(f"score at t={t_index[ks[bad[0]]]} is not finite: "
+        raise TrajectoryError(f"score at t={steps[ks[bad[0]]]} is not finite: "
                               "a value's square overflows")
 
-    # class means per (step, class), then the weighted polarity combination
+    # class means per (step, class), then the weighted polarity combination;
+    # an empty cell's mean is 0 / 0 = NaN and adds nothing to the combination
     n_cls = len(tg.labels)
     size = n * n_cls
-    key = ks * n_cls + tg.cls[kept]
-    count = np.maximum(np.bincount(key, minlength=size), 1)  # empty cells stay 0
+    cls = tg.cls[kept]
+    key = ks * n_cls + cls
+    count = np.bincount(key, minlength=size)
     mean_s = np.bincount(key, s, size) / count
-    mean_w = np.bincount(key, tg.weight[kept], size) / count
+    mean_w = np.bincount(key, tg.weight[kept], size) / np.maximum(count, 1)
     polarity = np.zeros(size)
     polarity[key] = tg.polarity[kept]
-    acc = (mean_w * polarity * mean_s).reshape(n, n_cls).sum(axis=1)
+    acc = np.nansum((mean_w * polarity * mean_s).reshape(n, n_cls), axis=1)
     total = mean_w.reshape(n, n_cls).sum(axis=1)
-
-    geoms = [StepGeometry(r1=a, r2=b, s=c, degenerate=_FLAGS[f]) for a, b, c, f in
-             zip(r1.tolist(), r2.tolist(), s.tolist(), (goal + 2 * best).tolist())]
-    label = [tg.labels[c] for c in tg.cls[kept].tolist()]
-    per_target = list(zip(label, [_POLARITIES[v] for v in tg.polarity[kept].tolist()], geoms))
-    per_class = list(zip(label, mean_s[key].tolist()))
-    bounds = np.searchsorted(ks, np.arange(n + 1)).tolist()
-    combined = (acc / total).tolist()
-    out: List[StepScore] = []
-    for i, (t, skip) in enumerate(zip(t_index, (all_masked + 2 * no_move).tolist())):
-        if skip:
-            out.append(StepScore(t_index=t, skipped=True, skip_reason=_SKIPS[skip]))
-            continue
-        a, b = bounds[i], bounds[i + 1]
-        # a step whose every target was dropped has no combined score
-        out.append(StepScore(t_index=t, per_target=per_target[a:b],
-                             per_class=dict(per_class[a:b]),
-                             combined=combined[i] if b > a else None))
-    return out
+    # a live step whose every target was dropped has no score either
+    dropped = live & (np.bincount(ks, minlength=n) == 0)
+    return TrajectoryScore(
+        steps=steps, skip=all_masked + 2 * no_move + 3 * dropped, combined=acc / total,
+        labels=tg.labels, per_class=mean_s.reshape(n, n_cls), step=ks, cls=cls,
+        polarity=tg.polarity[kept], r1=r1, r2=r2, s=s, flag=goal + 2 * best)
 
 
 def score_step(x_t, x_next, targets: Sequence[TargetSpec], lam: float, *,
-               epsilon: float = DEFAULT_EPSILON, feature_weights=None) -> StepScore:
-    """Score one consecutive step against a set of targets.
+               epsilon: float = DEFAULT_EPSILON, feature_weights=None) -> TrajectoryScore:
+    """Score one consecutive step against a set of targets: the one-step
+    TrajectoryScore, labelled 0.
 
     Targets that coincide with the factual in the masked subspace are
     dropped; a class with no surviving targets contributes nothing to the
-    combined score.
+    combined score, and a step with none is skipped.
     """
     x_t, x_next = geometry._as_array(x_t), geometry._as_array(x_next)
     if x_next.shape != x_t.shape:
         raise DimensionError(f"dimension mismatch: {x_t.shape[0]} vs {x_next.shape[0]}")
     x = np.array([x_t, x_next])
-    tg = per_step(lambda t, x: targets)(np.zeros(1, dtype=int), x[:1])
-    return _score_rows(x, [0], lam, tg, epsilon, feature_weights)[0]
+    steps = np.zeros(1, dtype=int)
+    tg = per_step(lambda t, x: targets)(steps, x[:1])
+    return _score_rows(x, steps, lam, tg, epsilon, feature_weights)
 
 
 def score_trajectory(traj, target_provider: TargetProvider,
                      lam: LambdaSchedule, *,
                      epsilon: float = DEFAULT_EPSILON,
                      feature_weights=None) -> TrajectoryScore:
-    """One StepScore per consecutive pair, targets re-queried at every step.
+    """Score every consecutive pair, targets re-queried at every step.
 
     ``traj`` is a pipeline.Trajectory: time indices ``t`` and one row of
     ``x`` per index. The provider is called once, with the t indices of the
     steps' earlier points and those points as an ``(n_steps, dim)`` matrix,
     and returns their Targets; ``per_step`` turns a per-step callable into a
-    provider. Step scores are labelled with the t_index of the later point,
-    so index 0 never appears.
+    provider. Steps are labelled with the t index of the later point, so
+    index 0 never appears.
     """
     t, x = traj.t, traj.x
     if len(t) < 2:
         raise TrajectoryError(f"trajectory needs at least 2 points, got {len(t)}")
-    steps = _score_rows(x, t[1:].tolist(), lam, target_provider(t[:-1], x[:-1]),
-                        epsilon, feature_weights)
-    return TrajectoryScore(steps=steps, skipped_count=sum(s.skipped for s in steps))
+    return _score_rows(x, t[1:], lam, target_provider(t[:-1], x[:-1]),
+                       epsilon, feature_weights)

@@ -1,7 +1,8 @@
-"""Independent oracles used to freeze expected values.
+"""Independent oracles used to freeze expected values, and hand-built
+kernel results for testing the code that reads them.
 
-These deliberately avoid the library's own code paths: grid search for
-the projection, a linear scan for nearest neighbors, mpmath for the t
+The oracles deliberately avoid the library's own code paths: grid search
+for the projection, a linear scan for nearest neighbors, mpmath for the t
 distribution, and list loops for imputation.
 """
 
@@ -99,3 +100,16 @@ def random_projection_triple(rng, dim, max_param=8.0):
         s_opt = float(np.dot(h, g)) / (nh * nh)
         if abs(s_opt) <= max_param:
             return a, b, c
+
+
+def hand_scored(combined, skip=None, labels=(), per_class=None):
+    """A scoring.TrajectoryScore with the given per-step arrays and no target
+    rows, its steps labelled 1, 2, ...; ``skip`` defaults to all scored."""
+    from trace_scores.scoring import TrajectoryScore
+    n = len(combined)
+    none = np.array([])
+    return TrajectoryScore(
+        steps=np.arange(1, n + 1), skip=np.zeros(n, dtype=int) if skip is None else np.array(skip),
+        combined=np.array(combined, dtype=float), labels=list(labels),
+        per_class=np.empty((n, 0)) if per_class is None else np.array(per_class, dtype=float),
+        step=none, cls=none, polarity=none, r1=none, r2=none, s=none, flag=none)

@@ -15,8 +15,7 @@ from trace_scores import (Polarity, aggregate, build_index, closest_point,
 from trace_scores.cli import main as cli_main
 from trace_scores.errors import DegenerateGeometry
 from trace_scores.pipeline import RawRecord
-from trace_scores.scoring import StepScore, TrajectoryScore
-from oracles import (brute_knn, grid_closest_point, random_projection_triple,
+from oracles import (brute_knn, grid_closest_point, hand_scored, random_projection_triple,
                      welch_oracle)
 
 runner = CliRunner()
@@ -205,9 +204,7 @@ def test_09_cumulative_average_consistency():
     ok = True
     for _ in range(200):
         n = int(rng.integers(1, 40))
-        steps = [StepScore(t_index=i + 1, combined=float(rng.uniform(-1, 1)))
-                 for i in range(n)]
-        series = aggregate(TrajectoryScore(steps=steps, skipped_count=0))
+        series = aggregate(hand_scored(rng.uniform(-1, 1, n)))
         ok &= abs(series.cumulative[-1] - series.average * len(series.values)) <= 1e-12
     report("09 last cumulative == average * count (1e-12)", ok)
 

@@ -5,48 +5,46 @@ from trace_scores.analytics import aggregate, rank_targets, welch_t_test
 from trace_scores.errors import AggregateError, StatsError
 from trace_scores.geometry import FeatureVector
 from trace_scores.pipeline import Trajectory
-from trace_scores.scoring import (StepScore, TargetSpec, TrajectoryScore, per_step,
-                                  score_trajectory)
-from oracles import welch_oracle
-
-
-def series_of(scores):
-    steps = [StepScore(t_index=i + 1, combined=s) for i, s in enumerate(scores)]
-    return TrajectoryScore(steps=steps, skipped_count=0)
+from trace_scores.scoring import SkipReason, TargetSpec, per_step, score_trajectory
+from oracles import hand_scored, welch_oracle
 
 
 class TestAggregate:
     def test_average_and_cumulative(self):
-        s = aggregate(series_of([0.5, -0.5]))
+        s = aggregate(hand_scored([0.5, -0.5]))
         assert s.average == 0.0
         assert s.cumulative == [0.5, 0.0]
 
     def test_single_score(self):
-        s = aggregate(series_of([1.0]))
+        s = aggregate(hand_scored([1.0]))
         assert s.average == 1.0
         assert s.cumulative == [1.0]
 
     def test_running_sum(self):
-        s = aggregate(series_of([0.1, 0.2, 0.3]))
+        s = aggregate(hand_scored([0.1, 0.2, 0.3]))
         assert s.cumulative == pytest.approx([0.1, 0.3, 0.6])
 
+    def test_leading_negative_zero_sums_to_zero(self):
+        # the written cumulative reads 0.0, as a running sum from 0.0 gives
+        s = aggregate(hand_scored([-0.0, 0.5]))
+        assert [repr(v) for v in s.cumulative] == ["0.0", "0.5"]
+
     def test_skipped_steps_excluded(self):
-        steps = [StepScore(t_index=1, combined=0.4),
-                 StepScore(t_index=2, skipped=True),
-                 StepScore(t_index=3, combined=0.6)]
-        s = aggregate(TrajectoryScore(steps=steps, skipped_count=1))
-        assert len(s.values) == 2
+        s = aggregate(hand_scored([0.4, np.nan, 0.6], skip=[0, SkipReason.ALL_MASKED, 0]))
+        assert s.values == [(1, 0.4), (3, 0.6)]
         assert s.average == pytest.approx(0.5)
 
     def test_empty_raises(self):
         with pytest.raises(AggregateError):
-            aggregate(TrajectoryScore(steps=[], skipped_count=0))
+            aggregate(hand_scored([]))
+        with pytest.raises(AggregateError):
+            aggregate(hand_scored([np.nan], skip=[SkipReason.ALL_TARGETS_DROPPED]))
 
     def test_last_cumulative_equals_average_times_count(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             scores = rng.uniform(-1, 1, size=int(rng.integers(1, 30))).tolist()
-            s = aggregate(series_of(scores))
+            s = aggregate(hand_scored(scores))
             assert abs(s.cumulative[-1] - s.average * len(s.values)) <= 1e-12
 
 
@@ -140,7 +138,7 @@ class TestRankTargets:
         avgs = {}
         for name, drift in drifts.items():
             scores = drift + rng.normal(0, 0.01, size=30)
-            avgs[name] = aggregate(series_of(scores.tolist())).average
+            avgs[name] = aggregate(hand_scored(scores.tolist())).average
         assert rank_targets(avgs) == ["s1", "s2", "s3", "s4", "s5"]
 
 

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from trace_scores.cli import main
+from oracles import hand_scored
 
 runner = CliRunner()
 
@@ -149,7 +150,23 @@ class TestScoreCorpusMode:
                                    "--config", str(config),
                                    "--out", str(tmp / "out")])
         assert res.exit_code == 1
-        assert "3" in res.output and "2" in res.output
+        assert (f"error: {bad}: trajectory features ['hr', 'rr', 'spo2'] do not match "
+                "index features ['hr', 'rr']") in res.output
+
+    def test_feature_order_mismatch(self, corpus_setup):
+        # the same features in another order would score with them swapped
+        tmp, corpus, traj, config = corpus_setup
+        runner.invoke(main, ["build-index", str(corpus), "--out", str(tmp / "index.json")])
+        swapped = tmp / "swapped.csv"
+        swapped.write_text("subject_id,t,rr,hr\ns0,0,0.5,0.4\ns0,1,0.6,0.5\n")
+        res = runner.invoke(main, ["score", str(swapped), "--index", str(tmp / "index.json"),
+                                   "--config", str(config), "--out", str(tmp / "out")])
+        assert res.exit_code == 1
+        assert "Traceback" not in res.output
+        assert res.stderr.splitlines()[-1] == (
+            f"error: {swapped}: trajectory features ['rr', 'hr'] do not match "
+            "index features ['hr', 'rr']")
+        assert not (tmp / "out").exists()
 
     def test_requires_exactly_one_source(self, corpus_setup):
         tmp, _, traj, _ = corpus_setup
@@ -208,6 +225,29 @@ class TestScoreSeriesMode:
         assert json.loads(res.output.splitlines()[-1]) == {"errors": 5, "subjects": 1}
 
 
+def test_step_with_every_target_dropped_is_skipped(tmp_path):
+    # the weighted distance from a=0 to the target 2e-9 is 2e-11, within
+    # epsilon, so the step to t=1 keeps no target
+    traj, tdir, config = tmp_path / "traj.csv", tmp_path / "targets", tmp_path / "config.json"
+    traj.write_text("subject_id,t,a\ns,0,0\ns,1,1\ns,2,3\nu,0,0\nu,1,1\n")
+    tdir.mkdir()
+    (tdir / "g.csv").write_text("t,a\n0,2e-9\n1,5\n")
+    config.write_text('{"feature_weights": [0.01]}')
+    res = runner.invoke(main, ["score", str(traj), "--targets-dir", str(tdir),
+                               "--config", str(config), "--out", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
+    assert "Traceback" not in res.output
+    with open(tmp_path / "out" / "summary.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["subject_id"], r["n_steps"], r["n_skipped"]) for r in rows] == [("s", "1", "1")]
+    with open(tmp_path / "out" / "errors.csv") as fh:
+        assert list(csv.DictReader(fh)) == [
+            {"subject_id": "u", "error": "g: no scored steps to aggregate"}]
+    lines = [_strict_json(line)
+             for line in (tmp_path / "out" / "steps.jsonl").read_text().splitlines()]
+    assert [(line["subject"], line["t"]) for line in lines] == [("s", 2)]
+
+
 def _strict_json(text):
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")
@@ -236,7 +276,6 @@ def _check_overflowing_subject(res, out, series):
     assert "big" not in summary and "nan" not in summary and "inf" not in summary
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_subject_corpus_mode(corpus_setup):
     tmp, corpus, traj, config = corpus_setup
     with open(traj, "a") as fh:
@@ -248,7 +287,6 @@ def test_overflowing_subject_corpus_mode(corpus_setup):
     assert json.loads(res.stdout.splitlines()[-1]) == {"errors": 1, "subjects": 4}
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_subject_series_mode(series_setup):
     tmp, traj, tdir = series_setup
     with open(traj, "a") as fh:
@@ -259,7 +297,6 @@ def test_overflowing_subject_series_mode(series_setup):
     _check_overflowing_subject(res, tmp / "out", [f"SSP{i}" for i in range(1, 6)])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_normalized_value_isolates_its_subject(tmp_path):
     # hr spans [0, 1e-300] in the corpus, so big's 1e10 normalizes past the
     # largest float
@@ -304,12 +341,12 @@ def _bad_cell(which, lineno, col, new, expect=""):
 
 
 def _corpus_rows(*rows, expect):
-    """Corpus rows: ``rows`` are appended to the corpus CSV; the error
-    contains ``expect``."""
+    """Corpus rows: ``rows`` are appended to the corpus CSV; the error names
+    the file, followed by ``expect``."""
     def setup(corpus, traj, config, tdir):
         with open(corpus, "a") as fh:
             fh.write("".join(row + "\n" for row in rows))
-        return ["--config", str(config)], expect
+        return ["--config", str(config)], f"{corpus}: {expect}"
     return setup
 
 
@@ -390,7 +427,7 @@ MALFORMED_INPUTS = [
     ("corpus-cell-nan", "build-index", _bad_cell("corpus", 2, 0, "nan")),
     ("corpus-cell-abc", "build-index", _bad_cell("corpus", 5, 1, "abc")),
     ("corpus-range-overflow", "build-index",
-     _corpus_rows("-1e308,0.5,RFD", "1e308,0.5,RFD", expect="feature 'hr'")),
+     _corpus_rows("-1e308,0.5,RFD", "1e308,0.5,RFD", expect="feature 'hr' spans a non-finite range")),
 ]
 
 
@@ -419,15 +456,17 @@ def test_malformed_input_exits_2(corpus_setup, series_setup, mode, setup):
 
 def test_polarity_averages_leave_out_classes_a_step_does_not_score():
     from trace_scores.cli import _polarity_averages
-    from trace_scores.scoring import Polarity, StepScore, TrajectoryScore
-    steps = [StepScore(t_index=1, per_class={"a": 0.5, "b": -0.25, "c": 0.125}),
-             StepScore(t_index=2, per_class={"b": 0.75}),
-             StepScore(t_index=3, skipped=True)]
+    from trace_scores.scoring import Polarity, SkipReason
+    nan = np.nan
+    per_class = [[0.5, -0.25, 0.125], [nan, 0.75, nan], [nan, nan, nan]]
+    skip = [0, 0, SkipReason.NO_FEATURE_CHANGE]
+    ts = hand_scored([0.1, -0.75, nan], skip, "abc", per_class)
     pmap = {"a": Polarity.DESIRABLE, "b": Polarity.UNDESIRABLE, "c": Polarity.DESIRABLE}
-    assert _polarity_averages(TrajectoryScore(steps, 1), pmap) == {
+    assert _polarity_averages(ts, pmap) == {
         "average_desirable": (0.5 + 0.125) / 2, "average_undesirable": (-0.25 + 0.75) / 2}
     pmap = {"a": Polarity.DESIRABLE}
-    assert _polarity_averages(TrajectoryScore(steps[1:], 1), pmap) == {
+    ts = hand_scored([-0.75, nan], skip[1:], "abc", per_class[1:])
+    assert _polarity_averages(ts, pmap) == {
         "average_desirable": None, "average_undesirable": None}
 
 

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trace_scores.errors import ConfigError, DegenerateGeometry, TargetError, TrajectoryError
-from trace_scores.geometry import (DEFAULT_EPSILON, Degeneracy, FeatureVector, norm_of,
-                                   step_score)
+from trace_scores.geometry import (DEFAULT_EPSILON, Degeneracy, FeatureVector, StepGeometry,
+                                   norm_of, step_score)
 from trace_scores.pipeline import Trajectory
 from trace_scores.scoring import (Polarity, SkipReason, TargetSpec, per_step, score_step,
                                   score_trajectory)
@@ -32,8 +32,15 @@ def assert_same_geometry(got, want):
                                [(g.r1, g.r2, g.s) for g in want], rtol=0, atol=1e-12)
 
 
-def geometries(step):
-    return [g for _, _, g in step.per_target]
+def geometries(ts):
+    """The kept targets' scores of a TrajectoryScore as StepGeometry."""
+    return [StepGeometry(r1, r2, s, Degeneracy(f)) for r1, r2, s, f in
+            zip(ts.r1.tolist(), ts.r2.tolist(), ts.s.tolist(), ts.flag.tolist())]
+
+
+def class_means(ts, i=0):
+    """Step ``i``'s per-class means as a mapping, without the unscored classes."""
+    return {c: v for c, v in zip(ts.labels, ts.per_class[i].tolist()) if v == v}
 
 
 class TestMaskStatic:
@@ -45,7 +52,7 @@ class TestMaskStatic:
         step = score_step([1, 5], [2, 6], [target([3, 5])], 0.9)
         without = score_step([1], [2], [target([3])], 0.9)
         assert_same_geometry(geometries(step), geometries(without))
-        assert step.combined == without.combined == 1.0
+        assert step.combined[0] == without.combined[0] == 1.0
 
     def test_all_dims_differ(self):
         step = score_step([1, 5], [2, 6], [target([3, 7])], 0.9)
@@ -53,13 +60,13 @@ class TestMaskStatic:
 
     def test_all_masked(self):
         step = score_step([1, 5], [2, 6], [target([1, 5])], 0.9)
-        assert step.skip_reason is SkipReason.ALL_MASKED
+        assert step.skip[0] == SkipReason.ALL_MASKED
 
     def test_union_over_targets(self):
         # each target is static in one dim, so the union keeps both dims
         points = [[1, 7], [3, 5]]
         step = score_step([1, 5], [2, 6], [target(p) for p in points], 0.9)
-        assert not step.skipped
+        assert step.skip[0] == 0
         assert_same_geometry(geometries(step),
                              [step_score([1, 5], [2, 6], p, 0.9) for p in points])
 
@@ -67,20 +74,20 @@ class TestMaskStatic:
 class TestScoreStep:
     def test_goal_reached_combined_one(self):
         s = score_step([0, 0], [1, 1], [target([1, 1])], 0.9)
-        assert s.combined == 1.0
+        assert s.combined[0] == 1.0
 
     def test_two_class_toward_desirable(self):
         targets = [target([1, 0], "good", Polarity.DESIRABLE),
                    target([-1, 0], "bad", Polarity.UNDESIRABLE)]
         s = score_step([0, 0], [0.5, 0], targets, 1.0)
-        assert s.per_class == {"good": 1.0, "bad": -1.0}
-        assert s.combined == 1.0
+        assert class_means(s) == {"good": 1.0, "bad": -1.0}
+        assert s.combined[0] == 1.0
 
     def test_two_class_toward_undesirable(self):
         targets = [target([1, 0], "good", Polarity.DESIRABLE),
                    target([-1, 0], "bad", Polarity.UNDESIRABLE)]
         s = score_step([0, 0], [-0.5, 0], targets, 1.0)
-        assert s.combined == -1.0
+        assert s.combined[0] == -1.0
 
     def test_no_targets(self):
         with pytest.raises(TargetError):
@@ -88,14 +95,13 @@ class TestScoreStep:
 
     def test_all_masked_skip(self):
         s = score_step([1, 5], [2, 6], [target([1, 5])], 0.9)
-        assert s.skipped
-        assert s.skip_reason is SkipReason.ALL_MASKED
+        assert s.skip[0] == SkipReason.ALL_MASKED
+        assert np.isnan(s.combined[0]) and np.isnan(s.per_class).all()
 
     def test_no_change_skip(self):
         # x_next differs from x_t only in the masked dimension
         s = score_step([1, 5], [1, 6], [target([2, 5])], 0.9)
-        assert s.skipped
-        assert s.skip_reason is SkipReason.NO_FEATURE_CHANGE
+        assert s.skip[0] == SkipReason.NO_FEATURE_CHANGE
 
     def test_combined_in_range(self):
         rng = np.random.default_rng(1)
@@ -104,8 +110,8 @@ class TestScoreStep:
             targets = [target(p1, "a", Polarity.DESIRABLE),
                        target(p2, "b", Polarity.UNDESIRABLE)]
             s = score_step(x_t, x_next, targets, 0.9)
-            if not s.skipped:
-                assert -1.0 <= s.combined <= 1.0
+            if not s.skip[0]:
+                assert -1.0 <= s.combined[0] <= 1.0
 
     def test_only_desirable_classes_bounded_below_by_minus_lambda(self):
         rng = np.random.default_rng(17)
@@ -114,8 +120,8 @@ class TestScoreStep:
             x_t, x_next, p1, p2 = rng.normal(size=(4, 3))
             ts = [target(p1, "a"), target(p2, "b")]
             s = score_step(x_t, x_next, ts, lam)
-            if not s.skipped:
-                assert -lam <= s.combined <= 1.0
+            if not s.skip[0]:
+                assert -lam <= s.combined[0] <= 1.0
 
     def test_polarity_antisymmetry(self):
         rng = np.random.default_rng(2)
@@ -127,8 +133,8 @@ class TestScoreStep:
                    target(p2, "b", Polarity.DESIRABLE)]
             s_pos = score_step(x_t, x_next, pos, 0.9)
             s_neg = score_step(x_t, x_next, neg, 0.9)
-            if not s_pos.skipped:
-                assert s_neg.combined == -s_pos.combined
+            if not s_pos.skip[0]:
+                assert s_neg.combined[0] == -s_pos.combined[0]
 
     def test_target_permutation_invariance(self):
         rng = np.random.default_rng(3)
@@ -138,8 +144,8 @@ class TestScoreStep:
                   target(p3, "b", Polarity.UNDESIRABLE)]
             s1 = score_step(x_t, x_next, ts, 0.9)
             s2 = score_step(x_t, x_next, ts[::-1], 0.9)
-            assert s1.combined == pytest.approx(s2.combined, abs=1e-15)
-            assert s1.per_class == pytest.approx(s2.per_class)
+            assert s1.combined[0] == pytest.approx(s2.combined[0], abs=1e-15)
+            assert class_means(s1) == pytest.approx(class_means(s2))
 
     def test_masking_soundness(self):
         # appending a dim identical in x_t, x_next and all targets is a no-op
@@ -152,66 +158,61 @@ class TestScoreStep:
             ts_pad = [target(pad(p1), "a"),
                       target(pad(p2), "b", Polarity.UNDESIRABLE)]
             padded = score_step(pad(x_t), pad(x_next), ts_pad, 0.9)
-            assert padded.combined == base.combined
+            assert padded.combined[0] == base.combined[0]
 
     def test_class_weights(self):
         targets = [target([1, 0], "good", Polarity.DESIRABLE, weight=3.0),
                    target([-1, 0], "bad", Polarity.UNDESIRABLE, weight=1.0)]
         s = score_step([0, 0], [0.5, 0], targets, 1.0)
         # (3*1*1 + 1*(-1)*(-1)) / 4
-        assert s.combined == pytest.approx(1.0)
+        assert s.combined[0] == pytest.approx(1.0)
         s = score_step([0, 0], [-0.5, 0], targets, 1.0)
-        assert s.combined == pytest.approx((3 * -1 + 1 * -1 * -1 * -1) / 4.0)
+        assert s.combined[0] == pytest.approx((3 * -1 + 1 * -1 * -1 * -1) / 4.0)
         # the undesirable target lies square to the move: weighted 0.75, unweighted 0.5
         targets = [target([1, 0], "good", Polarity.DESIRABLE, weight=3.0),
                    target([0, -1], "bad", Polarity.UNDESIRABLE, weight=1.0)]
         s = score_step([0, 0], [0.5, 0], targets, 1.0)
-        assert s.combined == pytest.approx(0.75)
+        assert s.combined[0] == pytest.approx(0.75)
 
     def test_one_dim_toward_target_is_plus_one(self):
-        assert score_step([0], [1], [target([2])], 1.0).combined == 1.0
+        assert score_step([0], [1], [target([2])], 1.0).combined[0] == 1.0
 
     def test_one_dim_away_from_target_is_minus_one(self):
-        assert score_step([0], [-1], [target([2])], 1.0).combined == -1.0
+        assert score_step([0], [-1], [target([2])], 1.0).combined[0] == -1.0
 
     def test_one_dim_r1_is_exactly_plus_minus_one(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
             x_t, x_next, p = rng.normal(size=(3, 1))
-            for _, _, geom in score_step(x_t, x_next, [target(p)], 1.0).per_target:
-                assert geom.r1 in (-1.0, 1.0)
+            assert set(score_step(x_t, x_next, [target(p)], 1.0).r1.tolist()) <= {-1.0, 1.0}
 
     def test_degenerate_target_dropped(self):
         # one target sits exactly on the factual; the other still scores
         targets = [target([0, 0], "a"), target([1, 0], "b")]
         s = score_step([0, 0], [0.5, 0], targets, 1.0)
-        assert not s.skipped
-        assert set(s.per_class) == {"b"}
-        assert s.combined == 1.0
+        assert s.skip[0] == 0
+        assert class_means(s) == {"b": 1.0}
+        assert s.combined[0] == 1.0
 
 
 class TestScoreTrajectory:
     def test_two_point_onto_target(self):
         ts = score_trajectory(traj([(0, 0), (1, 1)]),
                               single_target_provider([1, 1]), 0.9)
-        assert len(ts.steps) == 1
-        assert ts.steps[0].combined == 1.0
-        assert ts.steps[0].t_index == 1
+        assert ts.steps.tolist() == [1]
+        assert ts.combined[0] == 1.0
 
     def test_repeated_middle_point_skipped(self):
         ts = score_trajectory(traj([(0, 0), (0.5, 0), (0.5, 0)]),
                               single_target_provider([1, 1]), 0.9)
         assert ts.skipped_count == 1
-        scored = ts.scored_steps()
-        assert len(scored) == 1
-        assert scored[0].t_index == 1
+        assert ts.steps[ts.skip == 0].tolist() == [1]
 
     def test_straight_line_all_ones_at_lambda_one(self):
         pts = [(0.1 * i, 0.2 * i) for i in range(5)]
         ts = score_trajectory(traj(pts), single_target_provider([10, 20]), 1.0)
-        assert all(s.combined == pytest.approx(1.0, abs=1e-12)
-                   for s in ts.scored_steps())
-        assert len(ts.scored_steps()) == 4
+        assert ts.skipped_count == 0
+        np.testing.assert_allclose(ts.combined, [1.0] * 4, rtol=0, atol=1e-12)
 
     def test_too_short(self):
         with pytest.raises(TrajectoryError):
@@ -221,9 +222,9 @@ class TestScoreTrajectory:
         pts = [(0, 0), (1, 0), (2, 0)]
         ts = score_trajectory(traj(pts), single_target_provider([10, 1]),
                               [1.0, 0.0])
-        geoms = [s.per_target[0][2] for s in ts.steps]
-        assert ts.steps[0].combined == geoms[0].r1
-        assert ts.steps[1].combined == geoms[1].r2
+        assert ts.step.tolist() == [0, 1]
+        assert ts.combined[0] == ts.r1[0]
+        assert ts.combined[1] == ts.r2[1]
 
     def test_targets_requeried_per_step(self):
         calls = []
@@ -259,34 +260,43 @@ def reference_step(x_t, x_next, targets, lam, weights=None, epsilon=DEFAULT_EPSI
         per_target.append((spec.class_label, spec.polarity, geom))
         scores.setdefault(spec.class_label, []).append(geom.s)
         class_weights.setdefault(spec.class_label, []).append(spec.weight)
+    if not per_target:
+        return SkipReason.ALL_TARGETS_DROPPED, [], {}, None
     per_class = {c: float(np.mean(v)) for c, v in scores.items()}
     polarity = {label: pol for label, pol, _ in per_target}
     cw = {c: float(np.mean(v)) for c, v in class_weights.items()}
     combined = (sum(cw[c] * float(polarity[c]) * per_class[c] for c in per_class)
-                / sum(cw.values())) if per_class else None
+                / sum(cw.values()))
     return None, per_target, per_class, combined
 
 
-def assert_matches_reference(step, x_t, x_next, targets, lam, weights=None):
+def assert_matches_reference(ts, i, x_t, x_next, targets, lam, weights=None):
+    """Step ``i`` of ``ts`` against ``reference_step``: its skip reason, its
+    kept targets' classes, polarities, flags and scores, its per-class means
+    and its combined score."""
     reason, per_target, per_class, combined = reference_step(x_t, x_next, targets, lam, weights)
-    assert step.skipped == (reason is not None)
-    assert step.skip_reason is reason
-    assert [(c, p) for c, p, _ in step.per_target] == [(c, p) for c, p, _ in per_target]
-    for (_, _, got), (_, _, want) in zip(step.per_target, per_target):
-        assert got.degenerate is want.degenerate
+    assert ts.skip[i] == (0 if reason is None else reason)
+    rows = ts.step == i
+    assert [(ts.labels[c], p) for c, p in zip(ts.cls[rows].tolist(), ts.polarity[rows].tolist())] \
+        == [(c, p) for c, p, _ in per_target]
+    for r1, r2, s, flag, (_, _, want) in zip(ts.r1[rows].tolist(), ts.r2[rows].tolist(),
+                                            ts.s[rows].tolist(), ts.flag[rows].tolist(),
+                                            per_target):
+        assert Degeneracy(flag) is want.degenerate
         # the documented ranges, and the exact ones of a reached goal, hold bit for bit
-        assert -1.0 <= got.r1 <= 1.0 and 0.0 <= got.r2 <= 1.0
-        if got.degenerate is Degeneracy.GOAL_REACHED:
-            assert got.r1 == got.r2 == got.s == 1.0
-        np.testing.assert_allclose([got.r1, got.r2, got.s], [want.r1, want.r2, want.s],
-                                   rtol=0, atol=1e-12)
-    assert list(step.per_class) == list(per_class)
-    np.testing.assert_allclose(list(step.per_class.values()), list(per_class.values()),
+        assert -1.0 <= r1 <= 1.0 and 0.0 <= r2 <= 1.0
+        if want.degenerate is Degeneracy.GOAL_REACHED:
+            assert r1 == r2 == s == 1.0
+        np.testing.assert_allclose([r1, r2, s], [want.r1, want.r2, want.s], rtol=0, atol=1e-12)
+    # the matrix has no per-step class order: compare the means as a mapping
+    got = class_means(ts, i)
+    assert got.keys() == per_class.keys()
+    np.testing.assert_allclose([got[c] for c in per_class], list(per_class.values()),
                                rtol=0, atol=1e-12)
     if combined is None:
-        assert step.combined is None
+        assert np.isnan(ts.combined[i])
     else:
-        assert step.combined == pytest.approx(combined, rel=0, abs=1e-12)
+        assert ts.combined[i] == pytest.approx(combined, rel=0, abs=1e-12)
 
 
 # grid values make repeated coordinates, static dims and collinear targets common
@@ -336,10 +346,12 @@ def test_kernel_matches_scalar_step_score(case):
     lams = [lam if isinstance(lam, float) else lam[i] for i in range(len(target_lists))]
     ts = score_trajectory(traj, per_step(lambda t, x: target_lists[t]), lam,
                           feature_weights=weights)
-    assert [s.t_index for s in ts.steps] == list(range(1, len(xs)))
-    assert ts.skipped_count == sum(s.skipped for s in ts.steps)
-    for i, step in enumerate(ts.steps):
-        assert_matches_reference(step, xs[i], xs[i + 1], target_lists[i], lams[i], weights)
+    assert ts.steps.tolist() == list(range(1, len(xs)))
+    assert (np.diff(ts.step) >= 0).all()
+    # every scored step, and no skipped one, has a finite combined score
+    assert (np.isfinite(ts.combined) == (ts.skip == 0)).all()
+    for i in range(len(ts.steps)):
+        assert_matches_reference(ts, i, xs[i], xs[i + 1], target_lists[i], lams[i], weights)
 
 
 @pytest.mark.parametrize("x_t, x_next, points, weights, expect", [
@@ -352,21 +364,21 @@ def test_kernel_matches_scalar_step_score(case):
     ([1, 5], [1, 6], [[2, 5]], None, SkipReason.NO_FEATURE_CHANGE),
     ([0, 0], [0.5, 0], [[0, 0], [1, 0]], None, "dropped"),
     # the target's dim is active, but its weighted distance is within epsilon
-    ([0], [1], [[2e-9]], [0.01], "all dropped"),
+    ([0], [1], [[2e-9]], [0.01], SkipReason.ALL_TARGETS_DROPPED),
 ], ids=["goal-reached", "goal-reached-rounded", "best-achieved", "best-achieved-past", "all-masked",
         "no-move", "dropped-target", "every-target-dropped"])
 def test_kernel_matches_scalar_on_degenerate_steps(x_t, x_next, points, weights, expect):
     targets = [target(p, label) for p, label in zip(points, "ab")]
     for lam in (0.0, 0.4, 1.0):
         step = score_step(x_t, x_next, targets, lam, feature_weights=weights)
-        assert_matches_reference(step, x_t, x_next, targets, lam, weights)
+        assert_matches_reference(step, 0, x_t, x_next, targets, lam, weights)
         if isinstance(expect, Degeneracy):
-            assert [g.degenerate for _, _, g in step.per_target] == [expect]
+            assert step.flag.tolist() == [expect.value]
         elif isinstance(expect, SkipReason):
-            assert step.skip_reason is expect
+            assert step.skip[0] == expect
         else:
-            assert len(step.per_target) == len(points) - 1
-            assert not step.skipped
+            assert len(step.s) == len(points) - 1
+            assert step.skip[0] == 0
 
 
 def test_first_bad_scored_step_raises():
@@ -374,7 +386,7 @@ def test_first_bad_scored_step_raises():
     pts = [(0, 0), (1, 0), (2, 0)]
     provider = per_step(lambda t, x: [target([0, 0] if t == 0 else [5, 0])])
     ts = score_trajectory(traj(pts), provider, [1.0, 0.5])
-    assert ts.steps[0].skip_reason is SkipReason.ALL_MASKED
+    assert ts.skip[0] == SkipReason.ALL_MASKED
     with pytest.raises(ConfigError, match="got 1.5"):
         score_trajectory(traj(pts), provider, [7.0, 1.5])
     conflicting = [target([5, 0], "a"), target([6, 1], "a", Polarity.UNDESIRABLE)]
