@@ -5,13 +5,13 @@ the core geometry; everything else is imported from its module.
 """
 
 from .analytics import aggregate, welch_t_test
-from .geometry import FeatureVector, closest_point, step_score
+from .geometry import closest_point, step_score
 from .pipeline import Trajectory, fit_normalizer, impute
-from .scoring import Polarity, TargetSpec, score_trajectory
-from .targets import build_index, knn_targets
+from .scoring import Polarity, score_trajectory
+from .targets import build_index, knn_provider, series_provider
 
 __all__ = [
-    "FeatureVector", "Polarity", "TargetSpec", "Trajectory", "aggregate",
-    "build_index", "closest_point", "fit_normalizer", "impute", "knn_targets",
-    "score_trajectory", "step_score", "welch_t_test",
+    "Polarity", "Trajectory", "aggregate", "build_index", "closest_point",
+    "fit_normalizer", "impute", "knn_provider", "score_trajectory",
+    "series_provider", "step_score", "welch_t_test",
 ]

@@ -17,8 +17,7 @@ import click
 import numpy as np
 
 from . import analytics, demo, scoring
-from .errors import (ConfigError, CorpusError, DimensionError, TargetError,
-                     TraceError, TrajectoryError)
+from .errors import ConfigError, CorpusError, TargetError, TraceError, TrajectoryError
 from .pipeline import (build_trajectory, fit_normalizer, load_trajectory_csv, parse_cells,
                        parse_t, read_csv)
 from .scoring import Polarity
@@ -152,7 +151,7 @@ def run_build_index(corpus_csv, out_path) -> Dict[str, int]:
         stats = fit_normalizer(points, names)
     except CorpusError as e:
         raise CorpusError(f"{corpus_csv}: {e}") from None
-    corpus = build_index(zip(points, labels), norm_stats=stats)
+    corpus = build_index(points, labels, norm_stats=stats)
     # imputation fallbacks operate on raw values, so store raw class means
     corpus.class_means = {label: corpus.points[idx.rows].mean(axis=0).tolist()
                           for label, idx in corpus.class_indices.items()}
@@ -160,7 +159,7 @@ def run_build_index(corpus_csv, out_path) -> Dict[str, int]:
     return {label: corpus.class_size(label) for label in corpus.classes()}
 
 
-def _polarity_averages(ts, polarity_by_class) -> dict:
+def _polarity_averages(ts) -> dict:
     """Per polarity, the mean over the scored steps of each step's mean over
     the classes of that polarity it scores."""
     rows = ts.per_class[ts.skip == 0]
@@ -168,7 +167,7 @@ def _polarity_averages(ts, polarity_by_class) -> dict:
     for key, polarity in (("average_desirable", Polarity.DESIRABLE),
                           ("average_undesirable", Polarity.UNDESIRABLE)):
         # (scored steps, classes); nan where a step scores no target of a class
-        m = rows[:, [polarity_by_class.get(c) == polarity for c in ts.labels]]
+        m = rows[:, ts.polarity == polarity]
         n = (~np.isnan(m)).sum(axis=1)
         means = np.nansum(m, axis=1)[n > 0] / n[n > 0]
         out[key] = float(np.mean(means)) if len(means) else None
@@ -226,18 +225,18 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
                 "final_cumulative": agg.cumulative[-1],
                 **(row_extra(ts) if row_extra else {}),
             })
-    if not summary_rows:
-        raise TraceError("no subject could be scored")
-    key_fields = ["subject"] if target_sets[0][0] is None else ["subject", "series"]
-    _write_jsonl(out_dir / "steps.jsonl", step_lines)
-    _write_wide(out_dir / "scores_wide.csv", step_lines, key_fields)
-    _write_summary(out_dir / "summary.csv", summary_rows, columns)
     if errors:
         _write_summary(out_dir / "errors.csv",
                        [{"subject_id": s, "error": e} for s, e in errors],
                        ["subject_id", "error"])
         for subject, message in errors:
             click.echo(f"subject {subject}: {message}", err=True)
+    if not summary_rows:
+        raise TraceError("no subject could be scored")
+    key_fields = ["subject"] if target_sets[0][0] is None else ["subject", "series"]
+    _write_jsonl(out_dir / "steps.jsonl", step_lines)
+    _write_wide(out_dir / "scores_wide.csv", step_lines, key_fields)
+    _write_summary(out_dir / "summary.csv", summary_rows, columns)
     info = {"subjects": len({row["subject_id"] for row in summary_rows}),
             "errors": len(errors)}
     return summary_rows, info
@@ -251,8 +250,8 @@ def run_score_corpus(traj_csv, index_path, cfg: RunConfig, out_dir) -> dict:
     corpus, features = load_corpus(index_path)
     traj_data = load_trajectory_csv(traj_csv)
     if traj_data[2] != features:
-        raise DimensionError(f"{traj_csv}: trajectory features {traj_data[2]} do not match "
-                             f"index features {features}")
+        raise TrajectoryError(f"{traj_csv}: trajectory features {traj_data[2]} do not match "
+                              f"index features {features}")
     if not cfg.polarity_map:
         raise ConfigError("corpus mode requires a polarity_map in the config")
     unknown = [c for c in cfg.polarity_map if c not in corpus.class_indices]
@@ -269,7 +268,7 @@ def run_score_corpus(traj_csv, index_path, cfg: RunConfig, out_dir) -> dict:
         ["subject_id", "label", "n_steps", "n_skipped", "average",
          "final_cumulative", "average_desirable", "average_undesirable"],
         {"class_means": corpus.class_means, "normalizer": corpus.norm_stats},
-        row_extra=lambda ts: _polarity_averages(ts, cfg.polarity_map))
+        row_extra=_polarity_averages)
     return info
 
 
@@ -279,7 +278,7 @@ def read_series_csv(path, feature_names) -> Dict[int, List[float]]:
     if header[0] != "t":
         raise TargetError(f"{path}: header must start with t")
     if header[1:] != list(feature_names):
-        raise DimensionError(
+        raise TargetError(
             f"{path}: series features {header[1:]} do not match "
             f"trajectory features {list(feature_names)}")
     points: Dict[int, List[float]] = {}
@@ -302,6 +301,11 @@ def run_score_series(traj_csv, targets_dir, cfg: RunConfig, out_dir) -> dict:
                                             cfg.polarity_map.get(f.stem, Polarity.DESIRABLE),
                                             read_series_csv(f, traj_data[2])))
                    for f in files]
+    names = [f.stem for f in files]
+    unknown = [s for s in cfg.polarity_map if s not in names]
+    if unknown:
+        raise ConfigError(f"polarity_map names series {unknown[0]!r}, which {targets_dir} "
+                          f"lacks (series: {names})")
     summary_rows, info = _score_cohort(
         traj_data, target_sets, cfg, out_dir,
         ["subject_id", "series", "n_steps", "n_skipped", "average", "final_cumulative"],

@@ -1,9 +1,9 @@
 """Inner-product-space primitives for single-step trajectory scoring.
 
-Everything here is a pure function of its inputs. The central pieces are
-the closest-point projection of a target onto the observed move direction,
-the angle score ``r1``, the landing score ``r2``, and their weighted
-combination ``step_score``.
+Everything here is a pure function of plain 1-D arrays (or sequences of
+floats). The central pieces are the closest-point projection of a target
+onto the observed move direction, the angle score ``r1``, the landing
+score ``r2``, and their weighted combination ``step_score``.
 """
 
 from __future__ import annotations
@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import ConfigError, DegenerateGeometry, DimensionError
 
@@ -30,28 +31,6 @@ class Degeneracy(Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class FeatureVector:
-    """A point in the (normalized) feature space. All values finite."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim != 1:
-            raise DimensionError(f"expected a 1-D vector, got shape {arr.shape}")
-        if arr.size == 0:
-            raise DimensionError("feature vector must have at least one dimension")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite value in feature vector")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class StepGeometry:
     """Raw per-step, per-target scores."""
 
@@ -61,12 +40,7 @@ class StepGeometry:
     degenerate: Degeneracy = Degeneracy.NONE
 
 
-VectorLike = Union[FeatureVector, np.ndarray, Sequence[float]]
-
-
-def _as_array(x: VectorLike) -> np.ndarray:
-    if isinstance(x, FeatureVector):
-        return x.values
+def _as_array(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise DimensionError(f"expected a 1-D vector, got shape {arr.shape}")
@@ -84,7 +58,7 @@ def _check_weights(weights, dim: int) -> Optional[np.ndarray]:
     return w
 
 
-def inner(a: VectorLike, b: VectorLike, weights=None) -> float:
+def inner(a: ArrayLike, b: ArrayLike, weights=None) -> float:
     """Weighted dot product; plain dot product when ``weights`` is None."""
     av, bv = _as_array(a), _as_array(b)
     if av.shape != bv.shape:
@@ -95,12 +69,12 @@ def inner(a: VectorLike, b: VectorLike, weights=None) -> float:
     return float(np.dot(av * w, bv))
 
 
-def norm_of(v: VectorLike, weights=None) -> float:
+def norm_of(v: ArrayLike, weights=None) -> float:
     """Inner-product-induced norm."""
     return math.sqrt(inner(v, v, weights))
 
 
-def r1(v_t: VectorLike, v_prime: VectorLike, *, epsilon: float = DEFAULT_EPSILON, weights=None) -> float:
+def r1(v_t: ArrayLike, v_prime: ArrayLike, *, epsilon: float = DEFAULT_EPSILON, weights=None) -> float:
     """Angle cosine between the observed change and the desired change.
 
     Value in [-1, 1]; invariant under positive rescaling of either argument.
@@ -113,8 +87,8 @@ def r1(v_t: VectorLike, v_prime: VectorLike, *, epsilon: float = DEFAULT_EPSILON
     return min(1.0, max(-1.0, val))
 
 
-def closest_point(a: VectorLike, b: VectorLike, c: VectorLike, *,
-                  epsilon: float = DEFAULT_EPSILON, weights=None) -> FeatureVector:
+def closest_point(a: ArrayLike, b: ArrayLike, c: ArrayLike, *,
+                  epsilon: float = DEFAULT_EPSILON, weights=None) -> np.ndarray:
     """Closest point to ``a`` on the line through ``b`` in direction ``c - b``.
 
     d = b + (h / ||h||) * ||g|| * theta with h = c - b, g = a - b and
@@ -133,8 +107,7 @@ def closest_point(a: VectorLike, b: VectorLike, c: VectorLike, *,
     if ng <= epsilon:
         raise DegenerateGeometry("a coincides with b")
     theta = inner(h, g, weights) / (nh * ng)
-    d = bv + (h / nh) * ng * theta
-    return FeatureVector(d)
+    return bv + (h / nh) * ng * theta
 
 
 def _best_point(x_t: np.ndarray, v_t: np.ndarray, n_vt: float,
@@ -146,7 +119,7 @@ def _best_point(x_t: np.ndarray, v_t: np.ndarray, n_vt: float,
     return x_t.copy()
 
 
-def r2(x_t: VectorLike, x_next: VectorLike, x_target: VectorLike, *,
+def r2(x_t: ArrayLike, x_next: ArrayLike, x_target: ArrayLike, *,
        epsilon: float = DEFAULT_EPSILON, weights=None):
     """Landing score: |cos| between the residual from the best achievable
     point and the residual from the actual landing point.
@@ -180,7 +153,7 @@ def r2(x_t: VectorLike, x_next: VectorLike, x_target: VectorLike, *,
     return min(1.0, val), Degeneracy.NONE
 
 
-def step_score(x_t: VectorLike, x_next: VectorLike, x_target: VectorLike,
+def step_score(x_t: ArrayLike, x_next: ArrayLike, x_target: ArrayLike,
                lam: float, *, epsilon: float = DEFAULT_EPSILON,
                weights=None) -> StepGeometry:
     """Combined score s = lam * r1 + (1 - lam) * r2 for one step and target.

@@ -16,7 +16,6 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import CorpusError, DimensionError, ImputeError, TrajectoryError
-from .geometry import FeatureVector
 
 
 @dataclass(eq=False)
@@ -49,20 +48,12 @@ class Trajectory:
             raise TrajectoryError(f"value at t={self.t[np.argmin(finite)]} is not finite")
 
 
-def impute(records: Sequence[RawRecord],
-           class_means: Optional[Sequence[float]] = None) -> List[RawRecord]:
-    """One subject's sorted records with every None filled by ``_fill``."""
-    if not records:
-        return []
-    x = _fill(np.array([r.values for r in records], dtype=float), class_means)
-    return [RawRecord(subject_id=r.subject_id, t_index=r.t_index, values=row)
-            for r, row in zip(records, x.tolist())]
-
-
-def _fill(x: np.ndarray, class_means: Optional[Sequence[float]] = None) -> np.ndarray:
-    """Fill the NaNs of one subject's ``(n, dim)`` rows: each takes its
-    column's nearest earlier value (forward fill), else its nearest later one
-    (backward fill), else, in a column with no value, the class mean."""
+def impute(x, class_means: Optional[Sequence[float]] = None) -> np.ndarray:
+    """Fill the missing values (NaN or None) of one subject's ``(n, dim)``
+    rows: each takes its column's nearest earlier value (forward fill), else
+    its nearest later one (backward fill), else, in a column with no value,
+    the class mean."""
+    x = np.asarray(x, dtype=float)
     missing = np.isnan(x)
     if not missing.any():
         return x
@@ -100,7 +91,7 @@ class NormStats:
         return len(self.names)
 
     @np.errstate(over="ignore", invalid="ignore")
-    def apply_rows(self, rows) -> np.ndarray:
+    def apply(self, rows) -> np.ndarray:
         """Normalize each row of an ``(n, dim)`` matrix; a constant feature
         maps to 0.5. A quotient that overflows comes out infinite."""
         v = np.asarray(rows, dtype=float)
@@ -109,17 +100,6 @@ class NormStats:
                 f"rows of shape {v.shape} do not match normalizer {self.dim}")
         span = self.maxs - self.mins
         return np.where(span > 0, (v - self.mins) / np.where(span > 0, span, 1.0), 0.5)
-
-    def apply(self, values) -> FeatureVector:
-        return FeatureVector(self.apply_rows(np.asarray(values, dtype=float)[None, :])[0])
-
-    def invert(self, values) -> np.ndarray:
-        v = np.asarray(values, dtype=float)
-        if v.shape != (self.dim,):
-            raise DimensionError(
-                f"vector dimension {v.shape[0]} does not match normalizer {self.dim}")
-        span = self.maxs - self.mins
-        return np.where(span > 0, v * span + self.mins, self.mins)
 
     def to_json(self) -> dict:
         return {"features": [{"name": n, "min": float(lo), "max": float(hi)}
@@ -229,7 +209,7 @@ def build_trajectory(records: Sequence[RawRecord], *,
     """Impute one subject's sorted records, the class mean of ``label``
     filling a column with no value, and (optionally) normalize."""
     means = None if class_means is None else class_means.get(label)
-    x = _fill(np.array([r.values for r in records], dtype=float), means)
+    x = impute(np.array([r.values for r in records], dtype=float), means)
     if normalizer:
-        x = normalizer.apply_rows(x)
+        x = normalizer.apply(x)
     return Trajectory(records[0].subject_id, [r.t_index for r in records], x)

@@ -1,10 +1,10 @@
 """Lift single-step geometry to whole trajectories with multiple targets.
 
-Targets carry a class label and a polarity (desirable counts positively,
-undesirable negatively). Per step, static features identical between the
-factual and every target are masked out, each target gets its own raw
-step geometry, targets are averaged within their class, and classes are
-combined into one signed score in [-1, 1].
+Targets carry a class label, and each class a polarity (desirable counts
+positively, undesirable negatively). Per step, static features identical
+between the factual and every target are masked out, each target gets its
+own raw step geometry, targets are averaged within their class, and
+classes are combined into one signed score in [-1, 1].
 
 A trajectory's targets come from one provider call as a ``Targets`` block
 of arrays, one row per (step, target), and one array kernel
@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Dict, List, Sequence, Union
+from typing import Callable, List
 
 import numpy as np
 
 from . import geometry
 from .errors import ConfigError, DimensionError, TargetError, TrajectoryError
-from .geometry import DEFAULT_EPSILON, FeatureVector
+from .geometry import DEFAULT_EPSILON
 
 
 class Polarity(IntEnum):
@@ -40,20 +40,6 @@ class SkipReason(IntEnum):
     ALL_TARGETS_DROPPED = 3
 
 
-@dataclass(frozen=True, eq=False)
-class TargetSpec:
-    """One counterfactual target point."""
-
-    point: FeatureVector
-    class_label: str
-    polarity: Polarity = Polarity.DESIRABLE
-    weight: float = 1.0
-
-    def __post_init__(self):
-        if self.weight <= 0:
-            raise ConfigError(f"target weight must be positive, got {self.weight}")
-
-
 @dataclass(eq=False)
 class TrajectoryScore:
     """A trajectory's scores as the kernel's arrays: first one entry per
@@ -63,10 +49,10 @@ class TrajectoryScore:
     skip: np.ndarray       # SkipReason code, 0 for a scored step
     combined: np.ndarray   # NaN for a skipped step
     labels: List[str]
+    polarity: np.ndarray   # (len(labels),) 1.0 or -1.0 for each class
     per_class: np.ndarray  # (n_steps, len(labels)) means, NaN for a class not scored
     step: np.ndarray       # index into ``steps``
     cls: np.ndarray        # index into ``labels``
-    polarity: np.ndarray   # 1.0 or -1.0
     r1: np.ndarray
     r2: np.ndarray
     s: np.ndarray
@@ -80,44 +66,21 @@ class TrajectoryScore:
 @dataclass(eq=False)
 class Targets:
     """The targets of a trajectory's steps, one row per (step, target): rows
-    in step order and, within a step, in the provider's order. ``len`` is
-    the number of rows."""
+    in step order and, within a step, in the provider's order. Each class
+    has one polarity. ``len`` is the number of rows."""
 
     step: np.ndarray      # (rows,) the step of each row
     cls: np.ndarray       # (rows,) index into ``labels``
     labels: List[str]
-    polarity: np.ndarray  # (rows,) 1.0 or -1.0
-    weight: np.ndarray    # (rows,)
+    polarity: np.ndarray  # (len(labels),) 1.0 or -1.0 for each class
     points: np.ndarray    # (rows, dim)
 
     def __len__(self) -> int:
         return len(self.step)
 
 
-LambdaSchedule = Union[float, Sequence[float]]
 # called once per trajectory with its steps' t indices and (n_steps, dim) points
 TargetProvider = Callable[[np.ndarray, np.ndarray], Targets]
-
-
-def per_step(fn: Callable[[int, np.ndarray], Sequence[TargetSpec]]) -> TargetProvider:
-    """The provider that asks ``fn(t, x)`` for each step's TargetSpecs in
-    turn, ``t`` and ``x`` being the step's earlier t index and point."""
-    def provide(t_index, xs) -> Targets:
-        lists = [list(fn(t, x)) for t, x in zip(np.asarray(t_index).tolist(), xs)]
-        specs = [spec for targets in lists for spec in targets]
-        step = np.repeat(np.arange(len(lists)), [len(targets) for targets in lists])
-        pts = [geometry._as_array(spec.point) for spec in specs]
-        bad = next((p for p in pts if p.shape != xs.shape[1:]), None)
-        if bad is not None:
-            raise DimensionError(
-                f"target dimension {bad.shape[0]} does not match factual {xs.shape[1]}")
-        ids: Dict[str, int] = {}
-        cls = [ids.setdefault(spec.class_label, len(ids)) for spec in specs]
-        return Targets(step=step, cls=np.array(cls, dtype=int), labels=list(ids),
-                       polarity=np.array([float(s.polarity) for s in specs]),
-                       weight=np.array([s.weight for s in specs], dtype=float),
-                       points=np.array(pts))
-    return provide
 
 
 def _inner(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -128,24 +91,8 @@ def _norm(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.sqrt(_inner(v, v, w))
 
 
-def _check_live_steps(tg: Targets, lams: np.ndarray, live: np.ndarray) -> None:
-    """Raise for the first scored step whose lambda lies outside [0, 1] or
-    whose targets give one class two polarities."""
-    n_cls = len(tg.labels)
-    key = tg.step * n_cls + tg.cls
-    first = np.zeros(len(lams) * n_cls)
-    first[key[::-1]] = tg.polarity[::-1]   # the first row of each (step, class) wins
-    conflict = np.flatnonzero(live[tg.step] & (tg.polarity != first[key]))
-    bad_lam = np.flatnonzero(live & ~((lams >= 0.0) & (lams <= 1.0)))
-    if bad_lam.size and (not conflict.size or bad_lam[0] <= tg.step[conflict[0]]):
-        raise ConfigError(f"lambda must lie in [0, 1], got {lams[bad_lam[0]]}")
-    if conflict.size:
-        label = tg.labels[tg.cls[conflict[0]]]
-        raise ConfigError(f"class {label!r} carries conflicting polarities")
-
-
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _score_rows(x: np.ndarray, steps: np.ndarray, lam: LambdaSchedule, tg: Targets,
+def _score_rows(x: np.ndarray, steps: np.ndarray, lam: float, tg: Targets,
                 epsilon: float, feature_weights) -> TrajectoryScore:
     """Score the steps of the ``(n_steps + 1, dim)`` points ``x`` against
     ``tg`` with ``geometry.step_score``'s arithmetic, applied to all rows at
@@ -162,8 +109,9 @@ def _score_rows(x: np.ndarray, steps: np.ndarray, lam: LambdaSchedule, tg: Targe
     if tg.points.shape != (len(tg), dim):
         raise DimensionError(f"target points of shape {tg.points.shape} do not match "
                              f"factual dimension {dim}")
-    lams = (np.full(n, float(lam)) if isinstance(lam, (int, float))
-            else np.array([float(lam[i]) for i in range(n)]))
+    if tg.polarity.shape != (len(tg.labels),):
+        raise DimensionError(f"polarities of shape {tg.polarity.shape} do not match "
+                             f"{len(tg.labels)} classes")
     # zero weight on the masked dims gives the inner products of the active
     # subspace: a dim is active where some target of the step differs from x_t
     far = np.abs(tg.points - xt[tg.step]) > epsilon
@@ -175,7 +123,6 @@ def _score_rows(x: np.ndarray, steps: np.ndarray, lam: LambdaSchedule, tg: Targe
     all_masked = ~active.any(axis=1)
     no_move = ~all_masked & (n_move <= epsilon)
     live = ~(all_masked | no_move)
-    _check_live_steps(tg, lams, live)
 
     # a target on the factual in the active subspace is dropped
     v_prime = tg.points - xt[tg.step]
@@ -199,56 +146,31 @@ def _score_rows(x: np.ndarray, steps: np.ndarray, lam: LambdaSchedule, tg: Targe
     r2[goal | best] = 1.0
     r1 = np.clip(theta, -1.0, 1.0)
     r1[goal] = 1.0
-    lam = lams[ks]
     # a reached goal blends r1 = r2 = 1 into exactly 1 for every lambda in [0, 1]
-    s = np.where(lam == 1.0, r1, np.where(lam == 0.0, r2, lam * r1 + (1.0 - lam) * r2))
+    s = r1 if lam == 1.0 else r2 if lam == 0.0 else lam * r1 + (1.0 - lam) * r2
     # each norm is at most sqrt(max float): the sum is finite iff all five are
     bad = np.flatnonzero(~np.isfinite(s + n_vt[:, 0] + n_vp[:, 0] + n_vs + n_vhat))
     if bad.size:
         raise TrajectoryError(f"score at t={steps[ks[bad[0]]]} is not finite: "
                               "a value's square overflows")
 
-    # class means per (step, class), then the weighted polarity combination;
-    # an empty cell's mean is 0 / 0 = NaN and adds nothing to the combination
+    # class means per (step, class), then their polarity-signed mean; an empty
+    # cell's mean is 0 / 0 = NaN and adds nothing to the combination
     n_cls = len(tg.labels)
-    size = n * n_cls
     cls = tg.cls[kept]
     key = ks * n_cls + cls
-    count = np.bincount(key, minlength=size)
-    mean_s = np.bincount(key, s, size) / count
-    mean_w = np.bincount(key, tg.weight[kept], size) / np.maximum(count, 1)
-    polarity = np.zeros(size)
-    polarity[key] = tg.polarity[kept]
-    acc = np.nansum((mean_w * polarity * mean_s).reshape(n, n_cls), axis=1)
-    total = mean_w.reshape(n, n_cls).sum(axis=1)
+    count = np.bincount(key, minlength=n * n_cls).reshape(n, n_cls)
+    per_class = np.bincount(key, s, n * n_cls).reshape(n, n_cls) / count
+    combined = np.nansum(tg.polarity * per_class, axis=1) / (count > 0).sum(axis=1)
     # a live step whose every target was dropped has no score either
     dropped = live & (np.bincount(ks, minlength=n) == 0)
     return TrajectoryScore(
-        steps=steps, skip=all_masked + 2 * no_move + 3 * dropped, combined=acc / total,
-        labels=tg.labels, per_class=mean_s.reshape(n, n_cls), step=ks, cls=cls,
-        polarity=tg.polarity[kept], r1=r1, r2=r2, s=s, flag=goal + 2 * best)
+        steps=steps, skip=all_masked + 2 * no_move + 3 * dropped, combined=combined,
+        labels=tg.labels, polarity=tg.polarity, per_class=per_class, step=ks, cls=cls,
+        r1=r1, r2=r2, s=s, flag=goal + 2 * best)
 
 
-def score_step(x_t, x_next, targets: Sequence[TargetSpec], lam: float, *,
-               epsilon: float = DEFAULT_EPSILON, feature_weights=None) -> TrajectoryScore:
-    """Score one consecutive step against a set of targets: the one-step
-    TrajectoryScore, labelled 0.
-
-    Targets that coincide with the factual in the masked subspace are
-    dropped; a class with no surviving targets contributes nothing to the
-    combined score, and a step with none is skipped.
-    """
-    x_t, x_next = geometry._as_array(x_t), geometry._as_array(x_next)
-    if x_next.shape != x_t.shape:
-        raise DimensionError(f"dimension mismatch: {x_t.shape[0]} vs {x_next.shape[0]}")
-    x = np.array([x_t, x_next])
-    steps = np.zeros(1, dtype=int)
-    tg = per_step(lambda t, x: targets)(steps, x[:1])
-    return _score_rows(x, steps, lam, tg, epsilon, feature_weights)
-
-
-def score_trajectory(traj, target_provider: TargetProvider,
-                     lam: LambdaSchedule, *,
+def score_trajectory(traj, target_provider: TargetProvider, lam: float, *,
                      epsilon: float = DEFAULT_EPSILON,
                      feature_weights=None) -> TrajectoryScore:
     """Score every consecutive pair, targets re-queried at every step.
@@ -256,12 +178,14 @@ def score_trajectory(traj, target_provider: TargetProvider,
     ``traj`` is a pipeline.Trajectory: time indices ``t`` and one row of
     ``x`` per index. The provider is called once, with the t indices of the
     steps' earlier points and those points as an ``(n_steps, dim)`` matrix,
-    and returns their Targets; ``per_step`` turns a per-step callable into a
-    provider. Steps are labelled with the t index of the later point, so
-    index 0 never appears.
+    and returns their Targets. Steps are labelled with the t index of the
+    later point, so index 0 never appears.
     """
     t, x = traj.t, traj.x
     if len(t) < 2:
         raise TrajectoryError(f"trajectory needs at least 2 points, got {len(t)}")
-    return _score_rows(x, t[1:], lam, target_provider(t[:-1], x[:-1]),
+    # the range test also rejects a nan lambda
+    if not (0.0 <= lam <= 1.0):
+        raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
+    return _score_rows(x, t[1:], float(lam), target_provider(t[:-1], x[:-1]),
                        epsilon, feature_weights)

@@ -9,13 +9,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, CorpusError, TargetError
-from .geometry import FeatureVector, _as_array
-from .scoring import Polarity, Targets, TargetSpec
+from .scoring import Polarity, Targets
 
 
 _BLOCK_VALUES = 1 << 19   # float64 values a batched kNN query holds at a time (4 MB)
@@ -84,10 +83,6 @@ class _ClassIndex:
             dist[i:i + block] = d[keep].reshape(-1, k)
         return pos, dist
 
-    def query(self, x: np.ndarray, k: int) -> np.ndarray:
-        """``query_rows`` of the one query ``x``."""
-        return self.query_rows(x[None, :], k)[0][0]
-
 
 @dataclass(eq=False)
 class Corpus:
@@ -110,26 +105,24 @@ class Corpus:
         return len(self.class_indices[label].rows)
 
 
-def build_index(rows: Iterable[Tuple[Sequence[float], str]], *,
-                norm_stats=None) -> Corpus:
-    """Group labeled rows by class for exact nearest-neighbor queries.
+def build_index(points, labels: Sequence[str], *, norm_stats=None) -> Corpus:
+    """Group the rows of ``points`` by their ``labels`` for exact
+    nearest-neighbor queries.
 
     With ``norm_stats``, each class's rows are normalized for the queries;
     ``Corpus.points`` keeps the rows as given.
     """
-    pts: List[Sequence[float]] = []
-    labels: List[str] = []
-    for values, label in rows:
-        pts.append(values)
-        labels.append(str(label))
-    if not pts:
+    labels = list(map(str, labels))
+    if not labels:
         raise CorpusError("corpus is empty")
     try:
-        arr = np.asarray(pts, dtype=float)
+        arr = np.asarray(points, dtype=float)
     except ValueError as e:
         raise CorpusError(f"corpus rows have inconsistent dimensions: {e}") from None
     if arr.ndim != 2:
         raise CorpusError("corpus rows have inconsistent dimensions")
+    if len(arr) != len(labels):
+        raise CorpusError(f"{len(arr)} points but {len(labels)} labels")
     if not np.all(np.isfinite(arr)):
         raise CorpusError("corpus contains non-finite values")
     if norm_stats is not None and norm_stats.dim != arr.shape[1]:
@@ -139,20 +132,10 @@ def build_index(rows: Iterable[Tuple[Sequence[float], str]], *,
     indices: Dict[str, _ClassIndex] = {}
     for label in dict.fromkeys(labels):
         rows_l = np.flatnonzero(label_arr == label)
-        points = arr[rows_l] if norm_stats is None else norm_stats.apply_rows(arr[rows_l])
+        points = arr[rows_l] if norm_stats is None else norm_stats.apply(arr[rows_l])
         indices[label] = _ClassIndex(rows=rows_l, points=points)
     return Corpus(points=arr, labels=labels, class_indices=indices,
                   norm_stats=norm_stats)
-
-
-def knn_targets(corpus: Corpus, x, k: int,
-                polarity_map: Mapping[str, Polarity]) -> List[TargetSpec]:
-    """The k nearest corpus points to ``x`` in each mapped class: the
-    one-step case of ``knn_provider``."""
-    xv = x.values if isinstance(x, FeatureVector) else np.asarray(x, dtype=float)
-    found = knn_provider(corpus, k, polarity_map)(np.zeros(1, dtype=int), xv[None])
-    return [TargetSpec(FeatureVector(p), found.labels[c], Polarity(int(s)))
-            for p, c, s in zip(found.points, found.cls.tolist(), found.polarity.tolist())]
 
 
 def knn_provider(corpus: Corpus, k: int, polarity_map: Mapping[str, Polarity]):
@@ -171,7 +154,7 @@ def knn_provider(corpus: Corpus, k: int, polarity_map: Mapping[str, Polarity]):
     # one step's rows: the nearest of the first class, then of the next, ...
     per_class = [min(k, len(idx.rows)) for idx in indices]
     cls = np.repeat(np.arange(len(indices)), per_class)
-    polarity = np.repeat([float(Polarity(p)) for p in polarity_map.values()], per_class)
+    polarity = np.array([float(Polarity(p)) for p in polarity_map.values()])
 
     def provide(t_index, xs) -> Targets:
         if xs.shape[1:] != (corpus.dim,):
@@ -181,8 +164,8 @@ def knn_provider(corpus: Corpus, k: int, polarity_map: Mapping[str, Polarity]):
         points = np.concatenate([idx.points[idx.query_rows(xs, k)[0]] for idx in indices],
                                 axis=1)
         return Targets(step=np.repeat(np.arange(n), len(cls)), cls=np.tile(cls, n),
-                       labels=list(polarity_map), polarity=np.tile(polarity, n),
-                       weight=np.ones(n * len(cls)), points=points.reshape(-1, corpus.dim))
+                       labels=list(polarity_map), polarity=polarity,
+                       points=points.reshape(-1, corpus.dim))
     return provide
 
 
@@ -192,7 +175,7 @@ def series_provider(label: str, polarity: Polarity,
     point at each step's time index, with no interpolation. The points are
     stacked into one matrix once, here."""
     ts = np.array(sorted(points), dtype=int)
-    matrix = np.array([_as_array(points[t]) for t in ts.tolist()])
+    matrix = np.array([points[t] for t in ts.tolist()], dtype=float)
 
     def provide(t_index, xs) -> Targets:
         i = np.minimum(np.searchsorted(ts, t_index), len(ts) - 1)
@@ -201,7 +184,7 @@ def series_provider(label: str, polarity: Polarity,
             raise TargetError(f"series {label!r} has no target at t={t_index[missing[0]]}")
         n = len(i)
         return Targets(step=np.arange(n), cls=np.zeros(n, dtype=int), labels=[label],
-                       polarity=np.full(n, float(polarity)), weight=np.ones(n), points=matrix[i])
+                       polarity=np.array([float(polarity)]), points=matrix[i])
     return provide
 
 
@@ -227,12 +210,14 @@ def corpus_to_json(corpus: Corpus, feature_names: Sequence[str]) -> dict:
 def corpus_from_json(doc: dict) -> Tuple[Corpus, List[str]]:
     from .pipeline import NormStats
     stats = NormStats.from_json(doc["normalizer"]) if "normalizer" in doc else None
-    points, labels = doc["points"], doc["labels"]
+    labels, features = doc["labels"], doc["features"]
     if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
         raise CorpusError("labels must be a list of strings")
-    if len(points) != len(labels):
-        raise CorpusError(f"{len(points)} points but {len(labels)} labels")
-    corpus = build_index(zip(points, labels), norm_stats=stats)
+    corpus = build_index(doc["points"], labels, norm_stats=stats)
+    if not isinstance(features, list) or len(features) != corpus.dim:
+        raise CorpusError(f"features {features!r} do not fit points of {corpus.dim} values")
+    if stats is not None and features != stats.names:
+        raise CorpusError(f"features {features} do not match the normalizer's {stats.names}")
     corpus.class_means = {k: list(map(float, v))
                           for k, v in doc.get("class_means", {}).items()}
     for label, mean in corpus.class_means.items():
@@ -241,7 +226,7 @@ def corpus_from_json(doc: dict) -> Tuple[Corpus, List[str]]:
                               f"the points have {corpus.dim}")
         if not all(map(math.isfinite, mean)):
             raise CorpusError(f"class_means of {label!r} has a non-finite value")
-    return corpus, list(doc["features"])
+    return corpus, features
 
 
 def save_corpus(corpus: Corpus, feature_names: Sequence[str], path) -> None:

@@ -102,14 +102,31 @@ def random_projection_triple(rng, dim, max_param=8.0):
             return a, b, c
 
 
-def hand_scored(combined, skip=None, labels=(), per_class=None):
-    """A scoring.TrajectoryScore with the given per-step arrays and no target
-    rows, its steps labelled 1, 2, ...; ``skip`` defaults to all scored."""
+def make_targets(steps, polarity=None):
+    """A scoring.Targets from one list of ``(point, class label)`` pairs per
+    step, classes numbered in order of first appearance; ``polarity`` maps a
+    label to its Polarity, desirable where it has none."""
+    from trace_scores.scoring import Polarity, Targets
+    rows = [(i, point, label) for i, pairs in enumerate(steps) for point, label in pairs]
+    labels = list(dict.fromkeys(label for _, _, label in rows))
+    polarity = polarity or {}
+    return Targets(step=np.array([i for i, _, _ in rows], dtype=int),
+                   cls=np.array([labels.index(label) for _, _, label in rows], dtype=int),
+                   labels=labels,
+                   polarity=np.array([float(polarity.get(c, Polarity.DESIRABLE)) for c in labels]),
+                   points=np.array([point for _, point, _ in rows], dtype=float))
+
+
+def hand_scored(combined, skip=None, labels=(), per_class=None, polarity=()):
+    """A scoring.TrajectoryScore with the given per-step arrays, one polarity
+    per label and no target rows, its steps labelled 1, 2, ...; ``skip``
+    defaults to all scored."""
     from trace_scores.scoring import TrajectoryScore
     n = len(combined)
     none = np.array([])
     return TrajectoryScore(
         steps=np.arange(1, n + 1), skip=np.zeros(n, dtype=int) if skip is None else np.array(skip),
         combined=np.array(combined, dtype=float), labels=list(labels),
+        polarity=np.array(polarity, dtype=float),
         per_class=np.empty((n, 0)) if per_class is None else np.array(per_class, dtype=float),
-        step=none, cls=none, polarity=none, r1=none, r2=none, s=none, flag=none)
+        step=none, cls=none, r1=none, r2=none, s=none, flag=none)

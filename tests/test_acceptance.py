@@ -10,11 +10,10 @@ import pytest
 from click.testing import CliRunner
 
 from trace_scores import (Polarity, aggregate, build_index, closest_point,
-                          fit_normalizer, impute, knn_targets, step_score,
+                          fit_normalizer, impute, knn_provider, step_score,
                           welch_t_test)
 from trace_scores.cli import main as cli_main
 from trace_scores.errors import DegenerateGeometry
-from trace_scores.pipeline import RawRecord
 from oracles import (brute_knn, grid_closest_point, hand_scored, random_projection_triple,
                      welch_oracle)
 
@@ -49,7 +48,7 @@ def test_01_projection_oracle():
         rng = np.random.default_rng(1000 + dim)
         for _ in range(250):
             a, b, c = random_projection_triple(rng, dim)
-            d = closest_point(a, b, c).values
+            d = closest_point(a, b, c)
             oracle = grid_closest_point(a, b, c)
             max_err = max(max_err, float(np.linalg.norm(d - oracle)))
             h = c - b
@@ -132,17 +131,16 @@ def test_06_knn_exactness():
         rng = np.random.default_rng(600 + dim)
         pts = rng.normal(size=(120, dim))
         labels = ["a" if i % 3 else "b" for i in range(120)]
-        corpus = build_index(zip(pts.tolist(), labels))
+        corpus = build_index(pts, labels)
         rows_by_class = {lab: [i for i, l in enumerate(labels) if l == lab]
                          for lab in ("a", "b")}
         for _ in range(167 if dim != 17 else 166):
             x = rng.normal(size=dim)
             for lab in ("a", "b"):
-                specs = knn_targets(corpus, x, 3, {lab: Polarity.DESIRABLE})
+                found = knn_provider(corpus, 3, {lab: Polarity.DESIRABLE})(np.zeros(1, int), x[None])
                 class_pts = pts[rows_by_class[lab]]
-                expected = [class_pts[j] for j in brute_knn(class_pts, x, 3)]
-                for got, want in zip(specs, expected):
-                    ok &= bool(np.array_equal(got.point.values, want))
+                expected = class_pts[brute_knn(class_pts, x, 3)]
+                ok &= bool(np.array_equal(found.points, expected))
     report("06 kNN exactness vs linear scan (500 queries)", ok)
 
 
@@ -181,20 +179,15 @@ def test_08_pipeline_invariants():
         n, d = int(rng.integers(2, 12)), int(rng.integers(1, 6))
         vals = rng.normal(size=(n, d))
         mask = rng.random((n, d)) < 0.3
-        recs = [RawRecord("s", t, [None if mask[t, j] else float(vals[t, j])
-                                   for j in range(d)]) for t in range(n)]
-        once = impute(recs, class_means=[0.0] * d)
+        once = impute(np.where(mask, np.nan, vals), class_means=[0.0] * d)
         twice = impute(once, class_means=[0.0] * d)
-        ok &= [r.values for r in twice] == [r.values for r in once]
-        for t in range(n):
-            for j in range(d):
-                if not mask[t, j]:
-                    ok &= once[t].values[j] == float(vals[t, j])
+        ok &= bool(np.array_equal(twice, once) and np.array_equal(once[~mask], vals[~mask]))
         produced += n
     rows = rng.normal(size=(50, 6)) * 20
     stats = fit_normalizer(rows)
     for v in rng.normal(size=(50, 6)) * 20:
-        back = stats.invert(stats.apply(v).values)
+        # the inverse of min-max scaling, for features that span a range
+        back = stats.apply(v[None])[0] * (stats.maxs - stats.mins) + stats.mins
         ok &= bool(np.all(np.abs(back - v) <= 1e-12 * np.maximum(1, np.abs(v))))
     report("08 imputation idempotence/preservation + normalizer round-trip", ok)
 

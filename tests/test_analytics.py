@@ -3,10 +3,9 @@ import pytest
 
 from trace_scores.analytics import aggregate, rank_targets, welch_t_test
 from trace_scores.errors import AggregateError, StatsError
-from trace_scores.geometry import FeatureVector
 from trace_scores.pipeline import Trajectory
-from trace_scores.scoring import SkipReason, TargetSpec, per_step, score_trajectory
-from oracles import hand_scored, welch_oracle
+from trace_scores.scoring import SkipReason, score_trajectory
+from oracles import hand_scored, make_targets, welch_oracle
 
 
 class TestAggregate:
@@ -144,8 +143,7 @@ class TestRankTargets:
 
 def test_end_to_end_aggregate_from_scoring():
     traj = Trajectory("s", range(4), [[0.1 * t, 0.0] for t in range(4)])
-    spec = TargetSpec(point=FeatureVector([5.0, 0.0]), class_label="goal")
-    ts = score_trajectory(traj, per_step(lambda t, x: [spec]), 0.9)
+    ts = score_trajectory(traj, lambda t, x: make_targets([[([5.0, 0.0], "goal")]] * len(t)), 0.9)
     s = aggregate(ts, "s")
     assert s.subject_id == "s"
     assert len(s.values) == 3

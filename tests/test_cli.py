@@ -149,7 +149,7 @@ class TestScoreCorpusMode:
                                    "--index", str(tmp / "index.json"),
                                    "--config", str(config),
                                    "--out", str(tmp / "out")])
-        assert res.exit_code == 1
+        assert res.exit_code == 2
         assert (f"error: {bad}: trajectory features ['hr', 'rr', 'spo2'] do not match "
                 "index features ['hr', 'rr']") in res.output
 
@@ -161,12 +161,27 @@ class TestScoreCorpusMode:
         swapped.write_text("subject_id,t,rr,hr\ns0,0,0.5,0.4\ns0,1,0.6,0.5\n")
         res = runner.invoke(main, ["score", str(swapped), "--index", str(tmp / "index.json"),
                                    "--config", str(config), "--out", str(tmp / "out")])
-        assert res.exit_code == 1
+        assert res.exit_code == 2
         assert "Traceback" not in res.output
         assert res.stderr.splitlines()[-1] == (
             f"error: {swapped}: trajectory features ['rr', 'hr'] do not match "
             "index features ['hr', 'rr']")
         assert not (tmp / "out").exists()
+
+    def test_no_subject_scored_still_reports_each_subject(self, corpus_setup):
+        tmp, corpus, _, config = corpus_setup
+        runner.invoke(main, ["build-index", str(corpus), "--out", str(tmp / "index.json")])
+        short = tmp / "short.csv"
+        short.write_text("subject_id,t,hr,rr\na,0,0.5,0.5\nb,3,0.4,0.6\n")
+        res = runner.invoke(main, ["score", str(short), "--index", str(tmp / "index.json"),
+                                   "--config", str(config), "--out", str(tmp / "out")])
+        assert res.exit_code == 1
+        message = "trajectory needs at least 2 points, got 1"
+        assert res.stderr.splitlines()[1:] == [
+            f"subject a: {message}", f"subject b: {message}", "error: no subject could be scored"]
+        with open(tmp / "out" / "errors.csv") as fh:
+            assert list(csv.DictReader(fh)) == [{"subject_id": s, "error": message} for s in "ab"]
+        assert not (tmp / "out" / "summary.csv").exists()
 
     def test_requires_exactly_one_source(self, corpus_setup):
         tmp, _, traj, _ = corpus_setup
@@ -223,6 +238,17 @@ class TestScoreSeriesMode:
             rows = list(csv.DictReader(fh))
         assert [r["subject_id"] for r in rows] == ["nor"] * 5
         assert json.loads(res.output.splitlines()[-1]) == {"errors": 5, "subjects": 1}
+
+
+    def test_feature_mismatch(self, series_setup):
+        tmp_path, traj, tdir = series_setup
+        (tdir / "SSP1.csv").write_text("t,b,a\n0,0.1,0.1\n")
+        res = runner.invoke(main, ["score", str(traj), "--targets-dir",
+                                   str(tdir), "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2
+        assert res.stderr.splitlines()[-1] == (
+            f"error: {tdir / 'SSP1.csv'}: series features ['b', 'a'] do not match "
+            "trajectory features ['a', 'b']")
 
 
 def test_step_with_every_target_dropped_is_skipped(tmp_path):
@@ -414,6 +440,10 @@ MALFORMED_INPUTS = [
     ("index-normalizer-range-overflow", "corpus",
      _bad_index(lambda doc: doc["normalizer"]["features"][0].update(min=-1e308, max=1e308))),
     ("index-short-class-mean", "corpus", _bad_index(lambda doc: doc["class_means"]["RFD"].pop())),
+    ("index-features-wider-than-points", "corpus",
+     _bad_index(lambda doc: (doc.pop("normalizer"), doc["features"].append("xx")))),
+    ("index-features-not-normalizer", "corpus",
+     _bad_index(lambda doc: doc["features"].__setitem__(1, "spo2"))),
     ("traj-cell-abc", "corpus", _bad_cell("traj", 3, 2, "abc")),
     ("traj-cell-nan", "corpus", _bad_cell("traj", 3, 2, "nan")),
     ("traj-cell-inf", "series", _bad_cell("traj", 4, 3, "-inf")),
@@ -424,6 +454,9 @@ MALFORMED_INPUTS = [
     ("series-cell-inf", "series", _bad_cell("series", 2, 2, "inf")),
     ("series-t-text", "series", _bad_cell("series", 4, 0, "three")),
     ("series-duplicate-t", "series", _bad_cell("series", 3, 0, "0")),
+    ("series-polarity-unknown", "series",
+     _bad_config('{"polarity_map": {"gaol": "undesirable"}}',
+                 expect="polarity_map names series 'gaol'")),
     ("corpus-cell-nan", "build-index", _bad_cell("corpus", 2, 0, "nan")),
     ("corpus-cell-abc", "build-index", _bad_cell("corpus", 5, 1, "abc")),
     ("corpus-range-overflow", "build-index",
@@ -460,14 +493,13 @@ def test_polarity_averages_leave_out_classes_a_step_does_not_score():
     nan = np.nan
     per_class = [[0.5, -0.25, 0.125], [nan, 0.75, nan], [nan, nan, nan]]
     skip = [0, 0, SkipReason.NO_FEATURE_CHANGE]
-    ts = hand_scored([0.1, -0.75, nan], skip, "abc", per_class)
-    pmap = {"a": Polarity.DESIRABLE, "b": Polarity.UNDESIRABLE, "c": Polarity.DESIRABLE}
-    assert _polarity_averages(ts, pmap) == {
+    polarity = [Polarity.DESIRABLE, Polarity.UNDESIRABLE, Polarity.DESIRABLE]
+    ts = hand_scored([0.1, -0.75, nan], skip, "abc", per_class, polarity)
+    assert _polarity_averages(ts) == {
         "average_desirable": (0.5 + 0.125) / 2, "average_undesirable": (-0.25 + 0.75) / 2}
-    pmap = {"a": Polarity.DESIRABLE}
-    ts = hand_scored([-0.75, nan], skip[1:], "abc", per_class[1:])
-    assert _polarity_averages(ts, pmap) == {
-        "average_desirable": None, "average_undesirable": None}
+    # no scored step scores a desirable class
+    ts = hand_scored([-0.75, nan], skip[1:], "abc", per_class[1:], polarity)
+    assert _polarity_averages(ts) == {"average_desirable": None, "average_undesirable": 0.75}
 
 
 class TestCompare:

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trace_scores.errors import ConfigError, DegenerateGeometry, DimensionError
-from trace_scores.geometry import (Degeneracy, FeatureVector, closest_point, inner,
-                                   norm_of, r1, r2, step_score)
+from trace_scores.geometry import Degeneracy, closest_point, inner, norm_of, r1, r2, step_score
 from oracles import grid_closest_point, random_projection_triple
 
 
@@ -39,39 +38,21 @@ class TestInner:
         assert inner([1, 2], [3, 4], weights=[2, 1]) == 2 * 3 + 8
 
 
-class TestFeatureVector:
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            FeatureVector([1.0, float("nan")])
-
-    def test_rejects_inf(self):
-        with pytest.raises(ValueError):
-            FeatureVector([float("inf")])
-
-    def test_dim(self):
-        assert FeatureVector([1.0, 2.0, 3.0]).dim == 3
-
-    def test_immutable(self):
-        v = FeatureVector([1.0, 2.0])
-        with pytest.raises(ValueError):
-            v.values[0] = 5.0
-
-
 class TestClosestPoint:
     def test_perpendicular_direction(self):
         d = closest_point([0, 1], [0, 0], [1, 0])
-        np.testing.assert_allclose(d.values, [0, 0], atol=1e-15)
+        np.testing.assert_allclose(d, [0, 0], atol=1e-15)
 
     def test_point_on_line(self):
         d = closest_point([3, 0], [0, 0], [1, 0])
-        np.testing.assert_allclose(d.values, [3, 0], atol=1e-12)
+        np.testing.assert_allclose(d, [3, 0], atol=1e-12)
 
     def test_projection_matches_grid_oracle(self):
         # frozen from the grid oracle: argmin lands at (1, 0)
         d = closest_point([1, 1], [0, 0], [2, 0])
         oracle = grid_closest_point([1, 1], [0, 0], [2, 0])
         np.testing.assert_allclose(oracle, [1, 0], atol=1e-6)
-        np.testing.assert_allclose(d.values, oracle, atol=1e-6)
+        np.testing.assert_allclose(d, oracle, atol=1e-6)
 
     def test_degenerate_direction(self):
         with pytest.raises(DegenerateGeometry):
@@ -88,7 +69,7 @@ class TestClosestPoint:
             a, b, c = random_projection_triple(rng, dim)
             d = closest_point(a, b, c)
             oracle = grid_closest_point(a, b, c)
-            assert np.linalg.norm(d.values - oracle) <= 1e-6
+            assert np.linalg.norm(d - oracle) <= 1e-6
 
     def test_perpendicularity(self):
         rng = np.random.default_rng(7)
@@ -100,7 +81,7 @@ class TestClosestPoint:
             if theta <= 0:
                 continue
             d = closest_point(a, b, c)
-            resid = abs(np.dot(a - d.values, h))
+            resid = abs(np.dot(a - d, h))
             assert resid <= 1e-9 * np.linalg.norm(g) * np.linalg.norm(h)
 
     def test_direction_only_dependence(self):
@@ -109,9 +90,9 @@ class TestClosestPoint:
             a, b, c = rng.normal(size=(3, 4))
             if np.linalg.norm(c - b) < 1e-3 or np.linalg.norm(a - b) < 1e-3:
                 continue
-            d0 = closest_point(a, b, c).values
+            d0 = closest_point(a, b, c)
             for alpha in (0.25, 3.0, 117.0):
-                d1 = closest_point(a, b, b + alpha * (c - b)).values
+                d1 = closest_point(a, b, b + alpha * (c - b))
                 np.testing.assert_allclose(d1, d0, rtol=1e-12, atol=1e-12)
 
 

@@ -20,24 +20,22 @@ def records(columns, subject="s"):
 
 class TestImpute:
     def test_forward_fill(self):
-        out = impute(records([[5], [None], [None]]))
-        assert [r.values[0] for r in out] == [5, 5, 5]
+        assert impute([[5], [None], [np.nan]]).tolist() == [[5], [5], [5]]
 
     def test_backward_fill_leading(self):
-        out = impute(records([[None], [None], [7]]))
-        assert [r.values[0] for r in out] == [7, 7, 7]
+        assert impute([[None], [None], [7]]).tolist() == [[7], [7], [7]]
 
     def test_class_mean_for_all_missing(self):
-        out = impute(records([[None], [None], [None]]), class_means=[4.2])
-        assert [r.values[0] for r in out] == [4.2, 4.2, 4.2]
+        out = impute([[None], [None], [None]], class_means=[4.2])
+        assert out.tolist() == [[4.2], [4.2], [4.2]]
 
     def test_all_missing_without_stats(self):
         with pytest.raises(ImputeError):
-            impute(records([[None], [None]]))
+            impute([[None], [None]])
 
     def test_mixed_columns(self):
-        out = impute(records([[None, 1], [3, None], [None, None]]))
-        assert [r.values for r in out] == [[3, 1], [3, 1], [3, 1]]
+        out = impute([[None, 1], [3, None], [None, None]])
+        assert out.tolist() == [[3, 1], [3, 1], [3, 1]]
 
     def test_idempotence_and_preservation_random(self):
         rng = np.random.default_rng(0)
@@ -47,14 +45,10 @@ class TestImpute:
             mask = rng.random((n, d)) < 0.3
             rows = [[None if mask[i, j] else float(vals[i, j])
                      for j in range(d)] for i in range(n)]
-            recs = records(rows)
-            once = impute(recs, class_means=[0.0] * d)
+            once = impute(rows, class_means=[0.0] * d)
             twice = impute(once, class_means=[0.0] * d)
-            assert [r.values for r in twice] == [r.values for r in once]
-            for i in range(n):
-                for j in range(d):
-                    if not mask[i, j]:
-                        assert once[i].values[j] == float(vals[i, j])
+            assert np.array_equal(twice, once)
+            assert np.array_equal(once[~mask], vals[~mask])
 
 
 @st.composite
@@ -76,7 +70,7 @@ def test_fill_matches_reference(case):
     rows, means = case
     recs = records(rows)
     want = fill_reference(rows, means)
-    assert [r.values for r in impute(recs, class_means=means)] == want
+    assert impute(rows, class_means=means).tolist() == want
     traj = build_trajectory(recs, label="c", class_means={"c": means})
     assert traj.x.tolist() == want
     assert traj.t.tolist() == list(range(len(rows)))
@@ -90,46 +84,44 @@ def test_fill_matches_reference(case):
 class TestNormalizer:
     def test_midpoint(self):
         ns = fit_normalizer([[10], [20]])
-        assert ns.apply([15]).values[0] == 0.5
+        assert ns.apply([[15]]).tolist() == [[0.5]]
 
     def test_no_clipping(self):
         ns = fit_normalizer([[10], [20]])
-        assert ns.apply([10]).values[0] == 0.0
-        assert ns.apply([25]).values[0] == 1.5
+        assert ns.apply([[10], [25]]).tolist() == [[0.0], [1.5]]
 
     def test_constant_feature_maps_to_center(self):
         ns = fit_normalizer([[3, 1], [3, 2]])
-        assert ns.apply([3, 1]).values[0] == 0.5
-        assert ns.apply([99, 1]).values[0] == 0.5
+        assert ns.apply([[3, 1], [99, 1]])[:, 0].tolist() == [0.5, 0.5]
 
     def test_round_trip(self):
         rng = np.random.default_rng(1)
         rows = rng.normal(size=(20, 4)) * 10
         ns = fit_normalizer(rows)
-        for v in rng.normal(size=(10, 4)) * 10:
-            back = ns.invert(ns.apply(v).values)
-            np.testing.assert_allclose(back, v, rtol=1e-12, atol=1e-12)
+        v = rng.normal(size=(10, 4)) * 10
+        back = ns.apply(v) * (ns.maxs - ns.mins) + ns.mins
+        np.testing.assert_allclose(back, v, rtol=1e-12, atol=1e-12)
 
     def test_dimension_mismatch(self):
         ns = fit_normalizer([[1, 2], [3, 4]])
         with pytest.raises(DimensionError):
-            ns.apply([1, 2, 3])
+            ns.apply([[1, 2, 3]])
 
     def test_rows_match_scalar_formula(self):
         rng = np.random.default_rng(4)
         rows = np.round(rng.uniform(-30, 30, size=(50, 5)), 3)
         rows[:, 2] = 1.5  # constant feature
         ns = fit_normalizer(rows)
-        got = ns.apply_rows(rows)
+        got = ns.apply(rows)
         want = [[(v - lo) / (hi - lo) if hi > lo else 0.5
                  for v, lo, hi in zip(row, ns.mins.tolist(), ns.maxs.tolist())]
                 for row in rows.tolist()]
         assert np.array_equal(got, want)
-        assert all(np.array_equal(ns.apply(row).values, g) for row, g in zip(rows, got))
+        assert all(np.array_equal(ns.apply(row[None])[0], g) for row, g in zip(rows, got))
         with pytest.raises(DimensionError):
-            ns.apply_rows(rows[:, :4])
+            ns.apply(rows[:, :4])
         with pytest.raises(DimensionError):
-            ns.apply_rows(rows[0])
+            ns.apply(rows[0])
 
     def test_non_finite_range_names_the_feature(self):
         with pytest.raises(CorpusError, match="feature 'rr' spans a non-finite range"):
@@ -140,7 +132,7 @@ class TestNormalizer:
 
     def test_overflowing_quotient_is_infinite_without_warning(self, recwarn):
         ns = fit_normalizer([[0.0], [1e-300]])
-        assert ns.apply_rows([[1e10], [-1e10], [5e-301]]).tolist() == \
+        assert ns.apply([[1e10], [-1e10], [5e-301]]).tolist() == \
             [[np.inf], [-np.inf], [0.5]]
         assert not recwarn.list
 
@@ -150,7 +142,7 @@ class TestNormalizer:
         assert doc == {"features": [{"name": "hr", "min": 10.0, "max": 20.0},
                                     {"name": "rr", "min": 0.0, "max": 5.0}]}
         loaded = NormStats.from_json(doc)
-        np.testing.assert_array_equal(loaded.apply([15, 2.5]).values, [0.5, 0.5])
+        np.testing.assert_array_equal(loaded.apply([[15, 2.5]]), [[0.5, 0.5]])
 
 
 class TestTrajectory:
@@ -178,7 +170,7 @@ class TestTrajectory:
         ns = fit_normalizer([[0.0, -3.0, 7.0], [10.0, 4.0, 7.0]])
         recs = records([[None, 1.25, 7.0], [2.5, None, 7.0], [9.75, 3.5, None]])
         traj = build_trajectory(recs, normalizer=ns)
-        want = [ns.apply(r.values).values for r in impute(recs)]
+        want = [ns.apply(row[None])[0] for row in impute([r.values for r in recs])]
         assert np.array_equal(traj.x, want)
         assert traj.t.tolist() == [0, 1, 2]
 

@@ -6,9 +6,9 @@ from pathlib import Path
 import trace_scores
 
 ROOT_NAMES = {
-    "FeatureVector", "Polarity", "TargetSpec", "Trajectory", "aggregate",
-    "build_index", "closest_point", "fit_normalizer", "impute", "knn_targets",
-    "score_trajectory", "step_score", "welch_t_test",
+    "Polarity", "Trajectory", "aggregate", "build_index", "closest_point",
+    "fit_normalizer", "impute", "knn_provider", "score_trajectory",
+    "series_provider", "step_score", "welch_t_test",
 }
 
 

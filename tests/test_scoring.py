@@ -3,26 +3,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trace_scores.errors import ConfigError, DegenerateGeometry, TargetError, TrajectoryError
-from trace_scores.geometry import (DEFAULT_EPSILON, Degeneracy, FeatureVector, StepGeometry,
-                                   norm_of, step_score)
+from trace_scores.errors import (ConfigError, DegenerateGeometry, DimensionError, TargetError,
+                                 TrajectoryError)
+from trace_scores.geometry import DEFAULT_EPSILON, Degeneracy, StepGeometry, norm_of, step_score
 from trace_scores.pipeline import Trajectory
-from trace_scores.scoring import (Polarity, SkipReason, TargetSpec, per_step, score_step,
-                                  score_trajectory)
+from trace_scores.scoring import Polarity, SkipReason, score_trajectory
+from oracles import make_targets
 
-
-def target(point, label="c", polarity=Polarity.DESIRABLE, weight=1.0):
-    return TargetSpec(point=FeatureVector(point), class_label=label,
-                      polarity=polarity, weight=weight)
+DESIRABLE, UNDESIRABLE = Polarity.DESIRABLE, Polarity.UNDESIRABLE
 
 
 def traj(points, subject="s"):
     return Trajectory(subject_id=subject, t=range(len(points)), x=points)
 
 
-def single_target_provider(point, label="goal"):
-    spec = target(point, label)
-    return per_step(lambda t, x: [spec])
+def score_one(x_t, x_next, targets, lam, polarity=None, **kwargs):
+    """The one-step result of a move from ``x_t`` to ``x_next`` against
+    ``(point, class label)`` targets, labelled 1."""
+    tg = make_targets([targets], polarity)
+    return score_trajectory(traj([x_t, x_next]), lambda t, x: tg, lam, **kwargs)
+
+
+def fixed_target(point, label="goal"):
+    """The provider that gives every step the one target ``point``."""
+    return lambda t, x: make_targets([[(point, label)]] * len(t))
 
 
 def assert_same_geometry(got, want):
@@ -49,67 +53,65 @@ class TestMaskStatic:
 
     def test_static_dim_dropped(self):
         # the move along dim 1 would cost r1 if dim 1 were scored
-        step = score_step([1, 5], [2, 6], [target([3, 5])], 0.9)
-        without = score_step([1], [2], [target([3])], 0.9)
+        step = score_one([1, 5], [2, 6], [([3, 5], "c")], 0.9)
+        without = score_one([1], [2], [([3], "c")], 0.9)
         assert_same_geometry(geometries(step), geometries(without))
         assert step.combined[0] == without.combined[0] == 1.0
 
     def test_all_dims_differ(self):
-        step = score_step([1, 5], [2, 6], [target([3, 7])], 0.9)
+        step = score_one([1, 5], [2, 6], [([3, 7], "c")], 0.9)
         assert_same_geometry(geometries(step), [step_score([1, 5], [2, 6], [3, 7], 0.9)])
 
     def test_all_masked(self):
-        step = score_step([1, 5], [2, 6], [target([1, 5])], 0.9)
+        step = score_one([1, 5], [2, 6], [([1, 5], "c")], 0.9)
         assert step.skip[0] == SkipReason.ALL_MASKED
 
     def test_union_over_targets(self):
         # each target is static in one dim, so the union keeps both dims
         points = [[1, 7], [3, 5]]
-        step = score_step([1, 5], [2, 6], [target(p) for p in points], 0.9)
+        step = score_one([1, 5], [2, 6], [(p, "c") for p in points], 0.9)
         assert step.skip[0] == 0
         assert_same_geometry(geometries(step),
                              [step_score([1, 5], [2, 6], p, 0.9) for p in points])
 
 
 class TestScoreStep:
+    """One step, scored as a two-point trajectory."""
+
     def test_goal_reached_combined_one(self):
-        s = score_step([0, 0], [1, 1], [target([1, 1])], 0.9)
+        s = score_one([0, 0], [1, 1], [([1, 1], "c")], 0.9)
         assert s.combined[0] == 1.0
 
     def test_two_class_toward_desirable(self):
-        targets = [target([1, 0], "good", Polarity.DESIRABLE),
-                   target([-1, 0], "bad", Polarity.UNDESIRABLE)]
-        s = score_step([0, 0], [0.5, 0], targets, 1.0)
+        targets = [([1, 0], "good"), ([-1, 0], "bad")]
+        s = score_one([0, 0], [0.5, 0], targets, 1.0, {"bad": UNDESIRABLE})
         assert class_means(s) == {"good": 1.0, "bad": -1.0}
         assert s.combined[0] == 1.0
 
     def test_two_class_toward_undesirable(self):
-        targets = [target([1, 0], "good", Polarity.DESIRABLE),
-                   target([-1, 0], "bad", Polarity.UNDESIRABLE)]
-        s = score_step([0, 0], [-0.5, 0], targets, 1.0)
+        targets = [([1, 0], "good"), ([-1, 0], "bad")]
+        s = score_one([0, 0], [-0.5, 0], targets, 1.0, {"bad": UNDESIRABLE})
         assert s.combined[0] == -1.0
 
     def test_no_targets(self):
         with pytest.raises(TargetError):
-            score_step([0, 0], [1, 0], [], 0.9)
+            score_one([0, 0], [1, 0], [], 0.9)
 
     def test_all_masked_skip(self):
-        s = score_step([1, 5], [2, 6], [target([1, 5])], 0.9)
+        s = score_one([1, 5], [2, 6], [([1, 5], "c")], 0.9)
         assert s.skip[0] == SkipReason.ALL_MASKED
         assert np.isnan(s.combined[0]) and np.isnan(s.per_class).all()
 
     def test_no_change_skip(self):
         # x_next differs from x_t only in the masked dimension
-        s = score_step([1, 5], [1, 6], [target([2, 5])], 0.9)
+        s = score_one([1, 5], [1, 6], [([2, 5], "c")], 0.9)
         assert s.skip[0] == SkipReason.NO_FEATURE_CHANGE
 
     def test_combined_in_range(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             x_t, x_next, p1, p2 = rng.normal(size=(4, 3))
-            targets = [target(p1, "a", Polarity.DESIRABLE),
-                       target(p2, "b", Polarity.UNDESIRABLE)]
-            s = score_step(x_t, x_next, targets, 0.9)
+            s = score_one(x_t, x_next, [(p1, "a"), (p2, "b")], 0.9, {"b": UNDESIRABLE})
             if not s.skip[0]:
                 assert -1.0 <= s.combined[0] <= 1.0
 
@@ -118,8 +120,7 @@ class TestScoreStep:
         lam = 0.9
         for _ in range(200):
             x_t, x_next, p1, p2 = rng.normal(size=(4, 3))
-            ts = [target(p1, "a"), target(p2, "b")]
-            s = score_step(x_t, x_next, ts, lam)
+            s = score_one(x_t, x_next, [(p1, "a"), (p2, "b")], lam)
             if not s.skip[0]:
                 assert -lam <= s.combined[0] <= 1.0
 
@@ -127,12 +128,9 @@ class TestScoreStep:
         rng = np.random.default_rng(2)
         for _ in range(100):
             x_t, x_next, p1, p2 = rng.normal(size=(4, 3))
-            pos = [target(p1, "a", Polarity.DESIRABLE),
-                   target(p2, "b", Polarity.UNDESIRABLE)]
-            neg = [target(p1, "a", Polarity.UNDESIRABLE),
-                   target(p2, "b", Polarity.DESIRABLE)]
-            s_pos = score_step(x_t, x_next, pos, 0.9)
-            s_neg = score_step(x_t, x_next, neg, 0.9)
+            targets = [(p1, "a"), (p2, "b")]
+            s_pos = score_one(x_t, x_next, targets, 0.9, {"b": UNDESIRABLE})
+            s_neg = score_one(x_t, x_next, targets, 0.9, {"a": UNDESIRABLE})
             if not s_pos.skip[0]:
                 assert s_neg.combined[0] == -s_pos.combined[0]
 
@@ -140,10 +138,9 @@ class TestScoreStep:
         rng = np.random.default_rng(3)
         for _ in range(50):
             x_t, x_next, p1, p2, p3 = rng.normal(size=(5, 3))
-            ts = [target(p1, "a"), target(p2, "a"),
-                  target(p3, "b", Polarity.UNDESIRABLE)]
-            s1 = score_step(x_t, x_next, ts, 0.9)
-            s2 = score_step(x_t, x_next, ts[::-1], 0.9)
+            ts = [(p1, "a"), (p2, "a"), (p3, "b")]
+            s1 = score_one(x_t, x_next, ts, 0.9, {"b": UNDESIRABLE})
+            s2 = score_one(x_t, x_next, ts[::-1], 0.9, {"b": UNDESIRABLE})
             assert s1.combined[0] == pytest.approx(s2.combined[0], abs=1e-15)
             assert class_means(s1) == pytest.approx(class_means(s2))
 
@@ -152,44 +149,27 @@ class TestScoreStep:
         rng = np.random.default_rng(4)
         for _ in range(50):
             x_t, x_next, p1, p2 = rng.normal(size=(4, 3))
-            ts = [target(p1, "a"), target(p2, "b", Polarity.UNDESIRABLE)]
-            base = score_step(x_t, x_next, ts, 0.9)
+            pmap = {"b": UNDESIRABLE}
+            base = score_one(x_t, x_next, [(p1, "a"), (p2, "b")], 0.9, pmap)
             pad = lambda v: np.append(v, 0.777)
-            ts_pad = [target(pad(p1), "a"),
-                      target(pad(p2), "b", Polarity.UNDESIRABLE)]
-            padded = score_step(pad(x_t), pad(x_next), ts_pad, 0.9)
+            padded = score_one(pad(x_t), pad(x_next), [(pad(p1), "a"), (pad(p2), "b")], 0.9, pmap)
             assert padded.combined[0] == base.combined[0]
 
-    def test_class_weights(self):
-        targets = [target([1, 0], "good", Polarity.DESIRABLE, weight=3.0),
-                   target([-1, 0], "bad", Polarity.UNDESIRABLE, weight=1.0)]
-        s = score_step([0, 0], [0.5, 0], targets, 1.0)
-        # (3*1*1 + 1*(-1)*(-1)) / 4
-        assert s.combined[0] == pytest.approx(1.0)
-        s = score_step([0, 0], [-0.5, 0], targets, 1.0)
-        assert s.combined[0] == pytest.approx((3 * -1 + 1 * -1 * -1 * -1) / 4.0)
-        # the undesirable target lies square to the move: weighted 0.75, unweighted 0.5
-        targets = [target([1, 0], "good", Polarity.DESIRABLE, weight=3.0),
-                   target([0, -1], "bad", Polarity.UNDESIRABLE, weight=1.0)]
-        s = score_step([0, 0], [0.5, 0], targets, 1.0)
-        assert s.combined[0] == pytest.approx(0.75)
-
     def test_one_dim_toward_target_is_plus_one(self):
-        assert score_step([0], [1], [target([2])], 1.0).combined[0] == 1.0
+        assert score_one([0], [1], [([2], "c")], 1.0).combined[0] == 1.0
 
     def test_one_dim_away_from_target_is_minus_one(self):
-        assert score_step([0], [-1], [target([2])], 1.0).combined[0] == -1.0
+        assert score_one([0], [-1], [([2], "c")], 1.0).combined[0] == -1.0
 
     def test_one_dim_r1_is_exactly_plus_minus_one(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
             x_t, x_next, p = rng.normal(size=(3, 1))
-            assert set(score_step(x_t, x_next, [target(p)], 1.0).r1.tolist()) <= {-1.0, 1.0}
+            assert set(score_one(x_t, x_next, [(p, "c")], 1.0).r1.tolist()) <= {-1.0, 1.0}
 
     def test_degenerate_target_dropped(self):
         # one target sits exactly on the factual; the other still scores
-        targets = [target([0, 0], "a"), target([1, 0], "b")]
-        s = score_step([0, 0], [0.5, 0], targets, 1.0)
+        s = score_one([0, 0], [0.5, 0], [([0, 0], "a"), ([1, 0], "b")], 1.0)
         assert s.skip[0] == 0
         assert class_means(s) == {"b": 1.0}
         assert s.combined[0] == 1.0
@@ -198,90 +178,80 @@ class TestScoreStep:
 class TestScoreTrajectory:
     def test_two_point_onto_target(self):
         ts = score_trajectory(traj([(0, 0), (1, 1)]),
-                              single_target_provider([1, 1]), 0.9)
+                              fixed_target([1, 1]), 0.9)
         assert ts.steps.tolist() == [1]
         assert ts.combined[0] == 1.0
 
     def test_repeated_middle_point_skipped(self):
         ts = score_trajectory(traj([(0, 0), (0.5, 0), (0.5, 0)]),
-                              single_target_provider([1, 1]), 0.9)
+                              fixed_target([1, 1]), 0.9)
         assert ts.skipped_count == 1
         assert ts.steps[ts.skip == 0].tolist() == [1]
 
     def test_straight_line_all_ones_at_lambda_one(self):
         pts = [(0.1 * i, 0.2 * i) for i in range(5)]
-        ts = score_trajectory(traj(pts), single_target_provider([10, 20]), 1.0)
+        ts = score_trajectory(traj(pts), fixed_target([10, 20]), 1.0)
         assert ts.skipped_count == 0
         np.testing.assert_allclose(ts.combined, [1.0] * 4, rtol=0, atol=1e-12)
 
     def test_too_short(self):
         with pytest.raises(TrajectoryError):
-            score_trajectory(traj([(0, 0)]), single_target_provider([1, 1]), 0.9)
-
-    def test_lambda_schedule_sequence(self):
-        pts = [(0, 0), (1, 0), (2, 0)]
-        ts = score_trajectory(traj(pts), single_target_provider([10, 1]),
-                              [1.0, 0.0])
-        assert ts.step.tolist() == [0, 1]
-        assert ts.combined[0] == ts.r1[0]
-        assert ts.combined[1] == ts.r2[1]
+            score_trajectory(traj([(0, 0)]), fixed_target([1, 1]), 0.9)
 
     def test_targets_requeried_per_step(self):
         calls = []
 
         def provider(t, x):
-            calls.append(t)
-            return [target([5, 5], "goal")]
+            calls.append((t.tolist(), x.tolist()))
+            return make_targets([[([5, 5], "goal")]] * len(t))
 
-        score_trajectory(traj([(0, 0), (1, 1), (2, 2)]), per_step(provider), 0.9)
-        assert calls == [0, 1]
+        score_trajectory(traj([(0, 0), (1, 1), (2, 2)]), provider, 0.9)
+        assert calls == [([0, 1], [[0, 0], [1, 1]])]
 
 
 # -- the array kernel against the scalar reference -----------------------------
 
-def reference_step(x_t, x_next, targets, lam, weights=None, epsilon=DEFAULT_EPSILON):
-    """One step on the scalar path: ``geometry.step_score`` per target on the
-    active dims, then class means and the weighted polarity combination.
-    Returns ``(skip_reason, per_target, per_class, combined)``."""
+def reference_step(x_t, x_next, targets, lam, polarity, weights=None, epsilon=DEFAULT_EPSILON):
+    """One step on the scalar path: ``geometry.step_score`` per ``(point,
+    class label)`` target on the active dims, then class means and their
+    polarity-signed mean. Returns ``(skip_reason, per_target, per_class,
+    combined)``."""
     xt, xn = np.asarray(x_t, dtype=float), np.asarray(x_next, dtype=float)
-    points = [spec.point.values for spec in targets]
+    points = [np.asarray(p, dtype=float) for p, _ in targets]
     active = [d for d in range(xt.size) if any(abs(p[d] - xt[d]) > epsilon for p in points)]
     if not active:
         return SkipReason.ALL_MASKED, [], {}, None
     w = None if weights is None else np.asarray(weights, dtype=float)[active]
     if norm_of(xn[active] - xt[active], w) <= epsilon:
         return SkipReason.NO_FEATURE_CHANGE, [], {}, None
-    per_target, scores, class_weights = [], {}, {}
-    for spec, p in zip(targets, points):
+    per_target, scores = [], {}
+    for (_, label), p in zip(targets, points):
         try:
             geom = step_score(xt[active], xn[active], p[active], lam, epsilon=epsilon, weights=w)
         except DegenerateGeometry:
             continue
-        per_target.append((spec.class_label, spec.polarity, geom))
-        scores.setdefault(spec.class_label, []).append(geom.s)
-        class_weights.setdefault(spec.class_label, []).append(spec.weight)
+        per_target.append((label, geom))
+        scores.setdefault(label, []).append(geom.s)
     if not per_target:
         return SkipReason.ALL_TARGETS_DROPPED, [], {}, None
     per_class = {c: float(np.mean(v)) for c, v in scores.items()}
-    polarity = {label: pol for label, pol, _ in per_target}
-    cw = {c: float(np.mean(v)) for c, v in class_weights.items()}
-    combined = (sum(cw[c] * float(polarity[c]) * per_class[c] for c in per_class)
-                / sum(cw.values()))
+    combined = sum(float(polarity.get(c, DESIRABLE)) * m for c, m in per_class.items()) / len(per_class)
     return None, per_target, per_class, combined
 
 
-def assert_matches_reference(ts, i, x_t, x_next, targets, lam, weights=None):
+def assert_matches_reference(ts, i, x_t, x_next, targets, lam, polarity, weights=None):
     """Step ``i`` of ``ts`` against ``reference_step``: its skip reason, its
-    kept targets' classes, polarities, flags and scores, its per-class means
-    and its combined score."""
-    reason, per_target, per_class, combined = reference_step(x_t, x_next, targets, lam, weights)
+    kept targets' classes, flags and scores, its classes' polarities, its
+    per-class means and its combined score."""
+    reason, per_target, per_class, combined = reference_step(x_t, x_next, targets, lam,
+                                                             polarity, weights)
     assert ts.skip[i] == (0 if reason is None else reason)
+    assert ts.polarity.tolist() == [float(polarity.get(c, DESIRABLE)) for c in ts.labels]
     rows = ts.step == i
-    assert [(ts.labels[c], p) for c, p in zip(ts.cls[rows].tolist(), ts.polarity[rows].tolist())] \
-        == [(c, p) for c, p, _ in per_target]
-    for r1, r2, s, flag, (_, _, want) in zip(ts.r1[rows].tolist(), ts.r2[rows].tolist(),
-                                            ts.s[rows].tolist(), ts.flag[rows].tolist(),
-                                            per_target):
+    assert [ts.labels[c] for c in ts.cls[rows].tolist()] == [c for c, _ in per_target]
+    for r1, r2, s, flag, (_, want) in zip(ts.r1[rows].tolist(), ts.r2[rows].tolist(),
+                                         ts.s[rows].tolist(), ts.flag[rows].tolist(),
+                                         per_target):
         assert Degeneracy(flag) is want.degenerate
         # the documented ranges, and the exact ones of a reached goal, hold bit for bit
         assert -1.0 <= r1 <= 1.0 and 0.0 <= r2 <= 1.0
@@ -306,7 +276,7 @@ COORD = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
 
 @st.composite
 def trajectory_cases(draw):
-    """Points, per-step targets, a lambda schedule and feature weights."""
+    """Points, per-step targets, class polarities, a lambda and feature weights."""
     dim = draw(st.integers(1, 4))
     n_steps = draw(st.integers(1, 4))
     vec = st.lists(COORD, min_size=dim, max_size=dim).map(np.array)
@@ -327,31 +297,27 @@ def trajectory_cases(draw):
                 point = xs[i + 1]
             else:
                 point = xs[i] + draw(st.sampled_from([0.5, 2.0])) * (xs[i + 1] - xs[i])
-            label = draw(st.sampled_from("abc"))
-            step_targets.append(TargetSpec(point=FeatureVector(point), class_label=label,
-                                           polarity=polarity[label],
-                                           weight=draw(st.floats(0.1, 5.0))))
+            step_targets.append((point, draw(st.sampled_from("abc"))))
         target_lists.append(step_targets)
-    lam_value = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
-    lam = draw(st.one_of(lam_value, st.lists(lam_value, min_size=n_steps, max_size=n_steps)))
+    lam = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)))
     weights = draw(st.none() | st.lists(st.floats(0.1, 5.0), min_size=dim, max_size=dim))
-    return xs, target_lists, lam, weights
+    return xs, target_lists, polarity, lam, weights
 
 
 @settings(max_examples=300)
 @given(trajectory_cases())
 def test_kernel_matches_scalar_step_score(case):
-    xs, target_lists, lam, weights = case
-    traj = Trajectory("s", range(len(xs)), xs)
-    lams = [lam if isinstance(lam, float) else lam[i] for i in range(len(target_lists))]
-    ts = score_trajectory(traj, per_step(lambda t, x: target_lists[t]), lam,
+    xs, target_lists, polarity, lam, weights = case
+    tg = make_targets(target_lists, polarity)
+    ts = score_trajectory(Trajectory("s", range(len(xs)), xs), lambda t, x: tg, lam,
                           feature_weights=weights)
     assert ts.steps.tolist() == list(range(1, len(xs)))
     assert (np.diff(ts.step) >= 0).all()
     # every scored step, and no skipped one, has a finite combined score
     assert (np.isfinite(ts.combined) == (ts.skip == 0)).all()
     for i in range(len(ts.steps)):
-        assert_matches_reference(ts, i, xs[i], xs[i + 1], target_lists[i], lams[i], weights)
+        assert_matches_reference(ts, i, xs[i], xs[i + 1], target_lists[i], lam, polarity,
+                                 weights)
 
 
 @pytest.mark.parametrize("x_t, x_next, points, weights, expect", [
@@ -368,10 +334,10 @@ def test_kernel_matches_scalar_step_score(case):
 ], ids=["goal-reached", "goal-reached-rounded", "best-achieved", "best-achieved-past", "all-masked",
         "no-move", "dropped-target", "every-target-dropped"])
 def test_kernel_matches_scalar_on_degenerate_steps(x_t, x_next, points, weights, expect):
-    targets = [target(p, label) for p, label in zip(points, "ab")]
+    targets = list(zip(points, "ab"))
     for lam in (0.0, 0.4, 1.0):
-        step = score_step(x_t, x_next, targets, lam, feature_weights=weights)
-        assert_matches_reference(step, 0, x_t, x_next, targets, lam, weights)
+        step = score_one(x_t, x_next, targets, lam, feature_weights=weights)
+        assert_matches_reference(step, 0, x_t, x_next, targets, lam, {}, weights)
         if isinstance(expect, Degeneracy):
             assert step.flag.tolist() == [expect.value]
         elif isinstance(expect, SkipReason):
@@ -381,14 +347,15 @@ def test_kernel_matches_scalar_on_degenerate_steps(x_t, x_next, points, weights,
             assert step.skip[0] == 0
 
 
-def test_first_bad_scored_step_raises():
-    # step 0 is all masked, so its lambda is never used; step 1 reports its own
-    pts = [(0, 0), (1, 0), (2, 0)]
-    provider = per_step(lambda t, x: [target([0, 0] if t == 0 else [5, 0])])
-    ts = score_trajectory(traj(pts), provider, [1.0, 0.5])
-    assert ts.skip[0] == SkipReason.ALL_MASKED
-    with pytest.raises(ConfigError, match="got 1.5"):
-        score_trajectory(traj(pts), provider, [7.0, 1.5])
-    conflicting = [target([5, 0], "a"), target([6, 1], "a", Polarity.UNDESIRABLE)]
-    with pytest.raises(ConfigError, match="'a' carries conflicting polarities"):
-        score_trajectory(traj(pts), per_step(lambda t, x: conflicting), 0.5)
+def test_lambda_outside_the_unit_interval_raises():
+    for lam in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ConfigError, match=f"got {lam}"):
+            score_trajectory(traj([(0, 0), (1, 0), (2, 0)]), fixed_target([5, 0]), lam)
+
+
+def test_targets_carry_one_polarity_per_class():
+    # a polarity per row, as two rows of one class would give, is rejected
+    tg = make_targets([[([5, 0], "a"), ([6, 1], "a")]])
+    tg.polarity = np.ones(2)
+    with pytest.raises(DimensionError, match=r"polarities of shape \(2,\) do not match 1 classes"):
+        score_trajectory(traj([(0, 0), (1, 0)]), lambda t, x: tg, 0.5)

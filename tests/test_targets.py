@@ -16,10 +16,8 @@ from hypothesis import strategies as st
 
 from trace_scores import targets
 from trace_scores.errors import ConfigError, CorpusError, TargetError
-from trace_scores.geometry import FeatureVector
 from trace_scores.scoring import Polarity
-from trace_scores.targets import (build_index, knn_provider, knn_targets, load_corpus,
-                                  save_corpus, series_provider)
+from trace_scores.targets import build_index, knn_provider, load_corpus, save_corpus, series_provider
 from trace_scores.cli import main, run_build_index
 from oracles import brute_knn
 
@@ -30,12 +28,18 @@ def make_corpus(n=100, dim=5, seed=0, classes=("a", "b")):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n, dim))
     labels = [classes[i % len(classes)] for i in range(n)]
-    return build_index(zip(pts.tolist(), labels)), pts, labels
+    return build_index(pts, labels), pts, labels
+
+
+def nearest(corpus, x, k, pmap):
+    """The provider's Targets for the one query ``x``: its k nearest corpus
+    points in each class of ``pmap``."""
+    return knn_provider(corpus, k, pmap)(np.zeros(1, dtype=int), np.asarray(x, dtype=float)[None])
 
 
 class TestBuildIndex:
     def test_bookkeeping(self):
-        corpus = build_index([([0, 0], "x"), ([1, 1], "x"), ([2, 2], "y")])
+        corpus = build_index([[0, 0], [1, 1], [2, 2]], ["x", "x", "y"])
         assert corpus.class_size("x") == 2
         assert corpus.class_size("y") == 1
         assert set(corpus.classes()) == {"x", "y"}
@@ -43,20 +47,20 @@ class TestBuildIndex:
     def test_self_query_returns_itself(self):
         corpus, pts, labels = make_corpus()
         for i in (0, 17, 99):
-            specs = knn_targets(corpus, pts[i], 1, {labels[i]: Polarity.DESIRABLE})
-            np.testing.assert_array_equal(specs[0].point.values, pts[i])
+            found = nearest(corpus, pts[i], 1, {labels[i]: Polarity.DESIRABLE})
+            np.testing.assert_array_equal(found.points, [pts[i]])
 
     def test_empty_corpus(self):
         with pytest.raises(CorpusError):
-            build_index([])
+            build_index([], [])
 
     def test_inconsistent_dims(self):
         with pytest.raises(CorpusError):
-            build_index([([0, 0], "x"), ([1], "x")])
+            build_index([[0, 0], [1]], ["x", "x"])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(CorpusError):
-            build_index([([0, float("nan")], "x")])
+            build_index([[0, float("nan")]], ["x"])
 
 
 class TestKnnTargets:
@@ -65,10 +69,10 @@ class TestKnnTargets:
         rng = np.random.default_rng(1)
         for _ in range(50):
             x = rng.normal(size=5)
-            specs = knn_targets(corpus, x, 3, PMAP)
+            found = nearest(corpus, x, 3, PMAP)
             by_class = {"a": [], "b": []}
-            for s in specs:
-                by_class[s.class_label].append(s.point.values)
+            for c, point in zip(found.cls.tolist(), found.points):
+                by_class[found.labels[c]].append(point)
             for label in ("a", "b"):
                 rows = [i for i, l in enumerate(labels) if l == label]
                 class_pts = pts[rows]
@@ -79,31 +83,28 @@ class TestKnnTargets:
 
     def test_tie_break_by_insertion_order(self):
         # four equidistant points; the first two in input order win
-        corpus = build_index([([1, 0], "a"), ([0, 1], "a"),
-                              ([-1, 0], "a"), ([0, -1], "a")])
-        specs = knn_targets(corpus, [0, 0], 2, {"a": Polarity.DESIRABLE})
-        np.testing.assert_array_equal(specs[0].point.values, [1, 0])
-        np.testing.assert_array_equal(specs[1].point.values, [0, 1])
+        corpus = build_index([[1, 0], [0, 1], [-1, 0], [0, -1]], ["a"] * 4)
+        found = nearest(corpus, [0, 0], 2, {"a": Polarity.DESIRABLE})
+        np.testing.assert_array_equal(found.points, [[1, 0], [0, 1]])
 
     def test_polarity_tagging(self):
         corpus, pts, _ = make_corpus()
-        specs = knn_targets(corpus, pts[0], 3, PMAP)
-        assert {s.class_label for s in specs} == {"a", "b"}
-        for s in specs:
-            assert s.polarity == PMAP[s.class_label]
-        assert sum(s.class_label == "a" for s in specs) == 3
+        found = nearest(corpus, pts[0], 3, PMAP)
+        assert found.labels == ["a", "b"]
+        assert found.polarity.tolist() == [1.0, -1.0]
+        assert found.cls.tolist() == [0, 0, 0, 1, 1, 1]
 
     def test_unknown_class(self):
         corpus, pts, _ = make_corpus()
         with pytest.raises(ConfigError):
-            knn_targets(corpus, pts[0], 3, {"zzz": Polarity.DESIRABLE})
+            knn_provider(corpus, 3, {"zzz": Polarity.DESIRABLE})
 
     def test_k_clamped_with_warning(self, tmp_path):
-        corpus = build_index([([0, 0], "a"), ([1, 1], "a")])
+        corpus = build_index([[0, 0], [1, 1]], ["a", "a"])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            specs = knn_targets(corpus, [0, 0], 5, {"a": Polarity.DESIRABLE})
-        assert len(specs) == 2
+            found = nearest(corpus, [0, 0], 5, {"a": Polarity.DESIRABLE})
+        assert len(found) == 2
         # the CLI prints one notice per clamped class on every run
         (tmp_path / "corpus.csv").write_text("a,b,label\n0,0,A\n1,1,A\n0,1,B\n1,0,B\n2,2,B\n")
         (tmp_path / "traj.csv").write_text("subject_id,t,a,b\ns1,0,0.5,0.5\ns1,1,0.7,0.6\n")
@@ -121,17 +122,16 @@ class TestKnnTargets:
     def test_k_zero(self):
         corpus, pts, _ = make_corpus()
         with pytest.raises(ConfigError):
-            knn_targets(corpus, pts[0], 0, PMAP)
+            knn_provider(corpus, 0, PMAP)
 
     def test_determinism(self):
         corpus, pts, _ = make_corpus()
         x = np.full(5, 0.3)
-        first = knn_targets(corpus, x, 3, PMAP)
+        first = nearest(corpus, x, 3, PMAP)
         for _ in range(5):
-            again = knn_targets(corpus, x, 3, PMAP)
-            for s1, s2 in zip(first, again):
-                np.testing.assert_array_equal(s1.point.values, s2.point.values)
-                assert s1.class_label == s2.class_label
+            again = nearest(corpus, x, 3, PMAP)
+            np.testing.assert_array_equal(again.points, first.points)
+            assert again.cls.tolist() == first.cls.tolist()
 
     @pytest.mark.parametrize("dim", [2, 10, 17])
     def test_exactness_random_dims(self, dim):
@@ -141,10 +141,8 @@ class TestKnnTargets:
         class_pts = pts[rows_a]
         for _ in range(40):
             x = rng.normal(size=dim)
-            specs = knn_targets(corpus, x, 3, {"a": Polarity.DESIRABLE})
-            expected = [class_pts[j] for j in brute_knn(class_pts, x, 3)]
-            for got, want in zip(specs, expected):
-                np.testing.assert_array_equal(got.point.values, want)
+            found = nearest(corpus, x, 3, {"a": Polarity.DESIRABLE})
+            np.testing.assert_array_equal(found.points, class_pts[brute_knn(class_pts, x, 3)])
 
     def test_row_ids_match_brute_force_on_duplicates(self):
         # integer coordinates make equal distances; the last ten rows repeat
@@ -153,7 +151,7 @@ class TestKnnTargets:
         pts = rng.integers(-2, 3, size=(40, 3)).astype(float)
         pts[30:] = pts[:10]
         labels = ["a" if i % 3 else "b" for i in range(40)]
-        corpus = build_index(zip(pts.tolist(), labels))
+        corpus = build_index(pts, labels)
         queries = np.concatenate([pts[:10], rng.integers(-2, 3, size=(10, 3)),
                                   rng.normal(size=(10, 3))])
         for label in ("a", "b"):
@@ -161,18 +159,17 @@ class TestKnnTargets:
             for x in queries:
                 for k in (1, 3, 7, len(rows), len(rows) + 2):
                     idx = corpus.class_indices[label]
-                    got = idx.rows[idx.query(x, k)].tolist()
+                    got = idx.rows[idx.query_rows(x[None], k)[0][0]].tolist()
                     assert got == [int(rows[j]) for j in brute_knn(pts[rows], x, k)]
 
     def test_concurrent_queries_identical(self):
         corpus, pts, _ = make_corpus()
         x = np.full(5, -0.2)
-        expected = [s.point.values for s in knn_targets(corpus, x, 3, PMAP)]
+        expected = nearest(corpus, x, 3, PMAP).points
         results = [None] * 8
 
         def worker(i):
-            specs = knn_targets(corpus, x, 3, PMAP)
-            results[i] = [s.point.values for s in specs]
+            results[i] = nearest(corpus, x, 3, PMAP).points
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
         for t in threads:
@@ -180,8 +177,7 @@ class TestKnnTargets:
         for t in threads:
             t.join()
         for res in results:
-            for got, want in zip(res, expected):
-                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(res, expected)
 
 
 @st.composite
@@ -204,7 +200,7 @@ def knn_cases(draw):
 @given(knn_cases())
 def test_batched_query_is_exact(case):
     rows, labels, xs, k, block_values = case
-    corpus = build_index(zip(rows, labels))
+    corpus = build_index(rows, labels)
     for idx in corpus.class_indices.values():
         with mock.patch.object(targets, "_BLOCK_VALUES", block_values):
             pos, dist = idx.query_rows(xs, k)
@@ -215,12 +211,12 @@ def test_batched_query_is_exact(case):
     pmap = {label: Polarity.DESIRABLE if label == "a" else Polarity.UNDESIRABLE
             for label in corpus.classes()}
     found = knn_provider(corpus, k, pmap)(np.arange(len(xs)), xs)
-    per_query = [knn_targets(corpus, x, k, pmap) for x in xs]
-    assert found.step.tolist() == [i for i, specs in enumerate(per_query) for _ in specs]
-    specs = [spec for specs in per_query for spec in specs]
-    assert np.array_equal(found.points, [spec.point.values for spec in specs])
-    assert [found.labels[c] for c in found.cls] == [spec.class_label for spec in specs]
-    assert found.polarity.tolist() == [float(spec.polarity) for spec in specs]
+    per_query = [nearest(corpus, x, k, pmap) for x in xs]
+    assert found.step.tolist() == [i for i, one in enumerate(per_query) for _ in range(len(one))]
+    assert np.array_equal(found.points, np.concatenate([one.points for one in per_query]))
+    assert found.cls.tolist() == [c for one in per_query for c in one.cls.tolist()]
+    assert found.labels == list(pmap)
+    assert found.polarity.tolist() == [float(pmap[c]) for c in found.labels]
 
 
 @st.composite
@@ -264,7 +260,7 @@ def near_tie_cases(draw):
 @given(near_tie_cases())
 def test_query_is_exact_at_every_scale_and_near_tie(case):
     rows, xs, k = case
-    idx = build_index(zip(rows, ["a"] * len(rows))).class_indices["a"]
+    idx = build_index(rows, ["a"] * len(rows)).class_indices["a"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # overflow stays inside query_rows
         pos, dist = idx.query_rows(xs, k)
@@ -284,7 +280,7 @@ def test_query_is_exact_where_squares_underflow():
         rows = np.concatenate([rows, rows[rng.integers(0, n, 4)] * rng.normal(1, 1e-3, (4, dim))])
         xs = np.concatenate([rows[:2] * rng.normal(1, 1e-2, (2, dim)), rows[-2:]])
         k = rng.integers(1, len(rows) + 1)
-        pos, dist = build_index(zip(rows, ["a"] * len(rows))).class_indices["a"].query_rows(xs, k)
+        pos, dist = build_index(rows, ["a"] * len(rows)).class_indices["a"].query_rows(xs, k)
         for x, got, d in zip(xs, pos, dist):
             assert got.tolist() == brute_knn(rows, x, k)
             assert np.array_equal(d, np.linalg.norm(rows - x, axis=1)[got])
@@ -292,7 +288,7 @@ def test_query_is_exact_where_squares_underflow():
 
 def test_query_memory_is_bounded_by_the_block():
     rng = np.random.default_rng(3)
-    idx = build_index(zip(rng.uniform(size=(5000, 17)), ["a"] * 5000)).class_indices["a"]
+    idx = build_index(rng.uniform(size=(5000, 17)), ["a"] * 5000).class_indices["a"]
     xs = rng.uniform(size=(200, 17))
     tracemalloc.start()
     try:
@@ -333,20 +329,18 @@ class TestIndexRoundTrip:
         corpus, names = load_corpus(path)
         assert names == ["f0", "f1", "f2", "f3"]
         stats = corpus.norm_stats
-        normalized = np.array([stats.apply(row).values for row in raw])
+        normalized = np.array([stats.apply(row[None])[0] for row in raw])
         for label, idx in corpus.class_indices.items():
             assert idx.rows.tolist() == [i for i, l in enumerate(labels) if l == label]
             assert np.array_equal(idx.points, normalized[idx.rows])
         rng = np.random.default_rng(10)
         queries = np.concatenate([normalized[:12], rng.uniform(-0.2, 1.2, size=(12, 4))])
         for x in queries:
-            specs = knn_targets(corpus, x, 4, PMAP)
-            for label in ("a", "b"):
+            found = nearest(corpus, x, 4, PMAP)
+            for c, label in enumerate(found.labels):
                 class_pts = normalized[[i for i, l in enumerate(labels) if l == label]]
-                got = [s.point.values for s in specs if s.class_label == label]
-                want = [class_pts[j] for j in brute_knn(class_pts, x, 4)]
-                assert len(got) == 4
-                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                assert np.array_equal(found.points[found.cls == c],
+                                      class_pts[brute_knn(class_pts, x, 4)])
 
     def test_save_of_load_is_byte_identical(self, built, tmp_path):
         *_, path = built
@@ -358,7 +352,7 @@ class TestIndexRoundTrip:
 class TestFixedTargets:
     def series(self, label="SSP1", polarity=Polarity.DESIRABLE, n=3):
         return series_provider(label, polarity,
-                               {t: FeatureVector([float(t), 1.0]) for t in range(n)})
+                               {t: [float(t), 1.0] for t in range(n)})
 
     def test_t_out_of_range(self):
         with pytest.raises(TargetError):

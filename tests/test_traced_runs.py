@@ -1,7 +1,7 @@
 """The benchmark's tracer still reaches the library's call sites: a traced
 corpus score and series score finish, with one provider call per subject
-and target set, and every target row, step, trajectory row and empty cell
-counted."""
+and target set, and every target row, step, trajectory row, empty cell and
+normalize call counted."""
 
 import importlib.util
 from collections import Counter
@@ -62,4 +62,6 @@ def test_traced_gappy_corpus_score_counts_rows_and_empty_cells(tmp_path):
     assert tracer.counts["pipeline.rows"] == 8
     assert tracer.counts["pipeline.missing_cells"] == 7
     assert tracer.counts["scoring.steps"] == 2 + 2 + 1
+    # 2 classes normalized at build and again at load, and 3 subjects
+    assert calls["pipeline.normalize"] == 2 + 2 + 3
     assert not (tmp_path / "out" / "errors.csv").exists()
