@@ -19,7 +19,6 @@ class ScoreSeries:
     Skipped steps are excluded from all three forms.
     """
 
-    subject_id: str
     values: List[Tuple[int, float]]
     average: float
     cumulative: List[float]
@@ -43,7 +42,7 @@ class GroupComparison:
                 "t": self.t_stat, "dof": self.dof, "p": self.p_value}
 
 
-def aggregate(traj_score: TrajectoryScore, subject_id: str = "") -> ScoreSeries:
+def aggregate(traj_score: TrajectoryScore) -> ScoreSeries:
     """Condense a trajectory's step scores into the three reporting forms."""
     scored = traj_score.skip == 0
     if not scored.any():
@@ -55,8 +54,7 @@ def aggregate(traj_score: TrajectoryScore, subject_id: str = "") -> ScoreSeries:
     for _, v in values:
         total += v
         cumulative.append(total)
-    return ScoreSeries(subject_id=subject_id, values=values,
-                       average=total / len(values), cumulative=cumulative)
+    return ScoreSeries(values=values, average=total / len(values), cumulative=cumulative)
 
 
 def _mean(xs: Sequence[float]) -> float:

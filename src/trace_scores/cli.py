@@ -73,10 +73,10 @@ class RunConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "RunConfig":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as e:
+            except ValueError as e:   # not JSON, or not UTF-8 text
                 raise ConfigError(f"{path}: not valid JSON: {e}") from None
         cfg = cls()
         try:
@@ -152,9 +152,6 @@ def run_build_index(corpus_csv, out_path) -> Dict[str, int]:
     except CorpusError as e:
         raise CorpusError(f"{corpus_csv}: {e}") from None
     corpus = build_index(points, labels, norm_stats=stats)
-    # imputation fallbacks operate on raw values, so store raw class means
-    corpus.class_means = {label: corpus.points[idx.rows].mean(axis=0).tolist()
-                          for label, idx in corpus.class_indices.items()}
     save_corpus(corpus, names, out_path)
     return {label: corpus.class_size(label) for label in corpus.classes()}
 
@@ -181,7 +178,8 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
     Each subject's trajectory is built once. A series of None marks the
     corpus's single target set; a named one tags step lines, summary rows
     and error messages with it, and a subject that cannot be scored against
-    a set gets one error row for that set. Writes ``steps.jsonl``,
+    a set gets one error row for that set. Removes every file a score run
+    writes from ``out_dir``, then writes ``steps.jsonl``,
     ``scores_wide.csv``, ``summary.csv`` (``columns``) and ``errors.csv``;
     returns the summary rows and the run info.
     """
@@ -191,6 +189,8 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
                           f"the trajectories have {len(names)} features")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("steps.jsonl", "scores_wide.csv", "summary.csv", "errors.csv", "ranking.json"):
+        (out_dir / name).unlink(missing_ok=True)
     step_lines: List[dict] = []
     summary_rows: List[dict] = []
     errors: List[Tuple[str, str]] = []
@@ -206,7 +206,7 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
                 ts = scoring.score_trajectory(traj, provider, cfg.lam,
                                               epsilon=cfg.epsilon,
                                               feature_weights=cfg.feature_weights)
-                agg = analytics.aggregate(ts, subject)
+                agg = analytics.aggregate(ts)
             except TraceError as e:
                 errors.append((subject, _error_text(series, e)))
                 continue
@@ -376,7 +376,7 @@ def _exit_on_error(fn):
     except _USAGE_ERRORS as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(2)
-    except TraceError as e:
+    except (OSError, TraceError) as e:   # OSError: say, an output path not writable
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
 
@@ -393,9 +393,9 @@ def cmd_build_index(corpus_csv, out_path):
 
 @main.command("score")
 @click.argument("trajectories_csv", type=click.Path(exists=True, dir_okay=False))
-@click.option("--index", "index_path", default=None, type=click.Path(exists=True))
+@click.option("--index", "index_path", default=None, type=click.Path(exists=True, dir_okay=False))
 @click.option("--targets-dir", default=None, type=click.Path(exists=True, file_okay=False))
-@click.option("--config", "config_path", default=None, type=click.Path(exists=True))
+@click.option("--config", "config_path", default=None, type=click.Path(exists=True, dir_okay=False))
 @click.option("--lambda", "lam", default=None, type=float)
 @click.option("--k", default=None, type=int)
 @click.option("--epsilon", default=None, type=float)

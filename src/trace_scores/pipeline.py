@@ -3,7 +3,7 @@
 Order of operations for a cohort run: load raw records, impute per
 subject (forward fill, backward fill, then class mean), fit a
 min-max normalizer on the corpus, and normalize each subject's rows with
-the stored statistics.
+its statistics.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def impute(x, class_means: Optional[Sequence[float]] = None) -> np.ndarray:
 
 @dataclass(eq=False)
 class NormStats:
-    """Per-feature min-max statistics, persisted inside the corpus index."""
+    """Per-feature min-max statistics of the corpus rows."""
 
     names: List[str]
     mins: np.ndarray
@@ -101,17 +101,6 @@ class NormStats:
         span = self.maxs - self.mins
         return np.where(span > 0, (v - self.mins) / np.where(span > 0, span, 1.0), 0.5)
 
-    def to_json(self) -> dict:
-        return {"features": [{"name": n, "min": float(lo), "max": float(hi)}
-                             for n, lo, hi in zip(self.names, self.mins, self.maxs)]}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "NormStats":
-        feats = doc["features"]
-        return cls(names=[f["name"] for f in feats],
-                   mins=np.array([f["min"] for f in feats], dtype=float),
-                   maxs=np.array([f["max"] for f in feats], dtype=float))
-
 
 def fit_normalizer(rows, names: Optional[Sequence[str]] = None) -> NormStats:
     """Min-max statistics per feature from corpus rows only."""
@@ -121,7 +110,7 @@ def fit_normalizer(rows, names: Optional[Sequence[str]] = None) -> NormStats:
     if names is None:
         names = [f"f{i}" for i in range(arr.shape[1])]
     if len(names) != arr.shape[1]:
-        raise DimensionError("feature name count does not match row width")
+        raise DimensionError(f"{len(names)} feature names for rows of {arr.shape[1]} values")
     return NormStats(names=list(names), mins=arr.min(axis=0), maxs=arr.max(axis=0))
 
 
@@ -141,20 +130,27 @@ def read_csv(path, error: type) -> Iterator:
     """Yield a CSV's header, then ``(where, row)`` for each non-blank row,
     ``where`` being ``path:line``. Rows stream from the file one at a time.
     A file with no header, or a row whose length differs from the
-    header's, raises ``error``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise error(f"{path}: empty file")
-        yield header
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            where = f"{path}:{lineno}"
-            if len(row) != len(header):
-                raise error(f"{where}: expected {len(header)} columns, got {len(row)}")
-            yield where, row
+    header's, raises ``error``, and so does a line that is not UTF-8."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise error(f"{path}: empty file")
+            yield header
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                where = f"{path}:{lineno}"
+                if len(row) != len(header):
+                    raise error(f"{where}: expected {len(header)} columns, got {len(row)}")
+                yield where, row
+    except UnicodeDecodeError:
+        # the text layer decodes whole blocks, so find the line in the bytes
+        with open(path, "rb") as fh:
+            lineno = next(i for i, line in enumerate(fh, start=1)
+                          if line.decode("utf-8", "ignore").encode() != line)
+        raise error(f"{path}:{lineno}: not UTF-8 text") from None
 
 
 def parse_t(cell: str, where: str, error: type) -> int:
@@ -191,6 +187,8 @@ def load_trajectory_csv(path):
             if earlier != row[-1]:
                 raise TrajectoryError(f"{where}: subject {subject!r} has label {row[-1]!r}, "
                                       f"earlier rows say {earlier!r}")
+    if not by_subject:
+        raise TrajectoryError(f"{path}: no data rows")
     for records in by_subject.values():
         records.sort(key=lambda r: r.t_index)
         seen = set()

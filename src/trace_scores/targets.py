@@ -7,13 +7,13 @@ class, and fixed per-timestep target series.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, CorpusError, TargetError
+from .errors import ConfigError, CorpusError, DimensionError, TargetError
+from .pipeline import NormStats, fit_normalizer
 from .scoring import Polarity, Targets
 
 
@@ -90,9 +90,9 @@ class Corpus:
 
     points: np.ndarray                 # (n, dim), as given to build_index
     labels: List[str]
-    class_indices: Dict[str, _ClassIndex] = field(default_factory=dict)
-    norm_stats: Optional[object] = None
-    class_means: Dict[str, List[float]] = field(default_factory=dict)
+    class_indices: Dict[str, _ClassIndex]
+    class_means: Dict[str, np.ndarray]   # each class's raw mean, the imputation fallback
+    norm_stats: Optional[NormStats] = None
 
     @property
     def dim(self) -> int:
@@ -110,7 +110,7 @@ def build_index(points, labels: Sequence[str], *, norm_stats=None) -> Corpus:
     nearest-neighbor queries.
 
     With ``norm_stats``, each class's rows are normalized for the queries;
-    ``Corpus.points`` keeps the rows as given.
+    ``Corpus.points`` and each class's mean keep the rows as given.
     """
     labels = list(map(str, labels))
     if not labels:
@@ -130,11 +130,14 @@ def build_index(points, labels: Sequence[str], *, norm_stats=None) -> Corpus:
             f"normalizer has {norm_stats.dim} features, the points have {arr.shape[1]}")
     label_arr = np.array(labels)
     indices: Dict[str, _ClassIndex] = {}
+    means: Dict[str, np.ndarray] = {}
     for label in dict.fromkeys(labels):
         rows_l = np.flatnonzero(label_arr == label)
-        points = arr[rows_l] if norm_stats is None else norm_stats.apply(arr[rows_l])
-        indices[label] = _ClassIndex(rows=rows_l, points=points)
-    return Corpus(points=arr, labels=labels, class_indices=indices,
+        raw = arr[rows_l]
+        means[label] = raw.mean(axis=0)
+        indices[label] = _ClassIndex(
+            rows=rows_l, points=raw if norm_stats is None else norm_stats.apply(raw))
+    return Corpus(points=arr, labels=labels, class_indices=indices, class_means=means,
                   norm_stats=norm_stats)
 
 
@@ -190,48 +193,15 @@ def series_provider(label: str, polarity: Polarity,
 
 # -- serialization ----------------------------------------------------------
 
-# index.json holds the rows as given (raw corpus values, which shortest-repr
-# floats reproduce exactly) in ``points``, their ``labels`` in the same order,
-# the ``normalizer``, the raw ``class_means`` and the ``features``. Loading
-# normalizes each class's rows again.
-
-def corpus_to_json(corpus: Corpus, feature_names: Sequence[str]) -> dict:
-    doc = {
-        "features": list(feature_names),
-        "points": corpus.points.tolist(),
-        "labels": corpus.labels,
-        "class_means": corpus.class_means,
-    }
-    if corpus.norm_stats is not None:
-        doc["normalizer"] = corpus.norm_stats.to_json()
-    return doc
-
-
-def corpus_from_json(doc: dict) -> Tuple[Corpus, List[str]]:
-    from .pipeline import NormStats
-    stats = NormStats.from_json(doc["normalizer"]) if "normalizer" in doc else None
-    labels, features = doc["labels"], doc["features"]
-    if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
-        raise CorpusError("labels must be a list of strings")
-    corpus = build_index(doc["points"], labels, norm_stats=stats)
-    if not isinstance(features, list) or len(features) != corpus.dim:
-        raise CorpusError(f"features {features!r} do not fit points of {corpus.dim} values")
-    if stats is not None and features != stats.names:
-        raise CorpusError(f"features {features} do not match the normalizer's {stats.names}")
-    corpus.class_means = {k: list(map(float, v))
-                          for k, v in doc.get("class_means", {}).items()}
-    for label, mean in corpus.class_means.items():
-        if len(mean) != corpus.dim:
-            raise CorpusError(f"class_means of {label!r} has {len(mean)} values, "
-                              f"the points have {corpus.dim}")
-        if not all(map(math.isfinite, mean)):
-            raise CorpusError(f"class_means of {label!r} has a non-finite value")
-    return corpus, features
-
+# index.json holds the corpus alone: the rows as given (raw corpus values,
+# which shortest-repr floats reproduce exactly) in ``points``, their
+# ``labels`` in the same order and the ``features``. Loading fits the
+# normalizer and the class means to the points again, as build-index does.
 
 def save_corpus(corpus: Corpus, feature_names: Sequence[str], path) -> None:
     # json.dumps encodes in C; json.dump always takes the pure-Python encoder
-    text = json.dumps(corpus_to_json(corpus, feature_names), sort_keys=True)
+    text = json.dumps({"features": list(feature_names), "labels": corpus.labels,
+                       "points": corpus.points.tolist()}, sort_keys=True)
     with open(path, "w") as fh:
         fh.write(text)
         fh.write("\n")
@@ -239,11 +209,20 @@ def save_corpus(corpus: Corpus, feature_names: Sequence[str], path) -> None:
 
 def load_corpus(path) -> Tuple[Corpus, List[str]]:
     """Read an index written by ``save_corpus``; a document that does not
-    fit its layout raises CorpusError naming ``path``."""
-    with open(path) as fh:
+    fit its layout raises CorpusError naming ``path``. Any other key, such
+    as an older index's stored normalizer, is ignored."""
+    with open(path, encoding="utf-8") as fh:
         try:
-            return corpus_from_json(json.load(fh))
+            doc = json.load(fh)
+            labels, features = doc["labels"], doc["features"]
+            if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
+                raise CorpusError("labels must be a list of strings")
+            if not isinstance(features, list):
+                raise CorpusError(f"features must be a list, not {type(features).__name__}")
+            points = np.asarray(doc["points"], dtype=float)
+            stats = fit_normalizer(points, features)
+            return build_index(points, labels, norm_stats=stats), features
         except KeyError as e:
             raise CorpusError(f"{path}: malformed index: missing key {e}") from None
-        except (AttributeError, CorpusError, TypeError, ValueError) as e:
+        except (CorpusError, DimensionError, TypeError, ValueError) as e:
             raise CorpusError(f"{path}: malformed index: {e}") from None

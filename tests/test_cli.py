@@ -115,7 +115,7 @@ class TestScoreCorpusMode:
         t0 = build_trajectory(by_subject["s0"], label=labels["s0"],
                               class_means=corpus_obj.class_means,
                               normalizer=corpus_obj.norm_stats)
-        expected = aggregate(score_trajectory(t0, provider, 0.9), "s0")
+        expected = aggregate(score_trajectory(t0, provider, 0.9))
         with open(tmp / "out" / "summary.csv") as fh:
             row = next(r for r in csv.DictReader(fh) if r["subject_id"] == "s0")
         assert float(row["average"]) == expected.average
@@ -376,16 +376,36 @@ def _corpus_rows(*rows, expect):
     return setup
 
 
-def _bad_index(edit):
+def _bad_index(edit, expect=""):
     """Index rows: ``edit`` changes the built index's JSON document in place;
-    the error names the index."""
+    the error names the index, followed by ``expect``."""
     def setup(corpus, traj, config, tdir):
         index = corpus.parent / "index.json"
         doc = json.loads(index.read_text())
         edit(doc)
         index.write_text(json.dumps(doc))
-        return ["--config", str(config)], f"{index}: malformed index:"
+        return ["--config", str(config)], f"{index}: malformed index: {expect}"
     return setup
+
+
+def _not_utf8(which, lineno):
+    """Encoding rows: a 0xff byte ends line ``lineno`` of ``which`` file; the
+    error names the file and, for a CSV, the line."""
+    def setup(corpus, traj, config, tdir):
+        path = {"config": config, "traj": traj, "series": tdir / "SSP1.csv",
+                "corpus": corpus}[which]
+        lines = path.read_bytes().splitlines()
+        lines[lineno - 1] += b"\xff"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        if which == "config":
+            return ["--config", str(config)], f"{config}: not valid JSON: 'utf-8' codec"
+        return ["--config", str(config)], f"{path}:{lineno}: not UTF-8 text"
+    return setup
+
+
+def _header_only(corpus, traj, config, tdir):
+    traj.write_text(traj.read_text().splitlines()[0] + "\n")
+    return ["--config", str(config)], f"{traj}: no data rows"
 
 
 def _flag(name, value):
@@ -429,27 +449,23 @@ MALFORMED_INPUTS = [
     ("index-old-layout-point", "corpus",
      _bad_index(lambda doc: doc["points"].__setitem__(
          0, {"values": doc["points"][0], "label": doc["labels"][0]}))),
-    ("index-normalizer-dim", "corpus",
-     _bad_index(lambda doc: doc["normalizer"]["features"].pop())),
-    ("index-nan-class-mean", "corpus",
-     _bad_index(lambda doc: doc["class_means"]["RFD"].__setitem__(0, float("nan")))),
-    ("index-nan-normalizer-max", "corpus",
-     _bad_index(lambda doc: doc["normalizer"]["features"][0].__setitem__("max", float("nan")))),
-    ("index-inf-normalizer-min", "corpus",
-     _bad_index(lambda doc: doc["normalizer"]["features"][1].__setitem__("min", float("inf")))),
     ("index-normalizer-range-overflow", "corpus",
-     _bad_index(lambda doc: doc["normalizer"]["features"][0].update(min=-1e308, max=1e308))),
-    ("index-short-class-mean", "corpus", _bad_index(lambda doc: doc["class_means"]["RFD"].pop())),
+     _bad_index(lambda doc: (doc["points"][0].__setitem__(0, -1e308),
+                             doc["points"][1].__setitem__(0, 1e308)),
+                expect="feature 'hr' spans a non-finite range")),
     ("index-features-wider-than-points", "corpus",
-     _bad_index(lambda doc: (doc.pop("normalizer"), doc["features"].append("xx")))),
-    ("index-features-not-normalizer", "corpus",
-     _bad_index(lambda doc: doc["features"].__setitem__(1, "spo2"))),
+     _bad_index(lambda doc: doc["features"].append("xx"))),
     ("traj-cell-abc", "corpus", _bad_cell("traj", 3, 2, "abc")),
     ("traj-cell-nan", "corpus", _bad_cell("traj", 3, 2, "nan")),
     ("traj-cell-inf", "series", _bad_cell("traj", 4, 3, "-inf")),
     ("traj-t-float", "corpus", _bad_cell("traj", 2, 1, "0.5")),
     ("traj-conflicting-label", "corpus", _bad_cell(
         "traj", 3, 4, "mortality", "subject 's0' has label 'mortality', earlier rows say 'RFD'")),
+    ("traj-header-only", "corpus", _header_only),
+    ("config-not-utf8", "corpus", _not_utf8("config", 1)),
+    ("traj-not-utf8", "corpus", _not_utf8("traj", 3)),
+    ("series-not-utf8", "series", _not_utf8("series", 2)),
+    ("corpus-not-utf8", "build-index", _not_utf8("corpus", 4)),
     ("series-cell-abc", "series", _bad_cell("series", 3, 1, "abc")),
     ("series-cell-inf", "series", _bad_cell("series", 2, 2, "inf")),
     ("series-t-text", "series", _bad_cell("series", 4, 0, "three")),
@@ -500,6 +516,99 @@ def test_polarity_averages_leave_out_classes_a_step_does_not_score():
     # no scored step scores a desirable class
     ts = hand_scored([-0.75, nan], skip[1:], "abc", per_class[1:], polarity)
     assert _polarity_averages(ts) == {"average_desirable": None, "average_undesirable": 0.75}
+
+
+def test_older_index_layout_scores_from_its_points(corpus_setup):
+    """An index in the earlier layout, whose stored normalizer and class
+    means disagree with its points, scores as the freshly built one does."""
+    tmp, corpus, traj, config = corpus_setup
+    with open(traj, "a") as fh:   # rr has no value, so it takes the class mean
+        fh.write("gap,0,0.5,,RFD\ngap,1,0.55,,RFD\n")
+    runner.invoke(main, ["build-index", str(corpus), "--out", str(tmp / "index.json")])
+    doc = json.loads((tmp / "index.json").read_text())
+    doc["normalizer"] = {"features": [{"name": name, "min": -1.0, "max": 5.0}
+                                      for name in doc["features"]]}
+    doc["class_means"] = {"RFD": [9.0, 9.0], "mortality": [-9.0, -9.0]}
+    (tmp / "old.json").write_text(json.dumps(doc))
+    outputs = []
+    for index in ("index.json", "old.json"):
+        out = tmp / f"out_{index}"
+        res = runner.invoke(main, ["score", str(traj), "--index", str(tmp / index),
+                                   "--config", str(config), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        outputs.append([(out / name).read_bytes()
+                        for name in ("steps.jsonl", "scores_wide.csv", "summary.csv")])
+    assert outputs[0] == outputs[1]
+    assert b"gap" in outputs[0][2]
+
+
+def test_a_run_removes_the_outputs_of_an_earlier_run(series_setup):
+    tmp_path, traj, tdir = series_setup
+    out = tmp_path / "out"
+    bad, lonely = tmp_path / "bad.csv", tmp_path / "lonely.csv"
+    bad.write_text(traj.read_text() + "u,0,0.5,0.5\n")
+    lonely.write_text("subject_id,t,a,b\nu,0,0.5,0.5\n")
+
+    def score(path):
+        return runner.invoke(main, ["score", str(path), "--targets-dir", str(tdir),
+                                    "--out", str(out)])
+    assert score(bad).exit_code == 0 and (out / "errors.csv").exists()
+    res = score(traj)
+    assert json.loads(res.stdout.splitlines()[-1]) == {"errors": 0, "subjects": 1}
+    assert not (out / "errors.csv").exists()
+    # a run that scores no subject leaves only its errors.csv, and other files
+    (out / "notes.txt").write_text("kept\n")
+    assert score(lonely).exit_code == 1
+    assert sorted(p.name for p in out.iterdir()) == ["errors.csv", "notes.txt"]
+
+
+def test_corpus_run_after_a_series_run_leaves_no_ranking(corpus_setup, series_setup):
+    tmp, corpus, traj, config = corpus_setup
+    _, series_traj, tdir = series_setup
+    out = tmp / "out"
+    res = runner.invoke(main, ["score", str(series_traj), "--targets-dir", str(tdir),
+                               "--out", str(out)])
+    assert res.exit_code == 0 and (out / "ranking.json").exists()
+    runner.invoke(main, ["build-index", str(corpus), "--out", str(tmp / "index.json")])
+    res = runner.invoke(main, ["score", str(traj), "--index", str(tmp / "index.json"),
+                               "--config", str(config), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert not (out / "ranking.json").exists()
+
+
+def _assert_one_error_line(res, path):
+    """Exit 1 with no uncaught exception, and one ``error:`` line, the last,
+    naming ``path``."""
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    last = res.stderr.splitlines()[-1]
+    assert last.startswith("error: ") and str(path) in last
+    assert res.stderr.count("error:") == 1
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_index_path_is_one_error_line(corpus_setup, where):
+    tmp, corpus, _, _ = corpus_setup
+    out = tmp / "nodir" / "index.json" if where == "missing-directory" else tmp
+    res = runner.invoke(main, ["build-index", str(corpus), "--out", str(out)])
+    _assert_one_error_line(res, out)
+
+
+def test_score_into_a_file_is_one_error_line(series_setup):
+    tmp_path, traj, tdir = series_setup
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    res = runner.invoke(main, ["score", str(traj), "--targets-dir", str(tdir),
+                               "--out", str(taken)])
+    _assert_one_error_line(res, taken)
+
+
+@pytest.mark.parametrize("option", ["--config", "--index"])
+def test_directory_for_a_file_option_is_a_usage_error(corpus_setup, option):
+    tmp, _, traj, _ = corpus_setup
+    res = runner.invoke(main, ["score", str(traj), option, str(tmp), "--out", str(tmp / "out")])
+    assert res.exit_code == 2, res.output
+    assert "is a directory" in res.output
 
 
 class TestCompare:

@@ -1,13 +1,11 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trace_scores.errors import CorpusError, DimensionError, ImputeError, TrajectoryError
-from trace_scores.pipeline import (NormStats, RawRecord, Trajectory, build_trajectory,
-                                   fit_normalizer, impute, load_trajectory_csv, read_csv)
+from trace_scores.pipeline import (RawRecord, Trajectory, build_trajectory, fit_normalizer,
+                                   impute, load_trajectory_csv, read_csv)
 
 from oracles import fill_reference
 
@@ -126,23 +124,12 @@ class TestNormalizer:
     def test_non_finite_range_names_the_feature(self):
         with pytest.raises(CorpusError, match="feature 'rr' spans a non-finite range"):
             fit_normalizer([[0.0, -1e308], [1.0, 1e308]], names=["hr", "rr"])
-        doc = {"features": [{"name": "hr", "min": 0.0, "max": float("inf")}]}
-        with pytest.raises(CorpusError, match="feature 'hr'"):
-            NormStats.from_json(doc)
 
     def test_overflowing_quotient_is_infinite_without_warning(self, recwarn):
         ns = fit_normalizer([[0.0], [1e-300]])
         assert ns.apply([[1e10], [-1e10], [5e-301]]).tolist() == \
             [[np.inf], [-np.inf], [0.5]]
         assert not recwarn.list
-
-    def test_json_persistence(self):
-        ns = fit_normalizer([[10, 0], [20, 5]], names=["hr", "rr"])
-        doc = json.loads(json.dumps(ns.to_json()))
-        assert doc == {"features": [{"name": "hr", "min": 10.0, "max": 20.0},
-                                    {"name": "rr", "min": 0.0, "max": 5.0}]}
-        loaded = NormStats.from_json(doc)
-        np.testing.assert_array_equal(loaded.apply([[15, 2.5]]), [[0.5, 0.5]])
 
 
 class TestTrajectory:
@@ -230,3 +217,11 @@ class TestReadCsv:
         path.write_text("a,b\n1,2\n3\n")
         with pytest.raises(TrajectoryError, match=r"x\.csv:3: expected 2 columns, got 1"):
             list(read_csv(path, TrajectoryError))
+
+    def test_non_utf8_line_is_named_past_the_first_block(self, tmp_path):
+        # the bad byte lies beyond the blocks the text layer decodes at once
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"a,b\n" + b"1,2\n" * 5000 + b"3,\xff\n" + b"4,5\n")
+        rows = read_csv(path, TrajectoryError)
+        with pytest.raises(TrajectoryError, match=r"x\.csv:5002: not UTF-8 text"):
+            list(rows)

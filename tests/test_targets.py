@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from trace_scores import targets
 from trace_scores.errors import ConfigError, CorpusError, TargetError
+from trace_scores.pipeline import fit_normalizer
 from trace_scores.scoring import Polarity
 from trace_scores.targets import build_index, knn_provider, load_corpus, save_corpus, series_provider
 from trace_scores.cli import main, run_build_index
@@ -323,6 +324,7 @@ class TestIndexRoundTrip:
         doc = json.loads(path.read_text())
         assert [[repr(v) for v in row] for row in doc["points"]] == cells
         assert doc["labels"] == labels
+        assert sorted(doc) == ["features", "labels", "points"]
 
     def test_loaded_rows_are_normalized_per_row(self, built):
         raw, _, labels, path = built
@@ -341,6 +343,17 @@ class TestIndexRoundTrip:
                 class_pts = normalized[[i for i, l in enumerate(labels) if l == label]]
                 assert np.array_equal(found.points[found.cls == c],
                                       class_pts[brute_knn(class_pts, x, 4)])
+
+    def test_loaded_statistics_are_fitted_to_the_points(self, built):
+        raw, _, labels, path = built
+        corpus, names = load_corpus(path)
+        stats = fit_normalizer(raw, names)
+        assert corpus.norm_stats.names == names
+        assert np.array_equal(corpus.norm_stats.mins, stats.mins)
+        assert np.array_equal(corpus.norm_stats.maxs, stats.maxs)
+        assert list(corpus.class_means) == ["b", "a"]
+        for label, mean in corpus.class_means.items():
+            assert np.array_equal(mean, raw[np.array(labels) == label].mean(axis=0))
 
     def test_save_of_load_is_byte_identical(self, built, tmp_path):
         *_, path = built
