@@ -179,9 +179,9 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
     corpus's single target set; a named one tags step lines, summary rows
     and error messages with it, and a subject that cannot be scored against
     a set gets one error row for that set. Removes every file a score run
-    writes from ``out_dir``, then writes ``steps.jsonl``,
-    ``scores_wide.csv``, ``summary.csv`` (``columns``) and ``errors.csv``;
-    returns the summary rows and the run info.
+    writes from ``out_dir``, then writes ``errors.csv``, ``steps.jsonl`` and
+    ``scores_wide.csv`` (from each scored key's TrajectoryScore) and
+    ``summary.csv`` (``columns``); returns the summary rows and the run info.
     """
     by_subject, labels, names = traj_data
     if cfg.feature_weights is not None and len(cfg.feature_weights) != len(names):
@@ -191,7 +191,7 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in ("steps.jsonl", "scores_wide.csv", "summary.csv", "errors.csv", "ranking.json"):
         (out_dir / name).unlink(missing_ok=True)
-    step_lines: List[dict] = []
+    scores: Dict[Tuple[str, ...], scoring.TrajectoryScore] = {}
     summary_rows: List[dict] = []
     errors: List[Tuple[str, str]] = []
     for subject in sorted(by_subject):
@@ -211,11 +211,7 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
                 errors.append((subject, _error_text(series, e)))
                 continue
             tag = {} if series is None else {"series": series}
-            # agg.values holds the scored steps' t labels and combined scores
-            for (t, combined), means in zip(agg.values, ts.per_class[ts.skip == 0].tolist()):
-                step_lines.append({"subject": subject, **tag, "t": t, "combined": combined,
-                                   "per_class": {c: v for c, v in zip(ts.labels, means)
-                                                 if v == v}})
+            scores[(subject, *tag.values())] = ts
             summary_rows.append({
                 "subject_id": subject, **tag,
                 "label": label or "",
@@ -234,8 +230,7 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
     if not summary_rows:
         raise TraceError("no subject could be scored")
     key_fields = ["subject"] if target_sets[0][0] is None else ["subject", "series"]
-    _write_jsonl(out_dir / "steps.jsonl", step_lines)
-    _write_wide(out_dir / "scores_wide.csv", step_lines, key_fields)
+    _write_steps(out_dir, key_fields, scores)
     _write_summary(out_dir / "summary.csv", summary_rows, columns)
     info = {"subjects": len({row["subject_id"] for row in summary_rows}),
             "errors": len(errors)}
@@ -320,28 +315,29 @@ def run_score_series(traj_csv, targets_dir, cfg: RunConfig, out_dir) -> dict:
     return info
 
 
-def _write_jsonl(path, lines: Sequence[dict]) -> None:
-    # one encoder for every line: json.dumps builds a new one per call
-    encode = json.JSONEncoder(sort_keys=True).encode
-    with open(path, "w") as fh:
-        for line in lines:
-            fh.write(encode(line))
-            fh.write("\n")
-
-
-def _write_wide(path, step_lines: Sequence[dict], key_fields: Sequence[str]) -> None:
-    """One row per key, one column per time index; blanks for skipped steps."""
-    times = sorted({line["t"] for line in step_lines})
+def _write_steps(out_dir: Path, key_fields: Sequence[str],
+                 scores: Dict[Tuple[str, ...], scoring.TrajectoryScore]) -> None:
+    """``steps.jsonl``, one ``json.dumps(line, sort_keys=True)`` per scored
+    step in scoring order, and ``scores_wide.csv``, one row per key in sorted
+    order and one column per scored t, blank where the key has no score."""
     rows: Dict[Tuple[str, ...], Dict[int, float]] = {}
-    for line in step_lines:
-        key = tuple(line[f] for f in key_fields)
-        rows.setdefault(key, {})[line["t"]] = line["combined"]
-    with open(path, "w", newline="") as fh:
+    with open(out_dir / "steps.jsonl", "w") as fh:
+        for key, ts in scores.items():
+            scored = ts.skip == 0
+            t, combined = ts.steps[scored].tolist(), ts.combined[scored].tolist()
+            rows[key] = dict(zip(t, combined))
+            order = sorted(range(len(ts.labels)), key=ts.labels.__getitem__)
+            names = [f"{json.dumps(ts.labels[c])}: " for c in order]
+            tag = "".join(f'"{f}": {json.dumps(v)}, ' for f, v in sorted(zip(key_fields, key)))
+            for ti, c, means in zip(t, combined, ts.per_class[scored][:, order].tolist()):
+                per_class = ", ".join(name + repr(v) for name, v in zip(names, means) if v == v)
+                fh.write(f'{{"combined": {c!r}, "per_class": {{{per_class}}}, {tag}"t": {ti}}}\n')
+    times = sorted({t for row in rows.values() for t in row})
+    with open(out_dir / "scores_wide.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(list(key_fields) + [f"t{t}" for t in times])
         for key in sorted(rows):
-            w.writerow(list(key) + ["" if t not in rows[key] else repr(rows[key][t])
-                                    for t in times])
+            w.writerow(list(key) + [repr(rows[key][t]) if t in rows[key] else "" for t in times])
 
 
 def _write_summary(path, rows: Sequence[dict], columns: Sequence[str]) -> None:
@@ -451,6 +447,11 @@ def run_demo(scenario, seed, out_dir, lam=None, k=None) -> None:
     if k is not None:
         cfg.k_neighbors = k
     cfg.validate()
+    # the files any demo writes besides a score run's, which the score run removes
+    for name in ("index.json", "comparison.json", *(f"summary_{c}.csv" for c in demo.ICU_CLASSES),
+                 "fixtures/corpus.csv", "fixtures/trajectories.csv", "fixtures/config.json",
+                 *(f"fixtures/targets/{s}.csv" for s in demo.SSP_NAMES)):
+        (out / name).unlink(missing_ok=True)
     if scenario in ("toy", "icu"):
         if scenario == "toy":
             names, corpus, traj, pmap = demo.gen_toy(seed)

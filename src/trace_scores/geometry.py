@@ -110,15 +110,6 @@ def closest_point(a: ArrayLike, b: ArrayLike, c: ArrayLike, *,
     return bv + (h / nh) * ng * theta
 
 
-def _best_point(x_t: np.ndarray, v_t: np.ndarray, n_vt: float,
-                n_vprime: float, theta: float) -> np.ndarray:
-    """x-hat: closest point to the target along the observed move (theta > 0),
-    the factual itself otherwise."""
-    if theta > 0:
-        return x_t + (v_t / n_vt) * n_vprime * theta
-    return x_t.copy()
-
-
 def r2(x_t: ArrayLike, x_next: ArrayLike, x_target: ArrayLike, *,
        epsilon: float = DEFAULT_EPSILON, weights=None):
     """Landing score: |cos| between the residual from the best achievable
@@ -143,8 +134,9 @@ def r2(x_t: ArrayLike, x_next: ArrayLike, x_target: ArrayLike, *,
     v_star = xp - xn
     if norm_of(v_star, weights) <= epsilon:
         return 1.0, Degeneracy.GOAL_REACHED
+    # x-hat: closest point to the target along the move (theta > 0), else x_t
     theta = inner(v_t, v_prime, weights) / (n_vt * n_vp)
-    x_hat = _best_point(xt, v_t, n_vt, n_vp, theta)
+    x_hat = closest_point(xp, xt, xn, epsilon=epsilon, weights=weights) if theta > 0 else xt
     v_hat = xp - x_hat
     n_vhat = norm_of(v_hat, weights)
     if n_vhat <= epsilon:

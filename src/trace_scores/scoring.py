@@ -7,7 +7,7 @@ own raw step geometry, targets are averaged within their class, and
 classes are combined into one signed score in [-1, 1].
 
 A trajectory's targets come from one provider call as a ``Targets`` block
-of arrays, one row per (step, target), and one array kernel
+of arrays, the same slots of classes at every step, and one array kernel
 (``_score_rows``) scores all of them into a ``TrajectoryScore`` of arrays;
 ``geometry.step_score`` is the scalar reference it reproduces target by
 target.
@@ -65,18 +65,18 @@ class TrajectoryScore:
 
 @dataclass(eq=False)
 class Targets:
-    """The targets of a trajectory's steps, one row per (step, target): rows
-    in step order and, within a step, in the provider's order. Each class
-    has one polarity. ``len`` is the number of rows."""
+    """The targets of a trajectory's steps: every step has one target in each
+    slot, and slot ``j`` holds a target of class ``cls[j]``. ``points`` has
+    one row per (step, slot), step-major. Each class has one polarity.
+    ``len`` is the number of rows."""
 
-    step: np.ndarray      # (rows,) the step of each row
-    cls: np.ndarray       # (rows,) index into ``labels``
+    cls: np.ndarray       # (slots,) index into ``labels``
     labels: List[str]
     polarity: np.ndarray  # (len(labels),) 1.0 or -1.0 for each class
-    points: np.ndarray    # (rows, dim)
+    points: np.ndarray    # (n_steps * slots, dim)
 
     def __len__(self) -> int:
-        return len(self.step)
+        return len(self.points)
 
 
 # called once per trajectory with its steps' t indices and (n_steps, dim) points
@@ -84,7 +84,7 @@ TargetProvider = Callable[[np.ndarray, np.ndarray], Targets]
 
 
 def _inner(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return (a * w * b).sum(axis=1)
+    return (a * w * b).sum(axis=-1)
 
 
 def _norm(v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -95,27 +95,29 @@ def _norm(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _score_rows(x: np.ndarray, steps: np.ndarray, lam: float, tg: Targets,
                 epsilon: float, feature_weights) -> TrajectoryScore:
     """Score the steps of the ``(n_steps + 1, dim)`` points ``x`` against
-    ``tg`` with ``geometry.step_score``'s arithmetic, applied to all rows at
-    once; step ``i`` runs from ``x[i]`` to ``x[i + 1]`` and is labelled
-    ``steps[i]``. A division by a zero norm only reaches a reached goal's
-    r2, which is overwritten, or the mean of an empty (step, class) cell or
-    a skipped step's combined score, which are NaN. A value whose square
-    overflows raises TrajectoryError naming the step's t."""
+    ``tg`` with ``geometry.step_score``'s arithmetic, applied to every
+    (step, slot) at once; step ``i`` runs from ``x[i]`` to ``x[i + 1]`` and
+    is labelled ``steps[i]``. A division by a zero norm only reaches a target
+    that is not kept, a reached goal's r2, which is overwritten, or a NaN
+    mean. A kept value whose square overflows raises TrajectoryError."""
     xt, xn = x[:-1], x[1:]
     n, dim = xt.shape
-    counts = np.bincount(tg.step, minlength=n)
-    if len(counts) > n or not counts.all():
+    slots = len(tg.cls)
+    if not slots:
         raise TargetError("no targets supplied for step")
-    if tg.points.shape != (len(tg), dim):
+    if tg.points.shape != (n * slots, dim):
         raise DimensionError(f"target points of shape {tg.points.shape} do not match "
-                             f"factual dimension {dim}")
+                             f"{n} steps of {slots} targets in dimension {dim}")
     if tg.polarity.shape != (len(tg.labels),):
         raise DimensionError(f"polarities of shape {tg.polarity.shape} do not match "
                              f"{len(tg.labels)} classes")
+    # (step, slot, dim) grids; each step's own vectors broadcast over its slots
+    p = tg.points.reshape(n, slots, dim)
+    x0 = xt[:, None]
+    v_prime = p - x0
     # zero weight on the masked dims gives the inner products of the active
     # subspace: a dim is active where some target of the step differs from x_t
-    far = np.abs(tg.points - xt[tg.step]) > epsilon
-    active = np.logical_or.reduceat(far, np.cumsum(counts) - counts, axis=0)
+    active = (np.abs(v_prime) > epsilon).any(axis=1)
     w_full = geometry._check_weights(feature_weights, dim)
     w_step = active * (1.0 if w_full is None else w_full)
     move = xn - xt
@@ -124,21 +126,17 @@ def _score_rows(x: np.ndarray, steps: np.ndarray, lam: float, tg: Targets,
     no_move = ~all_masked & (n_move <= epsilon)
     live = ~(all_masked | no_move)
 
+    w, v_t, n_vt = w_step[:, None], move[:, None], n_move[:, None]
+    n_vp = _norm(v_prime, w)
     # a target on the factual in the active subspace is dropped
-    v_prime = tg.points - xt[tg.step]
-    n_vp = _norm(v_prime, w_step[tg.step])
-    kept = np.flatnonzero(live[tg.step] & (n_vp > epsilon))
-    ks = tg.step[kept]
-    w, v_t, n_vt = w_step[ks], move[ks], n_move[ks][:, None]
-    v_prime, n_vp, p = v_prime[kept], n_vp[kept][:, None], tg.points[kept]
-
-    v_star = p - xn[ks]
+    kept = live[:, None] & (n_vp > epsilon)
+    v_star = p - xn[:, None]
     n_vs = _norm(v_star, w)
     goal = n_vs <= epsilon
-    theta = _inner(v_t, v_prime, w) / (n_vt[:, 0] * n_vp[:, 0])
+    theta = _inner(v_t, v_prime, w) / (n_vt * n_vp)
     # x-hat: closest point to the target along the move (theta > 0), else x_t
-    x0 = xt[ks]
-    x_hat = np.where((theta > 0)[:, None], x0 + (v_t / n_vt) * n_vp * theta[:, None], x0)
+    x_hat = np.where((theta > 0)[..., None],
+                     x0 + (v_t / n_vt[..., None]) * n_vp[..., None] * theta[..., None], x0)
     v_hat = p - x_hat
     n_vhat = _norm(v_hat, w)
     best = ~goal & (n_vhat <= epsilon)
@@ -149,25 +147,26 @@ def _score_rows(x: np.ndarray, steps: np.ndarray, lam: float, tg: Targets,
     # a reached goal blends r1 = r2 = 1 into exactly 1 for every lambda in [0, 1]
     s = r1 if lam == 1.0 else r2 if lam == 0.0 else lam * r1 + (1.0 - lam) * r2
     # each norm is at most sqrt(max float): the sum is finite iff all five are
-    bad = np.flatnonzero(~np.isfinite(s + n_vt[:, 0] + n_vp[:, 0] + n_vs + n_vhat))
-    if bad.size:
-        raise TrajectoryError(f"score at t={steps[ks[bad[0]]]} is not finite: "
+    bad = kept & ~np.isfinite(s + n_vt + n_vp + n_vs + n_vhat)
+    if bad.any():
+        raise TrajectoryError(f"score at t={steps[bad.any(axis=1).argmax()]} is not finite: "
                               "a value's square overflows")
 
     # class means per (step, class), then their polarity-signed mean; an empty
     # cell's mean is 0 / 0 = NaN and adds nothing to the combination
+    ks, slot = np.nonzero(kept)
+    cls = tg.cls[slot]
     n_cls = len(tg.labels)
-    cls = tg.cls[kept]
     key = ks * n_cls + cls
     count = np.bincount(key, minlength=n * n_cls).reshape(n, n_cls)
-    per_class = np.bincount(key, s, n * n_cls).reshape(n, n_cls) / count
+    per_class = np.bincount(key, s[kept], n * n_cls).reshape(n, n_cls) / count
     combined = np.nansum(tg.polarity * per_class, axis=1) / (count > 0).sum(axis=1)
     # a live step whose every target was dropped has no score either
-    dropped = live & (np.bincount(ks, minlength=n) == 0)
+    dropped = live & ~kept.any(axis=1)
     return TrajectoryScore(
         steps=steps, skip=all_masked + 2 * no_move + 3 * dropped, combined=combined,
         labels=tg.labels, polarity=tg.polarity, per_class=per_class, step=ks, cls=cls,
-        r1=r1, r2=r2, s=s, flag=goal + 2 * best)
+        r1=r1[kept], r2=r2[kept], s=s[kept], flag=(goal + 2 * best)[kept])
 
 
 def score_trajectory(traj, target_provider: TargetProvider, lam: float, *,

@@ -105,6 +105,23 @@ class Corpus:
         return len(self.class_indices[label].rows)
 
 
+def _points_matrix(points, n_labels: int) -> np.ndarray:
+    """``points`` as a finite ``(n_labels, dim)`` float matrix, else CorpusError."""
+    if not n_labels:
+        raise CorpusError("corpus is empty")
+    try:
+        arr = np.asarray(points, dtype=float)
+    except ValueError:   # ragged rows, or a string that is no number
+        arr = None
+    if arr is None or arr.ndim != 2:
+        raise CorpusError("corpus rows have inconsistent dimensions or non-numeric values")
+    if len(arr) != n_labels:
+        raise CorpusError(f"{len(arr)} points but {n_labels} labels")
+    if not np.all(np.isfinite(arr)):
+        raise CorpusError("corpus contains non-finite values")
+    return arr
+
+
 def build_index(points, labels: Sequence[str], *, norm_stats=None) -> Corpus:
     """Group the rows of ``points`` by their ``labels`` for exact
     nearest-neighbor queries.
@@ -113,18 +130,7 @@ def build_index(points, labels: Sequence[str], *, norm_stats=None) -> Corpus:
     ``Corpus.points`` and each class's mean keep the rows as given.
     """
     labels = list(map(str, labels))
-    if not labels:
-        raise CorpusError("corpus is empty")
-    try:
-        arr = np.asarray(points, dtype=float)
-    except ValueError as e:
-        raise CorpusError(f"corpus rows have inconsistent dimensions: {e}") from None
-    if arr.ndim != 2:
-        raise CorpusError("corpus rows have inconsistent dimensions")
-    if len(arr) != len(labels):
-        raise CorpusError(f"{len(arr)} points but {len(labels)} labels")
-    if not np.all(np.isfinite(arr)):
-        raise CorpusError("corpus contains non-finite values")
+    arr = _points_matrix(points, len(labels))
     if norm_stats is not None and norm_stats.dim != arr.shape[1]:
         raise CorpusError(
             f"normalizer has {norm_stats.dim} features, the points have {arr.shape[1]}")
@@ -154,20 +160,17 @@ def knn_provider(corpus: Corpus, k: int, polarity_map: Mapping[str, Polarity]):
         if label not in corpus.class_indices:
             raise ConfigError(f"polarity map names unknown class {label!r}")
         indices.append(corpus.class_indices[label])
-    # one step's rows: the nearest of the first class, then of the next, ...
-    per_class = [min(k, len(idx.rows)) for idx in indices]
-    cls = np.repeat(np.arange(len(indices)), per_class)
+    # a step's slots: the nearest of the first class, then of the next, ...
+    cls = np.repeat(np.arange(len(indices)), [min(k, len(idx.rows)) for idx in indices])
     polarity = np.array([float(Polarity(p)) for p in polarity_map.values()])
 
     def provide(t_index, xs) -> Targets:
         if xs.shape[1:] != (corpus.dim,):
             raise ConfigError(f"query dimension {xs.shape[-1]} does not match "
                               f"corpus dimension {corpus.dim}")
-        n = len(xs)
         points = np.concatenate([idx.points[idx.query_rows(xs, k)[0]] for idx in indices],
                                 axis=1)
-        return Targets(step=np.repeat(np.arange(n), len(cls)), cls=np.tile(cls, n),
-                       labels=list(polarity_map), polarity=polarity,
+        return Targets(cls=cls, labels=list(polarity_map), polarity=polarity,
                        points=points.reshape(-1, corpus.dim))
     return provide
 
@@ -185,8 +188,7 @@ def series_provider(label: str, polarity: Polarity,
         missing = np.flatnonzero(ts[i] != t_index)
         if missing.size:
             raise TargetError(f"series {label!r} has no target at t={t_index[missing[0]]}")
-        n = len(i)
-        return Targets(step=np.arange(n), cls=np.zeros(n, dtype=int), labels=[label],
+        return Targets(cls=np.zeros(1, dtype=int), labels=[label],
                        polarity=np.array([float(polarity)]), points=matrix[i])
     return provide
 
@@ -209,8 +211,8 @@ def save_corpus(corpus: Corpus, feature_names: Sequence[str], path) -> None:
 
 def load_corpus(path) -> Tuple[Corpus, List[str]]:
     """Read an index written by ``save_corpus``; a document that does not
-    fit its layout raises CorpusError naming ``path``. Any other key, such
-    as an older index's stored normalizer, is ignored."""
+    fit its layout raises CorpusError naming ``path``, with ``build_index``'s
+    message for bad points. Any other key is ignored."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -219,7 +221,10 @@ def load_corpus(path) -> Tuple[Corpus, List[str]]:
                 raise CorpusError("labels must be a list of strings")
             if not isinstance(features, list):
                 raise CorpusError(f"features must be a list, not {type(features).__name__}")
-            points = np.asarray(doc["points"], dtype=float)
+            if dict in map(type, doc["points"]):
+                raise CorpusError('points hold {"values", "label"} rows of the earliest index '
+                                  "layout; rebuild the index with `trace build-index`")
+            points = _points_matrix(doc["points"], len(labels))
             stats = fit_normalizer(points, features)
             return build_index(points, labels, norm_stats=stats), features
         except KeyError as e:

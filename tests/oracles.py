@@ -104,17 +104,18 @@ def random_projection_triple(rng, dim, max_param=8.0):
 
 def make_targets(steps, polarity=None):
     """A scoring.Targets from one list of ``(point, class label)`` pairs per
-    step, classes numbered in order of first appearance; ``polarity`` maps a
-    label to its Polarity, desirable where it has none."""
+    step, every step's labels in one order (the slots' classes), classes
+    numbered in order of first appearance; ``polarity`` maps a label to its
+    Polarity, desirable where it has none."""
     from trace_scores.scoring import Polarity, Targets
-    rows = [(i, point, label) for i, pairs in enumerate(steps) for point, label in pairs]
-    labels = list(dict.fromkeys(label for _, _, label in rows))
+    slots = [label for _, label in steps[0]]
+    assert all([label for _, label in pairs] == slots for pairs in steps)
+    labels = list(dict.fromkeys(slots))
     polarity = polarity or {}
-    return Targets(step=np.array([i for i, _, _ in rows], dtype=int),
-                   cls=np.array([labels.index(label) for _, _, label in rows], dtype=int),
+    return Targets(cls=np.array([labels.index(label) for label in slots], dtype=int),
                    labels=labels,
                    polarity=np.array([float(polarity.get(c, Polarity.DESIRABLE)) for c in labels]),
-                   points=np.array([point for _, point, _ in rows], dtype=float))
+                   points=np.array([point for pairs in steps for point, _ in pairs], dtype=float))
 
 
 def hand_scored(combined, skip=None, labels=(), per_class=None, polarity=()):

@@ -443,12 +443,25 @@ MALFORMED_INPUTS = [
                  expect="polarity_map names class 'death'")),
     ("index-no-label", "corpus", _bad_index(lambda doc: doc["labels"].pop())),
     ("index-no-labels-key", "corpus", _bad_index(lambda doc: doc.pop("labels"))),
-    ("index-ragged-point", "corpus", _bad_index(lambda doc: doc["points"][1].pop())),
+    ("index-ragged-point", "corpus",
+     _bad_index(lambda doc: doc["points"][1].pop(),
+                expect="corpus rows have inconsistent dimensions or non-numeric values")),
+    ("index-text-point", "corpus",
+     _bad_index(lambda doc: doc["points"][0].__setitem__(0, "abc"),
+                expect="corpus rows have inconsistent dimensions or non-numeric values")),
     ("index-nonfinite-point", "corpus",
-     _bad_index(lambda doc: doc["points"][0].__setitem__(0, float("nan")))),
+     _bad_index(lambda doc: doc["points"][0].__setitem__(0, float("nan")),
+                expect="corpus contains non-finite values")),
     ("index-old-layout-point", "corpus",
      _bad_index(lambda doc: doc["points"].__setitem__(
-         0, {"values": doc["points"][0], "label": doc["labels"][0]}))),
+         0, {"values": doc["points"][0], "label": doc["labels"][0]}),
+         expect='points hold {"values", "label"} rows of the earliest index layout; '
+                "rebuild the index with `trace build-index`")),
+    ("index-earliest-layout", "corpus",
+     _bad_index(lambda doc: doc.__setitem__("points", [
+         {"values": p, "label": label} for p, label in zip(doc["points"], doc["labels"])]),
+         expect='points hold {"values", "label"} rows of the earliest index layout; '
+                "rebuild the index with `trace build-index`")),
     ("index-normalizer-range-overflow", "corpus",
      _bad_index(lambda doc: (doc["points"][0].__setitem__(0, -1e308),
                              doc["points"][1].__setitem__(0, 1e308)),
@@ -574,6 +587,96 @@ def test_corpus_run_after_a_series_run_leaves_no_ranking(corpus_setup, series_se
                                "--config", str(config), "--out", str(out)])
     assert res.exit_code == 0, res.output
     assert not (out / "ranking.json").exists()
+
+
+PINNED_CORPUS_RUN = {
+    "steps.jsonl": (
+        b'{"combined": 0.8149269662117372, "per_class": {"bad": -0.7454332604310151, "good": 0.8844206719924593}, "subject": "a,\\"b", "t": 1}\n'
+        b'{"combined": 0.8382477031839116, "per_class": {"bad": -0.7650939242114043, "good": 0.9114014821564189}, "subject": "a,\\"b", "t": 3}\n'
+        b'{"combined": -0.8679444410384534, "per_class": {"bad": 0.9492681638977292, "good": -0.7866207181791776}, "subject": "s1", "t": 2}\n'
+        b'{"combined": -0.6402452983987976, "per_class": {"bad": 0.8121875749816714, "good": -0.46830302181592387}, "subject": "s1", "t": 5}\n'
+    ),
+    "scores_wide.csv": (
+        b'subject,t1,t2,t3,t5\r\n'
+        b'"a,""b",0.8149269662117372,,0.8382477031839116,\r\n'
+        b's1,,-0.8679444410384534,,-0.6402452983987976\r\n'
+    ),
+    "summary.csv": (
+        b'subject_id,label,n_steps,n_skipped,average,final_cumulative,average_desirable,average_undesirable\r\n'
+        b'"a,""b",good,2,1,0.8265873346978244,1.6531746693956488,0.8979110770744392,-0.7552635923212097\r\n'
+        b's1,bad,2,0,-0.7540948697186255,-1.508189739437251,-0.6274618699975507,0.8807278694397003\r\n'
+    ),
+    "errors.csv": (
+        b'subject_id,error\r\n'
+        b'lonely,"trajectory needs at least 2 points, got 1"\r\n'
+    ),
+}
+
+PINNED_SERIES_RUN = {
+    # steps and summary rows follow the files' path order (a-b.csv before
+    # a.csv), the wide rows their sorted (subject, series) keys
+    "steps.jsonl": (
+        b'{"combined": -1.0, "per_class": {"a-b": 1.0}, "series": "a-b", "subject": "m", "t": 2}\n'
+        b'{"combined": 0.9999999999999998, "per_class": {"a": 0.9999999999999998}, "series": "a", "subject": "m", "t": 2}\n'
+        b'{"combined": -1.0, "per_class": {"a-b": 1.0}, "series": "a-b", "subject": "n", "t": 1}\n'
+        b'{"combined": -0.9126517521019146, "per_class": {"a-b": 0.9126517521019146}, "series": "a-b", "subject": "n", "t": 2}\n'
+        b'{"combined": 1.0, "per_class": {"a": 1.0}, "series": "a", "subject": "n", "t": 1}\n'
+        b'{"combined": 0.8646238573457977, "per_class": {"a": 0.8646238573457977}, "series": "a", "subject": "n", "t": 2}\n'
+    ),
+    "scores_wide.csv": (
+        b'subject,series,t1,t2\r\n'
+        b'm,a,,0.9999999999999998\r\n'
+        b'm,a-b,,-1.0\r\n'
+        b'n,a,1.0,0.8646238573457977\r\n'
+        b'n,a-b,-1.0,-0.9126517521019146\r\n'
+    ),
+    "summary.csv": (
+        b'subject_id,series,n_steps,n_skipped,average,final_cumulative\r\n'
+        b'm,a-b,1,0,-1.0,-1.0\r\n'
+        b'm,a,1,0,0.9999999999999998,0.9999999999999998\r\n'
+        b'n,a-b,2,0,-0.9563258760509573,-1.9126517521019146\r\n'
+        b'n,a,2,0,0.9323119286728989,1.8646238573457978\r\n'
+    ),
+}
+
+
+def test_outputs_are_pinned_byte_for_byte(tmp_path):
+    # corpus mode: subjects observed at different t (blank wide cells), a
+    # subject id that JSON and CSV must escape, a step without movement
+    # (skipped), an imputed cell and a subject that goes to errors.csv
+    (tmp_path / "corpus.csv").write_text(
+        "hr,rr,label\n0.9,0.8,good\n0.8,0.9,good\n0.1,0.2,bad\n0.2,0.1,bad\n")
+    (tmp_path / "traj.csv").write_text(
+        'subject_id,t,hr,rr,label\n"a,""b",0,0.5,0.5,good\n"a,""b",1,0.6,0.55,good\n'
+        '"a,""b",2,0.6,0.55,good\n"a,""b",3,0.7,0.7,good\ns1,0,0.5,0.4,bad\n'
+        "s1,2,0.4,0.3,bad\ns1,5,0.3,,bad\nlonely,0,0.5,0.5,good\n")
+    (tmp_path / "config.json").write_text(
+        '{"k_neighbors": 2, "polarity_map": {"good": "desirable", "bad": "undesirable"}}')
+    res = runner.invoke(main, ["build-index", str(tmp_path / "corpus.csv"),
+                               "--out", str(tmp_path / "index.json")])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["score", str(tmp_path / "traj.csv"),
+                               "--index", str(tmp_path / "index.json"),
+                               "--config", str(tmp_path / "config.json"),
+                               "--out", str(tmp_path / "a")])
+    assert res.exit_code == 0, res.output
+    for name, want in PINNED_CORPUS_RUN.items():
+        assert (tmp_path / "a" / name).read_bytes() == want, name
+
+    # series mode: files a.csv and a-b.csv, one series undesirable
+    tdir = tmp_path / "targets"
+    tdir.mkdir()
+    (tdir / "a.csv").write_text("t,a,b\n0,1,0\n1,1,0.5\n2,1,1\n")
+    (tdir / "a-b.csv").write_text("t,a,b\n0,0,1\n1,0.5,1\n2,1,1\n")
+    (tmp_path / "series.csv").write_text(
+        "subject_id,t,a,b\nn,0,0,0\nn,1,0.25,0.125\nn,2,0.5,0.5\nm,1,0.5,0\nm,2,0.75,0.25\n")
+    (tmp_path / "series.json").write_text('{"polarity_map": {"a-b": "undesirable"}}')
+    res = runner.invoke(main, ["score", str(tmp_path / "series.csv"), "--targets-dir", str(tdir),
+                               "--config", str(tmp_path / "series.json"),
+                               "--out", str(tmp_path / "b")])
+    assert res.exit_code == 0, res.output
+    for name, want in PINNED_SERIES_RUN.items():
+        assert (tmp_path / "b" / name).read_bytes() == want, name
 
 
 def _assert_one_error_line(res, path):
@@ -724,6 +827,23 @@ class TestDemo:
         res = runner.invoke(main, ["demo", "--scenario", "nope", "--seed", "1",
                                    "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
+
+    @staticmethod
+    def tree(root):
+        return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    @pytest.mark.parametrize("scenario,seed", [("ssp", "11"), ("toy", "3")])
+    def test_demo_over_an_earlier_demo_leaves_none_of_its_files(self, tmp_path, scenario, seed):
+        def run(out, scenario, seed):
+            res = runner.invoke(main, ["demo", "--scenario", scenario, "--seed", seed,
+                                       "--out", str(out)])
+            assert res.exit_code == 0, res.output
+        run(tmp_path / "fresh", scenario, seed)
+        run(tmp_path / "over", "icu", "7")
+        (tmp_path / "over" / "notes.txt").write_text("kept\n")
+        run(tmp_path / "over", scenario, seed)
+        assert self.tree(tmp_path / "over") == {**self.tree(tmp_path / "fresh"),
+                                                "notes.txt": b"kept\n"}
 
     def test_ssp_ranking(self, tmp_path):
         res = runner.invoke(main, ["demo", "--scenario", "ssp", "--seed", "11",

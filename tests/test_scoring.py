@@ -282,10 +282,12 @@ def trajectory_cases(draw):
     vec = st.lists(COORD, min_size=dim, max_size=dim).map(np.array)
     xs = draw(st.lists(vec, min_size=n_steps + 1, max_size=n_steps + 1))
     polarity = {c: draw(st.sampled_from(list(Polarity))) for c in "abc"}
+    # every step has the same slots, each of one class
+    slots = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=4))
     target_lists = []
     for i in range(n_steps):
         step_targets = []
-        for _ in range(draw(st.integers(1, 4))):
+        for label in slots:
             # a free point, the factual (dropped), the landing point (goal
             # reached) or a point along the move (best achieved)
             kind = draw(st.sampled_from(["free", "x_t", "x_next", "on_move"]))
@@ -297,7 +299,7 @@ def trajectory_cases(draw):
                 point = xs[i + 1]
             else:
                 point = xs[i] + draw(st.sampled_from([0.5, 2.0])) * (xs[i + 1] - xs[i])
-            step_targets.append((point, draw(st.sampled_from("abc"))))
+            step_targets.append((point, label))
         target_lists.append(step_targets)
     lam = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)))
     weights = draw(st.none() | st.lists(st.floats(0.1, 5.0), min_size=dim, max_size=dim))
