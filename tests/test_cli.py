@@ -1,9 +1,15 @@
 import csv
+import functools
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trace_scores.cli import main
 from oracles import hand_scored
@@ -516,6 +522,110 @@ def test_malformed_input_exits_2(corpus_setup, series_setup, mode, setup):
     assert expected in res.output
 
 
+@functools.lru_cache(maxsize=None)
+def _fuzz_base():
+    """The unmutated inputs of the fuzz test, by file name: the corpus and
+    series setups' files and the index built from the corpus."""
+    with tempfile.TemporaryDirectory() as d:
+        tmp = Path(d)
+        rng = np.random.default_rng(0)
+        write_corpus(tmp / "corpus.csv", rng)
+        write_trajectories(tmp / "traj.csv", rng)
+        assert runner.invoke(main, ["build-index", str(tmp / "corpus.csv"),
+                                    "--out", str(tmp / "index.json")]).exit_code == 0
+        files = {name: (tmp / name).read_text() for name in ("corpus.csv", "traj.csv", "index.json")}
+    files["config.json"] = json.dumps({"lambda": 0.9, "k_neighbors": 3, "polarity_map": {
+        "RFD": "desirable", "mortality": "undesirable"}})
+    files["series.csv"] = "subject_id,t,a,b\n" + "".join(
+        f"nor,{t},{0.1 * t!r},{0.05 * t!r}\n" for t in range(6))
+    for i in range(1, 4):
+        files[f"targets/SSP{i}.csv"] = "t,a,b\n" + "".join(
+            f"{t},{(t + 1) * 0.1 * i!r},{(t + 1) * 0.05!r}\n" for t in range(6))
+    return files
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([2**63, -10**400]) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+_CELLS = st.one_of(
+    st.sampled_from(["", "nan", "-inf", "1e308", "-1e308", "1e200", "0", "-0", "2.5", "RFD",
+                     "label", "t", "hr", "a", "SSP1", str(2**63), str(10**400)]),
+    st.text(st.characters(blacklist_categories=["Cs"]), max_size=8),
+    st.floats().map(repr), st.integers().map(str))
+
+
+def _mutate_cell(data, path):
+    rows = list(csv.reader(path.read_text().splitlines()))
+    row = data.draw(st.integers(0, len(rows) - 1), label="row")
+    col = data.draw(st.integers(0, len(rows[row]) - 1), label="column")
+    rows[row][col] = data.draw(_CELLS, label="cell")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def _mutate_json(data, path, kind):
+    doc = json.loads(path.read_text())
+    if kind == "config":
+        key = data.draw(st.sampled_from(
+            ["lambda", "k_neighbors", "epsilon", "polarity_map", "feature_weights", "bogus"]))
+        doc[key] = data.draw(_JSON_VALUES, label="value")
+    else:
+        where = data.draw(st.sampled_from(["features", "labels", "point", "key"]))
+        if where == "point":
+            row = data.draw(st.integers(0, len(doc["points"]) - 1), label="row")
+            col = data.draw(st.integers(0, len(doc["points"][row]) - 1), label="column")
+            doc["points"][row][col] = data.draw(_JSON_VALUES, label="value")
+        elif where == "key":
+            key = data.draw(st.sampled_from(["features", "labels", "points"]))
+            if data.draw(st.booleans(), label="delete"):
+                del doc[key]
+            else:
+                doc[key] = data.draw(_JSON_VALUES, label="value")
+        else:
+            doc[where] = data.draw(_JSON_VALUES, label="value")
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind", ["traj", "corpus", "series", "config", "index"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_fuzzed_input_keeps_the_exit_code_contract(kind, data):
+    """One mutated cell, config value or index value: the run exits 0, 1 or
+    2, raises nothing but SystemExit, prints no traceback, and a failure
+    prints exactly one ``error:`` line."""
+    with tempfile.TemporaryDirectory() as d:
+        tmp = Path(d)
+        (tmp / "targets").mkdir()
+        for name, text in _fuzz_base().items():
+            (tmp / name).write_text(text)
+        if kind in ("config", "index"):
+            _mutate_json(data, tmp / f"{kind}.json", kind)
+        elif kind == "series":
+            _mutate_cell(data, tmp / data.draw(st.sampled_from(
+                ["series.csv", "targets/SSP1.csv", "targets/SSP2.csv"]), label="file"))
+        else:
+            _mutate_cell(data, tmp / f"{kind}.csv")
+        if kind == "corpus":
+            args = ["build-index", str(tmp / "corpus.csv"), "--out", str(tmp / "index2.json")]
+        elif kind == "series":
+            args = ["score", str(tmp / "series.csv"), "--targets-dir", str(tmp / "targets"),
+                    "--out", str(tmp / "out")]
+        else:
+            args = ["score", str(tmp / "traj.csv"), "--index", str(tmp / "index.json"),
+                    "--config", str(tmp / "config.json"), "--out", str(tmp / "out")]
+        res = runner.invoke(main, args)
+    assert res.exit_code in (0, 1, 2), res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
+    assert "Traceback" not in res.output
+    if res.exit_code:
+        assert [line.startswith("error:") for line in res.stderr.splitlines()].count(True) == 1, \
+            res.stderr
+
+
 def test_polarity_averages_leave_out_classes_a_step_does_not_score():
     from trace_scores.cli import _polarity_averages
     from trace_scores.scoring import Polarity, SkipReason
@@ -851,3 +961,70 @@ class TestDemo:
         assert res.exit_code == 0, res.output
         ranking = json.loads((tmp_path / "ssp" / "ranking.json").read_text())
         assert ranking["NOR"] == ["SSP5", "SSP1", "SSP4", "SSP2", "SSP3"]
+
+    @pytest.mark.parametrize("scenario,seed", [("toy", "3"), ("ssp", "11"), ("icu", "7")])
+    def test_demo_files_are_pinned(self, tmp_path, scenario, seed):
+        res = runner.invoke(main, ["demo", "--scenario", scenario, "--seed", seed,
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        files = {name: data for name, data in self.tree(tmp_path).items() if data is not None}
+        comparison = files.pop("comparison.json", None)
+        assert {name: hashlib.sha256(data).hexdigest()
+                for name, data in files.items()} == PINNED_DEMO_FILES[scenario]
+        if scenario == "icu":
+            # p comes from scipy's betainc, whose last digits may move
+            doc = json.loads(comparison)
+            assert comparison.decode() == json.dumps(doc, sort_keys=True) + "\n"
+            assert doc.pop("p") == pytest.approx(0.0, rel=1e-12)
+            assert doc == PINNED_ICU_COMPARISON
+
+
+PINNED_DEMO_FILES = {
+    "toy": {
+        "fixtures/config.json": "63ecaecaa08a6970d603302bfa3dafbf79b2c82a98cb263609702acdfb989d1d",
+        "fixtures/corpus.csv": "62c6da5980744112ce77bfcf7cdb58004a560f9d4c6531de9e4e1634ab7e702e",
+        "fixtures/trajectories.csv":
+            "1d0f86b8fb8dc60468b0e1f64f738f0b04b5f36f0fc3b58942ef0f4039a9b585",
+        "index.json": "596afb6aa6b44b9c0bfbfb0b136ad1b440eccbb276252b1058c011a63ff1dc4f",
+        "scores_wide.csv": "e2a5655feacd76add45ff55d8e00c6c5708b981dc056a1ac010903b993b4a84d",
+        "steps.jsonl": "4191097239b82db5e873608da280c7a896b498f627ef1d9f236d14aee47a472e",
+        "summary.csv": "6b8c2e48011decf62d51816f01b96196a352295319dc20d6a544326928bb5051",
+    },
+    "ssp": {
+        "fixtures/targets/SSP1.csv":
+            "05342b1e9d3547a258668587c4560b17854c7f85e0a246cb2a604822165e1c5c",
+        "fixtures/targets/SSP2.csv":
+            "1ccdd367eef7ab3a04e2a52f346d338f52331fee0539fb466a26b53c039cb476",
+        "fixtures/targets/SSP3.csv":
+            "827838a041b5f7be077d30caef176fcefc34994ed97c70b0b43542d2c90f0cd7",
+        "fixtures/targets/SSP4.csv":
+            "8a1e2a5ada3fe66af9396995dd45bdd2190fd3e1356356f283d2b985635bbcdd",
+        "fixtures/targets/SSP5.csv":
+            "3188cbf282e37aeeb6c09f66c04bdcdf0b46c6e532ddfe6558fcc9b79693f58f",
+        "fixtures/trajectories.csv":
+            "60e5c6e9f78b71c84d92bec1b496245c4532619ab45680699adc9b9ed4efabc9",
+        "ranking.json": "3667a3fcbfc480e03fe073ddd67846f2070148eeb46a1070bf945ac2dc2b0923",
+        "scores_wide.csv": "c20112005f0618378592ff0cba599bb70b95e4e8db18450034342b0ad63487d8",
+        "steps.jsonl": "0e0d7ff6b1c0232451a413477ac77271c0d3d912f9e4e22e95dcd7ceddd7b802",
+        "summary.csv": "65f691be0dd58cd30749188196b7d8a1dc6119191acea61d5608443599c6b2e8",
+    },
+    "icu": {
+        "fixtures/config.json": "3924ed85302d016cf0a61cdc31bce509257e2a71afe67ea1da1f387fe14c923f",
+        "fixtures/corpus.csv": "596a6f32459f2585d024653ef3a3009b44814b64df9d1506b440e55ba99f5c14",
+        "fixtures/trajectories.csv":
+            "6dde213e29003fff483bb403e2cbb1a11dbb5eeae13caafd483b925768381658",
+        "index.json": "77970c4464aef0f73283265f873a26b9c09dcce9b58deb7b9b498b833b8ebbe9",
+        "scores_wide.csv": "2858210803ce161509955ba372f224746e0534dc9092704cfed769bf13a7745b",
+        "steps.jsonl": "eeab5e018c992e701409774fb4c96a942e27aef28c0f8ce5334222bf49bcac5a",
+        "summary.csv": "06e3d74847ea467cd3cfecf1692742ebdaddfa2da27a6e8ac104da85043c79cf",
+        "summary_RFD.csv": "199092a91b4fee66d78400b8f8783d6e9dddf647ad16b68778728a8ac08c0d34",
+        "summary_mortality.csv":
+            "7c78d27e1b1b8132edce0123bd8f72aff13046a5b19d419c3543af4a1c9590cc",
+    },
+}
+
+PINNED_ICU_COMPARISON = {
+    "dof": 993.7139487449447, "group_a": "RFD", "group_b": "mortality",
+    "mean_a": 0.5487709639188441, "mean_b": -0.5471272239128628, "n_a": 500, "n_b": 500,
+    "sd_a": 0.03673221049692206, "sd_b": 0.03439408803135239, "t": 486.9736619928043,
+}
