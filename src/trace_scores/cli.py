@@ -5,11 +5,10 @@ Exit codes: 0 success, 1 runtime failure, 2 input/usage error.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -19,7 +18,7 @@ import numpy as np
 from . import analytics, demo, scoring
 from .errors import ConfigError, CorpusError, TargetError, TraceError, TrajectoryError
 from .pipeline import (build_trajectory, fit_normalizer, load_trajectory_csv, parse_cells,
-                       parse_t, read_csv)
+                       parse_t, read_csv, write_csv)
 from .scoring import Polarity
 from .targets import build_index, knn_provider, load_corpus, save_corpus, series_provider
 
@@ -46,9 +45,9 @@ def _json_number(key: str, value) -> float:
     return float(value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Validated run parameters; JSON file values overridden by flags."""
+    """Run parameters, checked when built; JSON file values overridden by flags."""
 
     lam: float = 0.9
     k_neighbors: int = 3
@@ -58,7 +57,7 @@ class RunConfig:
 
     _KEYS = {"lambda", "k_neighbors", "epsilon", "polarity_map", "feature_weights"}
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self):
         # the range test also rejects a nan or infinite lambda
         if not (0.0 <= self.lam <= 1.0):
             raise ConfigError(f"lambda must lie in [0, 1], got {self.lam}")
@@ -69,7 +68,6 @@ class RunConfig:
         if self.feature_weights is not None:
             if not all(math.isfinite(w) and w > 0 for w in self.feature_weights):
                 raise ConfigError("feature_weights must all be finite and positive")
-        return self
 
     @classmethod
     def from_json_file(cls, path) -> "RunConfig":
@@ -78,7 +76,7 @@ class RunConfig:
                 doc = json.load(fh)
             except ValueError as e:   # not JSON, or not UTF-8 text
                 raise ConfigError(f"{path}: not valid JSON: {e}") from None
-        cfg = cls()
+        values = {}
         try:
             if not isinstance(doc, dict):
                 raise ConfigError(f"config must be a JSON object, not {type(doc).__name__}")
@@ -86,47 +84,41 @@ class RunConfig:
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
             if "lambda" in doc:
-                cfg.lam = _json_number("lambda", doc["lambda"])
+                values["lam"] = _json_number("lambda", doc["lambda"])
             if "k_neighbors" in doc:
                 k = doc["k_neighbors"]
                 # int() would truncate 2.7 and accept true as 1
                 if isinstance(k, bool) or not isinstance(k, int):
                     raise ConfigError(f"k_neighbors must be an integer, got {k!r}")
-                cfg.k_neighbors = k
+                values["k_neighbors"] = k
             if "epsilon" in doc:
-                cfg.epsilon = _json_number("epsilon", doc["epsilon"])
+                values["epsilon"] = _json_number("epsilon", doc["epsilon"])
             if "polarity_map" in doc:
                 pmap = doc["polarity_map"]
                 if not isinstance(pmap, dict):
                     raise ConfigError(
                         f"polarity_map must be a JSON object, not {type(pmap).__name__}")
-                cfg.polarity_map = {k: _parse_polarity(v) for k, v in pmap.items()}
-            if "feature_weights" in doc and doc["feature_weights"] is not None:
-                cfg.feature_weights = [_json_number("feature_weights entry", w)
-                                       for w in doc["feature_weights"]]
-            return cfg.validate()
-        except (ConfigError, OverflowError, TypeError, ValueError) as e:
+                values["polarity_map"] = {k: _parse_polarity(v) for k, v in pmap.items()}
+            weights = doc.get("feature_weights")
+            if weights is not None:
+                if not isinstance(weights, list):
+                    raise ConfigError(
+                        f"feature_weights must be a JSON list, not {type(weights).__name__}")
+                values["feature_weights"] = [_json_number("feature_weights entry", w)
+                                             for w in weights]
+            return cls(**values)
+        except (ConfigError, OverflowError) as e:   # OverflowError: float() of a huge int
             raise ConfigError(f"{path}: {e}") from None
 
 
-def _load_config(config_path, lam, k, epsilon) -> RunConfig:
-    cfg = RunConfig.from_json_file(config_path) if config_path else RunConfig()
-    overrides = []
-    if lam is not None:
-        cfg.lam = lam
-        overrides.append(f"lambda={lam}")
-    if k is not None:
-        cfg.k_neighbors = k
-        overrides.append(f"k={k}")
-    if epsilon is not None:
-        cfg.epsilon = epsilon
-        overrides.append(f"epsilon={epsilon}")
-    cfg.validate()
-    click.echo(f"config: lambda={cfg.lam} k={cfg.k_neighbors} "
-               f"epsilon={cfg.epsilon}"
-               + (f" (flag overrides: {', '.join(overrides)})" if overrides else ""),
-               err=True)
-    return cfg
+def _with_flags(cfg: RunConfig, lam=None, k=None, epsilon=None) -> Tuple[RunConfig, List[str]]:
+    """``cfg`` with the value of each flag given in place of its own, and a
+    ``name=value`` text for each such flag."""
+    given = [(name, flag, value) for name, flag, value in
+             (("lam", "lambda", lam), ("k_neighbors", "k", k), ("epsilon", "epsilon", epsilon))
+             if value is not None]
+    return (replace(cfg, **{name: value for name, _, value in given}),
+            [f"{flag}={value}" for _, flag, value in given])
 
 
 def read_corpus_csv(path):
@@ -140,8 +132,6 @@ def read_corpus_csv(path):
     if not names:
         raise CorpusError(f"{path}: no feature columns")
     rows = [(parse_cells(row[:-1], where, CorpusError), row[-1]) for where, row in lines]
-    if not rows:
-        raise CorpusError(f"{path}: no data rows")
     return names, np.array([v for v, _ in rows]), [label for _, label in rows]
 
 
@@ -222,16 +212,14 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
                 **(row_extra(ts) if row_extra else {}),
             })
     if errors:
-        _write_summary(out_dir / "errors.csv",
-                       [{"subject_id": s, "error": e} for s, e in errors],
-                       ["subject_id", "error"])
+        write_csv(out_dir / "errors.csv", ["subject_id", "error"], errors)
         for subject, message in errors:
             click.echo(f"subject {subject}: {message}", err=True)
     if not summary_rows:
         raise TraceError("no subject could be scored")
     key_fields = ["subject"] if target_sets[0][0] is None else ["subject", "series"]
     _write_steps(out_dir, key_fields, scores)
-    _write_summary(out_dir / "summary.csv", summary_rows, columns)
+    write_csv(out_dir / "summary.csv", columns, ([row[c] for c in columns] for row in summary_rows))
     info = {"subjects": len({row["subject_id"] for row in summary_rows}),
             "errors": len(errors)}
     return summary_rows, info
@@ -282,8 +270,6 @@ def read_series_csv(path, feature_names) -> Dict[int, List[float]]:
         if t in points:
             raise TargetError(f"{where}: duplicate t={t}")
         points[t] = parse_cells(row[1:], where, TargetError)
-    if not points:
-        raise TargetError(f"{path}: no target points")
     return points
 
 
@@ -309,9 +295,7 @@ def run_score_series(traj_csv, targets_dir, cfg: RunConfig, out_dir) -> dict:
     for row in summary_rows:
         averages.setdefault(row["subject_id"], {})[row["series"]] = row["average"]
     rankings = {subject: analytics.rank_targets(a) for subject, a in averages.items()}
-    with open(Path(out_dir) / "ranking.json", "w") as fh:
-        json.dump(rankings, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(Path(out_dir) / "ranking.json", rankings, indent=2)
     return info
 
 
@@ -333,21 +317,14 @@ def _write_steps(out_dir: Path, key_fields: Sequence[str],
                 per_class = ", ".join(name + repr(v) for name, v in zip(names, means) if v == v)
                 fh.write(f'{{"combined": {c!r}, "per_class": {{{per_class}}}, {tag}"t": {ti}}}\n')
     times = sorted({t for row in rows.values() for t in row})
-    with open(out_dir / "scores_wide.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(list(key_fields) + [f"t{t}" for t in times])
-        for key in sorted(rows):
-            w.writerow(list(key) + [repr(rows[key][t]) if t in rows[key] else "" for t in times])
+    write_csv(out_dir / "scores_wide.csv", [*key_fields, *(f"t{t}" for t in times)],
+              ([*key, *map(rows[key].get, times)] for key in sorted(rows)))
 
 
-def _write_summary(path, rows: Sequence[dict], columns: Sequence[str]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(columns)
-        for row in rows:
-            w.writerow(["" if row.get(c) is None else
-                        (repr(row[c]) if isinstance(row[c], float) else row[c])
-                        for c in columns])
+def _write_json(path, doc, indent=None) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=indent)
+        fh.write("\n")
 
 
 def read_averages_csv(path) -> List[float]:
@@ -361,20 +338,21 @@ def read_averages_csv(path) -> List[float]:
 
 # -- click wiring -----------------------------------------------------------
 
-@click.group()
+class _Commands(click.Group):
+    """Runs a command; a library error ends it with one ``error:`` line and
+    exit code 2 for an input error, 1 for a runtime failure."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (OSError, TraceError) as e:   # OSError: say, an output path not writable
+            click.echo(f"error: {e}", err=True)
+            sys.exit(2 if isinstance(e, _USAGE_ERRORS) else 1)
+
+
+@click.group(cls=_Commands)
 def main():
     """TraCE trajectory scoring toolkit."""
-
-
-def _exit_on_error(fn):
-    try:
-        return fn()
-    except _USAGE_ERRORS as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
-    except (OSError, TraceError) as e:   # OSError: say, an output path not writable
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
 
 
 @main.command("build-index")
@@ -382,7 +360,7 @@ def _exit_on_error(fn):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def cmd_build_index(corpus_csv, out_path):
     """Build per-class nearest-neighbor indices from a labeled corpus CSV."""
-    counts = _exit_on_error(lambda: run_build_index(corpus_csv, out_path))
+    counts = run_build_index(corpus_csv, out_path)
     for label in sorted(counts):
         click.echo(f"{label}: {counts[label]}")
 
@@ -400,16 +378,17 @@ def cmd_score(trajectories_csv, index_path, targets_dir, config_path, lam, k,
               epsilon, out_dir):
     """Score trajectories against a corpus index or fixed target series."""
     if (index_path is None) == (targets_dir is None):
-        click.echo("error: exactly one of --index or --targets-dir is required",
-                   err=True)
-        sys.exit(2)
-    cfg = _exit_on_error(lambda: _load_config(config_path, lam, k, epsilon))
+        raise ConfigError("exactly one of --index or --targets-dir is required")
+    cfg, overrides = _with_flags(RunConfig.from_json_file(config_path) if config_path
+                                 else RunConfig(), lam, k, epsilon)
+    click.echo(f"config: lambda={cfg.lam} k={cfg.k_neighbors} "
+               f"epsilon={cfg.epsilon}"
+               + (f" (flag overrides: {', '.join(overrides)})" if overrides else ""),
+               err=True)
     if index_path is not None:
-        info = _exit_on_error(
-            lambda: run_score_corpus(trajectories_csv, index_path, cfg, out_dir))
+        info = run_score_corpus(trajectories_csv, index_path, cfg, out_dir)
     else:
-        info = _exit_on_error(
-            lambda: run_score_series(trajectories_csv, targets_dir, cfg, out_dir))
+        info = run_score_series(trajectories_csv, targets_dir, cfg, out_dir)
     click.echo(json.dumps(info, sort_keys=True))
 
 
@@ -418,12 +397,8 @@ def cmd_score(trajectories_csv, index_path, targets_dir, config_path, lam, k,
 @click.argument("scores_b", type=click.Path(exists=True, dir_okay=False))
 def cmd_compare(scores_a, scores_b):
     """Welch's t-test between the `average` columns of two summary CSVs."""
-    def run():
-        a = read_averages_csv(scores_a)
-        b = read_averages_csv(scores_b)
-        cmp = analytics.welch_t_test(a, b)
-        click.echo(json.dumps(cmp.to_json(), sort_keys=True))
-    _exit_on_error(run)
+    cmp = analytics.welch_t_test(read_averages_csv(scores_a), read_averages_csv(scores_b))
+    click.echo(json.dumps(cmp.to_json(), sort_keys=True))
 
 
 @main.command("demo")
@@ -434,51 +409,35 @@ def cmd_compare(scores_a, scores_b):
 @click.option("--k", default=None, type=int)
 def cmd_demo(scenario, seed, out_dir, lam, k):
     """Generate a seeded synthetic dataset and run the full pipeline on it."""
-    _exit_on_error(lambda: run_demo(scenario, seed, out_dir, lam=lam, k=k))
+    run_demo(scenario, seed, out_dir, _with_flags(RunConfig(), lam, k)[0])
 
 
-def run_demo(scenario, seed, out_dir, lam=None, k=None) -> None:
+def run_demo(scenario, seed, out_dir, cfg: RunConfig = RunConfig()) -> None:
     out = Path(out_dir)
     fixtures = out / "fixtures"
-    fixtures.mkdir(parents=True, exist_ok=True)
-    cfg = RunConfig()
-    if lam is not None:
-        cfg.lam = lam
-    if k is not None:
-        cfg.k_neighbors = k
-    cfg.validate()
     # the files any demo writes besides a score run's, which the score run removes
     for name in ("index.json", "comparison.json", *(f"summary_{c}.csv" for c in demo.ICU_CLASSES),
                  "fixtures/corpus.csv", "fixtures/trajectories.csv", "fixtures/config.json",
                  *(f"fixtures/targets/{s}.csv" for s in demo.SSP_NAMES)):
         (out / name).unlink(missing_ok=True)
-    if scenario in ("toy", "icu"):
-        if scenario == "toy":
-            names, corpus, traj, pmap = demo.gen_toy(seed)
-        else:
-            names, corpus, traj, pmap = demo.gen_icu(seed)
-        cfg.polarity_map = {c: _parse_polarity(p) for c, p in pmap.items()}
-        demo.write_corpus_csv(fixtures / "corpus.csv", names, corpus)
-        demo.write_trajectory_csv(fixtures / "trajectories.csv", names, traj)
-        with open(fixtures / "config.json", "w") as fh:
-            json.dump({"lambda": cfg.lam, "k_neighbors": cfg.k_neighbors,
-                       "polarity_map": pmap}, fh, sort_keys=True)
-            fh.write("\n")
+    if (fixtures / "targets").is_dir() and not any((fixtures / "targets").iterdir()):
+        (fixtures / "targets").rmdir()
+    tables, pmap = {"toy": demo.gen_toy, "icu": demo.gen_icu, "ssp": demo.gen_ssp}[scenario](seed)
+    for name, (header, rows) in tables.items():
+        (fixtures / name).parent.mkdir(parents=True, exist_ok=True)
+        write_csv(fixtures / name, header, rows)
+    if scenario == "ssp":
+        run_score_series(fixtures / "trajectories.csv", fixtures / "targets", cfg, out)
+    else:
+        cfg = replace(cfg, polarity_map={c: _parse_polarity(p) for c, p in pmap.items()})
+        _write_json(fixtures / "config.json", {"lambda": cfg.lam, "k_neighbors": cfg.k_neighbors,
+                                               "polarity_map": pmap})
         counts = run_build_index(fixtures / "corpus.csv", out / "index.json")
         for label in sorted(counts):
             click.echo(f"corpus {label}: {counts[label]}")
-        run_score_corpus(fixtures / "trajectories.csv", out / "index.json",
-                         cfg, out)
+        run_score_corpus(fixtures / "trajectories.csv", out / "index.json", cfg, out)
         if scenario == "icu":
             _demo_icu_compare(out)
-    else:
-        names, traj, series = demo.gen_ssp(seed)
-        demo.write_trajectory_csv(fixtures / "trajectories.csv", names, traj)
-        targets_path = fixtures / "targets"
-        targets_path.mkdir(exist_ok=True)
-        for name, pts in series.items():
-            demo.write_series_csv(targets_path / f"{name}.csv", names, pts)
-        run_score_series(fixtures / "trajectories.csv", targets_path, cfg, out)
     click.echo(f"demo {scenario} written to {out}")
 
 
@@ -491,19 +450,13 @@ def _demo_icu_compare(out: Path) -> None:
     for _, row in lines:
         groups.setdefault(row[col], []).append(row)
     for label in sorted(groups):
-        with open(out / f"summary_{label}.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(groups[label])
+        write_csv(out / f"summary_{label}.csv", header, groups[label])
         click.echo(f"cohort {label}: {len(groups[label])}")
     if len(groups) == 2:
         la, lb = sorted(groups)
         cmp = analytics.welch_t_test(read_averages_csv(out / f"summary_{la}.csv"),
                                      read_averages_csv(out / f"summary_{lb}.csv"))
-        with open(out / "comparison.json", "w") as fh:
-            json.dump({"group_a": la, "group_b": lb, **cmp.to_json()},
-                      fh, sort_keys=True)
-            fh.write("\n")
+        _write_json(out / "comparison.json", {"group_a": la, "group_b": lb, **cmp.to_json()})
 
 
 if __name__ == "__main__":

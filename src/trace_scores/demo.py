@@ -3,13 +3,13 @@
 Three shapes: a 2-D three-class toy, a 17-feature two-outcome cohort, and
 a 5-feature multi-series setup with fixed per-month targets. All
 randomness goes through one seeded generator; the library itself contains
-none.
+none. Each generator returns its fixture tables, ``{file name: (header,
+rows)}``, and a polarity map.
 """
 
 from __future__ import annotations
 
-import csv
-from typing import Dict, List, Sequence, Tuple
+from typing import List
 
 import numpy as np
 
@@ -18,35 +18,10 @@ ICU_CLASSES = ("RFD", "mortality")
 SSP_NAMES = ("SSP1", "SSP2", "SSP3", "SSP4", "SSP5")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def write_corpus_csv(path, feature_names: Sequence[str],
-                     rows: Sequence[Tuple[Sequence[float], str]]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(list(feature_names) + ["label"])
-        for values, label in rows:
-            w.writerow([_fmt(v) for v in values] + [label])
-
-
-def write_trajectory_csv(path, feature_names: Sequence[str],
-                         rows: Sequence[Tuple[str, int, Sequence[float], str]]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["subject_id", "t"] + list(feature_names) + ["label"])
-        for subject, t, values, label in rows:
-            w.writerow([subject, str(t)] + [_fmt(v) for v in values] + [label])
-
-
-def write_series_csv(path, feature_names: Sequence[str],
-                     points: Sequence[Tuple[int, Sequence[float]]]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + list(feature_names))
-        for t, values in points:
-            w.writerow([str(t)] + [_fmt(v) for v in values])
+def _corpus_tables(names: List[str], corpus: List[list], traj: List[list]):
+    """The corpus and trajectory fixture tables, ``{file name: (header, rows)}``."""
+    return {"corpus.csv": ([*names, "label"], corpus),
+            "trajectories.csv": (["subject_id", "t", *names, "label"], traj)}
 
 
 def gen_toy(seed: int):
@@ -59,16 +34,15 @@ def gen_toy(seed: int):
     corpus = []
     for label in TOY_CLASSES:
         for _ in range(6):
-            corpus.append((centers[label] + rng.normal(0, 0.03, 2), label))
+            corpus.append([*(centers[label] + rng.normal(0, 0.03, 2)).tolist(), label])
     x0 = centers["current"].copy()
     to_undesired = centers["undesired"] - x0
     x1 = x0 + 0.35 * to_undesired
     to_desired = centers["desired"] - x1
     x2 = x1 + 0.45 * to_desired
-    traj = [("toy-1", t, x, "") for t, x in enumerate((x0, x1, x2))]
-    feature_names = ["f0", "f1"]
-    polarity_map = {"desired": "desirable", "undesired": "undesirable"}
-    return feature_names, corpus, traj, polarity_map
+    traj = [["toy-1", t, *x.tolist(), ""] for t, x in enumerate((x0, x1, x2))]
+    return (_corpus_tables(["f0", "f1"], corpus, traj),
+            {"desired": "desirable", "undesired": "undesirable"})
 
 
 def gen_icu(seed: int, n_per_group: int = 500, n_corpus_per_class: int = 300,
@@ -81,8 +55,7 @@ def gen_icu(seed: int, n_per_group: int = 500, n_corpus_per_class: int = 300,
     corpus = []
     for label, center in (("RFD", center_rfd), ("mortality", center_mort)):
         pts = center + rng.normal(0, 0.05, (n_corpus_per_class, dim))
-        for p in pts:
-            corpus.append((p, label))
+        corpus += [[*p, label] for p in pts.tolist()]
     traj_rows = []
     for group, center, label in (("imp", center_rfd, "RFD"),
                                  ("det", center_mort, "mortality")):
@@ -91,16 +64,16 @@ def gen_icu(seed: int, n_per_group: int = 500, n_corpus_per_class: int = 300,
             subject = f"{group}-{i:04d}"
             x = starts[i].copy()
             for t in range(n_timepoints):
-                traj_rows.append((subject, t, x.copy(), label))
+                traj_rows.append([subject, t, *x.tolist(), label])
                 x = x + 0.08 * (center - x) + rng.normal(0, 0.015, dim)
-    feature_names = [f"feat{j:02d}" for j in range(dim)]
-    polarity_map = {"RFD": "desirable", "mortality": "undesirable"}
-    return feature_names, corpus, traj_rows, polarity_map
+    return (_corpus_tables([f"feat{j:02d}" for j in range(dim)], corpus, traj_rows),
+            {"RFD": "desirable", "mortality": "undesirable"})
 
 
 def gen_ssp(seed: int, n_months: int = 36, dim: int = 5):
     """One subject drifting in a fixed direction plus five target series at
-    increasing angles to that drift; smaller angle means better alignment."""
+    increasing angles to that drift; smaller angle means better alignment.
+    Its polarity map is empty: every series is desirable."""
     rng = np.random.default_rng(seed)
     u = np.ones(dim) / np.sqrt(dim)
     x0 = np.full(dim, 0.5)
@@ -108,11 +81,12 @@ def gen_ssp(seed: int, n_months: int = 36, dim: int = 5):
     traj_rows = []
     x = x0.copy()
     for t in range(n_months):
-        traj_rows.append(("NOR", t, x.copy(), ""))
+        traj_rows.append(["NOR", t, *x.tolist(), ""])
         x = x + drift + rng.normal(0, 0.002, dim)
     # ranking by construction: SSP5 closest in angle, then SSP1, SSP4, SSP2, SSP3
     angles = {"SSP5": 5.0, "SSP1": 20.0, "SSP4": 30.0, "SSP2": 50.0, "SSP3": 70.0}
-    series: Dict[str, List[Tuple[int, np.ndarray]]] = {}
+    names = [f"f{j}" for j in range(dim)]
+    tables = {"trajectories.csv": (["subject_id", "t", *names, "label"], traj_rows)}
     for j, name in enumerate(SSP_NAMES):
         w = np.zeros(dim)
         w[j] = 1.0
@@ -120,7 +94,6 @@ def gen_ssp(seed: int, n_months: int = 36, dim: int = 5):
         w /= np.linalg.norm(w)
         ang = np.deg2rad(angles[name])
         direction = np.cos(ang) * u + np.sin(ang) * w
-        series[name] = [(t, x0 + (t + 1) * 0.012 * direction)
-                        for t in range(n_months)]
-    feature_names = [f"f{j}" for j in range(dim)]
-    return feature_names, traj_rows, series
+        tables[f"targets/{name}.csv"] = (["t", *names], [
+            [t, *(x0 + (t + 1) * 0.012 * direction).tolist()] for t in range(n_months)])
+    return tables, {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -129,8 +129,9 @@ def parse_cells(cells: Sequence[str], where: str, error: type) -> List[float]:
 def read_csv(path, error: type) -> Iterator:
     """Yield a CSV's header, then ``(where, row)`` for each non-blank row,
     ``where`` being ``path:line``. Rows stream from the file one at a time.
-    A file with no header, or a row whose length differs from the
-    header's, raises ``error``, and so does a line that is not UTF-8."""
+    A file with no header or no data row, or a row whose length differs
+    from the header's, raises ``error``, and so does a line that is not
+    UTF-8."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -138,6 +139,7 @@ def read_csv(path, error: type) -> Iterator:
             if header is None:
                 raise error(f"{path}: empty file")
             yield header
+            where = None
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
@@ -145,6 +147,8 @@ def read_csv(path, error: type) -> Iterator:
                 if len(row) != len(header):
                     raise error(f"{where}: expected {len(header)} columns, got {len(row)}")
                 yield where, row
+            if where is None:
+                raise error(f"{path}: no data rows")
     except UnicodeDecodeError:
         # the text layer decodes whole blocks, so find the line in the bytes
         with open(path, "rb") as fh:
@@ -153,12 +157,25 @@ def read_csv(path, error: type) -> Iterator:
         raise error(f"{path}:{lineno}: not UTF-8 text") from None
 
 
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header``, then each of ``rows``, as one CSV table. A float
+    cell is written as its ``repr`` and a None cell as an empty one."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def parse_t(cell: str, where: str, error: type) -> int:
-    """A time-index cell as an int; any other cell raises ``error`` at ``where``."""
+    """A time-index cell as an int that fits int64; any other cell raises
+    ``error`` at ``where``."""
     try:
-        return int(cell)
+        t = int(cell)
     except ValueError:
         raise error(f"{where}: t must be an integer, got {cell!r}") from None
+    if not -2**63 <= t < 2**63:
+        raise error(f"{where}: t={t} does not fit a 64-bit integer")
+    return t
 
 
 def load_trajectory_csv(path):
@@ -187,8 +204,6 @@ def load_trajectory_csv(path):
             if earlier != row[-1]:
                 raise TrajectoryError(f"{where}: subject {subject!r} has label {row[-1]!r}, "
                                       f"earlier rows say {earlier!r}")
-    if not by_subject:
-        raise TrajectoryError(f"{path}: no data rows")
     for records in by_subject.values():
         records.sort(key=lambda r: r.t_index)
         seen = set()

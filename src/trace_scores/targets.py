@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -211,8 +212,9 @@ def save_corpus(corpus: Corpus, feature_names: Sequence[str], path) -> None:
 
 def load_corpus(path) -> Tuple[Corpus, List[str]]:
     """Read an index written by ``save_corpus``; a document that does not
-    fit its layout raises CorpusError naming ``path``, with ``build_index``'s
-    message for bad points. Any other key is ignored."""
+    fit its layout, or holds a point value that is not a JSON number, raises
+    CorpusError naming ``path``, with ``build_index``'s message for other bad
+    points. Any other key is ignored."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -221,13 +223,20 @@ def load_corpus(path) -> Tuple[Corpus, List[str]]:
                 raise CorpusError("labels must be a list of strings")
             if not isinstance(features, list):
                 raise CorpusError(f"features must be a list, not {type(features).__name__}")
-            if dict in map(type, doc["points"]):
+            rows = doc["points"]
+            row_types = set(map(type, rows))
+            if dict in row_types:
                 raise CorpusError('points hold {"values", "label"} rows of the earliest index '
                                   "layout; rebuild the index with `trace build-index`")
-            points = _points_matrix(doc["points"], len(labels))
+            # np.asarray would read "0.9" as 0.9, true as 1.0 and null as nan
+            if row_types <= {list} and \
+                    not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+                bad = next(v for v in chain.from_iterable(rows) if type(v) not in (int, float))
+                raise CorpusError(f"point value {json.dumps(bad)} is not a JSON number")
+            points = _points_matrix(rows, len(labels))
             stats = fit_normalizer(points, features)
             return build_index(points, labels, norm_stats=stats), features
         except KeyError as e:
             raise CorpusError(f"{path}: malformed index: missing key {e}") from None
-        except (CorpusError, DimensionError, TypeError, ValueError) as e:
+        except (CorpusError, DimensionError, OverflowError, TypeError, ValueError) as e:
             raise CorpusError(f"{path}: malformed index: {e}") from None

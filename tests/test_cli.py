@@ -409,9 +409,13 @@ def _not_utf8(which, lineno):
     return setup
 
 
-def _header_only(corpus, traj, config, tdir):
-    traj.write_text(traj.read_text().splitlines()[0] + "\n")
-    return ["--config", str(config)], f"{traj}: no data rows"
+def _header_only(which):
+    """Header-only rows: ``which`` file keeps only its header line."""
+    def setup(corpus, traj, config, tdir):
+        path = {"traj": traj, "series": tdir / "SSP1.csv"}[which]
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        return ["--config", str(config)], f"{path}: no data rows"
+    return setup
 
 
 def _flag(name, value):
@@ -442,6 +446,11 @@ MALFORMED_INPUTS = [
     ("lambda-bool-config", "corpus", _bad_config('{"lambda": true, %s}' % _POLARITY)),
     ("epsilon-bool-config", "corpus", _bad_config('{"epsilon": true, %s}' % _POLARITY)),
     ("weight-bool-config", "series", _bad_config('{"feature_weights": [1, true]}')),
+    ("weights-number-config", "series",
+     _bad_config('{"feature_weights": 5}', expect="feature_weights must be a JSON list, not int")),
+    ("weights-object-config", "series",
+     _bad_config('{"feature_weights": {"a": 1}}',
+                 expect="feature_weights must be a JSON list, not dict")),
     ("polarity-bool-config", "corpus",
      _bad_config('{"polarity_map": {"RFD": true, "mortality": "undesirable"}}')),
     ("polarity-unknown-class", "corpus",
@@ -454,7 +463,19 @@ MALFORMED_INPUTS = [
                 expect="corpus rows have inconsistent dimensions or non-numeric values")),
     ("index-text-point", "corpus",
      _bad_index(lambda doc: doc["points"][0].__setitem__(0, "abc"),
-                expect="corpus rows have inconsistent dimensions or non-numeric values")),
+                expect='point value "abc" is not a JSON number')),
+    ("index-numeric-string-point", "corpus",
+     _bad_index(lambda doc: doc["points"][0].__setitem__(0, "0.9"),
+                expect='point value "0.9" is not a JSON number')),
+    ("index-bool-point", "corpus",
+     _bad_index(lambda doc: doc["points"][0].__setitem__(0, True),
+                expect="point value true is not a JSON number")),
+    ("index-null-point", "corpus",
+     _bad_index(lambda doc: doc["points"][1].__setitem__(1, None),
+                expect="point value null is not a JSON number")),
+    ("index-huge-int-point", "corpus",
+     _bad_index(lambda doc: doc["points"][0].__setitem__(0, 10**400),
+                expect="int too large to convert to float")),
     ("index-nonfinite-point", "corpus",
      _bad_index(lambda doc: doc["points"][0].__setitem__(0, float("nan")),
                 expect="corpus contains non-finite values")),
@@ -480,7 +501,10 @@ MALFORMED_INPUTS = [
     ("traj-t-float", "corpus", _bad_cell("traj", 2, 1, "0.5")),
     ("traj-conflicting-label", "corpus", _bad_cell(
         "traj", 3, 4, "mortality", "subject 's0' has label 'mortality', earlier rows say 'RFD'")),
-    ("traj-header-only", "corpus", _header_only),
+    ("traj-header-only", "corpus", _header_only("traj")),
+    ("series-header-only", "series", _header_only("series")),
+    ("traj-t-overflow", "corpus",
+     _bad_cell("traj", 3, 1, str(2**63), "t=9223372036854775808 does not fit a 64-bit integer")),
     ("config-not-utf8", "corpus", _not_utf8("config", 1)),
     ("traj-not-utf8", "corpus", _not_utf8("traj", 3)),
     ("series-not-utf8", "series", _not_utf8("series", 2)),
@@ -489,6 +513,7 @@ MALFORMED_INPUTS = [
     ("series-cell-inf", "series", _bad_cell("series", 2, 2, "inf")),
     ("series-t-text", "series", _bad_cell("series", 4, 0, "three")),
     ("series-duplicate-t", "series", _bad_cell("series", 3, 0, "0")),
+    ("series-t-overflow", "series", _bad_cell("series", 3, 0, str(-2**63 - 1))),
     ("series-polarity-unknown", "series",
      _bad_config('{"polarity_map": {"gaol": "undesirable"}}',
                  expect="polarity_map names series 'gaol'")),
@@ -870,6 +895,14 @@ class TestCompare:
         assert res.exit_code == 2, res.output
         assert f"{bad}:3: non-finite value '{cell}'" in res.output
 
+    def test_header_only_summary(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        self.make_summary(a, [])
+        self.make_summary(b, [0.1, 0.2])
+        res = runner.invoke(main, ["compare", str(b), str(a)])
+        assert res.exit_code == 2, res.output
+        assert res.stderr == f"error: {a}: no data rows\n"
+
     def test_undersized(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -938,18 +971,30 @@ class TestDemo:
                                    "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
 
+    def test_bad_flag_creates_nothing(self, tmp_path):
+        res = runner.invoke(main, ["demo", "--scenario", "toy", "--seed", "3", "--lambda", "2",
+                                   "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2, res.output
+        assert res.stderr == "error: lambda must lie in [0, 1], got 2.0\n"
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def tree(root):
-        return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        """Each file's bytes and each directory (as None), by relative path."""
+        return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+                for p in root.rglob("*")}
 
-    @pytest.mark.parametrize("scenario,seed", [("ssp", "11"), ("toy", "3")])
-    def test_demo_over_an_earlier_demo_leaves_none_of_its_files(self, tmp_path, scenario, seed):
+    @pytest.mark.parametrize("scenario,seed,earlier", [
+        ("ssp", "11", ("icu", "7")), ("toy", "3", ("icu", "7")), ("toy", "3", ("ssp", "11"))],
+        ids=["ssp-11", "toy-3", "toy-3-over-ssp-11"])
+    def test_demo_over_an_earlier_demo_leaves_none_of_its_files(self, tmp_path, scenario, seed,
+                                                                earlier):
         def run(out, scenario, seed):
             res = runner.invoke(main, ["demo", "--scenario", scenario, "--seed", seed,
                                        "--out", str(out)])
             assert res.exit_code == 0, res.output
         run(tmp_path / "fresh", scenario, seed)
-        run(tmp_path / "over", "icu", "7")
+        run(tmp_path / "over", *earlier)
         (tmp_path / "over" / "notes.txt").write_text("kept\n")
         run(tmp_path / "over", scenario, seed)
         assert self.tree(tmp_path / "over") == {**self.tree(tmp_path / "fresh"),
