@@ -6,11 +6,10 @@ Exit codes: 0 success, 1 runtime failure, 2 input/usage error.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import click
 import numpy as np
@@ -38,24 +37,15 @@ def _parse_polarity(value) -> Polarity:
     raise ConfigError(f"unknown polarity {value!r}")
 
 
-def _json_number(key: str, value) -> float:
-    # float() would read true as 1.0 and "0.5" as 0.5
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Run parameters, checked when built; JSON file values overridden by flags."""
 
     lam: float = 0.9
     k_neighbors: int = 3
-    epsilon: float = 1e-9
     polarity_map: Dict[str, Polarity] = field(default_factory=dict)
-    feature_weights: Optional[List[float]] = None
 
-    _KEYS = {"lambda", "k_neighbors", "epsilon", "polarity_map", "feature_weights"}
+    _KEYS = {"lambda", "k_neighbors", "polarity_map"}
 
     def __post_init__(self):
         # the range test also rejects a nan or infinite lambda
@@ -63,11 +53,6 @@ class RunConfig:
             raise ConfigError(f"lambda must lie in [0, 1], got {self.lam}")
         if self.k_neighbors < 1:
             raise ConfigError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if self.feature_weights is not None:
-            if not all(math.isfinite(w) and w > 0 for w in self.feature_weights):
-                raise ConfigError("feature_weights must all be finite and positive")
 
     @classmethod
     def from_json_file(cls, path) -> "RunConfig":
@@ -84,39 +69,33 @@ class RunConfig:
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
             if "lambda" in doc:
-                values["lam"] = _json_number("lambda", doc["lambda"])
+                lam = doc["lambda"]
+                # float() would read true as 1.0 and "0.5" as 0.5
+                if isinstance(lam, bool) or not isinstance(lam, (int, float)):
+                    raise ConfigError(f"lambda must be a number, got {lam!r}")
+                values["lam"] = float(lam)
             if "k_neighbors" in doc:
                 k = doc["k_neighbors"]
                 # int() would truncate 2.7 and accept true as 1
                 if isinstance(k, bool) or not isinstance(k, int):
                     raise ConfigError(f"k_neighbors must be an integer, got {k!r}")
                 values["k_neighbors"] = k
-            if "epsilon" in doc:
-                values["epsilon"] = _json_number("epsilon", doc["epsilon"])
             if "polarity_map" in doc:
                 pmap = doc["polarity_map"]
                 if not isinstance(pmap, dict):
                     raise ConfigError(
                         f"polarity_map must be a JSON object, not {type(pmap).__name__}")
                 values["polarity_map"] = {k: _parse_polarity(v) for k, v in pmap.items()}
-            weights = doc.get("feature_weights")
-            if weights is not None:
-                if not isinstance(weights, list):
-                    raise ConfigError(
-                        f"feature_weights must be a JSON list, not {type(weights).__name__}")
-                values["feature_weights"] = [_json_number("feature_weights entry", w)
-                                             for w in weights]
             return cls(**values)
         except (ConfigError, OverflowError) as e:   # OverflowError: float() of a huge int
             raise ConfigError(f"{path}: {e}") from None
 
 
-def _with_flags(cfg: RunConfig, lam=None, k=None, epsilon=None) -> Tuple[RunConfig, List[str]]:
+def _with_flags(cfg: RunConfig, lam=None, k=None) -> Tuple[RunConfig, List[str]]:
     """``cfg`` with the value of each flag given in place of its own, and a
     ``name=value`` text for each such flag."""
     given = [(name, flag, value) for name, flag, value in
-             (("lam", "lambda", lam), ("k_neighbors", "k", k), ("epsilon", "epsilon", epsilon))
-             if value is not None]
+             (("lam", "lambda", lam), ("k_neighbors", "k", k)) if value is not None]
     return (replace(cfg, **{name: value for name, _, value in given}),
             [f"{flag}={value}" for _, flag, value in given])
 
@@ -173,10 +152,7 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
     ``scores_wide.csv`` (from each scored key's TrajectoryScore) and
     ``summary.csv`` (``columns``); returns the summary rows and the run info.
     """
-    by_subject, labels, names = traj_data
-    if cfg.feature_weights is not None and len(cfg.feature_weights) != len(names):
-        raise ConfigError(f"feature_weights has {len(cfg.feature_weights)} entries, "
-                          f"the trajectories have {len(names)} features")
+    by_subject, labels, _ = traj_data
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in ("steps.jsonl", "scores_wide.csv", "summary.csv", "errors.csv", "ranking.json"):
@@ -193,9 +169,7 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
             continue
         for series, provider in target_sets:
             try:
-                ts = scoring.score_trajectory(traj, provider, cfg.lam,
-                                              epsilon=cfg.epsilon,
-                                              feature_weights=cfg.feature_weights)
+                ts = scoring.score_trajectory(traj, provider, cfg.lam)
                 agg = analytics.aggregate(ts)
             except TraceError as e:
                 errors.append((subject, _error_text(series, e)))
@@ -372,17 +346,14 @@ def cmd_build_index(corpus_csv, out_path):
 @click.option("--config", "config_path", default=None, type=click.Path(exists=True, dir_okay=False))
 @click.option("--lambda", "lam", default=None, type=float)
 @click.option("--k", default=None, type=int)
-@click.option("--epsilon", default=None, type=float)
 @click.option("--out", "out_dir", required=True, type=click.Path())
-def cmd_score(trajectories_csv, index_path, targets_dir, config_path, lam, k,
-              epsilon, out_dir):
+def cmd_score(trajectories_csv, index_path, targets_dir, config_path, lam, k, out_dir):
     """Score trajectories against a corpus index or fixed target series."""
     if (index_path is None) == (targets_dir is None):
         raise ConfigError("exactly one of --index or --targets-dir is required")
     cfg, overrides = _with_flags(RunConfig.from_json_file(config_path) if config_path
-                                 else RunConfig(), lam, k, epsilon)
-    click.echo(f"config: lambda={cfg.lam} k={cfg.k_neighbors} "
-               f"epsilon={cfg.epsilon}"
+                                 else RunConfig(), lam, k)
+    click.echo(f"config: lambda={cfg.lam} k={cfg.k_neighbors}"
                + (f" (flag overrides: {', '.join(overrides)})" if overrides else ""),
                err=True)
     if index_path is not None:

@@ -11,14 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from .errors import ConfigError, DegenerateGeometry, DimensionError
 
-DEFAULT_EPSILON = 1e-9
+EPSILON = 1e-9   # a norm at most this counts as zero
 
 
 class Degeneracy(Enum):
@@ -47,48 +46,33 @@ def _as_array(x) -> np.ndarray:
     return arr
 
 
-def _check_weights(weights, dim: int) -> Optional[np.ndarray]:
-    if weights is None:
-        return None
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (dim,):
-        raise DimensionError(f"weight vector has shape {w.shape}, expected ({dim},)")
-    if np.any(w <= 0) or not np.all(np.isfinite(w)):
-        raise ConfigError("feature weights must be finite and positive")
-    return w
-
-
-def inner(a: ArrayLike, b: ArrayLike, weights=None) -> float:
-    """Weighted dot product; plain dot product when ``weights`` is None."""
+def inner(a: ArrayLike, b: ArrayLike) -> float:
+    """Euclidean dot product."""
     av, bv = _as_array(a), _as_array(b)
     if av.shape != bv.shape:
         raise DimensionError(f"dimension mismatch: {av.shape[0]} vs {bv.shape[0]}")
-    w = _check_weights(weights, av.shape[0])
-    if w is None:
-        return float(np.dot(av, bv))
-    return float(np.dot(av * w, bv))
+    return float(np.dot(av, bv))
 
 
-def norm_of(v: ArrayLike, weights=None) -> float:
-    """Inner-product-induced norm."""
-    return math.sqrt(inner(v, v, weights))
+def norm_of(v: ArrayLike) -> float:
+    """Euclidean norm."""
+    return math.sqrt(inner(v, v))
 
 
-def r1(v_t: ArrayLike, v_prime: ArrayLike, *, epsilon: float = DEFAULT_EPSILON, weights=None) -> float:
+def r1(v_t: ArrayLike, v_prime: ArrayLike) -> float:
     """Angle cosine between the observed change and the desired change.
 
     Value in [-1, 1]; invariant under positive rescaling of either argument.
     """
-    n1 = norm_of(v_t, weights)
-    n2 = norm_of(v_prime, weights)
-    if n1 <= epsilon or n2 <= epsilon:
+    n1 = norm_of(v_t)
+    n2 = norm_of(v_prime)
+    if n1 <= EPSILON or n2 <= EPSILON:
         raise DegenerateGeometry("zero-norm change vector")
-    val = inner(v_t, v_prime, weights) / (n1 * n2)
+    val = inner(v_t, v_prime) / (n1 * n2)
     return min(1.0, max(-1.0, val))
 
 
-def closest_point(a: ArrayLike, b: ArrayLike, c: ArrayLike, *,
-                  epsilon: float = DEFAULT_EPSILON, weights=None) -> np.ndarray:
+def closest_point(a: ArrayLike, b: ArrayLike, c: ArrayLike) -> np.ndarray:
     """Closest point to ``a`` on the line through ``b`` in direction ``c - b``.
 
     d = b + (h / ||h||) * ||g|| * theta with h = c - b, g = a - b and
@@ -100,18 +84,17 @@ def closest_point(a: ArrayLike, b: ArrayLike, c: ArrayLike, *,
             f"dimension mismatch: {av.shape[0]}, {bv.shape[0]}, {cv.shape[0]}")
     h = cv - bv
     g = av - bv
-    nh = norm_of(h, weights)
-    ng = norm_of(g, weights)
-    if nh <= epsilon:
+    nh = norm_of(h)
+    ng = norm_of(g)
+    if nh <= EPSILON:
         raise DegenerateGeometry("direction c - b is degenerate")
-    if ng <= epsilon:
+    if ng <= EPSILON:
         raise DegenerateGeometry("a coincides with b")
-    theta = inner(h, g, weights) / (nh * ng)
+    theta = inner(h, g) / (nh * ng)
     return bv + (h / nh) * ng * theta
 
 
-def r2(x_t: ArrayLike, x_next: ArrayLike, x_target: ArrayLike, *,
-       epsilon: float = DEFAULT_EPSILON, weights=None):
+def r2(x_t: ArrayLike, x_next: ArrayLike, x_target: ArrayLike):
     """Landing score: |cos| between the residual from the best achievable
     point and the residual from the actual landing point.
 
@@ -125,29 +108,28 @@ def r2(x_t: ArrayLike, x_next: ArrayLike, x_target: ArrayLike, *,
             f"dimension mismatch: {xt.shape[0]}, {xn.shape[0]}, {xp.shape[0]}")
     v_t = xn - xt
     v_prime = xp - xt
-    n_vt = norm_of(v_t, weights)
-    n_vp = norm_of(v_prime, weights)
-    if n_vt <= epsilon:
+    n_vt = norm_of(v_t)
+    n_vp = norm_of(v_prime)
+    if n_vt <= EPSILON:
         raise DegenerateGeometry("no movement between steps")
-    if n_vp <= epsilon:
+    if n_vp <= EPSILON:
         raise DegenerateGeometry("target coincides with factual")
     v_star = xp - xn
-    if norm_of(v_star, weights) <= epsilon:
+    if norm_of(v_star) <= EPSILON:
         return 1.0, Degeneracy.GOAL_REACHED
     # x-hat: closest point to the target along the move (theta > 0), else x_t
-    theta = inner(v_t, v_prime, weights) / (n_vt * n_vp)
-    x_hat = closest_point(xp, xt, xn, epsilon=epsilon, weights=weights) if theta > 0 else xt
+    theta = inner(v_t, v_prime) / (n_vt * n_vp)
+    x_hat = closest_point(xp, xt, xn) if theta > 0 else xt
     v_hat = xp - x_hat
-    n_vhat = norm_of(v_hat, weights)
-    if n_vhat <= epsilon:
+    n_vhat = norm_of(v_hat)
+    if n_vhat <= EPSILON:
         return 1.0, Degeneracy.BEST_ACHIEVED
-    val = abs(inner(v_hat, v_star, weights)) / (n_vhat * norm_of(v_star, weights))
+    val = abs(inner(v_hat, v_star)) / (n_vhat * norm_of(v_star))
     return min(1.0, val), Degeneracy.NONE
 
 
 def step_score(x_t: ArrayLike, x_next: ArrayLike, x_target: ArrayLike,
-               lam: float, *, epsilon: float = DEFAULT_EPSILON,
-               weights=None) -> StepGeometry:
+               lam: float) -> StepGeometry:
     """Combined score s = lam * r1 + (1 - lam) * r2 for one step and target.
 
     lam = 1 reduces bit-for-bit to r1 and lam = 0 to r2. Reaching the
@@ -156,10 +138,10 @@ def step_score(x_t: ArrayLike, x_next: ArrayLike, x_target: ArrayLike,
     if not (0.0 <= lam <= 1.0):
         raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
     xt, xn, xp = _as_array(x_t), _as_array(x_next), _as_array(x_target)
-    r2_val, flag = r2(xt, xn, xp, epsilon=epsilon, weights=weights)
+    r2_val, flag = r2(xt, xn, xp)
     if flag is Degeneracy.GOAL_REACHED:
         return StepGeometry(r1=1.0, r2=1.0, s=1.0, degenerate=flag)
-    r1_val = r1(xn - xt, xp - xt, epsilon=epsilon, weights=weights)
+    r1_val = r1(xn - xt, xp - xt)
     if lam == 1.0:
         s = r1_val
     elif lam == 0.0:

@@ -21,9 +21,8 @@ from typing import Callable, List
 
 import numpy as np
 
-from . import geometry
 from .errors import ConfigError, DimensionError, TargetError, TrajectoryError
-from .geometry import DEFAULT_EPSILON
+from .geometry import EPSILON
 
 
 class Polarity(IntEnum):
@@ -37,7 +36,6 @@ class SkipReason(IntEnum):
 
     ALL_MASKED = 1
     NO_FEATURE_CHANGE = 2
-    ALL_TARGETS_DROPPED = 3
 
 
 @dataclass(eq=False)
@@ -92,8 +90,7 @@ def _norm(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _score_rows(x: np.ndarray, steps: np.ndarray, lam: float, tg: Targets,
-                epsilon: float, feature_weights) -> TrajectoryScore:
+def _score_rows(x: np.ndarray, steps: np.ndarray, lam: float, tg: Targets) -> TrajectoryScore:
     """Score the steps of the ``(n_steps + 1, dim)`` points ``x`` against
     ``tg`` with ``geometry.step_score``'s arithmetic, applied to every
     (step, slot) at once; step ``i`` runs from ``x[i]`` to ``x[i + 1]`` and
@@ -117,29 +114,30 @@ def _score_rows(x: np.ndarray, steps: np.ndarray, lam: float, tg: Targets,
     v_prime = p - x0
     # zero weight on the masked dims gives the inner products of the active
     # subspace: a dim is active where some target of the step differs from x_t
-    active = (np.abs(v_prime) > epsilon).any(axis=1)
-    w_full = geometry._check_weights(feature_weights, dim)
-    w_step = active * (1.0 if w_full is None else w_full)
+    active = (np.abs(v_prime) > EPSILON).any(axis=1) * 1.0   # a bool mask is cast per product
     move = xn - xt
-    n_move = _norm(move, w_step)
+    n_move = _norm(move, active)
     all_masked = ~active.any(axis=1)
-    no_move = ~all_masked & (n_move <= epsilon)
+    no_move = ~all_masked & (n_move <= EPSILON)
     live = ~(all_masked | no_move)
 
-    w, v_t, n_vt = w_step[:, None], move[:, None], n_move[:, None]
+    w, v_t, n_vt = active[:, None], move[:, None], n_move[:, None]
     n_vp = _norm(v_prime, w)
-    # a target on the factual in the active subspace is dropped
-    kept = live[:, None] & (n_vp > epsilon)
+    # a target on the factual in the active subspace is dropped; a live step
+    # keeps one: some target has |v| > EPSILON in an active dim, and its norm
+    # fl(sqrt(fl(sum of squares))) >= fl(sqrt(fl(v * v))) = |v|, as rounding is
+    # monotone and v * v is normal (or inf), so sqrt gives |v| back exactly
+    kept = live[:, None] & (n_vp > EPSILON)
     v_star = p - xn[:, None]
     n_vs = _norm(v_star, w)
-    goal = n_vs <= epsilon
+    goal = n_vs <= EPSILON
     theta = _inner(v_t, v_prime, w) / (n_vt * n_vp)
     # x-hat: closest point to the target along the move (theta > 0), else x_t
     x_hat = np.where((theta > 0)[..., None],
                      x0 + (v_t / n_vt[..., None]) * n_vp[..., None] * theta[..., None], x0)
     v_hat = p - x_hat
     n_vhat = _norm(v_hat, w)
-    best = ~goal & (n_vhat <= epsilon)
+    best = ~goal & (n_vhat <= EPSILON)
     r2 = np.minimum(1.0, np.abs(_inner(v_hat, v_star, w)) / (n_vhat * n_vs))
     r2[goal | best] = 1.0
     r1 = np.clip(theta, -1.0, 1.0)
@@ -161,17 +159,13 @@ def _score_rows(x: np.ndarray, steps: np.ndarray, lam: float, tg: Targets,
     count = np.bincount(key, minlength=n * n_cls).reshape(n, n_cls)
     per_class = np.bincount(key, s[kept], n * n_cls).reshape(n, n_cls) / count
     combined = np.nansum(tg.polarity * per_class, axis=1) / (count > 0).sum(axis=1)
-    # a live step whose every target was dropped has no score either
-    dropped = live & ~kept.any(axis=1)
     return TrajectoryScore(
-        steps=steps, skip=all_masked + 2 * no_move + 3 * dropped, combined=combined,
+        steps=steps, skip=all_masked + 2 * no_move, combined=combined,
         labels=tg.labels, polarity=tg.polarity, per_class=per_class, step=ks, cls=cls,
         r1=r1[kept], r2=r2[kept], s=s[kept], flag=(goal + 2 * best)[kept])
 
 
-def score_trajectory(traj, target_provider: TargetProvider, lam: float, *,
-                     epsilon: float = DEFAULT_EPSILON,
-                     feature_weights=None) -> TrajectoryScore:
+def score_trajectory(traj, target_provider: TargetProvider, lam: float) -> TrajectoryScore:
     """Score every consecutive pair, targets re-queried at every step.
 
     ``traj`` is a pipeline.Trajectory: time indices ``t`` and one row of
@@ -186,5 +180,4 @@ def score_trajectory(traj, target_provider: TargetProvider, lam: float, *,
     # the range test also rejects a nan lambda
     if not (0.0 <= lam <= 1.0):
         raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
-    return _score_rows(x, t[1:], float(lam), target_provider(t[:-1], x[:-1]),
-                       epsilon, feature_weights)
+    return _score_rows(x, t[1:], float(lam), target_provider(t[:-1], x[:-1]))

@@ -38,6 +38,7 @@ _TINY = np.finfo(float).smallest_subnormal   # spacing of the subnormals
 # product errs by up to _TINY / 2 instead: 4 dim in A (x.p twice) and dim
 # in S per row, 10 dim halves for two rows, which 8 n * _TINY covers.
 _MARGIN = 12
+_INT_PAST_FLOAT = 2**1024 - 2**970   # the least int that float() overflows on
 
 
 @dataclass(eq=False)
@@ -218,25 +219,33 @@ def load_corpus(path) -> Tuple[Corpus, List[str]]:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-            labels, features = doc["labels"], doc["features"]
-            if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
-                raise CorpusError("labels must be a list of strings")
-            if not isinstance(features, list):
-                raise CorpusError(f"features must be a list, not {type(features).__name__}")
-            rows = doc["points"]
+            labels, features, rows = doc["labels"], doc["features"], doc["points"]
+            for key, names in (("labels", labels), ("features", features)):
+                if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+                    raise CorpusError(f"{key} must be a list of strings")
+            if not isinstance(rows, list):
+                raise CorpusError(f"points must be a list of rows, not {type(rows).__name__}")
             row_types = set(map(type, rows))
             if dict in row_types:
                 raise CorpusError('points hold {"values", "label"} rows of the earliest index '
                                   "layout; rebuild the index with `trace build-index`")
+            if not row_types <= {list}:
+                bad = next(type(r).__name__ for r in rows if type(r) is not list)
+                raise CorpusError(f"points must be a list of rows, got a row of type {bad}")
             # np.asarray would read "0.9" as 0.9, true as 1.0 and null as nan
-            if row_types <= {list} and \
-                    not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+            if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
                 bad = next(v for v in chain.from_iterable(rows) if type(v) not in (int, float))
                 raise CorpusError(f"point value {json.dumps(bad)} is not a JSON number")
-            points = _points_matrix(rows, len(labels))
+            try:
+                points = _points_matrix(rows, len(labels))
+            except OverflowError:   # float() of an int past the float64 range
+                big = str(next(v for v in chain.from_iterable(rows)
+                               if type(v) is int and abs(v) >= _INT_PAST_FLOAT))
+                short = big if len(big) <= 20 else f"{big[:16]}... ({len(big)} digits)"
+                raise CorpusError(f"point value {short} is past the float64 range") from None
             stats = fit_normalizer(points, features)
             return build_index(points, labels, norm_stats=stats), features
         except KeyError as e:
             raise CorpusError(f"{path}: malformed index: missing key {e}") from None
-        except (CorpusError, DimensionError, OverflowError, TypeError, ValueError) as e:
+        except (CorpusError, DimensionError, TypeError, ValueError) as e:
             raise CorpusError(f"{path}: malformed index: {e}") from None

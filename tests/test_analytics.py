@@ -37,7 +37,7 @@ class TestAggregate:
         with pytest.raises(AggregateError):
             aggregate(hand_scored([]))
         with pytest.raises(AggregateError):
-            aggregate(hand_scored([np.nan], skip=[SkipReason.ALL_TARGETS_DROPPED]))
+            aggregate(hand_scored([np.nan], skip=[SkipReason.NO_FEATURE_CHANGE]))
 
     def test_last_cumulative_equals_average_times_count(self):
         rng = np.random.default_rng(0)

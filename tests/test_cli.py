@@ -257,29 +257,6 @@ class TestScoreSeriesMode:
             "trajectory features ['a', 'b']")
 
 
-def test_step_with_every_target_dropped_is_skipped(tmp_path):
-    # the weighted distance from a=0 to the target 2e-9 is 2e-11, within
-    # epsilon, so the step to t=1 keeps no target
-    traj, tdir, config = tmp_path / "traj.csv", tmp_path / "targets", tmp_path / "config.json"
-    traj.write_text("subject_id,t,a\ns,0,0\ns,1,1\ns,2,3\nu,0,0\nu,1,1\n")
-    tdir.mkdir()
-    (tdir / "g.csv").write_text("t,a\n0,2e-9\n1,5\n")
-    config.write_text('{"feature_weights": [0.01]}')
-    res = runner.invoke(main, ["score", str(traj), "--targets-dir", str(tdir),
-                               "--config", str(config), "--out", str(tmp_path / "out")])
-    assert res.exit_code == 0, res.output
-    assert "Traceback" not in res.output
-    with open(tmp_path / "out" / "summary.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [(r["subject_id"], r["n_steps"], r["n_skipped"]) for r in rows] == [("s", "1", "1")]
-    with open(tmp_path / "out" / "errors.csv") as fh:
-        assert list(csv.DictReader(fh)) == [
-            {"subject_id": "u", "error": "g: no scored steps to aggregate"}]
-    lines = [_strict_json(line)
-             for line in (tmp_path / "out" / "steps.jsonl").read_text().splitlines()]
-    assert [(line["subject"], line["t"]) for line in lines] == [("s", 2)]
-
-
 def _strict_json(text):
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")
@@ -418,9 +395,9 @@ def _header_only(which):
     return setup
 
 
-def _flag(name, value):
+def _flag(name, value, expect=None):
     def setup(corpus, traj, config, tdir):
-        return ["--config", str(config), f"--{name}", value], f"{name} must"
+        return ["--config", str(config), f"--{name}", value], expect or f"{name} must"
     return setup
 
 
@@ -428,15 +405,16 @@ _POLARITY = '"polarity_map": {"RFD": "desirable", "mortality": "undesirable"}'
 
 MALFORMED_INPUTS = [
     # (id, command and target mode, setup)
-    ("epsilon-nan-flag", "corpus", _flag("epsilon", "nan")),
     ("lambda-inf-flag", "corpus", _flag("lambda", "inf")),
+    ("epsilon-flag", "corpus", _flag("epsilon", "1e-6", expect="--epsilon")),
+    ("epsilon-config", "corpus", _bad_config('{"epsilon": 1e-6, %s}' % _POLARITY,
+                                             expect="unknown config keys: ['epsilon']")),
+    ("weights-config", "series", _bad_config('{"feature_weights": [1, 1]}',
+                                             expect="unknown config keys: ['feature_weights']")),
     ("epsilon-nan-config", "corpus", _bad_config('{"epsilon": NaN, %s}' % _POLARITY)),
     ("weight-inf-config", "corpus",
      _bad_config('{"feature_weights": [1, Infinity], %s}' % _POLARITY)),
     ("weight-nan-config", "series", _bad_config('{"feature_weights": [1, NaN]}')),
-    ("weight-count-config", "corpus",
-     _bad_config('{"feature_weights": [1, 1, 1], %s}' % _POLARITY,
-                 expect="feature_weights has 3 entries")),
     ("config-not-json", "corpus", _bad_config('{"lambda": 0.9,')),
     ("epsilon-not-number", "corpus", _bad_config('{"epsilon": "small"}')),
     ("config-not-object", "corpus", _bad_config('5')),
@@ -446,11 +424,6 @@ MALFORMED_INPUTS = [
     ("lambda-bool-config", "corpus", _bad_config('{"lambda": true, %s}' % _POLARITY)),
     ("epsilon-bool-config", "corpus", _bad_config('{"epsilon": true, %s}' % _POLARITY)),
     ("weight-bool-config", "series", _bad_config('{"feature_weights": [1, true]}')),
-    ("weights-number-config", "series",
-     _bad_config('{"feature_weights": 5}', expect="feature_weights must be a JSON list, not int")),
-    ("weights-object-config", "series",
-     _bad_config('{"feature_weights": {"a": 1}}',
-                 expect="feature_weights must be a JSON list, not dict")),
     ("polarity-bool-config", "corpus",
      _bad_config('{"polarity_map": {"RFD": true, "mortality": "undesirable"}}')),
     ("polarity-unknown-class", "corpus",
@@ -458,6 +431,15 @@ MALFORMED_INPUTS = [
                  expect="polarity_map names class 'death'")),
     ("index-no-label", "corpus", _bad_index(lambda doc: doc["labels"].pop())),
     ("index-no-labels-key", "corpus", _bad_index(lambda doc: doc.pop("labels"))),
+    ("index-number-features", "corpus",
+     _bad_index(lambda doc: doc.__setitem__("features", [1, 2]),
+                expect="features must be a list of strings")),
+    ("index-number-points", "corpus",
+     _bad_index(lambda doc: doc.__setitem__("points", 5),
+                expect="points must be a list of rows, not int")),
+    ("index-number-row", "corpus",
+     _bad_index(lambda doc: doc["points"].__setitem__(1, 5),
+                expect="points must be a list of rows, got a row of type int")),
     ("index-ragged-point", "corpus",
      _bad_index(lambda doc: doc["points"][1].pop(),
                 expect="corpus rows have inconsistent dimensions or non-numeric values")),
@@ -475,7 +457,7 @@ MALFORMED_INPUTS = [
                 expect="point value null is not a JSON number")),
     ("index-huge-int-point", "corpus",
      _bad_index(lambda doc: doc["points"][0].__setitem__(0, 10**400),
-                expect="int too large to convert to float")),
+                expect="point value 1000000000000000... (401 digits) is past the float64 range")),
     ("index-nonfinite-point", "corpus",
      _bad_index(lambda doc: doc["points"][0].__setitem__(0, float("nan")),
                 expect="corpus contains non-finite values")),

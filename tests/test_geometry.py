@@ -34,9 +34,6 @@ class TestInner:
             assert inner(alpha * a + c, b) == pytest.approx(
                 alpha * inner(a, b) + inner(c, b), rel=1e-12, abs=1e-12)
 
-    def test_weighted(self):
-        assert inner([1, 2], [3, 4], weights=[2, 1]) == 2 * 3 + 8
-
 
 class TestClosestPoint:
     def test_perpendicular_direction(self):

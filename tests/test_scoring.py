@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from trace_scores.errors import (ConfigError, DegenerateGeometry, DimensionError, TargetError,
                                  TrajectoryError)
-from trace_scores.geometry import DEFAULT_EPSILON, Degeneracy, StepGeometry, norm_of, step_score
+from trace_scores.geometry import EPSILON, Degeneracy, StepGeometry, norm_of, step_score
 from trace_scores.pipeline import Trajectory
 from trace_scores.scoring import Polarity, SkipReason, score_trajectory
 from oracles import make_targets
@@ -17,11 +17,11 @@ def traj(points, subject="s"):
     return Trajectory(subject_id=subject, t=range(len(points)), x=points)
 
 
-def score_one(x_t, x_next, targets, lam, polarity=None, **kwargs):
+def score_one(x_t, x_next, targets, lam, polarity=None):
     """The one-step result of a move from ``x_t`` to ``x_next`` against
     ``(point, class label)`` targets, labelled 1."""
     tg = make_targets([targets], polarity)
-    return score_trajectory(traj([x_t, x_next]), lambda t, x: tg, lam, **kwargs)
+    return score_trajectory(traj([x_t, x_next]), lambda t, x: tg, lam)
 
 
 def fixed_target(point, label="goal"):
@@ -211,40 +211,36 @@ class TestScoreTrajectory:
 
 # -- the array kernel against the scalar reference -----------------------------
 
-def reference_step(x_t, x_next, targets, lam, polarity, weights=None, epsilon=DEFAULT_EPSILON):
+def reference_step(x_t, x_next, targets, lam, polarity):
     """One step on the scalar path: ``geometry.step_score`` per ``(point,
     class label)`` target on the active dims, then class means and their
     polarity-signed mean. Returns ``(skip_reason, per_target, per_class,
     combined)``."""
     xt, xn = np.asarray(x_t, dtype=float), np.asarray(x_next, dtype=float)
     points = [np.asarray(p, dtype=float) for p, _ in targets]
-    active = [d for d in range(xt.size) if any(abs(p[d] - xt[d]) > epsilon for p in points)]
+    active = [d for d in range(xt.size) if any(abs(p[d] - xt[d]) > EPSILON for p in points)]
     if not active:
         return SkipReason.ALL_MASKED, [], {}, None
-    w = None if weights is None else np.asarray(weights, dtype=float)[active]
-    if norm_of(xn[active] - xt[active], w) <= epsilon:
+    if norm_of(xn[active] - xt[active]) <= EPSILON:
         return SkipReason.NO_FEATURE_CHANGE, [], {}, None
     per_target, scores = [], {}
     for (_, label), p in zip(targets, points):
         try:
-            geom = step_score(xt[active], xn[active], p[active], lam, epsilon=epsilon, weights=w)
+            geom = step_score(xt[active], xn[active], p[active], lam)
         except DegenerateGeometry:
             continue
         per_target.append((label, geom))
         scores.setdefault(label, []).append(geom.s)
-    if not per_target:
-        return SkipReason.ALL_TARGETS_DROPPED, [], {}, None
     per_class = {c: float(np.mean(v)) for c, v in scores.items()}
     combined = sum(float(polarity.get(c, DESIRABLE)) * m for c, m in per_class.items()) / len(per_class)
     return None, per_target, per_class, combined
 
 
-def assert_matches_reference(ts, i, x_t, x_next, targets, lam, polarity, weights=None):
+def assert_matches_reference(ts, i, x_t, x_next, targets, lam, polarity):
     """Step ``i`` of ``ts`` against ``reference_step``: its skip reason, its
     kept targets' classes, flags and scores, its classes' polarities, its
     per-class means and its combined score."""
-    reason, per_target, per_class, combined = reference_step(x_t, x_next, targets, lam,
-                                                             polarity, weights)
+    reason, per_target, per_class, combined = reference_step(x_t, x_next, targets, lam, polarity)
     assert ts.skip[i] == (0 if reason is None else reason)
     assert ts.polarity.tolist() == [float(polarity.get(c, DESIRABLE)) for c in ts.labels]
     rows = ts.step == i
@@ -276,7 +272,7 @@ COORD = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
 
 @st.composite
 def trajectory_cases(draw):
-    """Points, per-step targets, class polarities, a lambda and feature weights."""
+    """Points, per-step targets, class polarities and a lambda."""
     dim = draw(st.integers(1, 4))
     n_steps = draw(st.integers(1, 4))
     vec = st.lists(COORD, min_size=dim, max_size=dim).map(np.array)
@@ -302,44 +298,39 @@ def trajectory_cases(draw):
             step_targets.append((point, label))
         target_lists.append(step_targets)
     lam = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)))
-    weights = draw(st.none() | st.lists(st.floats(0.1, 5.0), min_size=dim, max_size=dim))
-    return xs, target_lists, polarity, lam, weights
+    return xs, target_lists, polarity, lam
 
 
 @settings(max_examples=300)
 @given(trajectory_cases())
 def test_kernel_matches_scalar_step_score(case):
-    xs, target_lists, polarity, lam, weights = case
+    xs, target_lists, polarity, lam = case
     tg = make_targets(target_lists, polarity)
-    ts = score_trajectory(Trajectory("s", range(len(xs)), xs), lambda t, x: tg, lam,
-                          feature_weights=weights)
+    ts = score_trajectory(Trajectory("s", range(len(xs)), xs), lambda t, x: tg, lam)
     assert ts.steps.tolist() == list(range(1, len(xs)))
     assert (np.diff(ts.step) >= 0).all()
     # every scored step, and no skipped one, has a finite combined score
     assert (np.isfinite(ts.combined) == (ts.skip == 0)).all()
     for i in range(len(ts.steps)):
-        assert_matches_reference(ts, i, xs[i], xs[i + 1], target_lists[i], lam, polarity,
-                                 weights)
+        assert_matches_reference(ts, i, xs[i], xs[i + 1], target_lists[i], lam, polarity)
 
 
-@pytest.mark.parametrize("x_t, x_next, points, weights, expect", [
-    ([0, 0], [1, 1], [[1, 1]], None, Degeneracy.GOAL_REACHED),
+@pytest.mark.parametrize("x_t, x_next, points, expect", [
+    ([0, 0], [1, 1], [[1, 1]], Degeneracy.GOAL_REACHED),
     # the move's cosine with itself rounds to 1.0000000000000002 here
-    ([0.2, -0.2, 1.0], [1.0, 0.4, 0.3], [[1.0, 0.4, 0.3]], None, Degeneracy.GOAL_REACHED),
-    ([0, 0], [2, 0], [[1, 0]], None, Degeneracy.BEST_ACHIEVED),
-    ([0, 0], [1, 0], [[2, 0]], None, Degeneracy.BEST_ACHIEVED),
-    ([1, 5], [2, 6], [[1, 5]], None, SkipReason.ALL_MASKED),
-    ([1, 5], [1, 6], [[2, 5]], None, SkipReason.NO_FEATURE_CHANGE),
-    ([0, 0], [0.5, 0], [[0, 0], [1, 0]], None, "dropped"),
-    # the target's dim is active, but its weighted distance is within epsilon
-    ([0], [1], [[2e-9]], [0.01], SkipReason.ALL_TARGETS_DROPPED),
+    ([0.2, -0.2, 1.0], [1.0, 0.4, 0.3], [[1.0, 0.4, 0.3]], Degeneracy.GOAL_REACHED),
+    ([0, 0], [2, 0], [[1, 0]], Degeneracy.BEST_ACHIEVED),
+    ([0, 0], [1, 0], [[2, 0]], Degeneracy.BEST_ACHIEVED),
+    ([1, 5], [2, 6], [[1, 5]], SkipReason.ALL_MASKED),
+    ([1, 5], [1, 6], [[2, 5]], SkipReason.NO_FEATURE_CHANGE),
+    ([0, 0], [0.5, 0], [[0, 0], [1, 0]], "dropped"),
 ], ids=["goal-reached", "goal-reached-rounded", "best-achieved", "best-achieved-past", "all-masked",
-        "no-move", "dropped-target", "every-target-dropped"])
-def test_kernel_matches_scalar_on_degenerate_steps(x_t, x_next, points, weights, expect):
+        "no-move", "dropped-target"])
+def test_kernel_matches_scalar_on_degenerate_steps(x_t, x_next, points, expect):
     targets = list(zip(points, "ab"))
     for lam in (0.0, 0.4, 1.0):
-        step = score_one(x_t, x_next, targets, lam, feature_weights=weights)
-        assert_matches_reference(step, 0, x_t, x_next, targets, lam, {}, weights)
+        step = score_one(x_t, x_next, targets, lam)
+        assert_matches_reference(step, 0, x_t, x_next, targets, lam, {})
         if isinstance(expect, Degeneracy):
             assert step.flag.tolist() == [expect.value]
         elif isinstance(expect, SkipReason):
@@ -348,6 +339,39 @@ def test_kernel_matches_scalar_on_degenerate_steps(x_t, x_next, points, weights,
             assert len(step.s) == len(points) - 1
             assert step.skip[0] == 0
 
+
+# a target's offset from x_t in one dim: none, within 3 ulps of EPSILON either
+# way (exactly so where x_t is 0), or free
+OFFSET = st.one_of(st.just(0.0),
+                   st.builds(lambda ulps, sign: sign * (EPSILON + ulps * np.spacing(EPSILON)),
+                             st.integers(-3, 3), st.sampled_from([-1.0, 1.0])),
+                   st.floats(-1, 1, allow_subnormal=False))
+
+
+@st.composite
+def near_epsilon_cases(draw):
+    """Points and per-step targets, the targets offset from each step's x_t by OFFSET."""
+    dim = draw(st.integers(1, 4))
+    n_steps = draw(st.integers(1, 3))
+    vec = st.lists(st.just(0.0) | COORD, min_size=dim, max_size=dim).map(np.array)
+    xs = draw(st.lists(vec, min_size=n_steps + 1, max_size=n_steps + 1))
+    slots = draw(st.lists(st.sampled_from("ab"), min_size=1, max_size=3))
+    offsets = st.lists(OFFSET, min_size=dim, max_size=dim).map(np.array)
+    return xs, [[(xs[i] + draw(offsets), label) for label in slots] for i in range(n_steps)]
+
+
+@settings(max_examples=300)
+@given(near_epsilon_cases())
+def test_a_scored_step_keeps_a_target(case):
+    # a dim is active where a target is more than EPSILON from x_t, and that
+    # target's norm in the active dims is then more than EPSILON as well
+    xs, target_lists = case
+    tg = make_targets(target_lists)
+    ts = score_trajectory(Trajectory("s", range(len(xs)), xs), lambda t, x: tg, 0.5)
+    assert set(ts.skip.tolist()) <= {0, SkipReason.ALL_MASKED, SkipReason.NO_FEATURE_CHANGE}
+    for i in np.flatnonzero(ts.skip == 0).tolist():
+        assert (ts.step == i).any()
+        assert np.isfinite(ts.combined[i])
 
 def test_lambda_outside_the_unit_interval_raises():
     for lam in (-0.1, 1.5, float("nan")):
