@@ -307,7 +307,13 @@ def read_averages_csv(path) -> List[float]:
     if "average" not in header:
         raise ConfigError(f"{path}: missing column: average")
     col = header.index("average")
-    return [parse_cells([row[col]], where, ConfigError)[0] for where, row in lines]
+    averages = []
+    for where, row in lines:
+        (average,) = parse_cells([row[col]], where, ConfigError)
+        if not -1.0 <= average <= 1.0:
+            raise ConfigError(f"{where}: average {row[col]!r} lies outside [-1, 1]")
+        averages.append(average)
+    return averages
 
 
 # -- click wiring -----------------------------------------------------------

@@ -1,7 +1,12 @@
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from trace_scores.analytics import aggregate, rank_targets, welch_t_test
+from trace_scores.analytics import _two_sided_p, aggregate, rank_targets, welch_t_test
 from trace_scores.errors import AggregateError, StatsError
 from trace_scores.pipeline import Trajectory
 from trace_scores.scoring import SkipReason, score_trajectory
@@ -109,6 +114,15 @@ class TestWelch:
         with pytest.raises(StatsError):
             welch_t_test([1, 1], [2, 2])
 
+    @pytest.mark.parametrize("a,b", [
+        ([1e200, -1e200], [0.0, 1.0]),             # a square past float64
+        ([1.7e308, 1.7e308, 1.0], [0.0, 1.0]),     # a sum past float64
+        ([1e-100, 2e-100], [0.0, 0.0]),            # dof's squares underflow to 0
+    ], ids=["square-overflow", "sum-overflow", "underflow"])
+    def test_variance_outside_float64_raises(self, a, b):
+        with pytest.raises(StatsError, match="t is not finite"):
+            welch_t_test(a, b)
+
     def test_cohort_scale_effect(self):
         # Monte-Carlo at the reported cohort effect sizes: group means
         # 0.08 vs -0.03 with n=500 each must be overwhelmingly significant
@@ -118,6 +132,59 @@ class TestWelch:
         cmp = welch_t_test(a, b)
         assert cmp.mean_a > 0 > cmp.mean_b
         assert cmp.p_value < 1e-5
+
+
+def _mpmath_p(t, dof):
+    """I_x(dof/2, 1/2) at x = dof/(dof + t²), at 30 digits."""
+    with mp.workdps(30):
+        t2, dof = mp.mpf(t) ** 2, mp.mpf(dof)
+        a, half = dof / 2, mp.mpf(1) / 2
+        try:
+            return float(mp.betainc(a, half, 0, dof / (dof + t2), regularized=True))
+        except (mp.NoConvergence, ValueError):
+            pass
+        try:   # 1 - I_y(1/2, a) keeps 20 of its 30 digits while p >= 1e-10
+            p = 1 - mp.betainc(half, a, 0, t2 / (dof + t2), regularized=True)
+        except (mp.NoConvergence, ValueError):
+            p = 0
+        assume(p >= 1e-10)
+        return float(p)
+
+
+def _log_t_underflow(dof):
+    """log |t| where p is about 1e-309: (1 + t²/dof)^(-dof/2) = exp(-712)."""
+    z = 1424.0 / dof
+    return 0.5 * (math.log(dof) + z + math.log1p(-math.exp(-z)))
+
+
+@settings(max_examples=300)
+@given(log10_dof=st.floats(0.0, 6.0), frac=st.floats(0.0, 1.0), sign=st.sampled_from([1, -1]))
+@example(log10_dof=0.0, frac=1.0, sign=1)          # t = 1e307: t² is past float64
+@example(log10_dof=6.0, frac=0.771, sign=1)        # dof = 1e6, t near 2, p near 0.05
+def test_two_sided_p_matches_mpmath(log10_dof, frac, sign):
+    """Over dof in [1, 1e6] and |t| from 1e-4 to where p underflows: relative
+    error <= 1e-12 for p >= 1e-300, absolute error <= 1e-15 below it."""
+    dof = 10.0 ** log10_dof
+    lo, hi = math.log(1e-4), min(_log_t_underflow(dof), 707.0)   # e^707 ~ 1e307
+    t = sign * math.exp(lo + frac * (hi - lo))
+    p = _two_sided_p(t, dof)
+    assert p == _two_sided_p(-t, dof)
+    assert 0.0 <= p <= 1.0
+    want = _mpmath_p(t, dof)
+    if want >= 1e-300:
+        assert abs(p - want) <= 1e-12 * want, (t, dof, p, want)
+    else:
+        assert abs(p - want) <= 1e-15, (t, dof, p, want)
+
+
+def test_two_sided_p_closed_forms():
+    for dof in (1.0, 2.0, 7.5, 1e6):
+        assert _two_sided_p(0.0, dof) == _two_sided_p(-0.0, dof) == 1.0
+    for t in (0.5, 3.0, 40.0, 1e100, 1e200):   # t² is past float64 from 1.3e154
+        # dof 1 is the Cauchy distribution; dof 2 has p = 1 - t/sqrt(2 + t²)
+        assert _two_sided_p(t, 1.0) == pytest.approx(2 / math.pi * math.atan(1 / t), rel=1e-14)
+        s = math.hypot(math.sqrt(2), t)
+        assert _two_sided_p(t, 2.0) == pytest.approx(2 / (s * (s + t)), rel=1e-14)
 
 
 class TestRankTargets:

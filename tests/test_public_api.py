@@ -1,9 +1,14 @@
-"""The package root's exports, the README's library example run as code, and
-the README's configuration keys and `trace score` options against the code's."""
+"""The package root's exports and what importing it loads, the README's
+library example run as code, and the README's configuration keys and
+`trace score` options against the code's."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import trace_scores
@@ -23,6 +28,18 @@ def test_root_exports_exactly_the_public_names():
     assert set(trace_scores.__all__) == ROOT_NAMES
     for name in ROOT_NAMES:
         assert getattr(trace_scores, name).__module__.startswith("trace_scores.")
+
+
+@pytest.mark.parametrize("module", ["trace_scores", "trace_scores.cli"])
+def test_import_loads_no_scipy_module(module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (f"import sys, {module}\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"
 
 
 def test_readme_library_example_runs(capsys):

@@ -1,11 +1,7 @@
 import json
-import os
-import subprocess
-import sys
 import threading
 import tracemalloc
 import warnings
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -385,13 +381,3 @@ class TestFixedTargets:
         np.testing.assert_array_equal(found.points, [[1.0, 1.0]])
         with pytest.raises(TargetError, match="series 'B' has no target at t=2"):
             provide(np.array([1, 2]), None)
-
-
-def test_cli_import_leaves_out_scipy_spatial():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, trace_scores.cli; print('scipy.spatial' in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "False"
