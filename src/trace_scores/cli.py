@@ -59,7 +59,7 @@ class RunConfig:
         with open(path, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except ValueError as e:   # not JSON, or not UTF-8 text
+            except (RecursionError, ValueError) as e:   # not JSON, too deep, or not UTF-8
                 raise ConfigError(f"{path}: not valid JSON: {e}") from None
         values = {}
         try:
@@ -380,7 +380,7 @@ def cmd_compare(scores_a, scores_b):
 
 @main.command("demo")
 @click.option("--scenario", type=click.Choice(["toy", "icu", "ssp"]), required=True)
-@click.option("--seed", type=int, required=True)
+@click.option("--seed", type=click.IntRange(min=0), required=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--lambda", "lam", default=None, type=float)
 @click.option("--k", default=None, type=int)

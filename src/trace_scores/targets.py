@@ -6,14 +6,14 @@ class, and fixed per-timestep target series.
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, CorpusError, DimensionError, TargetError
+from .errors import ConfigError, CorpusError, TargetError
 from .pipeline import NormStats, fit_normalizer
 from .scoring import Polarity, Targets
 
@@ -38,7 +38,6 @@ _TINY = np.finfo(float).smallest_subnormal   # spacing of the subnormals
 # product errs by up to _TINY / 2 instead: 4 dim in A (x.p twice) and dim
 # in S per row, 10 dim halves for two rows, which 8 n * _TINY covers.
 _MARGIN = 12
-_INT_PAST_FLOAT = 2**1024 - 2**970   # the least int that float() overflows on
 
 
 @dataclass(eq=False)
@@ -197,55 +196,50 @@ def series_provider(label: str, polarity: Polarity,
 
 # -- serialization ----------------------------------------------------------
 
-# index.json holds the corpus alone: the rows as given (raw corpus values,
-# which shortest-repr floats reproduce exactly) in ``points``, their
-# ``labels`` in the same order and the ``features``. Loading fits the
-# normalizer and the class means to the points again, as build-index does.
+# index.json holds the corpus alone: the rows as given (raw corpus values)
+# in ``points``, as base64 (RFC 4648) of their little-endian float64 bytes,
+# row after row, their ``labels`` in the same order and the ``features``.
+# Loading fits the normalizer and the class means to the points again, as
+# build-index does.
 
 def save_corpus(corpus: Corpus, feature_names: Sequence[str], path) -> None:
-    # json.dumps encodes in C; json.dump always takes the pure-Python encoder
+    points = base64.b64encode(corpus.points.astype("<f8").tobytes()).decode("ascii")
     text = json.dumps({"features": list(feature_names), "labels": corpus.labels,
-                       "points": corpus.points.tolist()}, sort_keys=True)
+                       "points": points}, sort_keys=True)
     with open(path, "w") as fh:
         fh.write(text)
         fh.write("\n")
 
 
 def load_corpus(path) -> Tuple[Corpus, List[str]]:
-    """Read an index written by ``save_corpus``; a document that does not
-    fit its layout, or holds a point value that is not a JSON number, raises
-    CorpusError naming ``path``, with ``build_index``'s message for other bad
-    points. Any other key is ignored."""
+    """Read an index written by ``save_corpus``. A document that does not fit
+    its layout, such as ``points`` that are not base64 of ``len(labels) x
+    len(features)`` float64 values or JSON rows of an earlier layout, raises
+    CorpusError naming ``path``, with ``build_index``'s message for
+    non-finite points. Any other key is ignored."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-            labels, features, rows = doc["labels"], doc["features"], doc["points"]
+            labels, features, encoded = doc["labels"], doc["features"], doc["points"]
             for key, names in (("labels", labels), ("features", features)):
                 if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
                     raise CorpusError(f"{key} must be a list of strings")
-            if not isinstance(rows, list):
-                raise CorpusError(f"points must be a list of rows, not {type(rows).__name__}")
-            row_types = set(map(type, rows))
-            if dict in row_types:
-                raise CorpusError('points hold {"values", "label"} rows of the earliest index '
-                                  "layout; rebuild the index with `trace build-index`")
-            if not row_types <= {list}:
-                bad = next(type(r).__name__ for r in rows if type(r) is not list)
-                raise CorpusError(f"points must be a list of rows, got a row of type {bad}")
-            # np.asarray would read "0.9" as 0.9, true as 1.0 and null as nan
-            if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
-                bad = next(v for v in chain.from_iterable(rows) if type(v) not in (int, float))
-                raise CorpusError(f"point value {json.dumps(bad)} is not a JSON number")
+            if isinstance(encoded, list):
+                raise CorpusError("points hold JSON rows of an earlier index layout; "
+                                  "rebuild the index with `trace build-index`")
             try:
-                points = _points_matrix(rows, len(labels))
-            except OverflowError:   # float() of an int past the float64 range
-                big = str(next(v for v in chain.from_iterable(rows)
-                               if type(v) is int and abs(v) >= _INT_PAST_FLOAT))
-                short = big if len(big) <= 20 else f"{big[:16]}... ({len(big)} digits)"
-                raise CorpusError(f"point value {short} is past the float64 range") from None
+                raw = base64.b64decode(encoded, validate=True)
+            except (TypeError, ValueError) as e:   # no string, or not base64 ASCII
+                raise CorpusError(f"points are not base64: {e}") from None
+            shape = (len(labels), len(features))
+            if len(raw) != 8 * shape[0] * shape[1]:
+                raise CorpusError(f"points hold {len(raw)} bytes, not 8 x {shape[0]} labels "
+                                  f"x {shape[1]} features")
+            points = _points_matrix(np.frombuffer(raw, "<f8").reshape(shape), len(labels))
             stats = fit_normalizer(points, features)
             return build_index(points, labels, norm_stats=stats), features
         except KeyError as e:
             raise CorpusError(f"{path}: malformed index: missing key {e}") from None
-        except (CorpusError, DimensionError, TypeError, ValueError) as e:
+        # TypeError: a document that is no object; RecursionError: JSON too deep
+        except (CorpusError, RecursionError, TypeError, ValueError) as e:
             raise CorpusError(f"{path}: malformed index: {e}") from None

@@ -1,7 +1,10 @@
+import base64
 import csv
 import functools
 import hashlib
 import json
+import string
+import struct
 import tempfile
 from pathlib import Path
 
@@ -371,6 +374,24 @@ def _bad_index(edit, expect=""):
     return setup
 
 
+def _decode_points(doc):
+    """The index's points as a ``(labels, features)`` float matrix."""
+    return np.frombuffer(base64.b64decode(doc["points"]), "<f8").reshape(len(doc["labels"]), -1)
+
+
+def _edit_points(edit):
+    """An index edit: ``edit`` changes a copy of the point matrix in place."""
+    def apply(doc):
+        points = _decode_points(doc).copy()
+        edit(points)
+        doc["points"] = base64.b64encode(points.astype("<f8").tobytes()).decode("ascii")
+    return apply
+
+
+_REBUILD = ("points hold JSON rows of an earlier index layout; "
+            "rebuild the index with `trace build-index`")
+
+
 def _not_utf8(which, lineno):
     """Encoding rows: a 0xff byte ends line ``lineno`` of ``which`` file; the
     error names the file and, for a CSV, the line."""
@@ -383,6 +404,17 @@ def _not_utf8(which, lineno):
         if which == "config":
             return ["--config", str(config)], f"{config}: not valid JSON: 'utf-8' codec"
         return ["--config", str(config)], f"{path}:{lineno}: not UTF-8 text"
+    return setup
+
+
+def _nested(which):
+    """Nesting rows: ``which`` JSON file holds arrays nested deeper than the
+    parser's recursion limit; the error names the file."""
+    def setup(corpus, traj, config, tdir):
+        path = {"config": config, "index": corpus.parent / "index.json"}[which]
+        path.write_text("[" * 200000 + "]" * 200000)
+        kind = "not valid JSON" if which == "config" else "malformed index"
+        return ["--config", str(config)], f"{path}: {kind}: maximum recursion depth exceeded"
     return setup
 
 
@@ -429,6 +461,8 @@ MALFORMED_INPUTS = [
     ("polarity-unknown-class", "corpus",
      _bad_config('{"polarity_map": {"RFD": "desirable", "death": "undesirable"}}',
                  expect="polarity_map names class 'death'")),
+    ("config-nested-too-deeply", "corpus", _nested("config")),
+    ("index-nested-too-deeply", "corpus", _nested("index")),
     ("index-no-label", "corpus", _bad_index(lambda doc: doc["labels"].pop())),
     ("index-no-labels-key", "corpus", _bad_index(lambda doc: doc.pop("labels"))),
     ("index-number-features", "corpus",
@@ -436,44 +470,34 @@ MALFORMED_INPUTS = [
                 expect="features must be a list of strings")),
     ("index-number-points", "corpus",
      _bad_index(lambda doc: doc.__setitem__("points", 5),
-                expect="points must be a list of rows, not int")),
-    ("index-number-row", "corpus",
-     _bad_index(lambda doc: doc["points"].__setitem__(1, 5),
-                expect="points must be a list of rows, got a row of type int")),
-    ("index-ragged-point", "corpus",
-     _bad_index(lambda doc: doc["points"][1].pop(),
-                expect="corpus rows have inconsistent dimensions or non-numeric values")),
-    ("index-text-point", "corpus",
-     _bad_index(lambda doc: doc["points"][0].__setitem__(0, "abc"),
-                expect='point value "abc" is not a JSON number')),
-    ("index-numeric-string-point", "corpus",
-     _bad_index(lambda doc: doc["points"][0].__setitem__(0, "0.9"),
-                expect='point value "0.9" is not a JSON number')),
-    ("index-bool-point", "corpus",
-     _bad_index(lambda doc: doc["points"][0].__setitem__(0, True),
-                expect="point value true is not a JSON number")),
-    ("index-null-point", "corpus",
-     _bad_index(lambda doc: doc["points"][1].__setitem__(1, None),
-                expect="point value null is not a JSON number")),
-    ("index-huge-int-point", "corpus",
-     _bad_index(lambda doc: doc["points"][0].__setitem__(0, 10**400),
-                expect="point value 1000000000000000... (401 digits) is past the float64 range")),
-    ("index-nonfinite-point", "corpus",
-     _bad_index(lambda doc: doc["points"][0].__setitem__(0, float("nan")),
-                expect="corpus contains non-finite values")),
+                expect="points are not base64: argument should be a bytes-like object or "
+                       "ASCII string, not 'int'")),
+    ("index-json-rows", "corpus",
+     _bad_index(lambda doc: doc.__setitem__("points", _decode_points(doc).tolist()),
+                expect=_REBUILD)),
     ("index-old-layout-point", "corpus",
-     _bad_index(lambda doc: doc["points"].__setitem__(
-         0, {"values": doc["points"][0], "label": doc["labels"][0]}),
-         expect='points hold {"values", "label"} rows of the earliest index layout; '
-                "rebuild the index with `trace build-index`")),
+     _bad_index(lambda doc: doc.__setitem__("points", [
+         {"values": row, "label": doc["labels"][0]} if i == 0 else row
+         for i, row in enumerate(_decode_points(doc).tolist())]), expect=_REBUILD)),
     ("index-earliest-layout", "corpus",
      _bad_index(lambda doc: doc.__setitem__("points", [
-         {"values": p, "label": label} for p, label in zip(doc["points"], doc["labels"])]),
-         expect='points hold {"values", "label"} rows of the earliest index layout; '
-                "rebuild the index with `trace build-index`")),
+         {"values": row, "label": label}
+         for row, label in zip(_decode_points(doc).tolist(), doc["labels"])]), expect=_REBUILD)),
+    ("index-points-not-base64", "corpus",
+     _bad_index(lambda doc: doc.__setitem__("points", doc["points"][:8] + "*" + doc["points"][8:]),
+                expect="points are not base64: Only base64 data is allowed")),
+    ("index-points-8-bytes-short", "corpus",
+     _bad_index(lambda doc: doc.__setitem__("points", base64.b64encode(
+         base64.b64decode(doc["points"])[:-8]).decode("ascii")),
+                expect="points hold 248 bytes, not 8 x 16 labels x 2 features")),
+    ("index-nonfinite-point", "corpus",
+     _bad_index(_edit_points(lambda points: points.__setitem__((0, 0), np.nan)),
+                expect="corpus contains non-finite values")),
+    ("index-inf-point", "corpus",
+     _bad_index(_edit_points(lambda points: points.__setitem__((1, 1), -np.inf)),
+                expect="corpus contains non-finite values")),
     ("index-normalizer-range-overflow", "corpus",
-     _bad_index(lambda doc: (doc["points"][0].__setitem__(0, -1e308),
-                             doc["points"][1].__setitem__(0, 1e308)),
+     _bad_index(_edit_points(lambda points: points.__setitem__((slice(0, 2), 0), [-1e308, 1e308])),
                 expect="feature 'hr' spans a non-finite range")),
     ("index-features-wider-than-points", "corpus",
      _bad_index(lambda doc: doc["features"].append("xx"))),
@@ -561,6 +585,8 @@ _JSON_VALUES = st.recursive(
                                                                 max_size=3),
     max_leaves=6)
 
+_BASE64 = string.ascii_letters + string.digits + "+/="
+
 _CELLS = st.one_of(
     st.sampled_from(["", "nan", "-inf", "1e308", "-1e308", "1e200", "0", "-0", "2.5", "RFD",
                      "label", "t", "hr", "a", "SSP1", str(2**63), str(10**400)]),
@@ -584,19 +610,27 @@ def _mutate_json(data, path, kind):
             ["lambda", "k_neighbors", "epsilon", "polarity_map", "feature_weights", "bogus"]))
         doc[key] = data.draw(_JSON_VALUES, label="value")
     else:
-        where = data.draw(st.sampled_from(["features", "labels", "point", "key"]))
-        if where == "point":
-            row = data.draw(st.integers(0, len(doc["points"]) - 1), label="row")
-            col = data.draw(st.integers(0, len(doc["points"][row]) - 1), label="column")
-            doc["points"][row][col] = data.draw(_JSON_VALUES, label="value")
-        elif where == "key":
+        encoded = doc["points"]
+        how = data.draw(st.sampled_from(["point", "resize", "character", "key"]), label="mutation")
+        if how == "point":   # one point's 8 bytes
+            raw = bytearray(base64.b64decode(encoded))
+            at = 8 * data.draw(st.integers(0, len(raw) // 8 - 1), label="point")
+            raw[at:at + 8] = data.draw(
+                st.binary(min_size=8, max_size=8) | st.floats().map(struct.Struct("<d").pack),
+                label="bytes")
+            doc["points"] = base64.b64encode(raw).decode("ascii")
+        elif how == "resize":   # truncate the string, extend it, or both
+            end = data.draw(st.integers(0, len(encoded)), label="end")
+            doc["points"] = encoded[:end] + data.draw(st.text(_BASE64, max_size=16), label="tail")
+        elif how == "character":
+            at = data.draw(st.integers(0, len(encoded)), label="at")
+            doc["points"] = encoded[:at] + data.draw(st.characters(), label="char") + encoded[at:]
+        else:
             key = data.draw(st.sampled_from(["features", "labels", "points"]))
             if data.draw(st.booleans(), label="delete"):
                 del doc[key]
             else:
                 doc[key] = data.draw(_JSON_VALUES, label="value")
-        else:
-            doc[where] = data.draw(_JSON_VALUES, label="value")
     path.write_text(json.dumps(doc))
 
 
@@ -604,10 +638,11 @@ def _mutate_json(data, path, kind):
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_fuzzed_input_keeps_the_exit_code_contract(kind, data):
-    """One mutated cell, config value or index value: the run exits 0, 1 or
-    2, raises nothing but SystemExit, prints no traceback, and a failure
-    prints exactly one ``error:`` line. ``summary`` mutates one of the two
-    summaries that ``trace compare`` reads."""
+    """One mutated cell, config value, or index point, length, character or
+    key: the run exits 0, 1 or 2, raises nothing but SystemExit, prints no
+    traceback, and a failure prints exactly one ``error:`` line.
+    ``summary`` mutates one of the two summaries that ``trace compare``
+    reads."""
     with tempfile.TemporaryDirectory() as d:
         tmp = Path(d)
         (tmp / "targets").mkdir()
@@ -995,6 +1030,17 @@ class TestDemo:
         assert res.stderr == "error: lambda must lie in [0, 1], got 2.0\n"
         assert not (tmp_path / "out").exists()
 
+    def test_negative_seed_leaves_an_earlier_demo_intact(self, tmp_path):
+        assert runner.invoke(main, ["demo", "--scenario", "toy", "--seed", "3",
+                                    "--out", str(tmp_path)]).exit_code == 0
+        before = self.tree(tmp_path)
+        res = runner.invoke(main, ["demo", "--scenario", "toy", "--seed", "-1",
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output and "--seed" in res.output
+        assert self.tree(tmp_path) == before
+
     @staticmethod
     def tree(root):
         """Each file's bytes and each directory (as None), by relative path."""
@@ -1040,7 +1086,7 @@ PINNED_DEMO_FILES = {
         "fixtures/corpus.csv": "62c6da5980744112ce77bfcf7cdb58004a560f9d4c6531de9e4e1634ab7e702e",
         "fixtures/trajectories.csv":
             "1d0f86b8fb8dc60468b0e1f64f738f0b04b5f36f0fc3b58942ef0f4039a9b585",
-        "index.json": "596afb6aa6b44b9c0bfbfb0b136ad1b440eccbb276252b1058c011a63ff1dc4f",
+        "index.json": "212942c6e01b8250e1c8e53ec846e1dcb3fc42245714ea782d88df8e7af9899b",
         "scores_wide.csv": "e2a5655feacd76add45ff55d8e00c6c5708b981dc056a1ac010903b993b4a84d",
         "steps.jsonl": "4191097239b82db5e873608da280c7a896b498f627ef1d9f236d14aee47a472e",
         "summary.csv": "6b8c2e48011decf62d51816f01b96196a352295319dc20d6a544326928bb5051",
@@ -1069,7 +1115,7 @@ PINNED_DEMO_FILES = {
         "fixtures/corpus.csv": "596a6f32459f2585d024653ef3a3009b44814b64df9d1506b440e55ba99f5c14",
         "fixtures/trajectories.csv":
             "6dde213e29003fff483bb403e2cbb1a11dbb5eeae13caafd483b925768381658",
-        "index.json": "77970c4464aef0f73283265f873a26b9c09dcce9b58deb7b9b498b833b8ebbe9",
+        "index.json": "c276f1fff2c1056ed173bdf72541224081ee19f0a3522ff9572265cbe2f54a4f",
         "scores_wide.csv": "2858210803ce161509955ba372f224746e0534dc9092704cfed769bf13a7745b",
         "steps.jsonl": "eeab5e018c992e701409774fb4c96a942e27aef28c0f8ce5334222bf49bcac5a",
         "summary.csv": "06e3d74847ea467cd3cfecf1692742ebdaddfa2da27a6e8ac104da85043c79cf",

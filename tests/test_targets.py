@@ -1,3 +1,4 @@
+import base64
 import json
 import threading
 import tracemalloc
@@ -7,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trace_scores import targets
@@ -316,9 +317,9 @@ class TestIndexRoundTrip:
         return raw, cells, labels, tmp_path / "index.json"
 
     def test_stores_csv_values_verbatim(self, built):
-        _, cells, labels, path = built
+        raw, _, labels, path = built
         doc = json.loads(path.read_text())
-        assert [[repr(v) for v in row] for row in doc["points"]] == cells
+        assert base64.b64decode(doc["points"]) == raw.astype("<f8").tobytes()
         assert doc["labels"] == labels
         assert sorted(doc) == ["features", "labels", "points"]
 
@@ -350,6 +351,26 @@ class TestIndexRoundTrip:
         assert list(corpus.class_means) == ["b", "a"]
         for label, mean in corpus.class_means.items():
             assert np.array_equal(mean, raw[np.array(labels) == label].mean(axis=0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(points=st.integers(1, 6).flatmap(lambda dim: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                 | st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308,
+                                    1.7976931348623157e308, -1.7976931348623157e308]),
+                 min_size=dim, max_size=dim), min_size=1, max_size=8)))
+    def test_any_finite_matrix_round_trips_bit_for_bit(self, tmp_path_factory, points):
+        arr = np.array(points)
+        with np.errstate(over="ignore"):
+            # the loaded corpus's min-max span and class mean of each feature
+            assume(np.isfinite(arr.max(axis=0) - arr.min(axis=0)).all()
+                   and np.isfinite(arr.mean(axis=0)).all())
+        path = tmp_path_factory.mktemp("index") / "index.json"
+        names = [f"f{i}" for i in range(arr.shape[1])]
+        save_corpus(build_index(arr, ["a"] * len(arr)), names, path)
+        corpus, loaded_names = load_corpus(path)
+        assert loaded_names == names
+        # np.array_equal would take -0.0 for 0.0; the uint64 views compare bits
+        assert np.array_equal(corpus.points.view(np.uint64), arr.view(np.uint64))
 
     def test_save_of_load_is_byte_identical(self, built, tmp_path):
         *_, path = built
