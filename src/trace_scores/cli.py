@@ -16,8 +16,8 @@ import numpy as np
 
 from . import analytics, demo, scoring
 from .errors import ConfigError, CorpusError, TargetError, TraceError, TrajectoryError
-from .pipeline import (build_trajectory, fit_normalizer, load_trajectory_csv, parse_cells,
-                       parse_t, read_csv, write_csv)
+from .pipeline import (build_trajectory, fit_normalizer, load_trajectory_csv, parse_t,
+                       read_csv, read_table, write_csv)
 from .scoring import Polarity
 from .targets import build_index, knn_provider, load_corpus, save_corpus, series_provider
 
@@ -103,24 +103,23 @@ def _with_flags(cfg: RunConfig, lam=None, k=None) -> Tuple[RunConfig, List[str]]
 def read_corpus_csv(path):
     """CSV with feature columns and a final `label` column: the feature
     names, the rows as one float matrix and their labels."""
-    lines = read_csv(path, CorpusError)
-    header = next(lines)
-    if header[-1] != "label":
-        raise CorpusError(f"{path}: missing column: label")
-    names = header[:-1]
-    if not names:
-        raise CorpusError(f"{path}: no feature columns")
-    rows = [(parse_cells(row[:-1], where, CorpusError), row[-1]) for where, row in lines]
-    return names, np.array([v for v, _ in rows]), [label for _, label in rows]
+    def features(header):
+        if header[-1] != "label":
+            raise CorpusError(f"{path}: missing column: label")
+        if len(header) == 1:
+            raise CorpusError(f"{path}: no feature columns")
+        return 0, len(header) - 1
+
+    header, _, (labels,), points = read_table(path, CorpusError, features)
+    return header[:-1], points, labels
 
 
 def run_build_index(corpus_csv, out_path) -> Dict[str, int]:
     names, points, labels = read_corpus_csv(corpus_csv)
-    try:
-        stats = fit_normalizer(points, names)
+    try:   # a range or a class mean past float64
+        corpus = build_index(points, labels, norm_stats=fit_normalizer(points, names))
     except CorpusError as e:
         raise CorpusError(f"{corpus_csv}: {e}") from None
-    corpus = build_index(points, labels, norm_stats=stats)
     save_corpus(corpus, names, out_path)
     return {label: corpus.class_size(label) for label in corpus.classes()}
 
@@ -230,20 +229,23 @@ def run_score_corpus(traj_csv, index_path, cfg: RunConfig, out_dir) -> dict:
 
 
 def read_series_csv(path, feature_names) -> Dict[int, List[float]]:
-    lines = read_csv(path, TargetError)
-    header = next(lines)
-    if header[0] != "t":
-        raise TargetError(f"{path}: header must start with t")
-    if header[1:] != list(feature_names):
-        raise TargetError(
-            f"{path}: series features {header[1:]} do not match "
-            f"trajectory features {list(feature_names)}")
+    def features(header):
+        if header[0] != "t":
+            raise TargetError(f"{path}: header must start with t")
+        if header[1:] != list(feature_names):
+            raise TargetError(
+                f"{path}: series features {header[1:]} do not match "
+                f"trajectory features {list(feature_names)}")
+        return 1, len(header)
+
+    _, lines, (ts,), matrix = read_table(path, TargetError, features)
     points: Dict[int, List[float]] = {}
-    for where, row in lines:
-        t = parse_t(row[0], where, TargetError)
+    for line, cell, values in zip(lines, ts, matrix.tolist()):
+        where = f"{path}:{line}"
+        t = parse_t(cell, where, TargetError)
         if t in points:
             raise TargetError(f"{where}: duplicate t={t}")
-        points[t] = parse_cells(row[1:], where, TargetError)
+        points[t] = values
     return points
 
 
@@ -302,18 +304,22 @@ def _write_json(path, doc, indent=None) -> None:
 
 
 def read_averages_csv(path) -> List[float]:
-    lines = read_csv(path, ConfigError)
-    header = next(lines)
-    if "average" not in header:
-        raise ConfigError(f"{path}: missing column: average")
-    col = header.index("average")
-    averages = []
-    for where, row in lines:
-        (average,) = parse_cells([row[col]], where, ConfigError)
-        if not -1.0 <= average <= 1.0:
-            raise ConfigError(f"{where}: average {row[col]!r} lies outside [-1, 1]")
-        averages.append(average)
-    return averages
+    def average(header):
+        if "average" not in header:
+            raise ConfigError(f"{path}: missing column: average")
+        col = header.index("average")
+        return col, col + 1
+
+    header, lines, _, values = read_table(path, ConfigError, average)
+    averages = values[:, 0]
+    outside = np.flatnonzero(np.abs(averages) > 1.0)
+    if outside.size:
+        line = lines[outside[0]]
+        # the cell as written, which the parsed value does not keep
+        cell = next(row for n, row in read_csv(path, ConfigError) if n == line)[
+            header.index("average")]
+        raise ConfigError(f"{path}:{line}: average {cell!r} lies outside [-1, 1]")
+    return averages.tolist()
 
 
 # -- click wiring -----------------------------------------------------------

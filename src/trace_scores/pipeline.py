@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from itertools import repeat
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -127,34 +129,118 @@ def parse_cells(cells: Sequence[str], where: str, error: type) -> List[float]:
 
 
 def read_csv(path, error: type) -> Iterator:
-    """Yield a CSV's header, then ``(where, row)`` for each non-blank row,
-    ``where`` being ``path:line``. Rows stream from the file one at a time.
+    """Yield a CSV's header, then ``(line, row)`` for each non-blank row,
+    ``line`` being its line number. Rows stream from the file one at a time.
     A file with no header or no data row, or a row whose length differs
     from the header's, raises ``error``, and so does a line that is not
-    UTF-8."""
+    UTF-8 or a cell longer than ``csv.field_size_limit()``; the message of
+    a line's fault names ``path:line``."""
+    lineno = 0   # the last line read
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
+            lineno = 1
             if header is None:
                 raise error(f"{path}: empty file")
+            if not header:
+                raise error(f"{path}:1: blank header line")
             yield header
-            where = None
-            for lineno, row in enumerate(reader, start=2):
+            rows = 0
+            for row in reader:
+                lineno += 1
                 if not row:
                     continue
-                where = f"{path}:{lineno}"
                 if len(row) != len(header):
-                    raise error(f"{where}: expected {len(header)} columns, got {len(row)}")
-                yield where, row
-            if where is None:
+                    raise error(f"{path}:{lineno}: expected {len(header)} columns, "
+                                f"got {len(row)}")
+                rows += 1
+                yield lineno, row
+            if not rows:
                 raise error(f"{path}: no data rows")
+    except csv.Error as e:   # a cell past the field size limit
+        raise error(f"{path}:{lineno + 1}: {e}") from None
     except UnicodeDecodeError:
-        # the text layer decodes whole blocks, so find the line in the bytes
+        # the text layer decodes whole blocks, so find the line in the bytes,
+        # whose splitlines ends a line at \n, \r\n or \r as the csv module does
         with open(path, "rb") as fh:
-            lineno = next(i for i, line in enumerate(fh, start=1)
+            lineno = next(i for i, line in enumerate(fh.read().splitlines(), start=1)
                           if line.decode("utf-8", "ignore").encode() != line)
         raise error(f"{path}:{lineno}: not UTF-8 text") from None
+
+
+# read_table's result: the header, each data row's line number, the text
+# columns (those before the numeric block, then those after it) and the
+# (rows, numeric columns) float64 matrix, NaN marking an empty cell
+Table = Tuple[List[str], List[int], List[List[str]], np.ndarray]
+
+
+def read_table(path, error: type, numeric: Callable[[List[str]], Tuple[int, int]], *,
+               gaps: bool = False) -> Table:
+    """Read a CSV whose columns ``start:stop`` hold finite floats, where
+    ``numeric(header)`` checks the header and returns ``(start, stop)``.
+    Returns ``(header, lines, text, values)`` (see ``Table``). An empty
+    numeric cell is NaN with ``gaps``, else an error. Errors are raised as
+    ``error``, and those of a row name ``path:line``.
+
+    One ``np.loadtxt`` call parses a clean file. Any other file takes the
+    reference path, ``read_csv`` and ``parse_cells`` row by row, which gives
+    the same values and every error message."""
+    return _fast_table(path, numeric) or _slow_table(path, error, numeric, gaps)
+
+
+def _fast_table(path, numeric) -> Optional[Table]:
+    """``read_table``'s result by ``np.loadtxt``, or None for a file that
+    only the reference path may read: one that is not UTF-8, has a ``"`` or
+    a character that ``loadtxt`` strips and ``float()`` does not (U+001C to
+    U+001F), a line past the field size limit, a row of the wrong length,
+    an empty cell, a cell ``loadtxt`` rejects (such as ``1_0``) or a value
+    that is not finite."""
+    try:
+        with open(path, encoding="utf-8") as fh:   # universal newlines: \r\n and \r are \n
+            data = fh.read()
+    except UnicodeDecodeError:
+        return None
+    # split on \n alone: str.splitlines also splits on \x1c, \x85, \u2028, ...
+    lines = data.split("\n")
+    if (not lines[0] or any(c in data for c in '"\x1c\x1d\x1e\x1f')
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    header = lines[0].split(",")
+    start, stop = numeric(header)
+    rows = list(filter(None, lines[1:]))   # blank lines are skipped
+    if not rows or set(map(str.count, rows, repeat(","))) != {len(header) - 1}:
+        return None
+    try:
+        values = np.loadtxt(rows, delimiter=",", usecols=range(start, stop), comments=None,
+                            quotechar=None, dtype=float, ndmin=2)
+    except ValueError:   # an empty cell, or a spelling loadtxt does not read
+        return None
+    if not np.isfinite(values).all():
+        return None
+    n = len(header)
+    text = [[line.split(",", j + 1)[j] for line in rows] for j in range(start)]
+    text += [[line.rsplit(",", n - j)[1] for line in rows] for j in range(stop, n)]
+    return header, [i for i, line in enumerate(lines[1:], start=2) if line], text, values
+
+
+def _slow_table(path, error: type, numeric, gaps: bool) -> Table:
+    """``read_table``'s result by ``read_csv`` and ``parse_cells``."""
+    rows = read_csv(path, error)
+    header = next(rows)
+    start, stop = numeric(header)
+    lines, text, values = [], [], []
+    for line, row in rows:
+        where = f"{path}:{line}"
+        cells = row[start:stop]
+        if gaps:
+            present = iter(parse_cells([c for c in cells if c != ""], where, error))
+            values.append([next(present) if c != "" else math.nan for c in cells])
+        else:
+            values.append(parse_cells(cells, where, error))
+        lines.append(line)
+        text.append(row[:start] + row[stop:])
+    return header, lines, list(map(list, zip(*text))), np.array(values, dtype=float)
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -181,28 +267,30 @@ def parse_t(cell: str, where: str, error: type) -> int:
 def load_trajectory_csv(path):
     """Read a `subject_id,t,<feature...>[,label]` CSV with empty cells as
     missing. Returns (records by subject, labels by subject, feature names)."""
-    lines = read_csv(path, TrajectoryError)
-    header = next(lines)
-    if header[:2] != ["subject_id", "t"]:
-        raise TrajectoryError(f"{path}: header must start with subject_id,t")
+    def features(header):
+        if header[:2] != ["subject_id", "t"]:
+            raise TrajectoryError(f"{path}: header must start with subject_id,t")
+        stop = len(header) - (header[-1] == "label")
+        if stop <= 2:
+            raise TrajectoryError(f"{path}: no feature columns")
+        return 2, stop
+
+    header, lines, text, matrix = read_table(path, TrajectoryError, features, gaps=True)
     has_label = header[-1] == "label"
-    feature_names = header[2:-1] if has_label else header[2:]
-    if not feature_names:
-        raise TrajectoryError(f"{path}: no feature columns")
     by_subject: Dict[str, List[RawRecord]] = {}
     labels: Dict[str, Optional[str]] = {}
-    for where, row in lines:
-        subject = row[0]
-        t = parse_t(row[1], where, TrajectoryError)
-        raw_vals = row[2:2 + len(feature_names)]
-        present = iter(parse_cells([v for v in raw_vals if v != ""], where, TrajectoryError))
-        values = [next(present) if v != "" else None for v in raw_vals]
+    gappy = np.isnan(matrix).any(axis=1).tolist()
+    for line, cells, values, gaps in zip(lines, zip(*text), matrix.tolist(), gappy):
+        where, subject = f"{path}:{line}", cells[0]
+        t = parse_t(cells[1], where, TrajectoryError)
+        if gaps:
+            values = [v if v == v else None for v in values]
         by_subject.setdefault(subject, []).append(
             RawRecord(subject_id=subject, t_index=t, values=values))
-        if has_label and row[-1] != "":
-            earlier = labels.setdefault(subject, row[-1])
-            if earlier != row[-1]:
-                raise TrajectoryError(f"{where}: subject {subject!r} has label {row[-1]!r}, "
+        if has_label and cells[2] != "":
+            earlier = labels.setdefault(subject, cells[2])
+            if earlier != cells[2]:
+                raise TrajectoryError(f"{where}: subject {subject!r} has label {cells[2]!r}, "
                                       f"earlier rows say {earlier!r}")
     for records in by_subject.values():
         records.sort(key=lambda r: r.t_index)
@@ -212,7 +300,7 @@ def load_trajectory_csv(path):
                 raise TrajectoryError(
                     f"{path}: duplicate t={r.t_index} for subject {r.subject_id!r}")
             seen.add(r.t_index)
-    return by_subject, labels, feature_names
+    return by_subject, labels, header[2:-1] if has_label else header[2:]
 
 
 def build_trajectory(records: Sequence[RawRecord], *,

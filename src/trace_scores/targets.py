@@ -128,7 +128,9 @@ def build_index(points, labels: Sequence[str], *, norm_stats=None) -> Corpus:
     nearest-neighbor queries.
 
     With ``norm_stats``, each class's rows are normalized for the queries;
-    ``Corpus.points`` and each class's mean keep the rows as given.
+    ``Corpus.points`` and each class's mean keep the rows as given. A class
+    mean past float64 raises CorpusError naming the feature (``f<column>``
+    without ``norm_stats``).
     """
     labels = list(map(str, labels))
     arr = _points_matrix(points, len(labels))
@@ -141,7 +143,12 @@ def build_index(points, labels: Sequence[str], *, norm_stats=None) -> Corpus:
     for label in dict.fromkeys(labels):
         rows_l = np.flatnonzero(label_arr == label)
         raw = arr[rows_l]
-        means[label] = raw.mean(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            means[label] = raw.mean(axis=0)   # the sum may overflow
+        bad = np.flatnonzero(~np.isfinite(means[label]))
+        if bad.size:
+            name = norm_stats.names[bad[0]] if norm_stats is not None else f"f{bad[0]}"
+            raise CorpusError(f"feature {name!r} of class {label!r} has a non-finite mean")
         indices[label] = _ClassIndex(
             rows=rows_l, points=raw if norm_stats is None else norm_stats.apply(raw))
     return Corpus(points=arr, labels=labels, class_indices=indices, class_means=means,

@@ -427,6 +427,15 @@ def _header_only(which):
     return setup
 
 
+def _blank_first_line(which):
+    """Blank-header rows: ``which`` file starts with an empty line."""
+    def setup(corpus, traj, config, tdir):
+        path = {"series": tdir / "SSP1.csv", "corpus": corpus}[which]
+        path.write_text("\n" + path.read_text())
+        return ["--config", str(config)], f"{path}:1: blank header line"
+    return setup
+
+
 def _flag(name, value, expect=None):
     def setup(corpus, traj, config, tdir):
         return ["--config", str(config), f"--{name}", value], expect or f"{name} must"
@@ -527,6 +536,18 @@ MALFORMED_INPUTS = [
     ("corpus-cell-abc", "build-index", _bad_cell("corpus", 5, 1, "abc")),
     ("corpus-range-overflow", "build-index",
      _corpus_rows("-1e308,0.5,RFD", "1e308,0.5,RFD", expect="feature 'hr' spans a non-finite range")),
+    ("corpus-class-mean-overflow", "build-index",
+     _corpus_rows("1e308,0.5,RFD", "1.5e308,0.5,RFD",
+                  expect="feature 'hr' of class 'RFD' has a non-finite mean")),
+    ("index-class-mean-overflow", "corpus",
+     _bad_index(_edit_points(lambda points: points.__setitem__((slice(0, 2), 0), [1e308, 1.5e308])),
+                expect="feature 'hr' of class 'RFD' has a non-finite mean")),
+    ("corpus-cell-past-field-limit", "build-index",
+     _bad_cell("corpus", 3, 2, "x" * 200_000, "field larger than field limit (131072)")),
+    ("traj-cell-past-field-limit", "corpus",
+     _bad_cell("traj", 4, 0, "s" * 200_000, "field larger than field limit (131072)")),
+    ("corpus-blank-header-line", "build-index", _blank_first_line("corpus")),
+    ("series-blank-header-line", "series", _blank_first_line("series")),
 ]
 
 

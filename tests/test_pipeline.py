@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from trace_scores import cli, pipeline
 from trace_scores.errors import CorpusError, DimensionError, ImputeError, TrajectoryError
-from trace_scores.pipeline import (RawRecord, Trajectory, build_trajectory, fit_normalizer,
-                                   impute, load_trajectory_csv, read_csv)
+from trace_scores.pipeline import (RawRecord, Trajectory, _fast_table, _slow_table,
+                                   build_trajectory, fit_normalizer, impute,
+                                   load_trajectory_csv, read_csv, read_table, write_csv)
 
 from oracles import fill_reference
 
@@ -210,7 +212,7 @@ class TestReadCsv:
         path.write_text("a,b\n1,2\n\n3,4\n")
         rows = read_csv(path, TrajectoryError)
         assert next(rows) == ["a", "b"]
-        assert list(rows) == [(f"{path}:2", ["1", "2"]), (f"{path}:4", ["3", "4"])]
+        assert list(rows) == [(2, ["1", "2"]), (4, ["3", "4"])]
 
     def test_ragged_row_names_its_line(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -225,3 +227,105 @@ class TestReadCsv:
         rows = read_csv(path, TrajectoryError)
         with pytest.raises(TrajectoryError, match=r"x\.csv:5002: not UTF-8 text"):
             list(rows)
+
+    def test_non_utf8_line_is_named_in_a_file_with_cr_line_ends(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"a,b\r1,2\r3,\xff\r4,5\r")
+        with pytest.raises(TrajectoryError, match=r"x\.csv:3: not UTF-8 text"):
+            list(read_csv(path, TrajectoryError))
+
+
+_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                     st.floats(-1e6, 1e6).map("{:.3f}".format),
+                     st.integers(-10**20, 10**20).map(str))
+# spellings that float() and np.loadtxt may read differently, or reject
+_ODD_CELLS = st.sampled_from([
+    " 1.5", "+.5", "1_0", "nan", "-inf", "inf", "1e400", "1e-400", "\u0663", "\uff11", "", " ",
+    "1\x1c", "\x1f2", "0x10", "-0", "1\x00", '"2.5"', '"a,b"', '"x\ny"', 'a"b', "A"])
+_TEXT = st.text(st.characters(blacklist_categories=["Cs"], blacklist_characters=',\n\r"'),
+                max_size=4)
+
+
+@st.composite
+def csv_tables(draw):
+    """A CSV file's bytes and its numeric block: mostly well-formed rows of
+    float spellings, with odd cells, quoted cells, rows of the wrong length,
+    blank lines, mixed line ends and non-UTF-8 bytes mixed in."""
+    n = draw(st.integers(1, 5), label="columns")
+    start = draw(st.integers(0, n - 1), label="start")
+    stop = draw(st.integers(start + 1, n), label="stop")
+    lines = [",".join(f"c{j}" for j in range(n))]
+    for _ in range(draw(st.integers(0, 6), label="rows")):
+        cells = [draw(_TEXT if j < start or j >= stop else _NUMBERS) for j in range(n)]
+        if draw(st.integers(0, 4)) == 0:   # most often in the numeric block
+            cells[draw(st.integers(start, stop - 1) | st.integers(0, n - 1))] = draw(_ODD_CELLS)
+        if draw(st.integers(0, 6)) == 0:
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
+        lines.append(",".join(cells))
+        if draw(st.integers(0, 6)) == 0:
+            lines.append("")
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    data = "".join(line + end for line, end in zip(lines, ends)).encode()
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data, (start, stop), draw(st.booleans(), label="gaps")
+
+
+def _outcome(read):
+    """A reader's table as comparable values (the matrix as its bytes), its
+    error text, or None."""
+    try:
+        table = read()
+    except TrajectoryError as e:
+        return str(e)
+    if table is None:
+        return None
+    header, lines, text, values = table
+    return header, lines, text, values.shape, values.tobytes()
+
+
+@settings(max_examples=400)
+@given(csv_tables())
+@example((b"c0,c1\r\n1.5,A\r\n\r\n-0,B\r\n", (0, 1), False))
+@example((b"c0,c1\n1.5\x1c,A\n", (0, 1), False))   # loadtxt strips U+001C, float() does not
+@example(("c0,c1\n1.5,\u2028\n".encode(), (0, 1), False))   # str.splitlines splits at U+2028
+@example((b"\n1\n2\n", (0, 1), False))   # a blank header line
+@example((b"c0,c1\n1," + b"x" * 131_073 + b"\n", (0, 1), False))   # past the field size limit
+def test_fast_and_reference_readers_agree(tmp_path_factory, case):
+    data, block, gaps = case
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(data)
+    slow = _outcome(lambda: _slow_table(path, TrajectoryError, lambda header: block, gaps))
+    fast = _outcome(lambda: _fast_table(path, lambda header: block))
+    event("fast path" if fast is not None else "reference path")
+    if fast is not None:
+        assert fast == slow
+    assert _outcome(lambda: read_table(path, TrajectoryError, lambda header: block,
+                                       gaps=gaps)) == slow
+
+
+def test_clean_files_take_the_fast_path(tmp_path, monkeypatch):
+    """Clean tables written by write_csv (CRLF line ends) are read without
+    the reference path's parse_cells."""
+    corpus, traj, series = tmp_path / "corpus.csv", tmp_path / "traj.csv", tmp_path / "s.csv"
+    write_csv(corpus, ["hr", "rr", "label"], [[0.25, 1e-300, "A"], [-0.0, 7.0, "B"]])
+    write_csv(traj, ["subject_id", "t", "hr", "rr", "label"],
+              [["s", 1, 0.5, 2.0, "A"], ["s", 0, 0.1, 1e10, "A"], ["u", 0, -3.5, 0.0, ""]])
+    write_csv(series, ["t", "hr", "rr"], [[0, 0.5, 0.25], [1, 0.75, 0.5]])
+    assert b"\r\n" in corpus.read_bytes()
+
+    def refuse(*args):
+        raise AssertionError("parse_cells called")
+
+    monkeypatch.setattr(pipeline, "parse_cells", refuse)
+    names, points, labels = cli.read_corpus_csv(corpus)
+    assert (names, labels) == (["hr", "rr"], ["A", "B"])
+    assert points.tobytes() == np.array([[0.25, 1e-300], [-0.0, 7.0]]).tobytes()
+    by_subject, labels, names = load_trajectory_csv(traj)
+    assert (labels, names) == ({"s": "A"}, ["hr", "rr"])
+    assert [(r.t_index, r.values) for r in by_subject["s"]] == [(0, [0.1, 1e10]),
+                                                                (1, [0.5, 2.0])]
+    assert cli.read_series_csv(series, ["hr", "rr"]) == {0: [0.5, 0.25], 1: [0.75, 0.5]}

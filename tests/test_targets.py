@@ -60,6 +60,15 @@ class TestBuildIndex:
         with pytest.raises(CorpusError):
             build_index([[0, float("nan")]], ["x"])
 
+    def test_class_mean_past_float64_names_the_feature(self):
+        # each value is finite, but class x's column sum is not
+        points, labels = [[0.5, 1e308], [0.6, 1.5e308], [0.1, 0.0]], ["x", "x", "y"]
+        with pytest.raises(CorpusError, match=r"^feature 'f1' of class 'x' has a non-finite mean$"):
+            build_index(points, labels)
+        with pytest.raises(CorpusError, match=r"^feature 'rr' of class 'x' has"):
+            build_index(points, labels, norm_stats=fit_normalizer(points, ["hr", "rr"]))
+        assert build_index(points, ["y", "x", "y"]).class_means["x"].tolist() == [0.6, 1.5e308]
+
 
 class TestKnnTargets:
     def test_matches_brute_force(self):
