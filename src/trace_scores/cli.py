@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
@@ -25,21 +25,16 @@ _USAGE_ERRORS = (ConfigError, CorpusError, TargetError, TrajectoryError)
 
 
 def _parse_polarity(value) -> Polarity:
-    """A polarity name (``"desirable"``) or its integer value (1 or -1)."""
+    """A polarity name, ``"desirable"`` or ``"undesirable"``, in any case."""
     try:
-        if isinstance(value, str):
-            return Polarity[value.upper()]
-        # a JSON true or 1.0 is neither a name nor an integer
-        if isinstance(value, int) and not isinstance(value, bool):
-            return Polarity(value)
-    except (KeyError, ValueError):
-        pass
-    raise ConfigError(f"unknown polarity {value!r}")
+        return Polarity[value.upper()]
+    except (AttributeError, KeyError):   # AttributeError: not a string
+        raise ConfigError(f"unknown polarity {value!r}") from None
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Run parameters, checked when built; JSON file values overridden by flags."""
+    """Run parameters, checked when built."""
 
     lam: float = 0.9
     k_neighbors: int = 3
@@ -89,15 +84,6 @@ class RunConfig:
             return cls(**values)
         except (ConfigError, OverflowError) as e:   # OverflowError: float() of a huge int
             raise ConfigError(f"{path}: {e}") from None
-
-
-def _with_flags(cfg: RunConfig, lam=None, k=None) -> Tuple[RunConfig, List[str]]:
-    """``cfg`` with the value of each flag given in place of its own, and a
-    ``name=value`` text for each such flag."""
-    given = [(name, flag, value) for name, flag, value in
-             (("lam", "lambda", lam), ("k_neighbors", "k", k)) if value is not None]
-    return (replace(cfg, **{name: value for name, _, value in given}),
-            [f"{flag}={value}" for _, flag, value in given])
 
 
 def read_corpus_csv(path):
@@ -238,6 +224,8 @@ def read_series_csv(path, feature_names) -> Dict[int, List[float]]:
                 f"trajectory features {list(feature_names)}")
         return 1, len(header)
 
+    if not Path(path).is_file():   # say, a directory named *.csv in --targets-dir
+        raise TargetError(f"{path}: not a file")
     _, lines, (ts,), matrix = read_table(path, TargetError, features)
     points: Dict[int, List[float]] = {}
     for line, cell, values in zip(lines, ts, matrix.tolist()):
@@ -356,18 +344,13 @@ def cmd_build_index(corpus_csv, out_path):
 @click.option("--index", "index_path", default=None, type=click.Path(exists=True, dir_okay=False))
 @click.option("--targets-dir", default=None, type=click.Path(exists=True, file_okay=False))
 @click.option("--config", "config_path", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--lambda", "lam", default=None, type=float)
-@click.option("--k", default=None, type=int)
 @click.option("--out", "out_dir", required=True, type=click.Path())
-def cmd_score(trajectories_csv, index_path, targets_dir, config_path, lam, k, out_dir):
+def cmd_score(trajectories_csv, index_path, targets_dir, config_path, out_dir):
     """Score trajectories against a corpus index or fixed target series."""
     if (index_path is None) == (targets_dir is None):
         raise ConfigError("exactly one of --index or --targets-dir is required")
-    cfg, overrides = _with_flags(RunConfig.from_json_file(config_path) if config_path
-                                 else RunConfig(), lam, k)
-    click.echo(f"config: lambda={cfg.lam} k={cfg.k_neighbors}"
-               + (f" (flag overrides: {', '.join(overrides)})" if overrides else ""),
-               err=True)
+    cfg = RunConfig.from_json_file(config_path) if config_path else RunConfig()
+    click.echo(f"config: lambda={cfg.lam} k={cfg.k_neighbors}", err=True)
     if index_path is not None:
         info = run_score_corpus(trajectories_csv, index_path, cfg, out_dir)
     else:
@@ -388,14 +371,12 @@ def cmd_compare(scores_a, scores_b):
 @click.option("--scenario", type=click.Choice(["toy", "icu", "ssp"]), required=True)
 @click.option("--seed", type=click.IntRange(min=0), required=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--lambda", "lam", default=None, type=float)
-@click.option("--k", default=None, type=int)
-def cmd_demo(scenario, seed, out_dir, lam, k):
+def cmd_demo(scenario, seed, out_dir):
     """Generate a seeded synthetic dataset and run the full pipeline on it."""
-    run_demo(scenario, seed, out_dir, _with_flags(RunConfig(), lam, k)[0])
+    run_demo(scenario, seed, out_dir)
 
 
-def run_demo(scenario, seed, out_dir, cfg: RunConfig = RunConfig()) -> None:
+def run_demo(scenario, seed, out_dir) -> None:
     out = Path(out_dir)
     fixtures = out / "fixtures"
     # the files any demo writes besides a score run's, which the score run removes
@@ -410,9 +391,9 @@ def run_demo(scenario, seed, out_dir, cfg: RunConfig = RunConfig()) -> None:
         (fixtures / name).parent.mkdir(parents=True, exist_ok=True)
         write_csv(fixtures / name, header, rows)
     if scenario == "ssp":
-        run_score_series(fixtures / "trajectories.csv", fixtures / "targets", cfg, out)
+        run_score_series(fixtures / "trajectories.csv", fixtures / "targets", RunConfig(), out)
     else:
-        cfg = replace(cfg, polarity_map={c: _parse_polarity(p) for c, p in pmap.items()})
+        cfg = RunConfig(polarity_map={c: _parse_polarity(p) for c, p in pmap.items()})
         _write_json(fixtures / "config.json", {"lambda": cfg.lam, "k_neighbors": cfg.k_neighbors,
                                                "polarity_map": pmap})
         counts = run_build_index(fixtures / "corpus.csv", out / "index.json")

@@ -294,12 +294,10 @@ def load_trajectory_csv(path):
                                       f"earlier rows say {earlier!r}")
     for records in by_subject.values():
         records.sort(key=lambda r: r.t_index)
-        seen = set()
-        for r in records:
-            if r.t_index in seen:
+        for r, following in zip(records, records[1:]):
+            if r.t_index == following.t_index:
                 raise TrajectoryError(
                     f"{path}: duplicate t={r.t_index} for subject {r.subject_id!r}")
-            seen.add(r.t_index)
     return by_subject, labels, header[2:-1] if has_label else header[2:]
 
 

@@ -110,6 +110,11 @@ class TestWelch:
         with pytest.raises(StatsError):
             welch_t_test([1.0], [1, 2, 3])
 
+    def test_zero_variance_equal_means(self):
+        cmp = welch_t_test([0.5, 0.5], [0.5, 0.5, 0.5])
+        assert (cmp.t_stat, cmp.p_value, cmp.dof) == (0.0, 1.0, 3.0)
+        assert cmp.sd_a == cmp.sd_b == 0.0
+
     def test_zero_variance_unequal_means(self):
         with pytest.raises(StatsError):
             welch_t_test([1, 1], [2, 2])

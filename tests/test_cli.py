@@ -436,9 +436,29 @@ def _blank_first_line(which):
     return setup
 
 
-def _flag(name, value, expect=None):
+def _flag(name, value):
+    """Flag rows: ``trace score`` has no option ``--name``, a usage error."""
     def setup(corpus, traj, config, tdir):
-        return ["--config", str(config), f"--{name}", value], expect or f"{name} must"
+        return ["--config", str(config), f"--{name}", value], f"No such option '--{name}'"
+    return setup
+
+
+def _rewrite(which, text, expect):
+    """Whole-file rows: ``which`` file holds ``text``; the error names the
+    file, followed by ``expect``."""
+    def setup(corpus, traj, config, tdir):
+        path = {"traj": traj, "corpus": corpus}[which]
+        path.write_text(text)
+        return ["--config", str(config)], f"{path}: {expect}"
+    return setup
+
+
+def _targets_dir(edit, expect):
+    """Target-directory rows: ``edit(tdir)`` changes the series directory;
+    ``expect(tdir)`` is the error."""
+    def setup(corpus, traj, config, tdir):
+        edit(tdir)
+        return [], expect(tdir)
     return setup
 
 
@@ -446,8 +466,15 @@ _POLARITY = '"polarity_map": {"RFD": "desirable", "mortality": "undesirable"}'
 
 MALFORMED_INPUTS = [
     # (id, command and target mode, setup)
-    ("lambda-inf-flag", "corpus", _flag("lambda", "inf")),
-    ("epsilon-flag", "corpus", _flag("epsilon", "1e-6", expect="--epsilon")),
+    ("lambda-flag", "corpus", _flag("lambda", "0.5")),
+    ("k-flag", "corpus", _flag("k", "3")),
+    ("epsilon-flag", "corpus", _flag("epsilon", "1e-6")),
+    ("lambda-inf-config", "corpus", _bad_config('{"lambda": Infinity, %s}' % _POLARITY,
+                                                expect="lambda must lie in [0, 1], got inf")),
+    ("lambda-above-one-config", "corpus",
+     _bad_config('{"lambda": 1.5, %s}' % _POLARITY, expect="lambda must lie in [0, 1], got 1.5")),
+    ("k-zero-config", "corpus", _bad_config('{"k_neighbors": 0, %s}' % _POLARITY,
+                                            expect="k_neighbors must be >= 1, got 0")),
     ("epsilon-config", "corpus", _bad_config('{"epsilon": 1e-6, %s}' % _POLARITY,
                                              expect="unknown config keys: ['epsilon']")),
     ("weights-config", "series", _bad_config('{"feature_weights": [1, 1]}',
@@ -467,6 +494,9 @@ MALFORMED_INPUTS = [
     ("weight-bool-config", "series", _bad_config('{"feature_weights": [1, true]}')),
     ("polarity-bool-config", "corpus",
      _bad_config('{"polarity_map": {"RFD": true, "mortality": "undesirable"}}')),
+    ("polarity-int-config", "corpus",
+     _bad_config('{"polarity_map": {"RFD": 1, "mortality": "undesirable"}}',
+                 expect="unknown polarity 1")),
     ("polarity-unknown-class", "corpus",
      _bad_config('{"polarity_map": {"RFD": "desirable", "death": "undesirable"}}',
                  expect="polarity_map names class 'death'")),
@@ -548,6 +578,16 @@ MALFORMED_INPUTS = [
      _bad_cell("traj", 4, 0, "s" * 200_000, "field larger than field limit (131072)")),
     ("corpus-blank-header-line", "build-index", _blank_first_line("corpus")),
     ("series-blank-header-line", "series", _blank_first_line("series")),
+    ("corpus-label-column-only", "build-index",
+     _rewrite("corpus", "label\nRFD\nmortality\n", "no feature columns")),
+    ("traj-no-feature-columns", "corpus",
+     _rewrite("traj", "subject_id,t,label\ns0,0,RFD\ns0,1,RFD\n", "no feature columns")),
+    ("series-dir-without-csv", "series",
+     _targets_dir(lambda tdir: [f.unlink() for f in tdir.glob("*.csv")],
+                  lambda tdir: f"error: no target series found in {tdir}\n")),
+    ("series-directory-entry", "series",
+     _targets_dir(lambda tdir: (tdir / "bad.csv").mkdir(),
+                  lambda tdir: f"error: {tdir / 'bad.csv'}: not a file\n")),
 ]
 
 
@@ -913,6 +953,16 @@ class TestCompare:
         assert doc["p"] == 1.0
         assert doc["t"] == 0.0
 
+    def test_equal_constant_cohorts(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        self.make_summary(a, [0.5, 0.5])
+        self.make_summary(b, [0.5, 0.5, 0.5])
+        res = runner.invoke(main, ["compare", str(a), str(b)])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.stdout) == {"dof": 3.0, "mean_a": 0.5, "mean_b": 0.5, "n_a": 2,
+                                          "n_b": 3, "p": 1.0, "sd_a": 0.0, "sd_b": 0.0,
+                                          "t": 0.0}
+
     def test_separated_cohorts(self, tmp_path):
         rng = np.random.default_rng(2)
         a = tmp_path / "a.csv"
@@ -999,25 +1049,17 @@ class TestConfig:
         assert res.exit_code == 2
         assert "bogus" in res.output
 
-    def test_flag_overrides_config(self, corpus_setup):
-        tmp, corpus, traj, config = corpus_setup
-        runner.invoke(main, ["build-index", str(corpus),
-                             "--out", str(tmp / "index.json")])
-        res = runner.invoke(main, ["score", str(traj),
-                                   "--index", str(tmp / "index.json"),
-                                   "--config", str(config),
-                                   "--lambda", "0.5",
-                                   "--out", str(tmp / "out")])
-        assert res.exit_code == 0
-        assert "lambda=0.5" in res.output
-
     def test_lambda_out_of_range(self, corpus_setup):
         tmp, _, traj, _ = corpus_setup
+        bad = tmp / "bad_config.json"
+        bad.write_text(json.dumps({"lambda": 1.5}))
         res = runner.invoke(main, ["score", str(traj),
                                    "--index", str(traj),
-                                   "--lambda", "1.5",
+                                   "--config", str(bad),
                                    "--out", str(tmp / "out")])
         assert res.exit_code == 2
+        assert res.stderr == f"error: {bad}: lambda must lie in [0, 1], got 1.5\n"
+        assert not (tmp / "out").exists()
 
 
 class TestDemo:
@@ -1048,7 +1090,8 @@ class TestDemo:
         res = runner.invoke(main, ["demo", "--scenario", "toy", "--seed", "3", "--lambda", "2",
                                    "--out", str(tmp_path / "out")])
         assert res.exit_code == 2, res.output
-        assert res.stderr == "error: lambda must lie in [0, 1], got 2.0\n"
+        assert isinstance(res.exception, SystemExit)
+        assert "No such option '--lambda'" in res.stderr
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_leaves_an_earlier_demo_intact(self, tmp_path):

@@ -1,6 +1,6 @@
 """The package root's exports and what importing it loads, the README's
 library example run as code, and the README's configuration keys and
-`trace score` options against the code's."""
+command-line options against the code's."""
 
 import os
 import re
@@ -53,7 +53,10 @@ def test_readme_names_exactly_the_config_keys_and_score_options():
     # the keys are the code spans before the first ";" of the paragraph
     paragraph = re.search(r"^Configuration is a JSON file.*?(?:\n\n|\Z)", README, re.S | re.M)
     assert set(re.findall(r"`(\w+)`", paragraph.group(0).split(";")[0])) == RunConfig._KEYS
-    res = CliRunner().invoke(main, ["score", "--help"])
-    assert res.exit_code == 0, res.output
-    options = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", res.output)) - {"--help"}
-    assert options and options <= set(re.findall(r"--[a-z][\w-]*", README))
+    options = set()
+    for command in main.commands:
+        res = CliRunner().invoke(main, [command, "--help"])
+        assert res.exit_code == 0, res.output
+        options |= set(re.findall(r"(?<![\w-])--[a-z][\w-]*", res.output)) - {"--help"}
+    cli_section = README.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    assert options == set(re.findall(r"(?<![\w-])--[a-z][\w-]*", cli_section))

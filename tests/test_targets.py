@@ -116,10 +116,10 @@ class TestKnnTargets:
         (tmp_path / "corpus.csv").write_text("a,b,label\n0,0,A\n1,1,A\n0,1,B\n1,0,B\n2,2,B\n")
         (tmp_path / "traj.csv").write_text("subject_id,t,a,b\ns1,0,0.5,0.5\ns1,1,0.7,0.6\n")
         run_build_index(tmp_path / "corpus.csv", tmp_path / "index.json")
-        (tmp_path / "config.json").write_text('{"polarity_map": {"A": 1, "B": -1}}')
+        (tmp_path / "config.json").write_text(
+            '{"k_neighbors": 3, "polarity_map": {"A": "desirable", "B": "undesirable"}}')
         args = ["score", str(tmp_path / "traj.csv"), "--index", str(tmp_path / "index.json"),
-                "--config", str(tmp_path / "config.json"), "--k", "3",
-                "--out", str(tmp_path / "out")]
+                "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
         for _ in range(2):
             res = CliRunner().invoke(main, args)
             assert res.exit_code == 0, res.output
