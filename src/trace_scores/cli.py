@@ -9,7 +9,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import click
 import numpy as np
@@ -18,7 +18,7 @@ from . import analytics, demo, scoring
 from .errors import ConfigError, CorpusError, TargetError, TraceError, TrajectoryError
 from .pipeline import (build_trajectory, fit_normalizer, load_trajectory_csv, parse_t,
                        read_csv, read_table, write_csv)
-from .scoring import Polarity
+from .scoring import Polarity, Targets
 from .targets import build_index, knn_provider, load_corpus, save_corpus, series_provider
 
 _USAGE_ERRORS = (ConfigError, CorpusError, TargetError, TrajectoryError)
@@ -129,13 +129,15 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
                   build_kwargs, row_extra=None) -> Tuple[List[dict], dict]:
     """Score every subject against each ``(series, provider)`` target set.
 
-    Each subject's trajectory is built once. A series of None marks the
-    corpus's single target set; a named one tags step lines, summary rows
-    and error messages with it, and a subject that cannot be scored against
-    a set gets one error row for that set. Removes every file a score run
-    writes from ``out_dir``, then writes ``errors.csv``, ``steps.jsonl`` and
-    ``scores_wide.csv`` (from each scored key's TrajectoryScore) and
-    ``summary.csv`` (``columns``); returns the summary rows and the run info.
+    Each subject's trajectory is built once, and each provider is called once
+    for the steps of every built trajectory (``_stacked_targets``). A series
+    of None marks the corpus's single target set; a named one tags step
+    lines, summary rows and error messages with it, and a subject that
+    cannot be scored against a set gets one error row for that set. Removes
+    every file a score run writes from ``out_dir``, then writes
+    ``errors.csv``, ``steps.jsonl`` and ``scores_wide.csv`` (from each scored
+    key's TrajectoryScore) and ``summary.csv`` (``columns``); returns the
+    summary rows and the run info.
     """
     by_subject, labels, _ = traj_data
     out_dir = Path(out_dir)
@@ -145,16 +147,25 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
     scores: Dict[Tuple[str, ...], scoring.TrajectoryScore] = {}
     summary_rows: List[dict] = []
     errors: List[Tuple[str, str]] = []
+    built = []
     for subject in sorted(by_subject):
-        label = labels.get(subject)
         try:
-            traj = build_trajectory(by_subject[subject], label=label, **build_kwargs)
+            built.append(build_trajectory(by_subject[subject], label=labels.get(subject),
+                                          **build_kwargs))
         except TraceError as e:
             errors += [(subject, _error_text(series, e)) for series, _ in target_sets]
-            continue
-        for series, provider in target_sets:
+    stacked = [_stacked_targets(provider, built) for _, provider in target_sets]
+    stop = 0
+    for traj in built:
+        subject, label = traj.subject_id, labels.get(traj.subject_id)
+        start, stop = stop, stop + len(traj.t) - 1
+        for (series, provider), cohort in zip(target_sets, stacked):
             try:
-                ts = scoring.score_trajectory(traj, provider, cfg.lam)
+                # a failed cohort call is made again for each subject alone,
+                # so its error reaches only the subjects it concerns
+                targets = (provider(traj.t[:-1], traj.x[:-1]) if cohort is None
+                           else cohort.of_steps(start, stop))
+                ts = scoring.score_trajectory(traj, targets, cfg.lam)
                 agg = analytics.aggregate(ts)
             except TraceError as e:
                 errors.append((subject, _error_text(series, e)))
@@ -170,6 +181,7 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
                 "final_cumulative": agg.cumulative[-1],
                 **(row_extra(ts) if row_extra else {}),
             })
+    errors.sort(key=lambda e: e[0])   # stable: a subject's rows stay in target-set order
     if errors:
         write_csv(out_dir / "errors.csv", ["subject_id", "error"], errors)
         for subject, message in errors:
@@ -182,6 +194,19 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
     info = {"subjects": len({row["subject_id"] for row in summary_rows}),
             "errors": len(errors)}
     return summary_rows, info
+
+
+def _stacked_targets(provider, trajs) -> Optional[Targets]:
+    """The Targets of every step of ``trajs``, in order, from one provider
+    call on their steps' earlier points stacked; None when there is no
+    trajectory or the call raises a TraceError."""
+    if not trajs:
+        return None
+    try:
+        return provider(np.concatenate([traj.t[:-1] for traj in trajs]),
+                        np.concatenate([traj.x[:-1] for traj in trajs]))
+    except TraceError:
+        return None
 
 
 def _error_text(series, error) -> str:

@@ -6,9 +6,9 @@ between the factual and every target are masked out, each target gets its
 own raw step geometry, targets are averaged within their class, and
 classes are combined into one signed score in [-1, 1].
 
-A trajectory's targets come from one provider call as a ``Targets`` block
-of arrays, the same slots of classes at every step, and one array kernel
-(``_score_rows``) scores all of them into a ``TrajectoryScore`` of arrays;
+A trajectory's targets arrive as a ``Targets`` block of arrays, the same
+slots of classes at every step, and one array kernel (``_score_rows``)
+scores all of them into a ``TrajectoryScore`` of arrays;
 ``geometry.step_score`` is the scalar reference it reproduces target by
 target.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, List
+from typing import List
 
 import numpy as np
 
@@ -63,10 +63,14 @@ class TrajectoryScore:
 
 @dataclass(eq=False)
 class Targets:
-    """The targets of a trajectory's steps: every step has one target in each
-    slot, and slot ``j`` holds a target of class ``cls[j]``. ``points`` has
-    one row per (step, slot), step-major. Each class has one polarity.
-    ``len`` is the number of rows."""
+    """The targets of a run of steps, of one trajectory or of many stacked:
+    every step has one target in each slot, and slot ``j`` holds a target of
+    class ``cls[j]``. ``points`` has one row per (step, slot), step-major.
+    Each class has one polarity. ``len`` is the number of rows.
+
+    A target provider (``targets.knn_provider``, ``targets.series_provider``)
+    is called with the steps' t indices and their ``(n_steps, dim)`` points
+    and returns their Targets."""
 
     cls: np.ndarray       # (slots,) index into ``labels``
     labels: List[str]
@@ -76,9 +80,11 @@ class Targets:
     def __len__(self) -> int:
         return len(self.points)
 
-
-# called once per trajectory with its steps' t indices and (n_steps, dim) points
-TargetProvider = Callable[[np.ndarray, np.ndarray], Targets]
+    def of_steps(self, start: int, stop: int) -> "Targets":
+        """The targets of steps ``start`` to ``stop - 1``; ``points`` is a view."""
+        slots = len(self.cls)
+        return Targets(cls=self.cls, labels=self.labels, polarity=self.polarity,
+                       points=self.points[start * slots:stop * slots])
 
 
 def _inner(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -165,14 +171,14 @@ def _score_rows(x: np.ndarray, steps: np.ndarray, lam: float, tg: Targets) -> Tr
         r1=r1[kept], r2=r2[kept], s=s[kept], flag=(goal + 2 * best)[kept])
 
 
-def score_trajectory(traj, target_provider: TargetProvider, lam: float) -> TrajectoryScore:
-    """Score every consecutive pair, targets re-queried at every step.
+def score_trajectory(traj, targets: Targets, lam: float) -> TrajectoryScore:
+    """Score every consecutive pair against its own step's targets.
 
     ``traj`` is a pipeline.Trajectory: time indices ``t`` and one row of
-    ``x`` per index. The provider is called once, with the t indices of the
-    steps' earlier points and those points as an ``(n_steps, dim)`` matrix,
-    and returns their Targets. Steps are labelled with the t index of the
-    later point, so index 0 never appears.
+    ``x`` per index. ``targets`` holds the targets of each step's earlier
+    point, as a provider returns them for ``traj.t[:-1]`` and
+    ``traj.x[:-1]``. Steps are labelled with the t index of the later point,
+    so index 0 never appears.
     """
     t, x = traj.t, traj.x
     if len(t) < 2:
@@ -180,4 +186,4 @@ def score_trajectory(traj, target_provider: TargetProvider, lam: float) -> Traje
     # the range test also rejects a nan lambda
     if not (0.0 <= lam <= 1.0):
         raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
-    return _score_rows(x, t[1:], float(lam), target_provider(t[:-1], x[:-1]))
+    return _score_rows(x, t[1:], float(lam), targets)

@@ -156,9 +156,9 @@ def build_index(points, labels: Sequence[str], *, norm_stats=None) -> Corpus:
 
 
 def knn_provider(corpus: Corpus, k: int, polarity_map: Mapping[str, Polarity]):
-    """Target provider for scoring.score_trajectory: each step's k nearest
-    corpus points in each mapped class, in map order, found with one batched
-    query per class."""
+    """Target provider: each step's k nearest corpus points in each mapped
+    class, in map order, found with one batched query per class over all the
+    steps of a call, which may stack the steps of many trajectories."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     if not polarity_map:

@@ -215,7 +215,7 @@ class TestRankTargets:
 
 def test_end_to_end_aggregate_from_scoring():
     traj = Trajectory("s", range(4), [[0.1 * t, 0.0] for t in range(4)])
-    ts = score_trajectory(traj, lambda t, x: make_targets([[([5.0, 0.0], "goal")]] * len(t)), 0.9)
+    ts = score_trajectory(traj, make_targets([[([5.0, 0.0], "goal")]] * 3), 0.9)
     s = aggregate(ts)
     assert len(s.values) == 3
     assert abs(s.cumulative[-1] - s.average * 3) <= 1e-12

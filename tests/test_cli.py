@@ -124,7 +124,7 @@ class TestScoreCorpusMode:
         t0 = build_trajectory(by_subject["s0"], label=labels["s0"],
                               class_means=corpus_obj.class_means,
                               normalizer=corpus_obj.norm_stats)
-        expected = aggregate(score_trajectory(t0, provider, 0.9))
+        expected = aggregate(score_trajectory(t0, provider(t0.t[:-1], t0.x[:-1]), 0.9))
         with open(tmp / "out" / "summary.csv") as fh:
             row = next(r for r in csv.DictReader(fh) if r["subject_id"] == "s0")
         assert float(row["average"]) == expected.average
@@ -258,6 +258,72 @@ class TestScoreSeriesMode:
         assert res.stderr.splitlines()[-1] == (
             f"error: {tdir / 'SSP1.csv'}: series features ['b', 'a'] do not match "
             "trajectory features ['a', 'b']")
+
+
+def test_series_missing_a_subjects_t_isolates_that_subject(series_setup):
+    # short lacks t=2, which nor steps from; gap is not observed at t=2
+    tmp_path, traj, tdir = series_setup
+    (tdir / "short.csv").write_text("t,a,b\n0,0.1,0.05\n1,0.2,0.1\n3,0.4,0.2\n4,0.5,0.25\n")
+    with open(traj, "a") as fh:
+        fh.write("gap,0,0.5,0.5\ngap,1,0.4,0.45\ngap,3,0.3,0.4\ngap,5,0.2,0.3\n")
+    res = runner.invoke(main, ["score", str(traj), "--targets-dir", str(tdir),
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
+    message = "short: series 'short' has no target at t=2"
+    with open(tmp_path / "out" / "errors.csv") as fh:
+        assert list(csv.DictReader(fh)) == [{"subject_id": "nor", "error": message}]
+    assert [line for line in res.stderr.splitlines() if line.startswith("subject ")] == [
+        f"subject nor: {message}"]
+    with open(tmp_path / "out" / "summary.csv") as fh:
+        keys = [(r["subject_id"], r["series"]) for r in csv.DictReader(fh)]
+    series = [f"SSP{i}" for i in range(1, 6)]
+    assert keys == [("gap", s) for s in [*series, "short"]] + [("nor", s) for s in series]
+    assert json.loads(res.stdout.splitlines()[-1]) == {"errors": 1, "subjects": 2}
+
+
+@pytest.mark.parametrize("mode", ["corpus", "series"])
+def test_each_target_set_is_queried_once_for_the_cohort(corpus_setup, series_setup,
+                                                        monkeypatch, mode):
+    # the provider gets the earlier points of every subject, stacked in
+    # sorted-subject order; a0 comes last in the file and first in the order
+    from trace_scores import cli
+    from trace_scores.pipeline import build_trajectory, load_trajectory_csv
+    from trace_scores.targets import load_corpus
+    tmp, corpus, traj, config = corpus_setup
+    _, series_traj, tdir = series_setup
+    factory_name = "knn_provider" if mode == "corpus" else "series_provider"
+    factory, calls = getattr(cli, factory_name), []
+
+    def spy_factory(*args):
+        provide = factory(*args)
+
+        def spy(t, x):
+            calls.append((t.copy(), x.copy()))
+            return provide(t, x)
+        return spy
+    monkeypatch.setattr(cli, factory_name, spy_factory)
+    if mode == "corpus":
+        with open(traj, "a") as fh:
+            fh.write("a0,0,0.5,0.5,RFD\na0,1,0.6,0.55,RFD\na0,2,0.7,0.6,RFD\n")
+        runner.invoke(main, ["build-index", str(corpus), "--out", str(tmp / "index.json")])
+        args = ["--index", str(tmp / "index.json"), "--config", str(config)]
+        corpus_obj, _ = load_corpus(tmp / "index.json")
+        build_kwargs = {"class_means": corpus_obj.class_means, "normalizer": corpus_obj.norm_stats}
+    else:
+        traj = series_traj
+        with open(traj, "a") as fh:
+            fh.write("a0,0,0.5,0.5\na0,1,0.6,0.55\na0,2,0.7,0.6\n")
+        args, build_kwargs = ["--targets-dir", str(tdir)], {}
+    res = runner.invoke(main, ["score", str(traj), *args, "--out", str(tmp / "out")])
+    assert res.exit_code == 0, res.output
+    by_subject, labels, _ = load_trajectory_csv(traj)
+    assert sorted(by_subject)[0] == "a0" and list(by_subject)[-1] == "a0"
+    trajs = [build_trajectory(by_subject[s], label=labels.get(s), **build_kwargs)
+             for s in sorted(by_subject)]
+    assert len(calls) == (1 if mode == "corpus" else 5)
+    for t, x in calls:
+        assert t.tolist() == [v for tr in trajs for v in tr.t[:-1].tolist()]
+        assert x.tobytes() == np.concatenate([tr.x[:-1] for tr in trajs]).tobytes()
 
 
 def _strict_json(text):

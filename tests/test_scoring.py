@@ -21,12 +21,12 @@ def score_one(x_t, x_next, targets, lam, polarity=None):
     """The one-step result of a move from ``x_t`` to ``x_next`` against
     ``(point, class label)`` targets, labelled 1."""
     tg = make_targets([targets], polarity)
-    return score_trajectory(traj([x_t, x_next]), lambda t, x: tg, lam)
+    return score_trajectory(traj([x_t, x_next]), tg, lam)
 
 
-def fixed_target(point, label="goal"):
-    """The provider that gives every step the one target ``point``."""
-    return lambda t, x: make_targets([[(point, label)]] * len(t))
+def fixed_target(tr, point, label="goal"):
+    """The Targets that give every step of ``tr`` the one target ``point``."""
+    return make_targets([[(point, label)]] * (len(tr.t) - 1))
 
 
 def assert_same_geometry(got, want):
@@ -177,36 +177,26 @@ class TestScoreStep:
 
 class TestScoreTrajectory:
     def test_two_point_onto_target(self):
-        ts = score_trajectory(traj([(0, 0), (1, 1)]),
-                              fixed_target([1, 1]), 0.9)
+        tr = traj([(0, 0), (1, 1)])
+        ts = score_trajectory(tr, fixed_target(tr, [1, 1]), 0.9)
         assert ts.steps.tolist() == [1]
         assert ts.combined[0] == 1.0
 
     def test_repeated_middle_point_skipped(self):
-        ts = score_trajectory(traj([(0, 0), (0.5, 0), (0.5, 0)]),
-                              fixed_target([1, 1]), 0.9)
+        tr = traj([(0, 0), (0.5, 0), (0.5, 0)])
+        ts = score_trajectory(tr, fixed_target(tr, [1, 1]), 0.9)
         assert ts.skipped_count == 1
         assert ts.steps[ts.skip == 0].tolist() == [1]
 
     def test_straight_line_all_ones_at_lambda_one(self):
-        pts = [(0.1 * i, 0.2 * i) for i in range(5)]
-        ts = score_trajectory(traj(pts), fixed_target([10, 20]), 1.0)
+        tr = traj([(0.1 * i, 0.2 * i) for i in range(5)])
+        ts = score_trajectory(tr, fixed_target(tr, [10, 20]), 1.0)
         assert ts.skipped_count == 0
         np.testing.assert_allclose(ts.combined, [1.0] * 4, rtol=0, atol=1e-12)
 
     def test_too_short(self):
         with pytest.raises(TrajectoryError):
-            score_trajectory(traj([(0, 0)]), fixed_target([1, 1]), 0.9)
-
-    def test_targets_requeried_per_step(self):
-        calls = []
-
-        def provider(t, x):
-            calls.append((t.tolist(), x.tolist()))
-            return make_targets([[([5, 5], "goal")]] * len(t))
-
-        score_trajectory(traj([(0, 0), (1, 1), (2, 2)]), provider, 0.9)
-        assert calls == [([0, 1], [[0, 0], [1, 1]])]
+            score_trajectory(traj([(0, 0)]), make_targets([[([1, 1], "goal")]]), 0.9)
 
 
 # -- the array kernel against the scalar reference -----------------------------
@@ -306,7 +296,7 @@ def trajectory_cases(draw):
 def test_kernel_matches_scalar_step_score(case):
     xs, target_lists, polarity, lam = case
     tg = make_targets(target_lists, polarity)
-    ts = score_trajectory(Trajectory("s", range(len(xs)), xs), lambda t, x: tg, lam)
+    ts = score_trajectory(Trajectory("s", range(len(xs)), xs), tg, lam)
     assert ts.steps.tolist() == list(range(1, len(xs)))
     assert (np.diff(ts.step) >= 0).all()
     # every scored step, and no skipped one, has a finite combined score
@@ -367,7 +357,7 @@ def test_a_scored_step_keeps_a_target(case):
     # target's norm in the active dims is then more than EPSILON as well
     xs, target_lists = case
     tg = make_targets(target_lists)
-    ts = score_trajectory(Trajectory("s", range(len(xs)), xs), lambda t, x: tg, 0.5)
+    ts = score_trajectory(Trajectory("s", range(len(xs)), xs), tg, 0.5)
     assert set(ts.skip.tolist()) <= {0, SkipReason.ALL_MASKED, SkipReason.NO_FEATURE_CHANGE}
     for i in np.flatnonzero(ts.skip == 0).tolist():
         assert (ts.step == i).any()
@@ -376,7 +366,8 @@ def test_a_scored_step_keeps_a_target(case):
 def test_lambda_outside_the_unit_interval_raises():
     for lam in (-0.1, 1.5, float("nan")):
         with pytest.raises(ConfigError, match=f"got {lam}"):
-            score_trajectory(traj([(0, 0), (1, 0), (2, 0)]), fixed_target([5, 0]), lam)
+            tr = traj([(0, 0), (1, 0), (2, 0)])
+            score_trajectory(tr, fixed_target(tr, [5, 0]), lam)
 
 
 def test_targets_carry_one_polarity_per_class():
@@ -384,4 +375,4 @@ def test_targets_carry_one_polarity_per_class():
     tg = make_targets([[([5, 0], "a"), ([6, 1], "a")]])
     tg.polarity = np.ones(2)
     with pytest.raises(DimensionError, match=r"polarities of shape \(2,\) do not match 1 classes"):
-        score_trajectory(traj([(0, 0), (1, 0)]), lambda t, x: tg, 0.5)
+        score_trajectory(traj([(0, 0), (1, 0)]), tg, 0.5)

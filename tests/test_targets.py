@@ -227,6 +227,50 @@ def test_batched_query_is_exact(case):
 
 
 @st.composite
+def cohort_cases(draw):
+    """A two-class corpus of 1-decimal rows, some repeated, and a cohort of
+    subjects' query rows, some of them corpus rows; a row of the corpus or
+    of a subject may hold a value past sqrt(max float), whose square
+    overflows and takes its class or its query to a full exact scan. Also a
+    k up to two past the larger class, and a query block of one query, of a
+    few, or of all of them."""
+    dim = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-10, 10).map(lambda v: v / 10), min_size=dim, max_size=dim)
+
+    def huge(r):
+        r = list(r)
+        r[draw(st.integers(0, dim - 1))] = draw(st.sampled_from([1e200, -1e200]))
+        return r
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=6))
+    if draw(st.booleans()):
+        rows.append(huge(draw(row)))
+    labels = draw(st.lists(st.sampled_from("ab"), min_size=len(rows), max_size=len(rows)))
+    query = st.one_of(row, st.sampled_from(rows), row.map(huge))
+    subjects = draw(st.lists(st.lists(query, max_size=5), min_size=1, max_size=6))
+    largest = max(labels.count("a"), labels.count("b"))
+    block_values = draw(st.sampled_from([1, 16, 64, targets._BLOCK_VALUES]))
+    return rows, labels, subjects, draw(st.integers(1, largest + 2)), block_values
+
+
+@settings(max_examples=200, deadline=None)
+@given(cohort_cases())
+def test_one_cohort_query_gives_the_per_subject_bytes(case):
+    rows, labels, subjects, k, block_values = case
+    corpus = build_index(rows, labels)
+    provide = knn_provider(corpus, k, PMAP if len(corpus.classes()) == 2
+                           else {corpus.classes()[0]: Polarity.DESIRABLE})
+    dim = len(rows[0])
+    xs = [np.array(subject, dtype=float).reshape(-1, dim) for subject in subjects]
+    with mock.patch.object(targets, "_BLOCK_VALUES", block_values):
+        cohort = provide(np.concatenate([np.arange(len(x)) for x in xs]), np.concatenate(xs))
+        each = [provide(np.arange(len(x)), x) for x in xs]
+    stacked = np.concatenate([one.points for one in each])
+    assert cohort.points.shape == stacked.shape
+    assert cohort.points.tobytes() == stacked.tobytes()
+
+
+@st.composite
 def near_tie_cases(draw):
     """One class of rows on a grid scaled by 1e-170 to 1e100, with duplicates
     and rows one or two ulps or a few thousandths from another row, queried

@@ -1,7 +1,7 @@
 """The benchmark's tracer still reaches the library's call sites: a traced
-corpus score and series score finish, with one provider call per subject
-and target set, and every target row, step, trajectory row, empty cell and
-normalize call counted."""
+corpus score and series score finish, with one provider call per target
+set, and every target row, step, trajectory row, empty cell and normalize
+call counted."""
 
 import importlib.util
 from collections import Counter
@@ -59,6 +59,7 @@ def test_traced_gappy_corpus_score_counts_rows_and_empty_cells(tmp_path):
         assert res.exit_code == 0, res.output
     calls = Counter(name for name, *_ in tracer.spans)
     assert calls["pipeline.build_trajectory"] == 3
+    assert calls["targets.query"] == 1
     assert tracer.counts["pipeline.rows"] == 8
     assert tracer.counts["pipeline.missing_cells"] == 7
     assert tracer.counts["scoring.steps"] == 2 + 2 + 1
