@@ -135,9 +135,9 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
     lines, summary rows and error messages with it, and a subject that
     cannot be scored against a set gets one error row for that set. Removes
     every file a score run writes from ``out_dir``, then writes
-    ``errors.csv``, ``steps.jsonl`` and ``scores_wide.csv`` (from each scored
-    key's TrajectoryScore) and ``summary.csv`` (``columns``); returns the
-    summary rows and the run info.
+    ``errors.csv``, ``steps.jsonl`` and ``scores_wide.csv`` (``_write_steps``,
+    one key's TrajectoryScore at a time) and ``summary.csv`` (``columns``);
+    returns the summary rows and the run info.
     """
     by_subject, labels, _ = traj_data
     out_dir = Path(out_dir)
@@ -292,19 +292,31 @@ def _write_steps(out_dir: Path, key_fields: Sequence[str],
                  scores: Dict[Tuple[str, ...], scoring.TrajectoryScore]) -> None:
     """``steps.jsonl``, one ``json.dumps(line, sort_keys=True)`` per scored
     step in scoring order, and ``scores_wide.csv``, one row per key in sorted
-    order and one column per scored t, blank where the key has no score."""
-    rows: Dict[Tuple[str, ...], Dict[int, float]] = {}
+    order and one column per scored t, blank where the key has no score.
+    Each scored ``combined`` is formatted once, for both files."""
+    rows: Dict[Tuple[str, ...], Dict[int, str]] = {}
     with open(out_dir / "steps.jsonl", "w") as fh:
         for key, ts in scores.items():
             scored = ts.skip == 0
-            t, combined = ts.steps[scored].tolist(), ts.combined[scored].tolist()
+            t, combined = ts.steps[scored].tolist(), list(map(repr, ts.combined[scored].tolist()))
             rows[key] = dict(zip(t, combined))
             order = sorted(range(len(ts.labels)), key=ts.labels.__getitem__)
             names = [f"{json.dumps(ts.labels[c])}: " for c in order]
             tag = "".join(f'"{f}": {json.dumps(v)}, ' for f, v in sorted(zip(key_fields, key)))
-            for ti, c, means in zip(t, combined, ts.per_class[scored][:, order].tolist()):
-                per_class = ", ".join(name + repr(v) for name, v in zip(names, means) if v == v)
-                fh.write(f'{{"combined": {c!r}, "per_class": {{{per_class}}}, {tag}"t": {ti}}}\n')
+            if len(order) == 1:
+                # the kernel's combined is polarity * per_class / 1: the same bits, but for
+                # a zero class mean, which nansum turns into a combined of +0.0
+                pc, polarity, name = ts.per_class[scored, 0], ts.polarity[0], names[0]
+                per_class = ([name + (c[1:] if c[0] == "-" else "-" + c) for c in combined]
+                             if polarity < 0 else [name + c for c in combined])
+                for i in np.flatnonzero(pc.view(np.int64) != (polarity * ts.combined[scored])
+                                        .view(np.int64)).tolist():
+                    per_class[i] = name + repr(float(pc[i]))
+            else:
+                per_class = [", ".join(name + repr(v) for name, v in zip(names, means) if v == v)
+                             for means in ts.per_class[scored][:, order].tolist()]
+            fh.write("".join([f'{{"combined": {c}, "per_class": {{{p}}}, {tag}"t": {ti}}}\n'
+                              for ti, c, p in zip(t, combined, per_class)]))
     times = sorted({t for row in rows.values() for t in row})
     write_csv(out_dir / "scores_wide.csv", [*key_fields, *(f"t{t}" for t in times)],
               ([*key, *map(rows[key].get, times)] for key in sorted(rows)))
@@ -329,8 +341,9 @@ def read_averages_csv(path) -> List[float]:
     if outside.size:
         line = lines[outside[0]]
         # the cell as written, which the parsed value does not keep
-        cell = next(row for n, row in read_csv(path, ConfigError) if n == line)[
-            header.index("average")]
+        rows = read_csv(path, ConfigError)
+        next(rows)   # the header
+        cell = next(row for n, row in rows if n == line)[header.index("average")]
         raise ConfigError(f"{path}:{line}: average {cell!r} lies outside [-1, 1]")
     return averages.tolist()
 

@@ -1,5 +1,5 @@
-"""Independent oracles used to freeze expected values, and hand-built
-kernel results for testing the code that reads them.
+"""Independent oracles used to freeze expected values, drawn kernel inputs,
+and hand-built kernel results for testing the code that reads them.
 
 The oracles deliberately avoid the library's own code paths: grid search
 for the projection, a linear scan for nearest neighbors, mpmath for the t
@@ -10,6 +10,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+from hypothesis import strategies as st
 
 
 def grid_closest_point(a, b, c, lo=-10.0, hi=10.0):
@@ -116,6 +117,43 @@ def make_targets(steps, polarity=None):
                    labels=labels,
                    polarity=np.array([float(polarity.get(c, Polarity.DESIRABLE)) for c in labels]),
                    points=np.array([point for pairs in steps for point, _ in pairs], dtype=float))
+
+
+# grid values make repeated coordinates, static dims and collinear targets common
+COORD = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                  st.floats(-2, 2, allow_subnormal=False))
+
+
+@st.composite
+def trajectory_cases(draw, classes="abc"):
+    """Points, per-step targets of ``classes``, class polarities and a lambda."""
+    from trace_scores.scoring import Polarity
+    dim = draw(st.integers(1, 4))
+    n_steps = draw(st.integers(1, 4))
+    vec = st.lists(COORD, min_size=dim, max_size=dim).map(np.array)
+    xs = draw(st.lists(vec, min_size=n_steps + 1, max_size=n_steps + 1))
+    polarity = {c: draw(st.sampled_from(list(Polarity))) for c in classes}
+    # every step has the same slots, each of one class
+    slots = draw(st.lists(st.sampled_from(classes), min_size=1, max_size=4))
+    target_lists = []
+    for i in range(n_steps):
+        step_targets = []
+        for label in slots:
+            # a free point, the factual (dropped), the landing point (goal
+            # reached) or a point along the move (best achieved)
+            kind = draw(st.sampled_from(["free", "x_t", "x_next", "on_move"]))
+            if kind == "free":
+                point = draw(vec)
+            elif kind == "x_t":
+                point = xs[i]
+            elif kind == "x_next":
+                point = xs[i + 1]
+            else:
+                point = xs[i] + draw(st.sampled_from([0.5, 2.0])) * (xs[i + 1] - xs[i])
+            step_targets.append((point, label))
+        target_lists.append(step_targets)
+    lam = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)))
+    return xs, target_lists, polarity, lam
 
 
 def hand_scored(combined, skip=None, labels=(), per_class=None, polarity=()):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trace_scores.cli import main
-from oracles import hand_scored
+from oracles import hand_scored, make_targets, trajectory_cases
 
 runner = CliRunner()
 
@@ -819,6 +819,59 @@ def test_polarity_averages_leave_out_classes_a_step_does_not_score():
     assert _polarity_averages(ts) == {"average_desirable": None, "average_undesirable": 0.75}
 
 
+def _hand_written_scores():
+    """One-class scores of each polarity, the last step's class mean the
+    kernel's zero (combined +0.0 whatever the polarity), and two-class scores
+    with unscored cells and skipped steps."""
+    from trace_scores.scoring import SkipReason
+    combined = [-0.0, 0.0, 5e-324, -5e-324, 1.0, -1.0]
+    nan = np.nan
+    return [*(hand_scored(combined + [0.0], labels=["\u00e9t\u00e9"], polarity=[p],
+                          per_class=[[p * c] for c in combined] + [[0.0]]) for p in (1.0, -1.0)),
+            hand_scored([0.25, nan, -0.5, 0.0, nan], [0, SkipReason.ALL_MASKED, 0, 0,
+                                                     SkipReason.NO_FEATURE_CHANGE],
+                        ["b", 'a,"b'], [[0.5, 0.0], [nan, nan], [nan, 0.5], [-0.0, nan], [nan, nan]],
+                        [1.0, -1.0])]
+
+
+@settings(max_examples=50)
+@given(cases=st.lists(trajectory_cases(), max_size=3), series_mode=st.booleans())
+def test_written_steps_keep_every_scored_value(cases, series_mode):
+    from trace_scores.cli import _write_steps
+    from trace_scores.pipeline import Trajectory
+    from trace_scores.scoring import score_trajectory
+    all_scores = _hand_written_scores() + [
+        score_trajectory(Trajectory("s", range(len(xs)), xs), make_targets(steps, polarity), lam)
+        for xs, steps, polarity, lam in cases]
+    key_fields = ["subject", "series"] if series_mode else ["subject"]
+    keys = [(f'{name}{i}', *(['x,"y'] if series_mode else []))
+            for i, name in enumerate(['a,"b', "\u00fc\u00f1", "s"] * 3)]
+    scores = dict(zip(keys[:len(all_scores)][::-1], all_scores))
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_steps(Path(tmp), key_fields, scores)
+        lines = (Path(tmp) / "steps.jsonl").read_text().splitlines()
+        with open(Path(tmp) / "scores_wide.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+    want = [(key, ts, i) for key, ts in scores.items() for i in np.flatnonzero(ts.skip == 0)]
+    assert len(lines) == len(want)
+    for line, (key, ts, i) in zip(lines, want):
+        doc = json.loads(line)
+        assert line == json.dumps(doc, sort_keys=True)
+        assert doc.pop("t") == ts.steps[i]
+        assert float.hex(doc.pop("combined")) == ts.combined[i].hex()
+        assert {c: float.hex(v) for c, v in doc.pop("per_class").items()} == {
+            c: v.hex() for c, v in zip(ts.labels, ts.per_class[i].tolist()) if v == v}
+        assert doc == dict(zip(key_fields, key))
+    times = sorted({t for ts in scores.values() for t in ts.steps[ts.skip == 0].tolist()})
+    assert header == key_fields + [f"t{t}" for t in times]
+    assert [tuple(row[:len(key_fields)]) for row in rows] == sorted(scores)
+    for row in rows:
+        ts = scores[tuple(row[:len(key_fields)])]
+        scored = dict(zip(ts.steps[ts.skip == 0].tolist(), ts.combined[ts.skip == 0].tolist()))
+        assert [cell and float(cell).hex() for cell in row[len(key_fields):]] == [
+            scored[t].hex() if t in scored else "" for t in times]
+
+
 def test_older_index_layout_scores_from_its_points(corpus_setup):
     """An index in the earlier layout, whose stored normalizer and class
     means disagree with its points, scores as the freshly built one does."""
@@ -1058,10 +1111,20 @@ class TestCompare:
         assert res.exit_code == 2, res.output
         assert f"{bad}:3: non-finite value '{cell}'" in res.output
 
-    @pytest.mark.parametrize("cell", ["1e200", "-1.7e308", "1.0000000000000002"])
-    def test_average_outside_unit_interval(self, tmp_path, cell):
+    @pytest.mark.parametrize("header,cell", [
+        *(pytest.param(["subject_id", "average"], cell, id=cell)
+          for cell in ["1e200", "-1.7e308", "1.0000000000000002"]),
+        # a corpus-mode and a series-mode summary.csv
+        pytest.param(["subject_id", "label", "n_steps", "n_skipped", "average",
+                      "final_cumulative", "average_desirable", "average_undesirable"], "2.0",
+                     id="corpus-2.0"),
+        pytest.param(["subject_id", "series", "n_steps", "n_skipped", "average",
+                      "final_cumulative"], "2.0", id="series-2.0")])
+    def test_average_outside_unit_interval(self, tmp_path, header, cell):
+        rows = [[f"s{i}", *["0.1"] * (len(header) - 1)] for i in range(3)]
+        rows[1][header.index("average")] = cell
         bad = tmp_path / "bad.csv"
-        bad.write_text(f"subject_id,average\ns0,0.1\ns1,{cell}\ns2,0.3\n")
+        bad.write_text("".join(",".join(row) + "\n" for row in [header, *rows]))
         ok = tmp_path / "ok.csv"
         self.make_summary(ok, [0.1, 0.2])
         res = runner.invoke(main, ["compare", str(ok), str(bad)])

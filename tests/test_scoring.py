@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trace_scores.errors import (ConfigError, DegenerateGeometry, DimensionError, TargetError,
@@ -8,7 +8,7 @@ from trace_scores.errors import (ConfigError, DegenerateGeometry, DimensionError
 from trace_scores.geometry import EPSILON, Degeneracy, StepGeometry, norm_of, step_score
 from trace_scores.pipeline import Trajectory
 from trace_scores.scoring import Polarity, SkipReason, score_trajectory
-from oracles import make_targets
+from oracles import COORD, make_targets, trajectory_cases
 
 DESIRABLE, UNDESIRABLE = Polarity.DESIRABLE, Polarity.UNDESIRABLE
 
@@ -255,42 +255,6 @@ def assert_matches_reference(ts, i, x_t, x_next, targets, lam, polarity):
         assert ts.combined[i] == pytest.approx(combined, rel=0, abs=1e-12)
 
 
-# grid values make repeated coordinates, static dims and collinear targets common
-COORD = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
-                  st.floats(-2, 2, allow_subnormal=False))
-
-
-@st.composite
-def trajectory_cases(draw):
-    """Points, per-step targets, class polarities and a lambda."""
-    dim = draw(st.integers(1, 4))
-    n_steps = draw(st.integers(1, 4))
-    vec = st.lists(COORD, min_size=dim, max_size=dim).map(np.array)
-    xs = draw(st.lists(vec, min_size=n_steps + 1, max_size=n_steps + 1))
-    polarity = {c: draw(st.sampled_from(list(Polarity))) for c in "abc"}
-    # every step has the same slots, each of one class
-    slots = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=4))
-    target_lists = []
-    for i in range(n_steps):
-        step_targets = []
-        for label in slots:
-            # a free point, the factual (dropped), the landing point (goal
-            # reached) or a point along the move (best achieved)
-            kind = draw(st.sampled_from(["free", "x_t", "x_next", "on_move"]))
-            if kind == "free":
-                point = draw(vec)
-            elif kind == "x_t":
-                point = xs[i]
-            elif kind == "x_next":
-                point = xs[i + 1]
-            else:
-                point = xs[i] + draw(st.sampled_from([0.5, 2.0])) * (xs[i + 1] - xs[i])
-            step_targets.append((point, label))
-        target_lists.append(step_targets)
-    lam = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)))
-    return xs, target_lists, polarity, lam
-
-
 @settings(max_examples=300)
 @given(trajectory_cases())
 def test_kernel_matches_scalar_step_score(case):
@@ -303,6 +267,27 @@ def test_kernel_matches_scalar_step_score(case):
     assert (np.isfinite(ts.combined) == (ts.skip == 0)).all()
     for i in range(len(ts.steps)):
         assert_matches_reference(ts, i, xs[i], xs[i + 1], target_lists[i], lam, polarity)
+
+
+@settings(max_examples=300)
+@given(trajectory_cases(classes="a"))
+# a move orthogonal to its target: r1 = 0, so the class mean is +0.0
+@example(([np.array([0.0, 0.0]), np.array([1.0, 1.0])], [[(np.array([1.0, -1.0]), "a")]],
+          {"a": UNDESIRABLE}, 1.0))
+def test_one_class_mean_is_the_signed_combined_score(case):
+    """A one-class step's class mean is polarity * combined bit for bit, but
+    for a zero mean, whose combined nansum makes +0.0; the step writer takes
+    per_class's text from combined's where the bits agree."""
+    xs, target_lists, polarity, lam = case
+    tg = make_targets(target_lists, polarity)
+    ts = score_trajectory(Trajectory("s", range(len(xs)), xs), tg, lam)
+    scored = ts.skip == 0
+    means = ts.per_class[scored, 0].tolist()
+    signed = (ts.polarity[0] * ts.combined[scored]).tolist()
+    assert means == signed
+    assert [m.hex() for m in means if m] == [s.hex() for s in signed if s]
+    assert [c.hex() for c in ts.combined[scored].tolist() if c == 0] == \
+        ["0x0.0p+0"] * means.count(0.0)
 
 
 @pytest.mark.parametrize("x_t, x_next, points, expect", [
