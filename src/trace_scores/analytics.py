@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Mapping, Sequence, Tuple
 
@@ -86,8 +87,11 @@ def welch_t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> GroupC
         se_b = var_b / len(b)
         se2 = se_a + se_b
         t = (mean_a - mean_b) / math.sqrt(se2)
-        dof = se2 ** 2 / (se_a ** 2 / (len(a) - 1) + se_b ** 2 / (len(b) - 1))
-    except (OverflowError, ZeroDivisionError):   # a sum or square past float64, or squares at 0
+        if se2 * se2 < sys.float_info.min:   # the squares would lose bits below the normals
+            dof = 1.0 / ((se_a / se2) ** 2 / (len(a) - 1) + (se_b / se2) ** 2 / (len(b) - 1))
+        else:
+            dof = se2 ** 2 / (se_a ** 2 / (len(a) - 1) + se_b ** 2 / (len(b) - 1))
+    except (OverflowError, ZeroDivisionError):   # a sum or square past float64, or se2 at 0
         t = dof = math.nan
     if not (math.isfinite(t) and math.isfinite(dof)):
         raise StatsError("t is not finite: the sample variances are too large or too small "

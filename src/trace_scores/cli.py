@@ -234,7 +234,7 @@ def run_score_corpus(traj_csv, index_path, cfg: RunConfig, out_dir) -> dict:
         traj_data, [(None, provider)], cfg, out_dir,
         ["subject_id", "label", "n_steps", "n_skipped", "average",
          "final_cumulative", "average_desirable", "average_undesirable"],
-        {"class_means": corpus.class_means, "normalizer": corpus.norm_stats},
+        {"class_means": corpus.class_means, "normalizer": corpus.norm_stats, "names": features},
         row_extra=_polarity_averages)
     return info
 
@@ -279,7 +279,7 @@ def run_score_series(traj_csv, targets_dir, cfg: RunConfig, out_dir) -> dict:
     summary_rows, info = _score_cohort(
         traj_data, target_sets, cfg, out_dir,
         ["subject_id", "series", "n_steps", "n_skipped", "average", "final_cumulative"],
-        {})
+        {"names": traj_data[2]})
     averages: Dict[str, Dict[str, float]] = {}
     for row in summary_rows:
         averages.setdefault(row["subject_id"], {})[row["series"]] = row["average"]

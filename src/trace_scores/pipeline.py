@@ -50,11 +50,13 @@ class Trajectory:
             raise TrajectoryError(f"value at t={self.t[np.argmin(finite)]} is not finite")
 
 
-def impute(x, class_means: Optional[Sequence[float]] = None) -> np.ndarray:
+def impute(x, class_means: Optional[Sequence[float]] = None,
+           names: Optional[Sequence[str]] = None) -> np.ndarray:
     """Fill the missing values (NaN or None) of one subject's ``(n, dim)``
     rows: each takes its column's nearest earlier value (forward fill), else
     its nearest later one (backward fill), else, in a column with no value,
-    the class mean."""
+    the class mean. A column with neither raises ImputeError naming its
+    feature (``f<column>`` without ``names``)."""
     x = np.asarray(x, dtype=float)
     missing = np.isnan(x)
     if not missing.any():
@@ -67,8 +69,8 @@ def impute(x, class_means: Optional[Sequence[float]] = None) -> np.ndarray:
     filled = x[np.minimum(source, n - 1), np.arange(x.shape[1])]
     for col in np.flatnonzero(source[0] == n).tolist():
         if class_means is None or class_means[col] is None:
-            raise ImputeError(
-                f"column {col} is entirely missing and no class mean is available")
+            name = names[col] if names is not None else f"f{col}"
+            raise ImputeError(f"feature {name!r} has no value and no class mean is available")
         filled[:, col] = float(class_means[col])
     return filled
 
@@ -304,11 +306,13 @@ def load_trajectory_csv(path):
 def build_trajectory(records: Sequence[RawRecord], *,
                      label: Optional[str] = None,
                      class_means: Optional[Mapping[str, Sequence[float]]] = None,
-                     normalizer: Optional[NormStats] = None) -> Trajectory:
+                     normalizer: Optional[NormStats] = None,
+                     names: Optional[Sequence[str]] = None) -> Trajectory:
     """Impute one subject's sorted records, the class mean of ``label``
-    filling a column with no value, and (optionally) normalize."""
+    filling a column with no value, and (optionally) normalize. ``names``
+    are the feature names an imputation error gives."""
     means = None if class_means is None else class_means.get(label)
-    x = impute(np.array([r.values for r in records], dtype=float), means)
+    x = impute(np.array([r.values for r in records], dtype=float), means, names)
     if normalizer:
         x = normalizer.apply(x)
     return Trajectory(records[0].subject_id, [r.t_index for r in records], x)

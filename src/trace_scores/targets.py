@@ -90,8 +90,8 @@ class Corpus:
     """Immutable labeled reference points with per-class exact NN indices."""
 
     points: np.ndarray                 # (n, dim), as given to build_index
-    labels: List[str]
-    class_indices: Dict[str, _ClassIndex]
+    codes: np.ndarray                  # (n,) uint32: each row's class, its place in classes()
+    class_indices: Dict[str, _ClassIndex]   # in order of first appearance
     class_means: Dict[str, np.ndarray]   # each class's raw mean, the imputation fallback
     norm_stats: Optional[NormStats] = None
 
@@ -106,9 +106,9 @@ class Corpus:
         return len(self.class_indices[label].rows)
 
 
-def _points_matrix(points, n_labels: int) -> np.ndarray:
-    """``points`` as a finite ``(n_labels, dim)`` float matrix, else CorpusError."""
-    if not n_labels:
+def _points_matrix(points, n_rows: int) -> np.ndarray:
+    """``points`` as a finite ``(n_rows, dim)`` float matrix, else CorpusError."""
+    if not n_rows:
         raise CorpusError("corpus is empty")
     try:
         arr = np.asarray(points, dtype=float)
@@ -116,8 +116,8 @@ def _points_matrix(points, n_labels: int) -> np.ndarray:
         arr = None
     if arr is None or arr.ndim != 2:
         raise CorpusError("corpus rows have inconsistent dimensions or non-numeric values")
-    if len(arr) != n_labels:
-        raise CorpusError(f"{len(arr)} points but {n_labels} labels")
+    if len(arr) != n_rows:
+        raise CorpusError(f"{len(arr)} points but {n_rows} labels")
     if not np.all(np.isfinite(arr)):
         raise CorpusError("corpus contains non-finite values")
     return arr
@@ -132,16 +132,22 @@ def build_index(points, labels: Sequence[str], *, norm_stats=None) -> Corpus:
     mean past float64 raises CorpusError naming the feature (``f<column>``
     without ``norm_stats``).
     """
-    labels = list(map(str, labels))
-    arr = _points_matrix(points, len(labels))
+    code_of: Dict[str, int] = {}
+    codes = np.array([code_of.setdefault(str(label), len(code_of)) for label in labels],
+                     dtype=np.uint32)
+    return _grouped(_points_matrix(points, len(codes)), list(code_of), codes, norm_stats)
+
+
+def _grouped(arr: np.ndarray, classes: List[str], codes: np.ndarray, norm_stats) -> Corpus:
+    """The Corpus of the finite rows ``arr`` whose classes are
+    ``classes[codes]``, each class with at least one row."""
     if norm_stats is not None and norm_stats.dim != arr.shape[1]:
         raise CorpusError(
             f"normalizer has {norm_stats.dim} features, the points have {arr.shape[1]}")
-    label_arr = np.array(labels)
     indices: Dict[str, _ClassIndex] = {}
     means: Dict[str, np.ndarray] = {}
-    for label in dict.fromkeys(labels):
-        rows_l = np.flatnonzero(label_arr == label)
+    for code, label in enumerate(classes):
+        rows_l = np.flatnonzero(codes == code)
         raw = arr[rows_l]
         with np.errstate(over="ignore", invalid="ignore"):
             means[label] = raw.mean(axis=0)   # the sum may overflow
@@ -151,7 +157,7 @@ def build_index(points, labels: Sequence[str], *, norm_stats=None) -> Corpus:
             raise CorpusError(f"feature {name!r} of class {label!r} has a non-finite mean")
         indices[label] = _ClassIndex(
             rows=rows_l, points=raw if norm_stats is None else norm_stats.apply(raw))
-    return Corpus(points=arr, labels=labels, class_indices=indices, class_means=means,
+    return Corpus(points=arr, codes=codes, class_indices=indices, class_means=means,
                   norm_stats=norm_stats)
 
 
@@ -205,48 +211,76 @@ def series_provider(label: str, polarity: Polarity,
 
 # index.json holds the corpus alone: the rows as given (raw corpus values)
 # in ``points``, as base64 (RFC 4648) of their little-endian float64 bytes,
-# row after row, their ``labels`` in the same order and the ``features``.
-# Loading fits the normalizer and the class means to the points again, as
-# build-index does.
+# row after row; the ``classes`` in order of first appearance; each row's
+# class as its place in ``classes``, in ``codes``, as base64 of little-endian
+# uint32 values in row order; and the ``features``. The file is the text of
+# ``json.dumps(doc, sort_keys=True)`` and a newline, but only the small lists
+# go through ``json.dumps``: the base64 alphabet needs no JSON escape, so the
+# long strings are written as they are. Loading fits the normalizer and the
+# class means to the points again, as build-index does.
+
+_REBUILD = "rebuild the index with `trace build-index`"
+
 
 def save_corpus(corpus: Corpus, feature_names: Sequence[str], path) -> None:
-    points = base64.b64encode(corpus.points.astype("<f8").tobytes()).decode("ascii")
-    text = json.dumps({"features": list(feature_names), "labels": corpus.labels,
-                       "points": points}, sort_keys=True)
-    with open(path, "w") as fh:
-        fh.write(text)
-        fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.writelines([
+            b'{"classes": ', json.dumps(corpus.classes()).encode("ascii"),
+            b', "codes": "', base64.b64encode(corpus.codes.astype("<u4").tobytes()),
+            b'", "features": ', json.dumps(list(feature_names)).encode("ascii"),
+            b', "points": "', base64.b64encode(corpus.points.astype("<f8").tobytes()),
+            b'"}\n'])
+
+
+def _decoded(key: str, encoded) -> bytes:
+    try:
+        return base64.b64decode(encoded, validate=True)
+    except (TypeError, ValueError) as e:   # no string, or not base64 ASCII
+        raise CorpusError(f"{key} are not base64: {e}") from None
 
 
 def load_corpus(path) -> Tuple[Corpus, List[str]]:
     """Read an index written by ``save_corpus``. A document that does not fit
-    its layout, such as ``points`` that are not base64 of ``len(labels) x
-    len(features)`` float64 values or JSON rows of an earlier layout, raises
-    CorpusError naming ``path``, with ``build_index``'s message for
-    non-finite points. Any other key is ignored."""
+    its layout, such as ``points`` that are not base64 of one float64 value
+    per code and feature, a code past ``classes`` or the ``labels`` or JSON
+    rows of an earlier layout, raises CorpusError naming ``path``, with
+    ``build_index``'s message for non-finite points. Any other key is
+    ignored."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-            labels, features, encoded = doc["labels"], doc["features"], doc["points"]
-            for key, names in (("labels", labels), ("features", features)):
+            if not isinstance(doc, dict):
+                raise CorpusError("the document is not a JSON object")
+            if "labels" in doc:
+                raise CorpusError(f"labels per row are an earlier index layout; {_REBUILD}")
+            if isinstance(doc.get("points"), list):
+                raise CorpusError(f"points hold JSON rows of an earlier index layout; "
+                                  f"{_REBUILD}")
+            classes, features = doc["classes"], doc["features"]
+            raw_codes, raw = _decoded("codes", doc["codes"]), _decoded("points", doc["points"])
+            for key, names in (("classes", classes), ("features", features)):
                 if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
                     raise CorpusError(f"{key} must be a list of strings")
-            if isinstance(encoded, list):
-                raise CorpusError("points hold JSON rows of an earlier index layout; "
-                                  "rebuild the index with `trace build-index`")
-            try:
-                raw = base64.b64decode(encoded, validate=True)
-            except (TypeError, ValueError) as e:   # no string, or not base64 ASCII
-                raise CorpusError(f"points are not base64: {e}") from None
-            shape = (len(labels), len(features))
+            if len(set(classes)) != len(classes):
+                twice = next(c for i, c in enumerate(classes) if c in classes[:i])
+                raise CorpusError(f"class {twice!r} is listed twice")
+            if len(raw_codes) % 4:
+                raise CorpusError(f"codes hold {len(raw_codes)} bytes, not 4 per row")
+            shape = (len(raw_codes) // 4, len(features))
             if len(raw) != 8 * shape[0] * shape[1]:
-                raise CorpusError(f"points hold {len(raw)} bytes, not 8 x {shape[0]} labels "
+                raise CorpusError(f"points hold {len(raw)} bytes, not 8 x {shape[0]} codes "
                                   f"x {shape[1]} features")
-            points = _points_matrix(np.frombuffer(raw, "<f8").reshape(shape), len(labels))
+            points = _points_matrix(np.frombuffer(raw, "<f8").reshape(shape), shape[0])
+            codes = np.frombuffer(raw_codes, "<u4")
+            if codes.max() >= len(classes):
+                raise CorpusError(f"code {codes.max()} is past the {len(classes)} classes")
+            sizes = np.bincount(codes, minlength=len(classes))
+            if not sizes.all():
+                raise CorpusError(f"class {classes[np.argmin(sizes)]!r} has no row")
             stats = fit_normalizer(points, features)
-            return build_index(points, labels, norm_stats=stats), features
+            return _grouped(points, classes, codes, stats), features
         except KeyError as e:
             raise CorpusError(f"{path}: malformed index: missing key {e}") from None
-        # TypeError: a document that is no object; RecursionError: JSON too deep
-        except (CorpusError, RecursionError, TypeError, ValueError) as e:
+        # RecursionError: JSON too deep
+        except (CorpusError, RecursionError, ValueError) as e:
             raise CorpusError(f"{path}: malformed index: {e}") from None

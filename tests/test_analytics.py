@@ -122,11 +122,29 @@ class TestWelch:
     @pytest.mark.parametrize("a,b", [
         ([1e200, -1e200], [0.0, 1.0]),             # a square past float64
         ([1.7e308, 1.7e308, 1.0], [0.0, 1.0]),     # a sum past float64
-        ([1e-100, 2e-100], [0.0, 0.0]),            # dof's squares underflow to 0
+        ([0.0, 2.3e-162, 4.6e-162], [0.0, 0.0]),   # variance 5e-324, over n rounds to 0
     ], ids=["square-overflow", "sum-overflow", "underflow"])
     def test_variance_outside_float64_raises(self, a, b):
         with pytest.raises(StatsError, match="t is not finite"):
             welch_t_test(a, b)
+
+    def test_squares_below_the_normals_keep_dof(self):
+        # dof's squares, about 1e-402, are past the subnormals
+        cmp = welch_t_test([1e-100, 2e-100], [0.0, 0.0])
+        assert (cmp.t_stat, cmp.dof) == (3.0, 1.0)
+        assert cmp.p_value == welch_t_test([1.0, 2.0], [0.0, 0.0]).p_value
+
+    @settings(max_examples=200)
+    @given(log10_s=st.floats(-150.0, 0.0))
+    @example(log10_s=-78.0)
+    @example(log10_s=-80.0)
+    @example(log10_s=-82.0)
+    @example(log10_s=-150.0)
+    def test_dof_does_not_depend_on_the_scale(self, log10_s):
+        s = 10.0 ** log10_s
+        dof = welch_t_test([0.0, s, 2 * s], [0.0, s / 2, s / 4]).dof
+        want = welch_t_test([0.0, 1.0, 2.0], [0.0, 0.5, 0.25]).dof   # 2.2490272373540856
+        assert dof == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_cohort_scale_effect(self):
         # Monte-Carlo at the reported cohort effect sizes: group means

@@ -148,6 +148,19 @@ class TestScoreCorpusMode:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
 
+    def test_imputation_error_names_the_feature(self, corpus_setup):
+        # rr has no value and the class 'gone' is not in the index
+        tmp, corpus, traj, config = corpus_setup
+        with open(traj, "a") as fh:
+            fh.write("z9,0,0.5,,gone\nz9,1,0.4,,gone\n")
+        runner.invoke(main, ["build-index", str(corpus), "--out", str(tmp / "index.json")])
+        res = runner.invoke(main, ["score", str(traj), "--index", str(tmp / "index.json"),
+                                   "--config", str(config), "--out", str(tmp / "out")])
+        assert res.exit_code == 0, res.output
+        message = "feature 'rr' has no value and no class mean is available"
+        with open(tmp / "out" / "errors.csv") as fh:
+            assert list(csv.DictReader(fh)) == [{"subject_id": "z9", "error": message}]
+
     def test_dimension_mismatch(self, corpus_setup):
         tmp, corpus, _, config = corpus_setup
         runner.invoke(main, ["build-index", str(corpus),
@@ -248,6 +261,19 @@ class TestScoreSeriesMode:
         assert [r["subject_id"] for r in rows] == ["nor"] * 5
         assert json.loads(res.output.splitlines()[-1]) == {"errors": 5, "subjects": 1}
 
+
+    def test_imputation_error_names_the_feature(self, series_setup):
+        tmp_path, traj, tdir = series_setup
+        with open(traj, "a") as fh:
+            fh.write("z9,0,,0.5\nz9,1,,0.45\n")
+        res = runner.invoke(main, ["score", str(traj), "--targets-dir",
+                                   str(tdir), "--out", str(tmp_path / "out")])
+        assert res.exit_code == 0, res.output
+        with open(tmp_path / "out" / "errors.csv") as fh:
+            assert list(csv.DictReader(fh)) == [
+                {"subject_id": "z9",
+                 "error": f"SSP{i}: feature 'a' has no value and no class mean is available"}
+                for i in range(1, 6)]
 
     def test_feature_mismatch(self, series_setup):
         tmp_path, traj, tdir = series_setup
@@ -440,9 +466,35 @@ def _bad_index(edit, expect=""):
     return setup
 
 
+def _decode_codes(doc):
+    """The index's class codes, one per row."""
+    return np.frombuffer(base64.b64decode(doc["codes"]), "<u4")
+
+
 def _decode_points(doc):
-    """The index's points as a ``(labels, features)`` float matrix."""
-    return np.frombuffer(base64.b64decode(doc["points"]), "<f8").reshape(len(doc["labels"]), -1)
+    """The index's points as a ``(rows, features)`` float matrix."""
+    points = np.frombuffer(base64.b64decode(doc["points"]), "<f8")
+    return points.reshape(len(_decode_codes(doc)), -1)
+
+
+def _labels(doc):
+    """Each row's class name."""
+    return [doc["classes"][c] for c in _decode_codes(doc).tolist()]
+
+
+def _edit_codes(edit):
+    """An index edit: ``edit`` changes a copy of the code vector in place."""
+    def apply(doc):
+        codes = _decode_codes(doc).copy()
+        edit(codes)
+        doc["codes"] = base64.b64encode(codes.astype("<u4").tobytes()).decode("ascii")
+    return apply
+
+
+def _labels_layout(doc):
+    """The layout before class codes: one label per row, under ``labels``."""
+    doc["labels"] = _labels(doc)
+    del doc["classes"], doc["codes"]
 
 
 def _edit_points(edit):
@@ -568,8 +620,32 @@ MALFORMED_INPUTS = [
                  expect="polarity_map names class 'death'")),
     ("config-nested-too-deeply", "corpus", _nested("config")),
     ("index-nested-too-deeply", "corpus", _nested("index")),
-    ("index-no-label", "corpus", _bad_index(lambda doc: doc["labels"].pop())),
-    ("index-no-labels-key", "corpus", _bad_index(lambda doc: doc.pop("labels"))),
+    ("index-no-code", "corpus",
+     _bad_index(lambda doc: doc.__setitem__("codes", base64.b64encode(
+         base64.b64decode(doc["codes"])[:-4]).decode("ascii")),
+                expect="points hold 256 bytes, not 8 x 15 codes x 2 features")),
+    ("index-no-codes-key", "corpus",
+     _bad_index(lambda doc: doc.pop("codes"), expect="missing key 'codes'")),
+    ("index-labels-layout", "corpus",
+     _bad_index(_labels_layout, expect="labels per row are an earlier index layout; "
+                                       "rebuild the index with `trace build-index`")),
+    ("index-number-classes", "corpus",
+     _bad_index(lambda doc: doc.__setitem__("classes", [1, 2]),
+                expect="classes must be a list of strings")),
+    ("index-duplicate-class", "corpus",
+     _bad_index(lambda doc: doc["classes"].append("RFD"), expect="class 'RFD' is listed twice")),
+    ("index-class-without-row", "corpus",
+     _bad_index(lambda doc: doc["classes"].append("spare"), expect="class 'spare' has no row")),
+    ("index-code-past-classes", "corpus",
+     _bad_index(_edit_codes(lambda codes: codes.__setitem__(3, 2)),
+                expect="code 2 is past the 2 classes")),
+    ("index-codes-not-base64", "corpus",
+     _bad_index(lambda doc: doc.__setitem__("codes", doc["codes"][:4] + "*" + doc["codes"][4:]),
+                expect="codes are not base64: Only base64 data is allowed")),
+    ("index-codes-2-bytes-short", "corpus",
+     _bad_index(lambda doc: doc.__setitem__("codes", base64.b64encode(
+         base64.b64decode(doc["codes"])[:-2]).decode("ascii")),
+                expect="codes hold 62 bytes, not 4 per row")),
     ("index-number-features", "corpus",
      _bad_index(lambda doc: doc.__setitem__("features", [1, 2]),
                 expect="features must be a list of strings")),
@@ -582,19 +658,19 @@ MALFORMED_INPUTS = [
                 expect=_REBUILD)),
     ("index-old-layout-point", "corpus",
      _bad_index(lambda doc: doc.__setitem__("points", [
-         {"values": row, "label": doc["labels"][0]} if i == 0 else row
+         {"values": row, "label": _labels(doc)[0]} if i == 0 else row
          for i, row in enumerate(_decode_points(doc).tolist())]), expect=_REBUILD)),
     ("index-earliest-layout", "corpus",
      _bad_index(lambda doc: doc.__setitem__("points", [
          {"values": row, "label": label}
-         for row, label in zip(_decode_points(doc).tolist(), doc["labels"])]), expect=_REBUILD)),
+         for row, label in zip(_decode_points(doc).tolist(), _labels(doc))]), expect=_REBUILD)),
     ("index-points-not-base64", "corpus",
      _bad_index(lambda doc: doc.__setitem__("points", doc["points"][:8] + "*" + doc["points"][8:]),
                 expect="points are not base64: Only base64 data is allowed")),
     ("index-points-8-bytes-short", "corpus",
      _bad_index(lambda doc: doc.__setitem__("points", base64.b64encode(
          base64.b64decode(doc["points"])[:-8]).decode("ascii")),
-                expect="points hold 248 bytes, not 8 x 16 labels x 2 features")),
+                expect="points hold 248 bytes, not 8 x 16 codes x 2 features")),
     ("index-nonfinite-point", "corpus",
      _bad_index(_edit_points(lambda points: points.__setitem__((0, 0), np.nan)),
                 expect="corpus contains non-finite values")),
@@ -737,25 +813,27 @@ def _mutate_json(data, path, kind):
             ["lambda", "k_neighbors", "epsilon", "polarity_map", "feature_weights", "bogus"]))
         doc[key] = data.draw(_JSON_VALUES, label="value")
     else:
-        encoded = doc["points"]
-        how = data.draw(st.sampled_from(["point", "resize", "character", "key"]), label="mutation")
-        if how == "point":   # one point's 8 bytes
+        field = data.draw(st.sampled_from(["points", "codes"]), label="field")
+        encoded = doc[field]
+        how = data.draw(st.sampled_from(["item", "resize", "character", "key"]), label="mutation")
+        if how == "item":   # one point's 8 bytes or one code's 4
+            width, value = ((8, st.floats().map(struct.Struct("<d").pack)) if field == "points"
+                            else (4, st.integers(0, 3).map(struct.Struct("<I").pack)))
             raw = bytearray(base64.b64decode(encoded))
-            at = 8 * data.draw(st.integers(0, len(raw) // 8 - 1), label="point")
-            raw[at:at + 8] = data.draw(
-                st.binary(min_size=8, max_size=8) | st.floats().map(struct.Struct("<d").pack),
-                label="bytes")
-            doc["points"] = base64.b64encode(raw).decode("ascii")
+            at = width * data.draw(st.integers(0, len(raw) // width - 1), label="item")
+            raw[at:at + width] = data.draw(st.binary(min_size=width, max_size=width) | value,
+                                           label="bytes")
+            doc[field] = base64.b64encode(raw).decode("ascii")
         elif how == "resize":   # truncate the string, extend it, or both
             end = data.draw(st.integers(0, len(encoded)), label="end")
-            doc["points"] = encoded[:end] + data.draw(st.text(_BASE64, max_size=16), label="tail")
+            doc[field] = encoded[:end] + data.draw(st.text(_BASE64, max_size=16), label="tail")
         elif how == "character":
             at = data.draw(st.integers(0, len(encoded)), label="at")
-            doc["points"] = encoded[:at] + data.draw(st.characters(), label="char") + encoded[at:]
+            doc[field] = encoded[:at] + data.draw(st.characters(), label="char") + encoded[at:]
         else:
-            key = data.draw(st.sampled_from(["features", "labels", "points"]))
+            key = data.draw(st.sampled_from(["classes", "codes", "features", "labels", "points"]))
             if data.draw(st.booleans(), label="delete"):
-                del doc[key]
+                doc.pop(key, None)
             else:
                 doc[key] = data.draw(_JSON_VALUES, label="value")
     path.write_text(json.dumps(doc))
@@ -765,9 +843,10 @@ def _mutate_json(data, path, kind):
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_fuzzed_input_keeps_the_exit_code_contract(kind, data):
-    """One mutated cell, config value, or index point, length, character or
-    key: the run exits 0, 1 or 2, raises nothing but SystemExit, prints no
-    traceback, and a failure prints exactly one ``error:`` line.
+    """One mutated cell, config value, or index point or code, length,
+    character or key: the run exits 0, 1 or 2, raises nothing but
+    SystemExit, prints no traceback, and a failure prints exactly one
+    ``error:`` line.
     ``summary`` mutates one of the two summaries that ``trace compare``
     reads."""
     with tempfile.TemporaryDirectory() as d:
@@ -1139,13 +1218,24 @@ class TestCompare:
         assert res.exit_code == 0, res.output
 
     def test_variances_that_underflow_are_a_runtime_failure(self, tmp_path):
+        # a's variance is 5e-324, which rounds to 0 when divided by its 3 rows
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        self.make_summary(a, [1e-100, 2e-100])
+        self.make_summary(a, [0.0, 2.3e-162, 4.6e-162])
         self.make_summary(b, [0.0, 0.0])
         res = runner.invoke(main, ["compare", str(a), str(b)])
         assert res.exit_code == 1, res.output
         assert res.stderr == ("error: t is not finite: the sample variances are too large or "
                               "too small for float64\n")
+
+    def test_squares_below_the_normals_are_compared(self, tmp_path):
+        # dof's squared standard errors, about 1e-402, are past the subnormals
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        self.make_summary(a, [1e-100, 2e-100])
+        self.make_summary(b, [0.0, 0.0])
+        res = runner.invoke(main, ["compare", str(a), str(b)])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.output)
+        assert (doc["t"], doc["dof"]) == (3.0, 1.0)
 
     def test_header_only_summary(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -1279,7 +1369,7 @@ PINNED_DEMO_FILES = {
         "fixtures/corpus.csv": "62c6da5980744112ce77bfcf7cdb58004a560f9d4c6531de9e4e1634ab7e702e",
         "fixtures/trajectories.csv":
             "1d0f86b8fb8dc60468b0e1f64f738f0b04b5f36f0fc3b58942ef0f4039a9b585",
-        "index.json": "212942c6e01b8250e1c8e53ec846e1dcb3fc42245714ea782d88df8e7af9899b",
+        "index.json": "95aa90b700e2e1be976ac9199d8f7e7f9dc5db2ae5d0c9dd6e9bc01bd617edbc",
         "scores_wide.csv": "e2a5655feacd76add45ff55d8e00c6c5708b981dc056a1ac010903b993b4a84d",
         "steps.jsonl": "4191097239b82db5e873608da280c7a896b498f627ef1d9f236d14aee47a472e",
         "summary.csv": "6b8c2e48011decf62d51816f01b96196a352295319dc20d6a544326928bb5051",
@@ -1308,7 +1398,7 @@ PINNED_DEMO_FILES = {
         "fixtures/corpus.csv": "596a6f32459f2585d024653ef3a3009b44814b64df9d1506b440e55ba99f5c14",
         "fixtures/trajectories.csv":
             "6dde213e29003fff483bb403e2cbb1a11dbb5eeae13caafd483b925768381658",
-        "index.json": "c276f1fff2c1056ed173bdf72541224081ee19f0a3522ff9572265cbe2f54a4f",
+        "index.json": "51085ee4998ff54489d51f64e8b621f44e6cd7a26c8634f098c7769ee78b400f",
         "scores_wide.csv": "2858210803ce161509955ba372f224746e0534dc9092704cfed769bf13a7745b",
         "steps.jsonl": "eeab5e018c992e701409774fb4c96a942e27aef28c0f8ce5334222bf49bcac5a",
         "summary.csv": "06e3d74847ea467cd3cfecf1692742ebdaddfa2da27a6e8ac104da85043c79cf",

@@ -1,7 +1,8 @@
 """The package root's exports and what importing it loads, the README's
-library example run as code, and the README's configuration keys and
-command-line options against the code's."""
+library example run as code, and the README's configuration keys,
+command-line options and index keys against the code's."""
 
+import json
 import os
 import re
 import subprocess
@@ -13,6 +14,7 @@ from click.testing import CliRunner
 
 import trace_scores
 from trace_scores.cli import RunConfig, main
+from trace_scores.targets import build_index, save_corpus
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -60,3 +62,14 @@ def test_readme_names_exactly_the_config_keys_and_score_options():
         options |= set(re.findall(r"(?<![\w-])--[a-z][\w-]*", res.output)) - {"--help"}
     cli_section = README.split("## CLI", 1)[1].split("\n## ", 1)[0]
     assert options == set(re.findall(r"(?<![\w-])--[a-z][\w-]*", cli_section))
+
+
+def test_readme_names_exactly_the_index_keys(tmp_path):
+    # the keys are the code spans that start the list items after the sentence
+    listing = re.search(r"^`index\.json` is one JSON object with \w+ keys:\n\n(.*?)(?:\n\n|\Z)",
+                        README, re.S | re.M)
+    listed = re.findall(r"^- `(\w+)`:", listing.group(1), re.M)
+    save_corpus(build_index([[0.0], [1.0]], ["a", "b"]), ["f0"], tmp_path / "index.json")
+    written = json.loads((tmp_path / "index.json").read_text())
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(written)

@@ -352,6 +352,24 @@ def test_query_memory_is_bounded_by_the_block():
     assert peak < 8 * targets._BLOCK_VALUES
 
 
+_CLASS_NAMES = st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\x7f", "é", "中",
+                                         "\U0001f600", "\u2028", "a", " "]), max_size=4)
+
+
+@st.composite
+def labeled_rows(draw):
+    """A finite point matrix and one label per row: several classes, each
+    with at least one row, in a random order of first appearance."""
+    classes = draw(st.lists(_CLASS_NAMES, min_size=1, max_size=5, unique=True))
+    labels = draw(st.permutations(
+        classes + draw(st.lists(st.sampled_from(classes), max_size=12))))
+    dim = draw(st.integers(1, 3))
+    value = st.floats(-1e100, 1e100) | st.sampled_from([-0.0, 5e-324])
+    rows = draw(st.lists(st.lists(value, min_size=dim, max_size=dim),
+                         min_size=len(labels), max_size=len(labels)))
+    return np.array(rows, dtype=float), labels
+
+
 class TestIndexRoundTrip:
     @pytest.fixture
     def built(self, tmp_path):
@@ -373,8 +391,10 @@ class TestIndexRoundTrip:
         raw, _, labels, path = built
         doc = json.loads(path.read_text())
         assert base64.b64decode(doc["points"]) == raw.astype("<f8").tobytes()
-        assert doc["labels"] == labels
-        assert sorted(doc) == ["features", "labels", "points"]
+        assert doc["classes"] == ["b", "a"]   # in order of first appearance
+        codes = np.frombuffer(base64.b64decode(doc["codes"]), "<u4")
+        assert [doc["classes"][c] for c in codes.tolist()] == labels
+        assert sorted(doc) == ["classes", "codes", "features", "points"]
 
     def test_loaded_rows_are_normalized_per_row(self, built):
         raw, _, labels, path = built
@@ -424,6 +444,30 @@ class TestIndexRoundTrip:
         assert loaded_names == names
         # np.array_equal would take -0.0 for 0.0; the uint64 views compare bits
         assert np.array_equal(corpus.points.view(np.uint64), arr.view(np.uint64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=labeled_rows())
+    def test_any_labels_round_trip(self, tmp_path_factory, case):
+        """Class names with quotes, backslashes, control characters and
+        non-ASCII text, in any first-appearance order: the file is the
+        sorted ``json.dumps`` text of itself, the loaded classes, rows and
+        point bits are the built ones, and saving the loaded corpus writes
+        the same bytes."""
+        arr, labels = case
+        path = tmp_path_factory.mktemp("index") / "index.json"
+        names = [f"f{i}" for i in range(arr.shape[1])]
+        built = build_index(arr, labels)
+        save_corpus(built, names, path)
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        corpus, _ = load_corpus(path)
+        assert corpus.classes() == built.classes() == list(dict.fromkeys(labels))
+        for label, idx in built.class_indices.items():
+            assert corpus.class_indices[label].rows.tolist() == idx.rows.tolist()
+        assert np.array_equal(corpus.codes, built.codes)
+        assert np.array_equal(corpus.points.view(np.uint64), arr.view(np.uint64))
+        save_corpus(corpus, names, path.with_name("again.json"))
+        assert path.with_name("again.json").read_bytes() == path.read_bytes()
 
     def test_save_of_load_is_byte_identical(self, built, tmp_path):
         *_, path = built
