@@ -9,7 +9,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import click
 import numpy as np
@@ -18,7 +18,7 @@ from . import analytics, demo, scoring
 from .errors import ConfigError, CorpusError, TargetError, TraceError, TrajectoryError
 from .pipeline import (build_trajectory, fit_normalizer, load_trajectory_csv, parse_t,
                        read_csv, read_table, write_csv)
-from .scoring import Polarity, Targets
+from .scoring import Polarity
 from .targets import build_index, knn_provider, load_corpus, save_corpus, series_provider
 
 _USAGE_ERRORS = (ConfigError, CorpusError, TargetError, TrajectoryError)
@@ -129,11 +129,11 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
                   build_kwargs, row_extra=None) -> Tuple[List[dict], dict]:
     """Score every subject against each ``(series, provider)`` target set.
 
-    Each subject's trajectory is built once, and each provider is called once
-    for the steps of every built trajectory (``_stacked_targets``). A series
-    of None marks the corpus's single target set; a named one tags step
-    lines, summary rows and error messages with it, and a subject that
-    cannot be scored against a set gets one error row for that set. Removes
+    Each subject's trajectory is built once, and each provider is called once,
+    on the steps of every built trajectory stacked. A series of None marks
+    the corpus's single target set; a named one tags step lines, summary rows
+    and error messages with it, and a subject that cannot be scored against
+    a set, say for a t it lacks, gets one error row for that set. Removes
     every file a score run writes from ``out_dir``, then writes
     ``errors.csv``, ``steps.jsonl`` and ``scores_wide.csv`` (``_write_steps``,
     one key's TrajectoryScore at a time) and ``summary.csv`` (``columns``);
@@ -154,18 +154,18 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
                                           **build_kwargs))
         except TraceError as e:
             errors += [(subject, _error_text(series, e)) for series, _ in target_sets]
-    stacked = [_stacked_targets(provider, built) for _, provider in target_sets]
+    cohort = []
+    if built:
+        t = np.concatenate([traj.t[:-1] for traj in built])
+        x = np.concatenate([traj.x[:-1] for traj in built])
+        cohort = [provider(t, x) for _, provider in target_sets]
     stop = 0
     for traj in built:
         subject, label = traj.subject_id, labels.get(traj.subject_id)
         start, stop = stop, stop + len(traj.t) - 1
-        for (series, provider), cohort in zip(target_sets, stacked):
+        for (series, _), targets in zip(target_sets, cohort):
             try:
-                # a failed cohort call is made again for each subject alone,
-                # so its error reaches only the subjects it concerns
-                targets = (provider(traj.t[:-1], traj.x[:-1]) if cohort is None
-                           else cohort.of_steps(start, stop))
-                ts = scoring.score_trajectory(traj, targets, cfg.lam)
+                ts = scoring.score_trajectory(traj, targets.of_steps(start, stop), cfg.lam)
                 agg = analytics.aggregate(ts)
             except TraceError as e:
                 errors.append((subject, _error_text(series, e)))
@@ -194,19 +194,6 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
     info = {"subjects": len({row["subject_id"] for row in summary_rows}),
             "errors": len(errors)}
     return summary_rows, info
-
-
-def _stacked_targets(provider, trajs) -> Optional[Targets]:
-    """The Targets of every step of ``trajs``, in order, from one provider
-    call on their steps' earlier points stacked; None when there is no
-    trajectory or the call raises a TraceError."""
-    if not trajs:
-        return None
-    try:
-        return provider(np.concatenate([traj.t[:-1] for traj in trajs]),
-                        np.concatenate([traj.x[:-1] for traj in trajs]))
-    except TraceError:
-        return None
 
 
 def _error_text(series, error) -> str:
@@ -337,6 +324,8 @@ def read_averages_csv(path) -> List[float]:
 
     header, lines, _, values = read_table(path, ConfigError, average)
     averages = values[:, 0]
+    if len(averages) < 2:
+        raise ConfigError(f"{path}: needs at least 2 averages to compare, got {len(averages)}")
     outside = np.flatnonzero(np.abs(averages) > 1.0)
     if outside.size:
         line = lines[outside[0]]

@@ -70,7 +70,8 @@ class Targets:
 
     A target provider (``targets.knn_provider``, ``targets.series_provider``)
     is called with the steps' t indices and their ``(n_steps, dim)`` points
-    and returns their Targets."""
+    and returns their Targets; a row that is not finite marks a slot with no
+    target at that step."""
 
     cls: np.ndarray       # (slots,) index into ``labels``
     labels: List[str]
@@ -96,14 +97,15 @@ def _norm(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _score_rows(x: np.ndarray, steps: np.ndarray, lam: float, tg: Targets) -> TrajectoryScore:
+def _score_rows(x: np.ndarray, t: np.ndarray, lam: float, tg: Targets) -> TrajectoryScore:
     """Score the steps of the ``(n_steps + 1, dim)`` points ``x`` against
     ``tg`` with ``geometry.step_score``'s arithmetic, applied to every
-    (step, slot) at once; step ``i`` runs from ``x[i]`` to ``x[i + 1]`` and
-    is labelled ``steps[i]``. A division by a zero norm only reaches a target
-    that is not kept, a reached goal's r2, which is overwritten, or a NaN
-    mean. A kept value whose square overflows raises TrajectoryError."""
-    xt, xn = x[:-1], x[1:]
+    (step, slot) at once; step ``i`` runs from ``x[i]`` at ``t[i]`` to
+    ``x[i + 1]``, its label ``t[i + 1]``. A division by a zero norm only
+    reaches a target that is not kept, a reached goal's r2, which is
+    overwritten, or a NaN mean. A kept value whose square overflows raises
+    TrajectoryError."""
+    xt, xn, steps = x[:-1], x[1:], t[1:]
     n, dim = xt.shape
     slots = len(tg.cls)
     if not slots:
@@ -114,6 +116,10 @@ def _score_rows(x: np.ndarray, steps: np.ndarray, lam: float, tg: Targets) -> Tr
     if tg.polarity.shape != (len(tg.labels),):
         raise DimensionError(f"polarities of shape {tg.polarity.shape} do not match "
                              f"{len(tg.labels)} classes")
+    if not np.isfinite(tg.points).all():
+        row = np.argmin(np.isfinite(tg.points).all(axis=1))
+        raise TargetError(f"class {tg.labels[tg.cls[row % slots]]!r} has no target "
+                          f"at t={t[row // slots]}")
     # (step, slot, dim) grids; each step's own vectors broadcast over its slots
     p = tg.points.reshape(n, slots, dim)
     x0 = xt[:, None]
@@ -177,8 +183,9 @@ def score_trajectory(traj, targets: Targets, lam: float) -> TrajectoryScore:
     ``traj`` is a pipeline.Trajectory: time indices ``t`` and one row of
     ``x`` per index. ``targets`` holds the targets of each step's earlier
     point, as a provider returns them for ``traj.t[:-1]`` and
-    ``traj.x[:-1]``. Steps are labelled with the t index of the later point,
-    so index 0 never appears.
+    ``traj.x[:-1]``; a target row that is not finite raises TargetError
+    naming its class and the t its step starts from. Steps are labelled with
+    the t index of the later point, so index 0 never appears.
     """
     t, x = traj.t, traj.x
     if len(t) < 2:
@@ -186,4 +193,4 @@ def score_trajectory(traj, targets: Targets, lam: float) -> TrajectoryScore:
     # the range test also rejects a nan lambda
     if not (0.0 <= lam <= 1.0):
         raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
-    return _score_rows(x, t[1:], float(lam), targets)
+    return _score_rows(x, t, float(lam), targets)

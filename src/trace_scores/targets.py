@@ -192,16 +192,28 @@ def knn_provider(corpus: Corpus, k: int, polarity_map: Mapping[str, Polarity]):
 def series_provider(label: str, polarity: Polarity,
                     points: Mapping[int, Sequence[float]]):
     """Target provider for one fixed per-timestep target series: the series'
-    point at each step's time index, with no interpolation. The points are
-    stacked into one matrix once, here."""
+    point at each step's time index, with no interpolation, and a row of NaN
+    at a time index the series lacks. The points are checked and stacked
+    into one matrix once, here: no point, rows of unequal length or not
+    numbers, or a value that is not finite raise TargetError naming the
+    series."""
+    if not points:
+        raise TargetError(f"series {label!r} has no points")
     ts = np.array(sorted(points), dtype=int)
-    matrix = np.array([points[t] for t in ts.tolist()], dtype=float)
+    try:
+        matrix = np.array([points[t] for t in ts.tolist()], dtype=float)
+    except (TypeError, ValueError):   # ragged rows, or a value that is no number
+        matrix = None
+    if matrix is None or matrix.ndim != 2:
+        raise TargetError(f"series {label!r} has rows of unequal length or non-numeric values")
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise TargetError(f"series {label!r} has a non-finite value at t={ts[np.argmin(finite)]}")
+    matrix = np.vstack([matrix, np.full(matrix.shape[1], np.nan)])
 
     def provide(t_index, xs) -> Targets:
         i = np.minimum(np.searchsorted(ts, t_index), len(ts) - 1)
-        missing = np.flatnonzero(ts[i] != t_index)
-        if missing.size:
-            raise TargetError(f"series {label!r} has no target at t={t_index[missing[0]]}")
+        i[ts[i] != t_index] = len(ts)   # the NaN row
         return Targets(cls=np.zeros(1, dtype=int), labels=[label],
                        polarity=np.array([float(polarity)]), points=matrix[i])
     return provide

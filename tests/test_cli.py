@@ -286,16 +286,29 @@ class TestScoreSeriesMode:
             "trajectory features ['a', 'b']")
 
 
-def test_series_missing_a_subjects_t_isolates_that_subject(series_setup):
+def test_series_missing_a_subjects_t_isolates_that_subject(series_setup, monkeypatch):
     # short lacks t=2, which nor steps from; gap is not observed at t=2
+    from trace_scores import cli
     tmp_path, traj, tdir = series_setup
     (tdir / "short.csv").write_text("t,a,b\n0,0.1,0.05\n1,0.2,0.1\n3,0.4,0.2\n4,0.5,0.25\n")
     with open(traj, "a") as fh:
         fh.write("gap,0,0.5,0.5\ngap,1,0.4,0.45\ngap,3,0.3,0.4\ngap,5,0.2,0.3\n")
+    factory, calls = cli.series_provider, []
+
+    def spy_factory(label, *args):
+        provide = factory(label, *args)
+
+        def spy(t, x):
+            calls.append(label)
+            return provide(t, x)
+        return spy
+    monkeypatch.setattr(cli, "series_provider", spy_factory)
     res = runner.invoke(main, ["score", str(traj), "--targets-dir", str(tdir),
                                "--out", str(tmp_path / "out")])
     assert res.exit_code == 0, res.output
-    message = "short: series 'short' has no target at t=2"
+    # one call per target set, the one that lacks nor's t included
+    assert sorted(calls) == [*(f"SSP{i}" for i in range(1, 6)), "short"]
+    message = "short: class 'short' has no target at t=2"
     with open(tmp_path / "out" / "errors.csv") as fh:
         assert list(csv.DictReader(fh)) == [{"subject_id": "nor", "error": message}]
     assert [line for line in res.stderr.splitlines() if line.startswith("subject ")] == [
@@ -580,6 +593,19 @@ def _targets_dir(edit, expect):
     return setup
 
 
+def _summaries(*averages):
+    """Compare rows: ``trace compare`` reads one summary per list of
+    ``averages``; the error names the first, a one-row summary."""
+    def setup(corpus, traj, config, tdir):
+        paths = [corpus.parent / f"summary{i}.csv" for i in range(len(averages))]
+        for path, values in zip(paths, averages):
+            path.write_text("subject_id,average\n" + "".join(
+                f"s{i},{v!r}\n" for i, v in enumerate(values)))
+        return [str(p) for p in paths], (f"{paths[0]}: needs at least 2 averages to compare, "
+                                         f"got {len(averages[0])}")
+    return setup
+
+
 _POLARITY = '"polarity_map": {"RFD": "desirable", "mortality": "undesirable"}'
 
 MALFORMED_INPUTS = [
@@ -730,6 +756,7 @@ MALFORMED_INPUTS = [
     ("series-directory-entry", "series",
      _targets_dir(lambda tdir: (tdir / "bad.csv").mkdir(),
                   lambda tdir: f"error: {tdir / 'bad.csv'}: not a file\n")),
+    ("summary-one-row", "compare", _summaries([0.25], [0.1, 0.2])),
 ]
 
 
@@ -745,6 +772,8 @@ def test_malformed_input_exits_2(corpus_setup, series_setup, mode, setup):
     flags, expected = setup(corpus, traj, config, tdir)
     if mode == "build-index":
         args = ["build-index", str(corpus), "--out", str(tmp / "index2.json")]
+    elif mode == "compare":
+        args = ["compare", *flags]
     else:
         source = (["--index", str(tmp / "index.json")] if mode == "corpus"
                   else ["--targets-dir", str(tdir)])
@@ -1251,7 +1280,8 @@ class TestCompare:
         self.make_summary(a, [0.1])
         self.make_summary(b, [0.1, 0.2])
         res = runner.invoke(main, ["compare", str(a), str(b)])
-        assert res.exit_code == 1
+        assert res.exit_code == 2, res.output
+        assert res.stderr == f"error: {a}: needs at least 2 averages to compare, got 1\n"
 
 
 class TestConfig:

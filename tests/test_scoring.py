@@ -355,6 +355,17 @@ def test_lambda_outside_the_unit_interval_raises():
             score_trajectory(tr, fixed_target(tr, [5, 0]), lam)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_a_target_point_that_is_not_finite_raises(bad):
+    # the first such slot is b's in the step from t=2; a's in the step from
+    # t=5 comes later
+    tr = Trajectory("s", [0, 2, 5, 6], [(0, 0), (1, 0), (2, 0), (3, 0)])
+    tg = make_targets([[([5, 0], "a"), ([6, 1], "b")], [([5, 0], "a"), ([bad, 1], "b")],
+                       [([5, bad], "a"), ([6, 1], "b")]])
+    with pytest.raises(TargetError, match="^class 'b' has no target at t=2$"):
+        score_trajectory(tr, tg, 0.5)
+
+
 def test_targets_carry_one_polarity_per_class():
     # a polarity per row, as two rows of one class would give, is rejected
     tg = make_targets([[([5, 0], "a"), ([6, 1], "a")]])

@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 import threading
 import tracemalloc
 import warnings
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 
 from trace_scores import targets
 from trace_scores.errors import ConfigError, CorpusError, TargetError
-from trace_scores.pipeline import fit_normalizer
-from trace_scores.scoring import Polarity
+from trace_scores.pipeline import Trajectory, fit_normalizer
+from trace_scores.scoring import Polarity, score_trajectory
 from trace_scores.targets import build_index, knn_provider, load_corpus, save_corpus, series_provider
 from trace_scores.cli import main, run_build_index
 from oracles import brute_knn
@@ -482,8 +483,12 @@ class TestFixedTargets:
                                {t: [float(t), 1.0] for t in range(n)})
 
     def test_t_out_of_range(self):
-        with pytest.raises(TargetError):
-            self.series(n=3)(np.array([1, 7]), None)
+        # a t the series lacks gets the NaN row, which scoring rejects
+        found = self.series(n=3)(np.array([1, 7, -1]), None)
+        np.testing.assert_array_equal(found.points, [[1.0, 1.0], [np.nan] * 2, [np.nan] * 2])
+        tr = Trajectory("s", [0, 7, 8], [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        with pytest.raises(TargetError, match="^class 'SSP1' has no target at t=7$"):
+            score_trajectory(tr, self.series(n=3)(tr.t[:-1], tr.x[:-1]), 0.9)
 
     def test_values_at_t(self):
         found = self.series()(np.array([2, 0]), None)
@@ -497,5 +502,17 @@ class TestFixedTargets:
         found = provide(np.array([1]), None)
         assert (found.labels, found.polarity.tolist(), len(found)) == (["B"], [-1.0], 1)
         np.testing.assert_array_equal(found.points, [[1.0, 1.0]])
-        with pytest.raises(TargetError, match="series 'B' has no target at t=2"):
-            provide(np.array([1, 2]), None)
+        np.testing.assert_array_equal(provide(np.array([1, 2]), None).points,
+                                      [[1.0, 1.0], [np.nan, np.nan]])
+
+    @pytest.mark.parametrize("points,expect", [
+        ({}, "series 'S' has no points"),
+        ({0: [1.0, 2.0], 1: [1.0]}, "series 'S' has rows of unequal length or non-numeric values"),
+        ({0: [1.0, "abc"]}, "series 'S' has rows of unequal length or non-numeric values"),
+        ({0: 1.0}, "series 'S' has rows of unequal length or non-numeric values"),
+        ({0: [1.0, 2.0], 3: [float("nan"), 2.0]}, "series 'S' has a non-finite value at t=3"),
+        ({0: [float("-inf"), 2.0]}, "series 'S' has a non-finite value at t=0"),
+    ], ids=["empty", "ragged", "text", "scalar", "nan", "inf"])
+    def test_malformed_series_is_rejected_when_built(self, points, expect):
+        with pytest.raises(TargetError, match=f"^{re.escape(expect)}$"):
+            series_provider("S", Polarity.DESIRABLE, points)
