@@ -407,7 +407,7 @@ def run_demo(scenario, seed, out_dir) -> None:
     out = Path(out_dir)
     fixtures = out / "fixtures"
     # the files any demo writes besides a score run's, which the score run removes
-    for name in ("index.json", "comparison.json", *(f"summary_{c}.csv" for c in demo.ICU_CLASSES),
+    for name in ("index.bin", "comparison.json", *(f"summary_{c}.csv" for c in demo.ICU_CLASSES),
                  "fixtures/corpus.csv", "fixtures/trajectories.csv", "fixtures/config.json",
                  *(f"fixtures/targets/{s}.csv" for s in demo.SSP_NAMES)):
         (out / name).unlink(missing_ok=True)
@@ -423,10 +423,10 @@ def run_demo(scenario, seed, out_dir) -> None:
         cfg = RunConfig(polarity_map={c: _parse_polarity(p) for c, p in pmap.items()})
         _write_json(fixtures / "config.json", {"lambda": cfg.lam, "k_neighbors": cfg.k_neighbors,
                                                "polarity_map": pmap})
-        counts = run_build_index(fixtures / "corpus.csv", out / "index.json")
+        counts = run_build_index(fixtures / "corpus.csv", out / "index.bin")
         for label in sorted(counts):
             click.echo(f"corpus {label}: {counts[label]}")
-        run_score_corpus(fixtures / "trajectories.csv", out / "index.json", cfg, out)
+        run_score_corpus(fixtures / "trajectories.csv", out / "index.bin", cfg, out)
         if scenario == "icu":
             _demo_icu_compare(out)
     click.echo(f"demo {scenario} written to {out}")

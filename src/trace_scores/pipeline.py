@@ -132,14 +132,15 @@ def parse_cells(cells: Sequence[str], where: str, error: type) -> List[float]:
 
 def read_csv(path, error: type) -> Iterator:
     """Yield a CSV's header, then ``(line, row)`` for each non-blank row,
-    ``line`` being its line number. Rows stream from the file one at a time.
+    ``line`` being its line number. Rows stream from the file one at a time,
+    and a UTF-8 byte order mark that starts it is dropped.
     A file with no header or no data row, or a row whose length differs
     from the header's, raises ``error``, and so does a line that is not
     UTF-8 or a cell longer than ``csv.field_size_limit()``; the message of
     a line's fault names ``path:line``."""
     lineno = 0   # the last line read
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             lineno = 1
@@ -199,7 +200,7 @@ def _fast_table(path, numeric) -> Optional[Table]:
     an empty cell, a cell ``loadtxt`` rejects (such as ``1_0``) or a value
     that is not finite."""
     try:
-        with open(path, encoding="utf-8") as fh:   # universal newlines: \r\n and \r are \n
+        with open(path, encoding="utf-8-sig") as fh:   # no BOM; \r\n and \r read as \n
             data = fh.read()
     except UnicodeDecodeError:
         return None

@@ -6,7 +6,6 @@ class, and fixed per-timestep target series.
 
 from __future__ import annotations
 
-import base64
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -194,11 +193,15 @@ def series_provider(label: str, polarity: Polarity,
     """Target provider for one fixed per-timestep target series: the series'
     point at each step's time index, with no interpolation, and a row of NaN
     at a time index the series lacks. The points are checked and stacked
-    into one matrix once, here: no point, rows of unequal length or not
-    numbers, or a value that is not finite raise TargetError naming the
-    series."""
+    into one matrix once, here: no point, a key that is not a Python or
+    numpy integer within int64 (a bool is not one), rows of unequal length
+    or not numbers, or a value that is not finite raise TargetError naming
+    the series."""
     if not points:
         raise TargetError(f"series {label!r} has no points")
+    for t in points:
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not -2**63 <= t < 2**63:
+            raise TargetError(f"series {label!r} has t={t!r}, which is not a 64-bit integer")
     ts = np.array(sorted(points), dtype=int)
     try:
         matrix = np.array([points[t] for t in ts.tolist()], dtype=float)
@@ -221,78 +224,63 @@ def series_provider(label: str, polarity: Polarity,
 
 # -- serialization ----------------------------------------------------------
 
-# index.json holds the corpus alone: the rows as given (raw corpus values)
-# in ``points``, as base64 (RFC 4648) of their little-endian float64 bytes,
-# row after row; the ``classes`` in order of first appearance; each row's
-# class as its place in ``classes``, in ``codes``, as base64 of little-endian
-# uint32 values in row order; and the ``features``. The file is the text of
-# ``json.dumps(doc, sort_keys=True)`` and a newline, but only the small lists
-# go through ``json.dumps``: the base64 alphabet needs no JSON escape, so the
-# long strings are written as they are. Loading fits the normalizer and the
-# class means to the points again, as build-index does.
-
-_REBUILD = "rebuild the index with `trace build-index`"
+# An index file holds the corpus alone, laid out as safetensors files are: a
+# header line of ``json.dumps({"classes", "features", "rows"}, sort_keys=True)``
+# (ASCII, since json.dumps escapes newlines and non-ASCII text), then the
+# rows as given (raw corpus values) as little-endian float64, row after row,
+# then each row's class, as its place in ``classes`` (in order of first
+# appearance), as little-endian uint32. The float block starts the body, so
+# it is aligned. Loading fits the normalizer and the class means again.
 
 
 def save_corpus(corpus: Corpus, feature_names: Sequence[str], path) -> None:
+    """Write ``corpus`` and its ``feature_names`` to ``path`` as an index."""
+    header = json.dumps({"classes": corpus.classes(), "features": list(feature_names),
+                         "rows": len(corpus.codes)}, sort_keys=True)
     with open(path, "wb") as fh:
-        fh.writelines([
-            b'{"classes": ', json.dumps(corpus.classes()).encode("ascii"),
-            b', "codes": "', base64.b64encode(corpus.codes.astype("<u4").tobytes()),
-            b'", "features": ', json.dumps(list(feature_names)).encode("ascii"),
-            b', "points": "', base64.b64encode(corpus.points.astype("<f8").tobytes()),
-            b'"}\n'])
-
-
-def _decoded(key: str, encoded) -> bytes:
-    try:
-        return base64.b64decode(encoded, validate=True)
-    except (TypeError, ValueError) as e:   # no string, or not base64 ASCII
-        raise CorpusError(f"{key} are not base64: {e}") from None
+        fh.writelines([header.encode("ascii"), b"\n", corpus.points.astype("<f8").tobytes(),
+                       corpus.codes.astype("<u4").tobytes()])
 
 
 def load_corpus(path) -> Tuple[Corpus, List[str]]:
-    """Read an index written by ``save_corpus``. A document that does not fit
-    its layout, such as ``points`` that are not base64 of one float64 value
-    per code and feature, a code past ``classes`` or the ``labels`` or JSON
-    rows of an earlier layout, raises CorpusError naming ``path``, with
-    ``build_index``'s message for non-finite points. Any other key is
-    ignored."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-            if not isinstance(doc, dict):
-                raise CorpusError("the document is not a JSON object")
-            if "labels" in doc:
-                raise CorpusError(f"labels per row are an earlier index layout; {_REBUILD}")
-            if isinstance(doc.get("points"), list):
-                raise CorpusError(f"points hold JSON rows of an earlier index layout; "
-                                  f"{_REBUILD}")
-            classes, features = doc["classes"], doc["features"]
-            raw_codes, raw = _decoded("codes", doc["codes"]), _decoded("points", doc["points"])
-            for key, names in (("classes", classes), ("features", features)):
-                if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
-                    raise CorpusError(f"{key} must be a list of strings")
-            if len(set(classes)) != len(classes):
-                twice = next(c for i, c in enumerate(classes) if c in classes[:i])
-                raise CorpusError(f"class {twice!r} is listed twice")
-            if len(raw_codes) % 4:
-                raise CorpusError(f"codes hold {len(raw_codes)} bytes, not 4 per row")
-            shape = (len(raw_codes) // 4, len(features))
-            if len(raw) != 8 * shape[0] * shape[1]:
-                raise CorpusError(f"points hold {len(raw)} bytes, not 8 x {shape[0]} codes "
-                                  f"x {shape[1]} features")
-            points = _points_matrix(np.frombuffer(raw, "<f8").reshape(shape), shape[0])
-            codes = np.frombuffer(raw_codes, "<u4")
-            if codes.max() >= len(classes):
-                raise CorpusError(f"code {codes.max()} is past the {len(classes)} classes")
-            sizes = np.bincount(codes, minlength=len(classes))
-            if not sizes.all():
-                raise CorpusError(f"class {classes[np.argmin(sizes)]!r} has no row")
-            stats = fit_normalizer(points, features)
-            return _grouped(points, classes, codes, stats), features
-        except KeyError as e:
-            raise CorpusError(f"{path}: malformed index: missing key {e}") from None
-        # RecursionError: JSON too deep
-        except (CorpusError, RecursionError, ValueError) as e:
-            raise CorpusError(f"{path}: malformed index: {e}") from None
+    """Read an index written by ``save_corpus``. A file that does not fit its
+    layout, such as a body that is not 8 bytes per row and feature plus 4
+    per row, a code past ``classes`` or a header of an earlier layout (with
+    ``codes``, ``labels`` or ``points``), raises CorpusError naming ``path``,
+    with ``build_index``'s message for non-finite points. Any other header
+    key is ignored."""
+    with open(path, "rb") as fh:
+        header, body = fh.readline(), fh.read()
+    try:
+        doc = json.loads(header)
+        if not isinstance(doc, dict):
+            raise CorpusError("the document is not a JSON object")
+        earlier = doc.keys() & {"codes", "labels", "points"}
+        if earlier:
+            raise CorpusError(f"key {min(earlier)!r} is of an earlier index layout; "
+                              "rebuild the index with `trace build-index`")
+        classes, features, rows = doc["classes"], doc["features"], doc["rows"]
+        for key, names in (("classes", classes), ("features", features)):
+            if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+                raise CorpusError(f"{key} must be a list of strings")
+        if type(rows) is not int or rows < 0:   # type(True) is bool
+            raise CorpusError(f"rows must be an integer >= 0, got {json.dumps(rows)}")
+        if len(set(classes)) != len(classes):
+            twice = next(c for i, c in enumerate(classes) if c in classes[:i])
+            raise CorpusError(f"class {twice!r} is listed twice")
+        if len(body) != rows * (8 * len(features) + 4):
+            raise CorpusError(f"the body holds {len(body)} bytes, not {rows} rows x "
+                              f"(8 x {len(features)} features + 4)")
+        points = _points_matrix(np.frombuffer(body, "<f8", rows * len(features))
+                                .reshape(rows, len(features)), rows)
+        codes = np.frombuffer(body, "<u4", offset=points.nbytes)
+        if codes.max() >= len(classes):
+            raise CorpusError(f"code {codes.max()} is past the {len(classes)} classes")
+        sizes = np.bincount(codes, minlength=len(classes))
+        if not sizes.all():
+            raise CorpusError(f"class {classes[np.argmin(sizes)]!r} has no row")
+        return _grouped(points, classes, codes, fit_normalizer(points, features)), features
+    except KeyError as e:
+        raise CorpusError(f"{path}: malformed index: missing key {e}") from None
+    except (CorpusError, RecursionError, ValueError) as e:   # RecursionError: JSON too deep
+        raise CorpusError(f"{path}: malformed index: {e}") from None

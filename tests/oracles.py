@@ -1,11 +1,13 @@
 """Independent oracles used to freeze expected values, drawn kernel inputs,
-and hand-built kernel results for testing the code that reads them.
+hand-built kernel results for testing the code that reads them, and a
+reader and writer of the index file's layout for editing built indices.
 
 The oracles deliberately avoid the library's own code paths: grid search
 for the projection, a linear scan for nearest neighbors, mpmath for the t
 distribution, and list loops for imputation.
 """
 
+import json
 import math
 
 import mpmath as mp
@@ -65,6 +67,23 @@ def fill_reference(rows, class_means):
         if first is None:
             col[:] = [class_means[j]] * len(col)
     return [list(row) for row in zip(*columns)]
+
+
+def read_index(path):
+    """An index file's JSON header, its ``(rows, features)`` points and its
+    class codes, the arrays as writable little-endian copies."""
+    with open(path, "rb") as fh:
+        header, body = json.loads(fh.readline()), fh.read()
+    n = header["rows"] * len(header["features"])
+    return (header, np.frombuffer(body, "<f8", n).reshape(header["rows"], -1).copy(),
+            np.frombuffer(body, "<u4", offset=8 * n).copy())
+
+
+def write_index(path, header, points, codes):
+    """Write ``header`` as one JSON line, then the raw bytes of ``points``
+    and ``codes`` (little-endian arrays, or bytes)."""
+    with open(path, "wb") as fh:
+        fh.writelines([json.dumps(header).encode("ascii"), b"\n", bytes(points), bytes(codes)])
 
 
 def welch_oracle(sample_a, sample_b):

@@ -3,7 +3,6 @@ import csv
 import functools
 import hashlib
 import json
-import string
 import struct
 import tempfile
 from pathlib import Path
@@ -15,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trace_scores.cli import main
-from oracles import hand_scored, make_targets, trajectory_cases
+from oracles import hand_scored, make_targets, read_index, trajectory_cases, write_index
 
 runner = CliRunner()
 
@@ -468,59 +467,46 @@ def _corpus_rows(*rows, expect):
 
 
 def _bad_index(edit, expect=""):
-    """Index rows: ``edit`` changes the built index's JSON document in place;
-    the error names the index, followed by ``expect``."""
+    """Index rows: ``edit(header, points, codes)`` changes the built index's
+    parts in place, or returns new ones, which may hold bytes in place of
+    an array; they are written back in the index layout. The error names
+    the index, followed by ``expect``."""
     def setup(corpus, traj, config, tdir):
         index = corpus.parent / "index.json"
-        doc = json.loads(index.read_text())
-        edit(doc)
-        index.write_text(json.dumps(doc))
+        parts = read_index(index)
+        write_index(index, *(edit(*parts) or parts))
         return ["--config", str(config)], f"{index}: malformed index: {expect}"
     return setup
 
 
-def _decode_codes(doc):
-    """The index's class codes, one per row."""
-    return np.frombuffer(base64.b64decode(doc["codes"]), "<u4")
-
-
-def _decode_points(doc):
-    """The index's points as a ``(rows, features)`` float matrix."""
-    points = np.frombuffer(base64.b64decode(doc["points"]), "<f8")
-    return points.reshape(len(_decode_codes(doc)), -1)
-
-
-def _labels(doc):
-    """Each row's class name."""
-    return [doc["classes"][c] for c in _decode_codes(doc).tolist()]
-
-
-def _edit_codes(edit):
-    """An index edit: ``edit`` changes a copy of the code vector in place."""
-    def apply(doc):
-        codes = _decode_codes(doc).copy()
-        edit(codes)
-        doc["codes"] = base64.b64encode(codes.astype("<u4").tobytes()).decode("ascii")
-    return apply
-
-
-def _labels_layout(doc):
-    """The layout before class codes: one label per row, under ``labels``."""
-    doc["labels"] = _labels(doc)
-    del doc["classes"], doc["codes"]
-
-
-def _edit_points(edit):
-    """An index edit: ``edit`` changes a copy of the point matrix in place."""
-    def apply(doc):
-        points = _decode_points(doc).copy()
-        edit(points)
-        doc["points"] = base64.b64encode(points.astype("<f8").tobytes()).decode("ascii")
-    return apply
-
-
-_REBUILD = ("points hold JSON rows of an earlier index layout; "
+def _earlier_layout(make_doc, key):
+    """Earlier-layout rows: the index file is replaced by the one JSON line
+    that ``make_doc(header, points, codes)`` gives, as versions before the
+    binary body wrote the built index. The error names the index, the
+    earlier layout's ``key`` and the rebuild."""
+    def setup(corpus, traj, config, tdir):
+        index = corpus.parent / "index.json"
+        index.write_text(json.dumps(make_doc(*read_index(index)), sort_keys=True) + "\n")
+        return ["--config", str(config)], (
+            f"{index}: malformed index: key {key!r} is of an earlier index layout; "
             "rebuild the index with `trace build-index`")
+    return setup
+
+
+def _base64(array):
+    """An array's bytes as base64 text, as earlier layouts stored them."""
+    return base64.b64encode(bytes(array)).decode("ascii")
+
+
+def _labels(header, codes):
+    """Each row's class name."""
+    return [header["classes"][c] for c in codes.tolist()]
+
+
+def _body_size(size, rows=16, features=2):
+    """The message for a body of ``size`` bytes under a header of ``rows``
+    and ``features``."""
+    return f"the body holds {size} bytes, not {rows} rows x (8 x {features} features + 4)"
 
 
 def _not_utf8(which, lineno):
@@ -646,68 +632,60 @@ MALFORMED_INPUTS = [
                  expect="polarity_map names class 'death'")),
     ("config-nested-too-deeply", "corpus", _nested("config")),
     ("index-nested-too-deeply", "corpus", _nested("index")),
-    ("index-no-code", "corpus",
-     _bad_index(lambda doc: doc.__setitem__("codes", base64.b64encode(
-         base64.b64decode(doc["codes"])[:-4]).decode("ascii")),
-                expect="points hold 256 bytes, not 8 x 15 codes x 2 features")),
-    ("index-no-codes-key", "corpus",
-     _bad_index(lambda doc: doc.pop("codes"), expect="missing key 'codes'")),
+    ("index-no-code", "corpus", _bad_index(lambda h, p, c: (h, p, c[:-1]), _body_size(316))),
+    ("index-no-rows-key", "corpus",
+     _bad_index(lambda h, p, c: h.__delitem__("rows"), expect="missing key 'rows'")),
+    ("index-header-not-object", "corpus",
+     _bad_index(lambda h, p, c: ([], p, c), expect="the document is not a JSON object")),
+    *((f"index-rows-{name}", "corpus",
+       _bad_index(lambda h, p, c, rows=rows: h.__setitem__("rows", rows),
+                  expect=f"rows must be an integer >= 0, got {json.dumps(rows)}"))
+      for name, rows in (("true", True), ("negative", -1), ("fraction", 2.5), ("text", "16"))),
+    ("index-rows-past-body", "corpus",
+     _bad_index(lambda h, p, c: h.__setitem__("rows", 17), expect=_body_size(320, rows=17))),
+    ("index-parent-layout", "corpus",
+     _earlier_layout(lambda h, p, c: {"classes": h["classes"], "codes": _base64(c),
+                                      "features": h["features"], "points": _base64(p)}, "codes")),
     ("index-labels-layout", "corpus",
-     _bad_index(_labels_layout, expect="labels per row are an earlier index layout; "
-                                       "rebuild the index with `trace build-index`")),
+     _earlier_layout(lambda h, p, c: {"features": h["features"], "labels": _labels(h, c),
+                                      "points": _base64(p)}, "labels")),
     ("index-number-classes", "corpus",
-     _bad_index(lambda doc: doc.__setitem__("classes", [1, 2]),
+     _bad_index(lambda h, p, c: h.__setitem__("classes", [1, 2]),
                 expect="classes must be a list of strings")),
     ("index-duplicate-class", "corpus",
-     _bad_index(lambda doc: doc["classes"].append("RFD"), expect="class 'RFD' is listed twice")),
+     _bad_index(lambda h, p, c: h["classes"].append("RFD"), expect="class 'RFD' is listed twice")),
     ("index-class-without-row", "corpus",
-     _bad_index(lambda doc: doc["classes"].append("spare"), expect="class 'spare' has no row")),
+     _bad_index(lambda h, p, c: h["classes"].append("spare"), expect="class 'spare' has no row")),
     ("index-code-past-classes", "corpus",
-     _bad_index(_edit_codes(lambda codes: codes.__setitem__(3, 2)),
-                expect="code 2 is past the 2 classes")),
-    ("index-codes-not-base64", "corpus",
-     _bad_index(lambda doc: doc.__setitem__("codes", doc["codes"][:4] + "*" + doc["codes"][4:]),
-                expect="codes are not base64: Only base64 data is allowed")),
+     _bad_index(lambda h, p, c: c.__setitem__(3, 2), expect="code 2 is past the 2 classes")),
     ("index-codes-2-bytes-short", "corpus",
-     _bad_index(lambda doc: doc.__setitem__("codes", base64.b64encode(
-         base64.b64decode(doc["codes"])[:-2]).decode("ascii")),
-                expect="codes hold 62 bytes, not 4 per row")),
+     _bad_index(lambda h, p, c: (h, p, bytes(c)[:-2]), expect=_body_size(318))),
     ("index-number-features", "corpus",
-     _bad_index(lambda doc: doc.__setitem__("features", [1, 2]),
+     _bad_index(lambda h, p, c: h.__setitem__("features", [1, 2]),
                 expect="features must be a list of strings")),
-    ("index-number-points", "corpus",
-     _bad_index(lambda doc: doc.__setitem__("points", 5),
-                expect="points are not base64: argument should be a bytes-like object or "
-                       "ASCII string, not 'int'")),
     ("index-json-rows", "corpus",
-     _bad_index(lambda doc: doc.__setitem__("points", _decode_points(doc).tolist()),
-                expect=_REBUILD)),
+     _earlier_layout(lambda h, p, c: {"features": h["features"], "labels": _labels(h, c),
+                                      "points": p.tolist()}, "labels")),
     ("index-old-layout-point", "corpus",
-     _bad_index(lambda doc: doc.__setitem__("points", [
-         {"values": row, "label": _labels(doc)[0]} if i == 0 else row
-         for i, row in enumerate(_decode_points(doc).tolist())]), expect=_REBUILD)),
+     _earlier_layout(lambda h, p, c: {"features": h["features"], "labels": _labels(h, c), "points": [
+         {"values": p[0].tolist(), "label": h["classes"][0]}, *p[1:].tolist()]}, "labels")),
     ("index-earliest-layout", "corpus",
-     _bad_index(lambda doc: doc.__setitem__("points", [
-         {"values": row, "label": label}
-         for row, label in zip(_decode_points(doc).tolist(), _labels(doc))]), expect=_REBUILD)),
-    ("index-points-not-base64", "corpus",
-     _bad_index(lambda doc: doc.__setitem__("points", doc["points"][:8] + "*" + doc["points"][8:]),
-                expect="points are not base64: Only base64 data is allowed")),
+     _earlier_layout(lambda h, p, c: {"features": h["features"], "points": [
+         {"values": row, "label": label} for row, label in zip(p.tolist(), _labels(h, c))]},
+                     "points")),
     ("index-points-8-bytes-short", "corpus",
-     _bad_index(lambda doc: doc.__setitem__("points", base64.b64encode(
-         base64.b64decode(doc["points"])[:-8]).decode("ascii")),
-                expect="points hold 248 bytes, not 8 x 16 codes x 2 features")),
+     _bad_index(lambda h, p, c: (h, bytes(p)[:-8], c), expect=_body_size(312))),
     ("index-nonfinite-point", "corpus",
-     _bad_index(_edit_points(lambda points: points.__setitem__((0, 0), np.nan)),
+     _bad_index(lambda h, p, c: p.__setitem__((0, 0), np.nan),
                 expect="corpus contains non-finite values")),
     ("index-inf-point", "corpus",
-     _bad_index(_edit_points(lambda points: points.__setitem__((1, 1), -np.inf)),
+     _bad_index(lambda h, p, c: p.__setitem__((1, 1), -np.inf),
                 expect="corpus contains non-finite values")),
     ("index-normalizer-range-overflow", "corpus",
-     _bad_index(_edit_points(lambda points: points.__setitem__((slice(0, 2), 0), [-1e308, 1e308])),
+     _bad_index(lambda h, p, c: p.__setitem__((slice(0, 2), 0), [-1e308, 1e308]),
                 expect="feature 'hr' spans a non-finite range")),
     ("index-features-wider-than-points", "corpus",
-     _bad_index(lambda doc: doc["features"].append("xx"))),
+     _bad_index(lambda h, p, c: h["features"].append("xx"), expect=_body_size(320, features=3))),
     ("traj-cell-abc", "corpus", _bad_cell("traj", 3, 2, "abc")),
     ("traj-cell-nan", "corpus", _bad_cell("traj", 3, 2, "nan")),
     ("traj-cell-inf", "series", _bad_cell("traj", 4, 3, "-inf")),
@@ -738,7 +716,7 @@ MALFORMED_INPUTS = [
      _corpus_rows("1e308,0.5,RFD", "1.5e308,0.5,RFD",
                   expect="feature 'hr' of class 'RFD' has a non-finite mean")),
     ("index-class-mean-overflow", "corpus",
-     _bad_index(_edit_points(lambda points: points.__setitem__((slice(0, 2), 0), [1e308, 1.5e308])),
+     _bad_index(lambda h, p, c: p.__setitem__((slice(0, 2), 0), [1e308, 1.5e308]),
                 expect="feature 'hr' of class 'RFD' has a non-finite mean")),
     ("corpus-cell-past-field-limit", "build-index",
      _bad_cell("corpus", 3, 2, "x" * 200_000, "field larger than field limit (131072)")),
@@ -785,6 +763,41 @@ def test_malformed_input_exits_2(corpus_setup, series_setup, mode, setup):
     assert expected in res.output
 
 
+@pytest.mark.parametrize("reader", ["fast", "reference"])
+def test_csv_inputs_read_the_same_with_a_utf8_bom(corpus_setup, series_setup, monkeypatch,
+                                                  reader):
+    """Spreadsheet "CSV UTF-8" exports start with a byte order mark. Corpus,
+    trajectory, series and summary files with one give the same outputs as
+    without it, through either table reader."""
+    from trace_scores import pipeline
+    if reader == "reference":
+        monkeypatch.setattr(pipeline, "_fast_table", lambda path, numeric: None)
+    tmp, corpus, traj, config = corpus_setup
+    _, series_traj, tdir = series_setup
+    summaries = [tmp / "a.csv", tmp / "b.csv"]
+    for path, averages in zip(summaries, ([0.1, 0.3, 0.2], [-0.1, 0.05])):
+        path.write_text("subject_id,average\n" + "".join(
+            f"s{i},{v!r}\n" for i, v in enumerate(averages)))
+
+    def outputs(name):
+        out = tmp / name
+        out.mkdir()
+        stdout = [runner.invoke(main, args) for args in (
+            ["build-index", str(corpus), "--out", str(out / "index.bin")],
+            ["score", str(traj), "--index", str(out / "index.bin"), "--config", str(config),
+             "--out", str(out / "corpus")],
+            ["score", str(series_traj), "--targets-dir", str(tdir), "--out", str(out / "series")],
+            ["compare", *map(str, summaries)])]
+        assert [res.exit_code for res in stdout] == [0] * 4, [res.output for res in stdout]
+        return ([res.stdout for res in stdout],
+                {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+
+    plain = outputs("plain")
+    for path in [corpus, traj, series_traj, *tdir.glob("*.csv"), *summaries]:
+        path.write_bytes("\ufeff".encode() + path.read_bytes())
+    assert outputs("bom") == plain
+
+
 @functools.lru_cache(maxsize=None)
 def _fuzz_base():
     """The unmutated inputs of the fuzz test, by file name: the corpus and
@@ -796,7 +809,8 @@ def _fuzz_base():
         write_trajectories(tmp / "traj.csv", rng)
         assert runner.invoke(main, ["build-index", str(tmp / "corpus.csv"),
                                     "--out", str(tmp / "index.json")]).exit_code == 0
-        files = {name: (tmp / name).read_text() for name in ("corpus.csv", "traj.csv", "index.json")}
+        files = {name: (tmp / name).read_text() for name in ("corpus.csv", "traj.csv")}
+        files["index.json"] = (tmp / "index.json").read_bytes()
     files["config.json"] = json.dumps({"lambda": 0.9, "k_neighbors": 3, "polarity_map": {
         "RFD": "desirable", "mortality": "undesirable"}})
     files["series.csv"] = "subject_id,t,a,b\n" + "".join(
@@ -817,8 +831,6 @@ _JSON_VALUES = st.recursive(
                                                                 max_size=3),
     max_leaves=6)
 
-_BASE64 = string.ascii_letters + string.digits + "+/="
-
 _CELLS = st.one_of(
     st.sampled_from(["", "nan", "-inf", "1e308", "-1e308", "1e200", "0", "-0", "2.5", "RFD",
                      "label", "t", "hr", "a", "SSP1", str(2**63), str(10**400)]),
@@ -835,45 +847,45 @@ def _mutate_cell(data, path):
         csv.writer(fh).writerows(rows)
 
 
-def _mutate_json(data, path, kind):
+def _mutate_config(data, path):
     doc = json.loads(path.read_text())
-    if kind == "config":
-        key = data.draw(st.sampled_from(
-            ["lambda", "k_neighbors", "epsilon", "polarity_map", "feature_weights", "bogus"]))
-        doc[key] = data.draw(_JSON_VALUES, label="value")
-    else:
-        field = data.draw(st.sampled_from(["points", "codes"]), label="field")
-        encoded = doc[field]
-        how = data.draw(st.sampled_from(["item", "resize", "character", "key"]), label="mutation")
-        if how == "item":   # one point's 8 bytes or one code's 4
-            width, value = ((8, st.floats().map(struct.Struct("<d").pack)) if field == "points"
-                            else (4, st.integers(0, 3).map(struct.Struct("<I").pack)))
-            raw = bytearray(base64.b64decode(encoded))
-            at = width * data.draw(st.integers(0, len(raw) // width - 1), label="item")
-            raw[at:at + width] = data.draw(st.binary(min_size=width, max_size=width) | value,
-                                           label="bytes")
-            doc[field] = base64.b64encode(raw).decode("ascii")
-        elif how == "resize":   # truncate the string, extend it, or both
-            end = data.draw(st.integers(0, len(encoded)), label="end")
-            doc[field] = encoded[:end] + data.draw(st.text(_BASE64, max_size=16), label="tail")
-        elif how == "character":
-            at = data.draw(st.integers(0, len(encoded)), label="at")
-            doc[field] = encoded[:at] + data.draw(st.characters(), label="char") + encoded[at:]
-        else:
-            key = data.draw(st.sampled_from(["classes", "codes", "features", "labels", "points"]))
-            if data.draw(st.booleans(), label="delete"):
-                doc.pop(key, None)
-            else:
-                doc[key] = data.draw(_JSON_VALUES, label="value")
+    key = data.draw(st.sampled_from(
+        ["lambda", "k_neighbors", "epsilon", "polarity_map", "feature_weights", "bogus"]))
+    doc[key] = data.draw(_JSON_VALUES, label="value")
     path.write_text(json.dumps(doc))
+
+
+def _mutate_index(data, path):
+    header, points, codes = read_index(path)
+    how = data.draw(st.sampled_from(["key", "item", "length"]), label="mutation")
+    if how == "key":
+        key = data.draw(st.sampled_from(["classes", "features", "rows", "codes", "labels",
+                                         "points"]))
+        if data.draw(st.booleans(), label="delete"):
+            header.pop(key, None)
+        else:
+            header[key] = data.draw(_JSON_VALUES, label="value")
+    elif how == "item":   # one point's 8 bytes or one code's 4
+        field = data.draw(st.sampled_from(["points", "codes"]), label="field")
+        array, value = ((points, st.floats().map(struct.Struct("<d").pack)) if field == "points"
+                        else (codes, st.integers(0, 3).map(struct.Struct("<I").pack)))
+        raw, width = array.reshape(-1).view(np.uint8), array.itemsize   # a view of array
+        at = width * data.draw(st.integers(0, array.size - 1), label="item")
+        raw[at:at + width] = list(data.draw(st.binary(min_size=width, max_size=width) | value,
+                                            label="bytes"))
+    else:   # truncate the body, extend it, or both
+        body = bytes(points) + bytes(codes)
+        end = data.draw(st.integers(0, len(body)), label="end")
+        points, codes = body[:end], data.draw(st.binary(max_size=24), label="tail")
+    write_index(path, header, points, codes)
 
 
 @pytest.mark.parametrize("kind", ["traj", "corpus", "series", "config", "index", "summary"])
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_fuzzed_input_keeps_the_exit_code_contract(kind, data):
-    """One mutated cell, config value, or index point or code, length,
-    character or key: the run exits 0, 1 or 2, raises nothing but
+    """One mutated cell, config value, or index header key, point, code or
+    body length: the run exits 0, 1 or 2, raises nothing but
     SystemExit, prints no traceback, and a failure prints exactly one
     ``error:`` line.
     ``summary`` mutates one of the two summaries that ``trace compare``
@@ -882,9 +894,11 @@ def test_fuzzed_input_keeps_the_exit_code_contract(kind, data):
         tmp = Path(d)
         (tmp / "targets").mkdir()
         for name, text in _fuzz_base().items():
-            (tmp / name).write_text(text)
-        if kind in ("config", "index"):
-            _mutate_json(data, tmp / f"{kind}.json", kind)
+            (tmp / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+        if kind == "config":
+            _mutate_config(data, tmp / "config.json")
+        elif kind == "index":
+            _mutate_index(data, tmp / "index.json")
         elif kind == "series":
             _mutate_cell(data, tmp / data.draw(st.sampled_from(
                 ["series.csv", "targets/SSP1.csv", "targets/SSP2.csv"]), label="file"))
@@ -981,17 +995,18 @@ def test_written_steps_keep_every_scored_value(cases, series_mode):
 
 
 def test_older_index_layout_scores_from_its_points(corpus_setup):
-    """An index in the earlier layout, whose stored normalizer and class
-    means disagree with its points, scores as the freshly built one does."""
+    """An index whose header holds the normalizer and class means that
+    earlier layouts stored, in disagreement with its points, scores as the
+    freshly built one does: the header keys are ignored."""
     tmp, corpus, traj, config = corpus_setup
     with open(traj, "a") as fh:   # rr has no value, so it takes the class mean
         fh.write("gap,0,0.5,,RFD\ngap,1,0.55,,RFD\n")
     runner.invoke(main, ["build-index", str(corpus), "--out", str(tmp / "index.json")])
-    doc = json.loads((tmp / "index.json").read_text())
-    doc["normalizer"] = {"features": [{"name": name, "min": -1.0, "max": 5.0}
-                                      for name in doc["features"]]}
-    doc["class_means"] = {"RFD": [9.0, 9.0], "mortality": [-9.0, -9.0]}
-    (tmp / "old.json").write_text(json.dumps(doc))
+    header, points, codes = read_index(tmp / "index.json")
+    header["normalizer"] = {"features": [{"name": name, "min": -1.0, "max": 5.0}
+                                         for name in header["features"]]}
+    header["class_means"] = {"RFD": [9.0, 9.0], "mortality": [-9.0, -9.0]}
+    write_index(tmp / "old.json", header, points, codes)
     outputs = []
     for index in ("index.json", "old.json"):
         out = tmp / f"out_{index}"
@@ -1399,7 +1414,7 @@ PINNED_DEMO_FILES = {
         "fixtures/corpus.csv": "62c6da5980744112ce77bfcf7cdb58004a560f9d4c6531de9e4e1634ab7e702e",
         "fixtures/trajectories.csv":
             "1d0f86b8fb8dc60468b0e1f64f738f0b04b5f36f0fc3b58942ef0f4039a9b585",
-        "index.json": "95aa90b700e2e1be976ac9199d8f7e7f9dc5db2ae5d0c9dd6e9bc01bd617edbc",
+        "index.bin": "f83f730ce04ec2982ba13b74fe409b0e97da11bd87fc731e3ccd73475216fe85",
         "scores_wide.csv": "e2a5655feacd76add45ff55d8e00c6c5708b981dc056a1ac010903b993b4a84d",
         "steps.jsonl": "4191097239b82db5e873608da280c7a896b498f627ef1d9f236d14aee47a472e",
         "summary.csv": "6b8c2e48011decf62d51816f01b96196a352295319dc20d6a544326928bb5051",
@@ -1428,7 +1443,7 @@ PINNED_DEMO_FILES = {
         "fixtures/corpus.csv": "596a6f32459f2585d024653ef3a3009b44814b64df9d1506b440e55ba99f5c14",
         "fixtures/trajectories.csv":
             "6dde213e29003fff483bb403e2cbb1a11dbb5eeae13caafd483b925768381658",
-        "index.json": "51085ee4998ff54489d51f64e8b621f44e6cd7a26c8634f098c7769ee78b400f",
+        "index.bin": "e5dcdb6b4274f3042a0cda32a2a74cf5436a8e186ca53cc960f1b6a495fb3c31",
         "scores_wide.csv": "2858210803ce161509955ba372f224746e0534dc9092704cfed769bf13a7745b",
         "steps.jsonl": "eeab5e018c992e701409774fb4c96a942e27aef28c0f8ce5334222bf49bcac5a",
         "summary.csv": "06e3d74847ea467cd3cfecf1692742ebdaddfa2da27a6e8ac104da85043c79cf",

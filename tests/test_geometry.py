@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,3 +218,12 @@ def test_norm_of_matches_numpy():
     for _ in range(20):
         v = rng.normal(size=5)
         assert norm_of(v) == pytest.approx(np.linalg.norm(v), rel=1e-14)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: inner([[1, 2]], [[1, 2]]), "expected a 1-D vector, got shape (1, 2)"),
+    (lambda: closest_point([0, 0], [1, 0], [1, 1, 1]), "dimension mismatch: 2, 2, 3"),
+], ids=["matrix-for-vector", "closest-point-sizes"])
+def test_shape_checks_name_the_shapes(call, message):
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        call()

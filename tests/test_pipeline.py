@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
@@ -122,6 +124,14 @@ class TestNormalizer:
             ns.apply(rows[:, :4])
         with pytest.raises(DimensionError):
             ns.apply(rows[0])
+
+    @pytest.mark.parametrize("rows, names, message", [
+        (np.empty((0, 2)), None, "normalizer needs a non-empty 2-D row matrix"),
+        ([[1.0, 2.0]], ["hr"], "1 feature names for rows of 2 values"),
+    ], ids=["no-rows", "names-count"])
+    def test_fit_rejects_rows_it_cannot_fit(self, rows, names, message):
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            fit_normalizer(rows, names)
 
     def test_non_finite_range_names_the_feature(self):
         with pytest.raises(CorpusError, match="feature 'rr' spans a non-finite range"):

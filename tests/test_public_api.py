@@ -66,10 +66,11 @@ def test_readme_names_exactly_the_config_keys_and_score_options():
 
 def test_readme_names_exactly_the_index_keys(tmp_path):
     # the keys are the code spans that start the list items after the sentence
-    listing = re.search(r"^`index\.json` is one JSON object with \w+ keys:\n\n(.*?)(?:\n\n|\Z)",
+    listing = re.search(r"^The header is one JSON object with \w+ keys:\n\n(.*?)(?:\n\n|\Z)",
                         README, re.S | re.M)
     listed = re.findall(r"^- `(\w+)`:", listing.group(1), re.M)
-    save_corpus(build_index([[0.0], [1.0]], ["a", "b"]), ["f0"], tmp_path / "index.json")
-    written = json.loads((tmp_path / "index.json").read_text())
+    save_corpus(build_index([[0.0], [1.0]], ["a", "b"]), ["f0"], tmp_path / "index.bin")
+    with open(tmp_path / "index.bin", "rb") as fh:
+        written = json.loads(fh.readline())
     assert len(listed) == len(set(listed))
     assert set(listed) == set(written)

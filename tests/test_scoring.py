@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -96,6 +98,11 @@ class TestScoreStep:
     def test_no_targets(self):
         with pytest.raises(TargetError):
             score_one([0, 0], [1, 0], [], 0.9)
+
+    def test_target_points_of_the_wrong_shape(self):
+        with pytest.raises(DimensionError, match=re.escape(
+                "target points of shape (1, 3) do not match 1 steps of 1 targets in dimension 2")):
+            score_one([0, 0], [1, 0], [([1, 1, 1], "a")], 0.9)
 
     def test_all_masked_skip(self):
         s = score_one([1, 5], [2, 6], [([1, 5], "c")], 0.9)

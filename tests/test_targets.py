@@ -1,4 +1,3 @@
-import base64
 import json
 import re
 import threading
@@ -18,7 +17,7 @@ from trace_scores.pipeline import Trajectory, fit_normalizer
 from trace_scores.scoring import Polarity, score_trajectory
 from trace_scores.targets import build_index, knn_provider, load_corpus, save_corpus, series_provider
 from trace_scores.cli import main, run_build_index
-from oracles import brute_knn
+from oracles import brute_knn, read_index
 
 PMAP = {"a": Polarity.DESIRABLE, "b": Polarity.UNDESIRABLE}
 
@@ -69,6 +68,19 @@ class TestBuildIndex:
         with pytest.raises(CorpusError, match=r"^feature 'rr' of class 'x' has"):
             build_index(points, labels, norm_stats=fit_normalizer(points, ["hr", "rr"]))
         assert build_index(points, ["y", "x", "y"]).class_means["x"].tolist() == [0.6, 1.5e308]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: build_index([[0, 0], [1, 1]], ["x"]), CorpusError, "2 points but 1 labels"),
+    (lambda: build_index([[0, 0]], ["x"], norm_stats=fit_normalizer([[0.0]])), CorpusError,
+     "normalizer has 1 features, the points have 2"),
+    (lambda: knn_provider(make_corpus()[0], 3, {}), ConfigError, "polarity map names no class"),
+    (lambda: knn_provider(make_corpus()[0], 3, PMAP)(np.zeros(1, dtype=int), np.zeros((1, 3))),
+     ConfigError, "query dimension 3 does not match corpus dimension 5"),
+], ids=["more-points-than-labels", "normalizer-width", "empty-polarity-map", "query-dimension"])
+def test_input_checks_name_the_fault(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestKnnTargets:
@@ -390,12 +402,12 @@ class TestIndexRoundTrip:
 
     def test_stores_csv_values_verbatim(self, built):
         raw, _, labels, path = built
-        doc = json.loads(path.read_text())
-        assert base64.b64decode(doc["points"]) == raw.astype("<f8").tobytes()
-        assert doc["classes"] == ["b", "a"]   # in order of first appearance
-        codes = np.frombuffer(base64.b64decode(doc["codes"]), "<u4")
-        assert [doc["classes"][c] for c in codes.tolist()] == labels
-        assert sorted(doc) == ["classes", "codes", "features", "points"]
+        header, points, codes = read_index(path)
+        assert header == {"classes": ["b", "a"],   # in order of first appearance
+                          "features": ["f0", "f1", "f2", "f3"], "rows": 60}
+        assert path.read_bytes().endswith(raw.astype("<f8").tobytes() + codes.tobytes())
+        assert np.array_equal(points, raw)
+        assert [header["classes"][c] for c in codes.tolist()] == labels
 
     def test_loaded_rows_are_normalized_per_row(self, built):
         raw, _, labels, path = built
@@ -450,17 +462,17 @@ class TestIndexRoundTrip:
     @given(case=labeled_rows())
     def test_any_labels_round_trip(self, tmp_path_factory, case):
         """Class names with quotes, backslashes, control characters and
-        non-ASCII text, in any first-appearance order: the file is the
-        sorted ``json.dumps`` text of itself, the loaded classes, rows and
-        point bits are the built ones, and saving the loaded corpus writes
-        the same bytes."""
+        non-ASCII text, in any first-appearance order: the header line is
+        ASCII and the sorted ``json.dumps`` text of itself, the loaded
+        classes, rows and point bits are the built ones, and saving the
+        loaded corpus writes the same bytes."""
         arr, labels = case
-        path = tmp_path_factory.mktemp("index") / "index.json"
+        path = tmp_path_factory.mktemp("index") / "index.bin"
         names = [f"f{i}" for i in range(arr.shape[1])]
         built = build_index(arr, labels)
         save_corpus(built, names, path)
-        text = path.read_text(encoding="utf-8")
-        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        header = path.read_bytes().split(b"\n", 1)[0].decode("ascii")
+        assert header == json.dumps(json.loads(header), sort_keys=True)
         corpus, _ = load_corpus(path)
         assert corpus.classes() == built.classes() == list(dict.fromkeys(labels))
         for label, idx in built.class_indices.items():
@@ -494,6 +506,9 @@ class TestFixedTargets:
         found = self.series()(np.array([2, 0]), None)
         np.testing.assert_array_equal(found.points, [[2.0, 1.0], [0.0, 1.0]])
         assert found.cls.tolist() == [0]
+        found = series_provider("S", Polarity.DESIRABLE,
+                                {np.int64(3): [1.0], np.uint8(0): [2.0]})(np.array([3, 0]), None)
+        np.testing.assert_array_equal(found.points, [[1.0], [2.0]])   # numpy integer keys
 
     def test_provider_builds_targets_once(self):
         points = {t: [float(t), 1.0] for t in range(2)}
@@ -512,7 +527,14 @@ class TestFixedTargets:
         ({0: 1.0}, "series 'S' has rows of unequal length or non-numeric values"),
         ({0: [1.0, 2.0], 3: [float("nan"), 2.0]}, "series 'S' has a non-finite value at t=3"),
         ({0: [float("-inf"), 2.0]}, "series 'S' has a non-finite value at t=0"),
-    ], ids=["empty", "ragged", "text", "scalar", "nan", "inf"])
+        ({0: [1.0], 1.5: [2.0]}, "series 'S' has t=1.5, which is not a 64-bit integer"),
+        ({0: [1.0], "a": [2.0]}, "series 'S' has t='a', which is not a 64-bit integer"),
+        ({"0": [1.0]}, "series 'S' has t='0', which is not a 64-bit integer"),
+        ({True: [1.0], 2: [2.0]}, "series 'S' has t=True, which is not a 64-bit integer"),
+        ({np.uint64(2**63): [1.0]},
+         "series 'S' has t=np.uint64(9223372036854775808), which is not a 64-bit integer"),
+    ], ids=["empty", "ragged", "text", "scalar", "nan", "inf", "float-key", "text-key",
+            "digit-text-key", "bool-key", "uint64-key"])
     def test_malformed_series_is_rejected_when_built(self, points, expect):
         with pytest.raises(TargetError, match=f"^{re.escape(expect)}$"):
             series_provider("S", Polarity.DESIRABLE, points)
