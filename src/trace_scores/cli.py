@@ -51,37 +51,30 @@ class RunConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
+        """Read ``path``; an absent key keeps its default, and a UTF-8 BOM is dropped."""
+        with open(path, encoding="utf-8-sig") as fh:
             try:
                 doc = json.load(fh)
             except (RecursionError, ValueError) as e:   # not JSON, too deep, or not UTF-8
                 raise ConfigError(f"{path}: not valid JSON: {e}") from None
-        values = {}
         try:
             if not isinstance(doc, dict):
                 raise ConfigError(f"config must be a JSON object, not {type(doc).__name__}")
             unknown = set(doc) - cls._KEYS
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-            if "lambda" in doc:
-                lam = doc["lambda"]
-                # float() would read true as 1.0 and "0.5" as 0.5
-                if isinstance(lam, bool) or not isinstance(lam, (int, float)):
-                    raise ConfigError(f"lambda must be a number, got {lam!r}")
-                values["lam"] = float(lam)
-            if "k_neighbors" in doc:
-                k = doc["k_neighbors"]
-                # int() would truncate 2.7 and accept true as 1
-                if isinstance(k, bool) or not isinstance(k, int):
-                    raise ConfigError(f"k_neighbors must be an integer, got {k!r}")
-                values["k_neighbors"] = k
-            if "polarity_map" in doc:
-                pmap = doc["polarity_map"]
-                if not isinstance(pmap, dict):
-                    raise ConfigError(
-                        f"polarity_map must be a JSON object, not {type(pmap).__name__}")
-                values["polarity_map"] = {k: _parse_polarity(v) for k, v in pmap.items()}
-            return cls(**values)
+            lam = doc.get("lambda", cls.lam)
+            # float() would read true as 1.0 and "0.5" as 0.5
+            if isinstance(lam, bool) or not isinstance(lam, (int, float)):
+                raise ConfigError(f"lambda must be a number, got {lam!r}")
+            k = doc.get("k_neighbors", cls.k_neighbors)
+            # int() would truncate 2.7 and accept true as 1
+            if isinstance(k, bool) or not isinstance(k, int):
+                raise ConfigError(f"k_neighbors must be an integer, got {k!r}")
+            pmap = doc.get("polarity_map", {})
+            if not isinstance(pmap, dict):
+                raise ConfigError(f"polarity_map must be a JSON object, not {type(pmap).__name__}")
+            return cls(float(lam), k, {name: _parse_polarity(p) for name, p in pmap.items()})
         except (ConfigError, OverflowError) as e:   # OverflowError: float() of a huge int
             raise ConfigError(f"{path}: {e}") from None
 
@@ -420,9 +413,9 @@ def run_demo(scenario, seed, out_dir) -> None:
     if scenario == "ssp":
         run_score_series(fixtures / "trajectories.csv", fixtures / "targets", RunConfig(), out)
     else:
-        cfg = RunConfig(polarity_map={c: _parse_polarity(p) for c, p in pmap.items()})
-        _write_json(fixtures / "config.json", {"lambda": cfg.lam, "k_neighbors": cfg.k_neighbors,
-                                               "polarity_map": pmap})
+        _write_json(fixtures / "config.json", {"lambda": RunConfig.lam, "polarity_map": pmap,
+                                               "k_neighbors": RunConfig.k_neighbors})
+        cfg = RunConfig.from_json_file(fixtures / "config.json")
         counts = run_build_index(fixtures / "corpus.csv", out / "index.bin")
         for label in sorted(counts):
             click.echo(f"corpus {label}: {counts[label]}")

@@ -163,19 +163,22 @@ def _grouped(arr: np.ndarray, classes: List[str], codes: np.ndarray, norm_stats)
 def knn_provider(corpus: Corpus, k: int, polarity_map: Mapping[str, Polarity]):
     """Target provider: each step's k nearest corpus points in each mapped
     class, in map order, found with one batched query per class over all the
-    steps of a call, which may stack the steps of many trajectories."""
+    steps of a call, which may stack the steps of many trajectories. A
+    polarity that is not a Polarity member or the int 1 or -1 is a ConfigError."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     if not polarity_map:
         raise ConfigError("polarity map names no class")
     indices = []
-    for label in polarity_map:
+    for label, p in polarity_map.items():
         if label not in corpus.class_indices:
             raise ConfigError(f"polarity map names unknown class {label!r}")
+        if type(p) not in (int, Polarity) or p not in (1, -1):   # a bool is not one
+            raise ConfigError(f"class {label!r} has polarity {p!r}, which is not 1 or -1")
         indices.append(corpus.class_indices[label])
     # a step's slots: the nearest of the first class, then of the next, ...
     cls = np.repeat(np.arange(len(indices)), [min(k, len(idx.rows)) for idx in indices])
-    polarity = np.array([float(Polarity(p)) for p in polarity_map.values()])
+    polarity = np.array(list(polarity_map.values()), dtype=float)
 
     def provide(t_index, xs) -> Targets:
         if xs.shape[1:] != (corpus.dim,):
@@ -195,8 +198,10 @@ def series_provider(label: str, polarity: Polarity,
     at a time index the series lacks. The points are checked and stacked
     into one matrix once, here: no point, a key that is not a Python or
     numpy integer within int64 (a bool is not one), rows of unequal length
-    or not numbers, or a value that is not finite raise TargetError naming
-    the series."""
+    or not numbers, a value that is not finite, or a polarity that is not a
+    Polarity member or the int 1 or -1 raise TargetError naming the series."""
+    if type(polarity) not in (int, Polarity) or polarity not in (1, -1):
+        raise TargetError(f"series {label!r} has polarity {polarity!r}, which is not 1 or -1")
     if not points:
         raise TargetError(f"series {label!r} has no points")
     for t in points:

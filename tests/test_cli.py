@@ -593,6 +593,7 @@ def _summaries(*averages):
 
 
 _POLARITY = '"polarity_map": {"RFD": "desirable", "mortality": "undesirable"}'
+_NO_POLARITY_MAP = "corpus mode requires a polarity_map in the config"
 
 MALFORMED_INPUTS = [
     # (id, command and target mode, setup)
@@ -630,6 +631,10 @@ MALFORMED_INPUTS = [
     ("polarity-unknown-class", "corpus",
      _bad_config('{"polarity_map": {"RFD": "desirable", "death": "undesirable"}}',
                  expect="polarity_map names class 'death'")),
+    ("config-without-polarity-map", "corpus",
+     _bad_config('{"lambda": 0.5}', expect=f"error: {_NO_POLARITY_MAP}\n")),
+    ("corpus-without-config", "corpus",
+     lambda corpus, traj, config, tdir: ([], f"error: {_NO_POLARITY_MAP}\n")),
     ("config-nested-too-deeply", "corpus", _nested("config")),
     ("index-nested-too-deeply", "corpus", _nested("index")),
     ("index-no-code", "corpus", _bad_index(lambda h, p, c: (h, p, c[:-1]), _body_size(316))),
@@ -766,9 +771,10 @@ def test_malformed_input_exits_2(corpus_setup, series_setup, mode, setup):
 @pytest.mark.parametrize("reader", ["fast", "reference"])
 def test_csv_inputs_read_the_same_with_a_utf8_bom(corpus_setup, series_setup, monkeypatch,
                                                   reader):
-    """Spreadsheet "CSV UTF-8" exports start with a byte order mark. Corpus,
-    trajectory, series and summary files with one give the same outputs as
-    without it, through either table reader."""
+    """Spreadsheet "CSV UTF-8" exports start with a byte order mark, and
+    Windows Notepad can save one. Corpus, trajectory, series, summary and
+    config files with one give the same outputs as without it, through
+    either table reader."""
     from trace_scores import pipeline
     if reader == "reference":
         monkeypatch.setattr(pipeline, "_fast_table", lambda path, numeric: None)
@@ -793,7 +799,7 @@ def test_csv_inputs_read_the_same_with_a_utf8_bom(corpus_setup, series_setup, mo
                 {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()})
 
     plain = outputs("plain")
-    for path in [corpus, traj, series_traj, *tdir.glob("*.csv"), *summaries]:
+    for path in [corpus, traj, series_traj, *tdir.glob("*.csv"), *summaries, config]:
         path.write_bytes("\ufeff".encode() + path.read_bytes())
     assert outputs("bom") == plain
 
@@ -1141,6 +1147,81 @@ def test_outputs_are_pinned_byte_for_byte(tmp_path):
     assert res.exit_code == 0, res.output
     for name, want in PINNED_SERIES_RUN.items():
         assert (tmp_path / "b" / name).read_bytes() == want, name
+
+
+def test_summary_and_wide_scores_follow_from_the_step_lines(tmp_path):
+    """Every summary.csv number and scores_wide.csv cell of a corpus run,
+    recomputed with list loops from steps.jsonl and the trajectory CSV."""
+    rng = np.random.default_rng(11)
+    polarity = {"good": 1, "fair": 1, "bad": -1}
+    rows = ["hr,rr,label"]
+    for label, center in (("good", 0.9), ("fair", 0.6), ("bad", 0.1)):
+        rows += [f"{v[0]!r},{v[1]!r},{label}"
+                 for v in (center + rng.normal(0, 0.05, (6, 2))).tolist()]
+    (tmp_path / "corpus.csv").write_text("\n".join(rows) + "\n")
+    rows = ["subject_id,t,hr,rr,label"]
+    for i, label in enumerate(["good", "bad", "fair", "good"]):
+        walk = np.cumsum(rng.normal(0, 0.1, (5, 2)), axis=0) + 0.5
+        rows += [f"s{i},{t},{v[0]!r},{v[1]!r},{label}" for t, v in enumerate(walk.tolist())]
+    rows += ["gappy,0,0.5,0.4,bad", "gappy,2,0.45,,bad", "gappy,3,0.3,0.35,bad",
+             "gappy,7,0.2,0.25,bad",
+             "still,0,0.4,0.6,good", "still,1,0.4,0.6,good", "still,2,0.6,0.7,good",
+             "lonely,0,0.5,0.5,good"]
+    (tmp_path / "traj.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "config.json").write_text(json.dumps(
+        {"k_neighbors": 2, "polarity_map": {c: "desirable" if p > 0 else "undesirable"
+                                            for c, p in polarity.items()}}))
+    for args in (["build-index", str(tmp_path / "corpus.csv"), "--out", str(tmp_path / "index")],
+                 ["score", str(tmp_path / "traj.csv"), "--index", str(tmp_path / "index"),
+                  "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+    out = tmp_path / "out"
+
+    points = {}
+    for row in rows[1:]:
+        subject = row.split(",")[0]
+        points[subject] = points.get(subject, 0) + 1
+    lines = {}
+    for line in (out / "steps.jsonl").read_text().splitlines():
+        doc = json.loads(line, parse_float=str)   # each number as its text
+        lines.setdefault(doc["subject"], []).append(doc)
+    with open(out / "errors.csv", newline="") as fh:
+        assert [row["subject_id"] for row in csv.DictReader(fh)] == ["lonely"]
+    with open(out / "summary.csv", newline="") as fh:
+        summary = list(csv.DictReader(fh))
+    assert [row["subject_id"] for row in summary] == sorted(set(points) - {"lonely"})
+    for row in summary:
+        steps = lines[row["subject_id"]]
+        assert int(row["n_steps"]) == len(steps)
+        assert int(row["n_skipped"]) == points[row["subject_id"]] - 1 - len(steps)
+        total = 0.0
+        for step in steps:
+            total += float(step["combined"])
+        assert float(row["average"]) == total / len(steps)
+        assert float(row["final_cumulative"]) == total
+        for key, sign in (("average_desirable", 1), ("average_undesirable", -1)):
+            means = []
+            for step in steps:
+                values = [float(v) for c, v in step["per_class"].items() if polarity[c] == sign]
+                if values:
+                    means.append(sum(values) / len(values))
+            if means:
+                assert abs(float(row[key]) - sum(means) / len(means)) <= 1e-12
+            else:
+                assert row[key] == ""
+        for step in steps:
+            signed = [polarity[c] * float(v) for c, v in step["per_class"].items()]
+            assert abs(float(step["combined"]) - sum(signed) / len(signed)) <= 1e-12
+    assert next(row for row in summary if row["subject_id"] == "still")["n_skipped"] == "1"
+
+    with open(out / "scores_wide.csv", newline="") as fh:
+        wide = list(csv.reader(fh))
+    assert [row[0] for row in wide[1:]] == sorted(lines)
+    for row in wide[1:]:
+        cells = {t: cell for t, cell in zip(wide[0][1:], row[1:]) if cell}
+        assert cells == {f"t{step['t']}": step["combined"] for step in lines[row[0]]}
+    assert "" in next(row for row in wide if row[0] == "gappy")
 
 
 def _assert_one_error_line(res, path):

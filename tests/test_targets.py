@@ -77,7 +77,15 @@ class TestBuildIndex:
     (lambda: knn_provider(make_corpus()[0], 3, {}), ConfigError, "polarity map names no class"),
     (lambda: knn_provider(make_corpus()[0], 3, PMAP)(np.zeros(1, dtype=int), np.zeros((1, 3))),
      ConfigError, "query dimension 3 does not match corpus dimension 5"),
-], ids=["more-points-than-labels", "normalizer-width", "empty-polarity-map", "query-dimension"])
+    *((lambda p=p: knn_provider(make_corpus()[0], 3, {"a": Polarity.DESIRABLE, "b": p}),
+       ConfigError, f"class 'b' has polarity {p!r}, which is not 1 or -1")
+      for p in ("desirable", 2, True, -1.0)),
+    *((lambda p=p: series_provider("S", p, {0: [1.0]}), TargetError,
+       f"series 'S' has polarity {p!r}, which is not 1 or -1")
+      for p in (2, float("nan"), "1", False, 1.0, None)),
+], ids=["more-points-than-labels", "normalizer-width", "empty-polarity-map", "query-dimension",
+        *(f"class-polarity-{p}" for p in ("name", "2", "bool", "float")),
+        *(f"series-polarity-{p}" for p in ("2", "nan", "text", "bool", "float", "none"))])
 def test_input_checks_name_the_fault(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
