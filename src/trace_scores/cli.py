@@ -16,8 +16,8 @@ import numpy as np
 
 from . import analytics, demo, scoring
 from .errors import ConfigError, CorpusError, TargetError, TraceError, TrajectoryError
-from .pipeline import (build_trajectory, fit_normalizer, load_trajectory_csv, parse_t,
-                       read_csv, read_table, write_csv)
+from .pipeline import (build_trajectory, fit_normalizer, load_trajectory_csv, parse_cells,
+                       parse_t, read_csv, read_table, write_csv)
 from .scoring import Polarity
 from .targets import build_index, knn_provider, load_corpus, save_corpus, series_provider
 
@@ -220,21 +220,20 @@ def run_score_corpus(traj_csv, index_path, cfg: RunConfig, out_dir) -> dict:
 
 
 def read_series_csv(path, feature_names) -> Dict[int, List[float]]:
-    def features(header):
-        if header[0] != "t":
-            raise TargetError(f"{path}: header must start with t")
-        if header[1:] != list(feature_names):
-            raise TargetError(
-                f"{path}: series features {header[1:]} do not match "
-                f"trajectory features {list(feature_names)}")
-        return 1, len(header)
-
     if not Path(path).is_file():   # say, a directory named *.csv in --targets-dir
         raise TargetError(f"{path}: not a file")
-    _, lines, (ts,), matrix = read_table(path, TargetError, features)
+    rows = read_csv(path, TargetError)
+    header = next(rows)
+    if header[0] != "t":
+        raise TargetError(f"{path}: header must start with t")
+    if header[1:] != list(feature_names):
+        raise TargetError(f"{path}: series features {header[1:]} do not match "
+                          f"trajectory features {list(feature_names)}")
+    # every row's values are checked before any row's t
+    parsed = [(f"{path}:{line}", row[0], parse_cells(row[1:], f"{path}:{line}", TargetError))
+              for line, row in rows]
     points: Dict[int, List[float]] = {}
-    for line, cell, values in zip(lines, ts, matrix.tolist()):
-        where = f"{path}:{line}"
+    for where, cell, values in parsed:
         t = parse_t(cell, where, TargetError)
         if t in points:
             raise TargetError(f"{where}: duplicate t={t}")
@@ -309,25 +308,21 @@ def _write_json(path, doc, indent=None) -> None:
 
 
 def read_averages_csv(path) -> List[float]:
-    def average(header):
-        if "average" not in header:
-            raise ConfigError(f"{path}: missing column: average")
-        col = header.index("average")
-        return col, col + 1
-
-    header, lines, _, values = read_table(path, ConfigError, average)
-    averages = values[:, 0]
+    rows = read_csv(path, ConfigError)
+    header = next(rows)
+    if "average" not in header:
+        raise ConfigError(f"{path}: missing column: average")
+    col = header.index("average")
+    averages, outside = [], None
+    for line, row in rows:
+        averages += parse_cells(row[col:col + 1], f"{path}:{line}", ConfigError)
+        if outside is None and abs(averages[-1]) > 1.0:   # raised once every cell has parsed
+            outside = f"{path}:{line}: average {row[col]!r} lies outside [-1, 1]"
     if len(averages) < 2:
         raise ConfigError(f"{path}: needs at least 2 averages to compare, got {len(averages)}")
-    outside = np.flatnonzero(np.abs(averages) > 1.0)
-    if outside.size:
-        line = lines[outside[0]]
-        # the cell as written, which the parsed value does not keep
-        rows = read_csv(path, ConfigError)
-        next(rows)   # the header
-        cell = next(row for n, row in rows if n == line)[header.index("average")]
-        raise ConfigError(f"{path}:{line}: average {cell!r} lies outside [-1, 1]")
-    return averages.tolist()
+    if outside:
+        raise ConfigError(outside)
+    return averages
 
 
 # -- click wiring -----------------------------------------------------------

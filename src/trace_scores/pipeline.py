@@ -31,19 +31,23 @@ class RawRecord:
 
 @dataclass(eq=False)
 class Trajectory:
-    """One subject's imputed points: strictly increasing time indices ``t``
-    and the ``(n, dim)`` matrix ``x`` of finite values, one row per ``t``."""
+    """One subject's imputed points: strictly increasing int64 time indices
+    ``t`` (not 0.5, "1" or True, as ``parse_t`` reads a CSV cell) and the
+    ``(n, dim)`` matrix ``x`` of finite values, one row per ``t``."""
 
     subject_id: str
     t: np.ndarray
     x: np.ndarray
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=int)
+        t = np.asarray(self.t)
+        if t.size and (t.dtype.kind not in "iu" or (t >= 2**63).any()):
+            raise TrajectoryError(f"t must hold 64-bit integers, got {self.t!r}")
+        self.t = t.astype(int)
         self.x = np.asarray(self.x, dtype=float)
         if self.x.ndim != 2 or self.x.shape[1] == 0 or self.t.shape != self.x.shape[:1]:
             raise DimensionError(f"x of shape {self.x.shape} does not fit {self.t.size} t indices")
-        if (np.diff(self.t) <= 0).any():
+        if (self.t[1:] <= self.t[:-1]).any():   # np.diff would overflow at the int64 ends
             raise TrajectoryError("t_index not strictly increasing")
         finite = np.isfinite(self.x).all(axis=1)
         if not finite.all():

@@ -163,10 +163,11 @@ def _grouped(arr: np.ndarray, classes: List[str], codes: np.ndarray, norm_stats)
 def knn_provider(corpus: Corpus, k: int, polarity_map: Mapping[str, Polarity]):
     """Target provider: each step's k nearest corpus points in each mapped
     class, in map order, found with one batched query per class over all the
-    steps of a call, which may stack the steps of many trajectories. A
-    polarity that is not a Polarity member or the int 1 or -1 is a ConfigError."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    steps of a call, which may stack the steps of many trajectories. A k that
+    is not a Python or numpy integer >= 1 (a bool is not one), or a polarity
+    that is not a Polarity member or the int 1 or -1, is a ConfigError."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ConfigError(f"k must be an integer >= 1, got {k!r}")
     if not polarity_map:
         raise ConfigError("polarity map names no class")
     indices = []

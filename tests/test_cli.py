@@ -592,6 +592,28 @@ def _summaries(*averages):
     return setup
 
 
+def _summary(cells, expect):
+    """Compare rows: ``trace compare`` reads a summary whose `average` cells
+    are ``cells``, then a good one; the error names the first, followed by
+    ``expect``."""
+    def setup(corpus, traj, config, tdir):
+        bad, good = corpus.parent / "bad.csv", corpus.parent / "good.csv"
+        bad.write_text("subject_id,average\n" + "".join(
+            f"s{i},{c}\n" for i, c in enumerate(cells)))
+        good.write_text("subject_id,average\ns0,0.1\ns1,0.2\n")
+        return [str(bad), str(good)], f"error: {bad}{expect}\n"
+    return setup
+
+
+def _both(first, then):
+    """Two-fault rows: ``first``'s edit, then ``then``'s, whose error is the
+    one reported."""
+    def setup(*files):
+        first(*files)
+        return then(*files)
+    return setup
+
+
 _POLARITY = '"polarity_map": {"RFD": "desirable", "mortality": "undesirable"}'
 _NO_POLARITY_MAP = "corpus mode requires a polarity_map in the config"
 
@@ -740,6 +762,15 @@ MALFORMED_INPUTS = [
      _targets_dir(lambda tdir: (tdir / "bad.csv").mkdir(),
                   lambda tdir: f"error: {tdir / 'bad.csv'}: not a file\n")),
     ("summary-one-row", "compare", _summaries([0.25], [0.1, 0.2])),
+    # several faults: every cell parses before the row count and the range are checked,
+    # and every row's values before any t
+    ("summary-outside-then-text", "compare",
+     _summary(["0.1", "5", "0.2", "x"], ":5: could not convert string to float: 'x'")),
+    ("summary-one-row-outside", "compare",
+     _summary(["5"], ": needs at least 2 averages to compare, got 1")),
+    ("series-t-text-then-cell-text", "series",
+     _both(_bad_cell("series", 2, 0, "x"),
+           _bad_cell("series", 4, 1, "zz", "could not convert string to float: 'zz'"))),
 ]
 
 

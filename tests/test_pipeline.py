@@ -153,6 +153,21 @@ class TestTrajectory:
         with pytest.raises(TrajectoryError, match=r"^value at t=7 is not finite$"):
             Trajectory("s", [3, 7], [[1.0, 2.0], [np.inf, 0.0]])
 
+    @pytest.mark.parametrize("t", [
+        [0.5, 1.7], ["0", "1"], [0.2, 0.7], [0, 2**63], [0, np.nan], [True, False],
+        np.array([0, 2**63], dtype=np.uint64)],
+        ids=["fraction", "text", "fractions-below-1", "past-int64", "nan", "bool", "uint64"])
+    def test_rejects_a_t_that_is_not_a_64_bit_integer(self, t):
+        with pytest.raises(TrajectoryError,
+                           match=f"^t must hold 64-bit integers, got {re.escape(repr(t))}$"):
+            Trajectory("s", t, [[1.0], [2.0]])
+
+    @pytest.mark.parametrize("t", [[-2**63, 2**63 - 1], range(3, 5), np.array([0, 9]),
+                                   np.array([1, 2], dtype=np.uint8)])
+    def test_accepts_integer_t(self, t):
+        traj = Trajectory("s", t, [[1.0], [2.0]])
+        assert traj.t.dtype == np.int64 and traj.t.tolist() == [int(v) for v in t]
+
     @pytest.mark.parametrize("t, x", [([0, 1], [1.0, 2.0]), ([0, 1], [[], []]),
                                       ([0, 1, 2], [[1.0], [2.0]])])
     def test_rejects_a_matrix_that_does_not_fit_t(self, t, x):
@@ -318,13 +333,12 @@ def test_fast_and_reference_readers_agree(tmp_path_factory, case):
 
 
 def test_clean_files_take_the_fast_path(tmp_path, monkeypatch):
-    """Clean tables written by write_csv (CRLF line ends) are read without
-    the reference path's parse_cells."""
-    corpus, traj, series = tmp_path / "corpus.csv", tmp_path / "traj.csv", tmp_path / "s.csv"
+    """Clean corpus and trajectory tables written by write_csv (CRLF line
+    ends) are read without the reference path's parse_cells."""
+    corpus, traj = tmp_path / "corpus.csv", tmp_path / "traj.csv"
     write_csv(corpus, ["hr", "rr", "label"], [[0.25, 1e-300, "A"], [-0.0, 7.0, "B"]])
     write_csv(traj, ["subject_id", "t", "hr", "rr", "label"],
               [["s", 1, 0.5, 2.0, "A"], ["s", 0, 0.1, 1e10, "A"], ["u", 0, -3.5, 0.0, ""]])
-    write_csv(series, ["t", "hr", "rr"], [[0, 0.5, 0.25], [1, 0.75, 0.5]])
     assert b"\r\n" in corpus.read_bytes()
 
     def refuse(*args):
@@ -338,4 +352,3 @@ def test_clean_files_take_the_fast_path(tmp_path, monkeypatch):
     assert (labels, names) == ({"s": "A"}, ["hr", "rr"])
     assert [(r.t_index, r.values) for r in by_subject["s"]] == [(0, [0.1, 1e10]),
                                                                 (1, [0.5, 2.0])]
-    assert cli.read_series_csv(series, ["hr", "rr"]) == {0: [0.5, 0.25], 1: [0.75, 0.5]}

@@ -83,9 +83,13 @@ class TestBuildIndex:
     *((lambda p=p: series_provider("S", p, {0: [1.0]}), TargetError,
        f"series 'S' has polarity {p!r}, which is not 1 or -1")
       for p in (2, float("nan"), "1", False, 1.0, None)),
+    *((lambda k=k: knn_provider(make_corpus()[0], k, PMAP), ConfigError,
+       f"k must be an integer >= 1, got {k!r}")
+      for k in (2.5, True, float("nan"), "3", 0, np.int64(0))),
 ], ids=["more-points-than-labels", "normalizer-width", "empty-polarity-map", "query-dimension",
         *(f"class-polarity-{p}" for p in ("name", "2", "bool", "float")),
-        *(f"series-polarity-{p}" for p in ("2", "nan", "text", "bool", "float", "none"))])
+        *(f"series-polarity-{p}" for p in ("2", "nan", "text", "bool", "float", "none")),
+        *(f"k-{k}" for k in ("fraction", "bool", "nan", "text", "zero", "numpy-zero"))])
 def test_input_checks_name_the_fault(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
@@ -108,6 +112,12 @@ class TestKnnTargets:
                 assert len(by_class[label]) == 3
                 for got, want in zip(by_class[label], expected):
                     np.testing.assert_array_equal(got, want)
+
+    def test_numpy_integer_k(self):
+        corpus, pts, _ = make_corpus()
+        found = nearest(corpus, pts[3], np.int64(2), PMAP)
+        np.testing.assert_array_equal(found.points, nearest(corpus, pts[3], 2, PMAP).points)
+        assert len(found.cls) == 4
 
     def test_tie_break_by_insertion_order(self):
         # four equidistant points; the first two in input order win
