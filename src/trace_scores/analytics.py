@@ -1,4 +1,4 @@
-"""Score aggregation (instantaneous, average, cumulative) and cohort stats."""
+"""Score aggregation (instantaneous, average, cumulative, per polarity) and cohort stats."""
 
 from __future__ import annotations
 
@@ -7,8 +7,10 @@ import sys
 from dataclasses import dataclass
 from typing import List, Mapping, Sequence, Tuple
 
+import numpy as np
+
 from .errors import AggregateError, StatsError
-from .scoring import TrajectoryScore
+from .scoring import Polarity, TrajectoryScore
 
 
 @dataclass(eq=False)
@@ -47,13 +49,28 @@ def aggregate(traj_score: TrajectoryScore) -> ScoreSeries:
     if not scored.any():
         raise AggregateError("no scored steps to aggregate")
     values = list(zip(traj_score.steps[scored].tolist(), traj_score.combined[scored].tolist()))
-    # a running sum from 0.0 writes a leading -0.0 as 0.0; np.cumsum would keep -0.0
-    total = 0.0
-    cumulative = []
-    for _, v in values:
-        total += v
-        cumulative.append(total)
-    return ScoreSeries(values=values, average=total / len(values), cumulative=cumulative)
+    # a running sum from 0.0, which writes a leading -0.0 as 0.0
+    cumulative = np.cumsum(np.concatenate(([0.0], traj_score.combined[scored])))[1:].tolist()
+    return ScoreSeries(values=values, average=cumulative[-1] / len(values), cumulative=cumulative)
+
+
+def polarity_averages(scores: Sequence[TrajectoryScore]) -> List[dict]:
+    """Per score of one target set, per polarity: the mean over its scored steps
+    of each step's mean over the classes of that polarity it scores, or None if
+    no step scores one. One ``np.mean`` per score, over its slice of the stacked step means."""
+    rows = [ts.per_class[ts.skip == 0] for ts in scores]
+    ends = np.cumsum([len(r) for r in rows])[:-1]
+    rows = np.concatenate(rows)
+    out = [{} for _ in scores]
+    for key, polarity in (("average_desirable", Polarity.DESIRABLE),
+                          ("average_undesirable", Polarity.UNDESIRABLE)):
+        # (scored steps, classes); nan where a step scores no target of a class
+        m = rows[:, scores[0].polarity == polarity]
+        n = (~np.isnan(m)).sum(axis=1)
+        means = np.nansum(m, axis=1)[n > 0] / n[n > 0]
+        for averages, part in zip(out, np.split(means, np.searchsorted(np.flatnonzero(n), ends))):
+            averages[key] = float(np.mean(part)) if len(part) else None
+    return out
 
 
 def _mean(xs: Sequence[float]) -> float:

@@ -103,21 +103,6 @@ def run_build_index(corpus_csv, out_path) -> Dict[str, int]:
     return {label: corpus.class_size(label) for label in corpus.classes()}
 
 
-def _polarity_averages(ts) -> dict:
-    """Per polarity, the mean over the scored steps of each step's mean over
-    the classes of that polarity it scores."""
-    rows = ts.per_class[ts.skip == 0]
-    out = {}
-    for key, polarity in (("average_desirable", Polarity.DESIRABLE),
-                          ("average_undesirable", Polarity.UNDESIRABLE)):
-        # (scored steps, classes); nan where a step scores no target of a class
-        m = rows[:, ts.polarity == polarity]
-        n = (~np.isnan(m)).sum(axis=1)
-        means = np.nansum(m, axis=1)[n > 0] / n[n > 0]
-        out[key] = float(np.mean(means)) if len(means) else None
-    return out
-
-
 def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
                   build_kwargs, row_extra=None) -> Tuple[List[dict], dict]:
     """Score every subject against each ``(series, provider)`` target set.
@@ -172,7 +157,6 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
                 "n_skipped": ts.skipped_count,
                 "average": agg.average,
                 "final_cumulative": agg.cumulative[-1],
-                **(row_extra(ts) if row_extra else {}),
             })
     errors.sort(key=lambda e: e[0])   # stable: a subject's rows stay in target-set order
     if errors:
@@ -181,6 +165,8 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
             click.echo(f"subject {subject}: {message}", err=True)
     if not summary_rows:
         raise TraceError("no subject could be scored")
+    for row, extra in zip(summary_rows, row_extra(list(scores.values())) if row_extra else ()):
+        row.update(extra)
     key_fields = ["subject"] if target_sets[0][0] is None else ["subject", "series"]
     _write_steps(out_dir, key_fields, scores)
     write_csv(out_dir / "summary.csv", columns, ([row[c] for c in columns] for row in summary_rows))
@@ -215,7 +201,7 @@ def run_score_corpus(traj_csv, index_path, cfg: RunConfig, out_dir) -> dict:
         ["subject_id", "label", "n_steps", "n_skipped", "average",
          "final_cumulative", "average_desirable", "average_undesirable"],
         {"class_means": corpus.class_means, "normalizer": corpus.norm_stats, "names": features},
-        row_extra=_polarity_averages)
+        row_extra=analytics.polarity_averages)
     return info
 
 

@@ -7,7 +7,7 @@ class, and fixed per-timestep target series.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,10 +43,6 @@ _MARGIN = 12
 class _ClassIndex:
     rows: np.ndarray      # corpus row ids, in insertion order
     points: np.ndarray    # (n_class, dim), normalized when the corpus has a normalizer
-    sq_norms: np.ndarray = field(init=False)   # (n_class,) ||p||**2 of each point
-
-    def __post_init__(self):
-        self.sq_norms = np.einsum("ij,ij->i", self.points, self.points)
 
     @np.errstate(over="ignore", invalid="ignore")
     def query_rows(self, xs: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -57,6 +53,7 @@ class _ClassIndex:
         product prefilters the candidates; only those get the exact distance
         of ``np.linalg.norm(points - x, axis=1)``."""
         k = min(k, len(self.rows))
+        sq_norms = np.einsum("ij,ij->i", self.points, self.points)
         n = self.points.shape[1] + 4
         gamma = n * _U / (1 - n * _U)
         pos, dist = np.empty((len(xs), k), dtype=np.intp), np.empty((len(xs), k))
@@ -66,10 +63,10 @@ class _ClassIndex:
             x = xs[i:i + block]
             sq_x = np.einsum("ij,ij->i", x, x)
             approx = (-2.0 * x) @ self.points.T   # scaling by 2 is exact
-            approx += self.sq_norms
+            approx += sq_norms
             approx += sq_x[:, None]
             kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
-            margin = _MARGIN * gamma * (sq_x + self.sq_norms.max()) + 8 * n * _TINY
+            margin = _MARGIN * gamma * (sq_x + sq_norms.max()) + 8 * n * _TINY
             candidate = approx <= (kth + margin)[:, None]
             candidate[~np.isfinite(approx).all(axis=1)] = True   # a full exact scan
             q, p = np.divmod(np.flatnonzero(candidate), len(self.rows))

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from trace_scores.analytics import _two_sided_p, aggregate, rank_targets, welch_t_test
+from trace_scores import analytics, cli
+from trace_scores.analytics import (_two_sided_p, aggregate, polarity_averages, rank_targets,
+                                    welch_t_test)
 from trace_scores.errors import AggregateError, StatsError
 from trace_scores.pipeline import Trajectory
-from trace_scores.scoring import SkipReason, score_trajectory
+from trace_scores.scoring import Polarity, SkipReason, score_trajectory
 from oracles import hand_scored, make_targets, welch_oracle
 
 
@@ -44,12 +47,105 @@ class TestAggregate:
         with pytest.raises(AggregateError):
             aggregate(hand_scored([np.nan], skip=[SkipReason.NO_FEATURE_CHANGE]))
 
+    # -0.0, the smallest subnormal, the smallest normal and ±1 besides drawn scores
+    @given(st.lists(st.floats(-1.0, 1.0) | st.sampled_from(
+        [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0]), min_size=1, max_size=40))
+    def test_cumulative_is_a_python_running_sum_bit_for_bit(self, combined):
+        s = aggregate(hand_scored(combined))
+        total, want = 0.0, []
+        for v in combined:
+            total += v
+            want.append(total)
+        assert [v.hex() for v in s.cumulative] == [v.hex() for v in want]
+        assert s.average.hex() == (total / len(combined)).hex()
+
     def test_last_cumulative_equals_average_times_count(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             scores = rng.uniform(-1, 1, size=int(rng.integers(1, 30))).tolist()
             s = aggregate(hand_scored(scores))
             assert abs(s.cumulative[-1] - s.average * len(s.values)) <= 1e-12
+
+
+def _polarity_averages_of_one(ts):
+    """The per-score formula: each scored step's mean over the classes of a
+    polarity it scores, then one ``np.mean`` over that score's step means."""
+    rows = ts.per_class[ts.skip == 0]
+    out = {}
+    for key, polarity in (("average_desirable", Polarity.DESIRABLE),
+                          ("average_undesirable", Polarity.UNDESIRABLE)):
+        m = rows[:, ts.polarity == polarity]
+        n = (~np.isnan(m)).sum(axis=1)
+        means = np.nansum(m, axis=1)[n > 0] / n[n > 0]
+        out[key] = float(np.mean(means)) if len(means) else None
+    return out
+
+
+def _bits(averages):
+    return {key: None if v is None else v.hex() for key, v in averages.items()}
+
+
+def test_polarity_averages_leave_out_classes_a_step_does_not_score():
+    nan = np.nan
+    per_class = [[0.5, -0.25, 0.125], [nan, 0.75, nan], [nan, nan, nan]]
+    skip = [0, 0, SkipReason.NO_FEATURE_CHANGE]
+    polarity = [Polarity.DESIRABLE, Polarity.UNDESIRABLE, Polarity.DESIRABLE]
+    both = hand_scored([0.1, -0.75, nan], skip, "abc", per_class, polarity)
+    # no scored step scores a desirable class
+    undesirable = hand_scored([-0.75, nan], skip[1:], "abc", per_class[1:], polarity)
+    want = [{"average_desirable": (0.5 + 0.125) / 2, "average_undesirable": (-0.25 + 0.75) / 2},
+            {"average_desirable": None, "average_undesirable": 0.75}]
+    assert polarity_averages([both, undesirable]) == want
+    assert polarity_averages([undesirable, both]) == want[::-1]
+
+
+_CELLS = st.floats(-1.0, 1.0) | st.just(np.nan)
+_SKIPS = st.sampled_from([0, 0, 0, SkipReason.ALL_MASKED, SkipReason.NO_FEATURE_CHANGE])
+
+
+@st.composite
+def scores_of_one_target_set(draw):
+    """One to six hand-scored scores over one to four classes of drawn
+    polarities, each of one to twenty steps with at least one scored, with
+    NaN cells and skipped steps (whose cells are drawn too)."""
+    n_classes = draw(st.integers(1, 4))
+    labels = "abcd"[:n_classes]
+    polarity = draw(st.lists(st.sampled_from(list(Polarity)),
+                             min_size=n_classes, max_size=n_classes))
+    scores = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 20))
+        skip = draw(st.lists(_SKIPS, min_size=n, max_size=n))
+        skip[draw(st.integers(0, n - 1))] = 0
+        per_class = draw(arrays(float, (n, n_classes), elements=_CELLS))
+        scores.append(hand_scored([0.0] * n, skip, labels, per_class, polarity))
+    return scores
+
+
+@given(scores=scores_of_one_target_set())
+def test_polarity_averages_equal_the_per_score_formula_bit_for_bit(scores):
+    # np.mean sums fewer than 8 step means in order and 8 or more pairwise
+    assert [_bits(a) for a in polarity_averages(scores)] == \
+        [_bits(_polarity_averages_of_one(ts)) for ts in scores]
+
+
+def test_a_corpus_run_takes_the_polarity_averages_once(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(scores):
+        calls.append(len(scores))
+        return polarity_averages(scores)
+    monkeypatch.setattr(analytics, "polarity_averages", spy)
+    (tmp_path / "corpus.csv").write_text("f0,f1,label\n0.1,0.2,A\n0.9,0.8,B\n0.2,0.1,B\n")
+    (tmp_path / "traj.csv").write_text("subject_id,t,f0,f1,label\n" + "".join(
+        f"s{i},{t},{0.1 * (i + t)!r},{0.5 - 0.1 * t!r},A\n" for i in range(4) for t in range(3)))
+    index = tmp_path / "index.bin"
+    cli.run_build_index(tmp_path / "corpus.csv", index)
+    cfg = cli.RunConfig(k_neighbors=1, polarity_map={"A": Polarity.DESIRABLE,
+                                                     "B": Polarity.UNDESIRABLE})
+    info = cli.run_score_corpus(tmp_path / "traj.csv", index, cfg, tmp_path / "out")
+    assert info == {"errors": 0, "subjects": 4}
+    assert calls == [4]
 
 
 class TestWelch:

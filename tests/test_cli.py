@@ -963,21 +963,6 @@ def test_fuzzed_input_keeps_the_exit_code_contract(kind, data):
             res.stderr
 
 
-def test_polarity_averages_leave_out_classes_a_step_does_not_score():
-    from trace_scores.cli import _polarity_averages
-    from trace_scores.scoring import Polarity, SkipReason
-    nan = np.nan
-    per_class = [[0.5, -0.25, 0.125], [nan, 0.75, nan], [nan, nan, nan]]
-    skip = [0, 0, SkipReason.NO_FEATURE_CHANGE]
-    polarity = [Polarity.DESIRABLE, Polarity.UNDESIRABLE, Polarity.DESIRABLE]
-    ts = hand_scored([0.1, -0.75, nan], skip, "abc", per_class, polarity)
-    assert _polarity_averages(ts) == {
-        "average_desirable": (0.5 + 0.125) / 2, "average_undesirable": (-0.25 + 0.75) / 2}
-    # no scored step scores a desirable class
-    ts = hand_scored([-0.75, nan], skip[1:], "abc", per_class[1:], polarity)
-    assert _polarity_averages(ts) == {"average_desirable": None, "average_undesirable": 0.75}
-
-
 def _hand_written_scores():
     """One-class scores of each polarity, the last step's class mean the
     kernel's zero (combined +0.0 whatever the polarity), and two-class scores

@@ -14,10 +14,24 @@ inputs transformed, and checks the outputs against the plain run's:
 - The trajectory file's rows shuffled give byte-identical outputs.
 - A subject copied under an id that sorts first gets the original's lines,
   up to the id, and every other line stays as it was.
+- The subjects renamed in an order-preserving way give the same lines, up to
+  the ids.
+- corpus mode: the corpus rows of the two classes interleaved anew, each
+  class keeping its own row order, give byte-identical outputs. The class
+  means, the normalizer and the kNN tie order do not change.
+- Every ``t`` shifted by a constant, the target series' too, gives the same
+  lines under the shifted ``t``.
+
+Apart from the drawn cohorts, two runs of the ``icu`` demo with one and with
+two BLAS threads write identical trees: the kNN prefilter's margin makes the
+matrix product's bits irrelevant.
 """
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -25,6 +39,7 @@ from click.testing import CliRunner
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import trace_scores
 from trace_scores.cli import main
 
 runner = CliRunner()
@@ -70,20 +85,28 @@ def _cell(value, scale):
     return "" if value is None else repr(value * scale)
 
 
-def _write(tmp, cohort, *, column=None, scale=1, flip=False, order=None, copy=None):
+def _write(tmp, cohort, *, column=None, scale=1, flip=False, order=None, copy=None,
+           names=None, corpus_labels=None, shift=0):
     """The cohort's input files under ``tmp``, with feature ``column``
     scaled by ``scale``, every polarity flipped, the trajectory rows in
-    ``order`` and subject ``copy`` repeated under ``_COPY``."""
+    ``order``, subject ``copy`` repeated under ``_COPY``, the subjects
+    renamed by ``names``, the corpus rows taking their classes in the order
+    ``corpus_labels`` (each class's rows in their own order) and every t
+    shifted by ``shift``."""
     scales = [scale if c == column else 1 for c in range(cohort["dim"])]
     features = [f"f{c}" for c in range(cohort["dim"])]
+    corpus = cohort["corpus"]
+    if corpus_labels is not None:
+        queues = {label: iter([row for row in corpus if row[1] == label]) for label in "AB"}
+        corpus = [next(queues[label]) for label in corpus_labels]
     with open(tmp / "corpus.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow([*features, "label"])
-        w.writerows([*map(_cell, values, scales), label] for values, label in cohort["corpus"])
-    subjects = dict(cohort["subjects"])
+        w.writerows([*map(_cell, values, scales), label] for values, label in corpus)
+    subjects = {(names or {}).get(s, s): points for s, points in cohort["subjects"].items()}
     if copy is not None:
         subjects[_COPY] = subjects[copy]
-    rows = [[subject, t, *map(_cell, values, scales), label]
+    rows = [[subject, t + shift, *map(_cell, values, scales), label]
             for subject, (label, points) in subjects.items() for t, values in points]
     with open(tmp / "traj.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -92,7 +115,7 @@ def _write(tmp, cohort, *, column=None, scale=1, flip=False, order=None, copy=No
     (tmp / "targets").mkdir()
     for name, points in cohort["series"].items():
         with open(tmp / "targets" / f"{name}.csv", "w", newline="") as fh:
-            csv.writer(fh).writerows([["t", *features], *([t, *map(repr, p)]
+            csv.writer(fh).writerows([["t", *features], *([t + shift, *map(repr, p)]
                                                           for t, p in enumerate(points))])
     polarity = {name: _FLIP[p] if flip else p for name, p in cohort["polarity"].items()}
     for mode, names in (("corpus", ["A", "B"]), ("series", list(cohort["series"]))):
@@ -180,7 +203,47 @@ def _check_copied(plain, copied, original):
         assert renamed == [line for line in lines if _subject(name, line) == original]
 
 
-# each example makes fourteen CLI runs, so a failure is reported as drawn, not shrunk
+def _renamed(run, names):
+    """The plain ``run`` with each subject id renamed by ``names``: in the
+    step lines, the first cell of the CSV lines, the ranking's keys and the
+    ``subject <id>: <error>`` lines of stderr."""
+    def line(name, text):
+        if name == "steps.jsonl":
+            old = json.loads(text)["subject"]
+            return text.replace(f'"subject": "{old}"', f'"subject": "{names[old]}"', 1)
+        if name == "stderr":
+            head, sep, rest = text.partition(": ")
+            return f"subject {names[head[8:]]}{sep}{rest}" if head.startswith("subject ") else text
+        old = next(csv.reader([text]))[0]
+        return names[old] + text[len(old):] if old in names else text
+
+    def renamed(name, text):
+        if name == "ranking.json":
+            doc = {names[subject]: ranking for subject, ranking in json.loads(text).items()}
+            return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return "".join(line(name, li) + "\n" for li in text.splitlines())
+    code, stdout, stderr, files = run
+    return (code, stdout, renamed("stderr", stderr),
+            {name: renamed(name, text) for name, text in files.items()})
+
+
+def _shifted(run, shift):
+    """The plain ``run`` with each ``t`` of the step lines and the wide
+    header shifted by ``shift``."""
+    code, stdout, stderr, files = run
+    files = dict(files)
+    if "steps.jsonl" in files:
+        lines = (li.rsplit('"t": ', 1) for li in files["steps.jsonl"].splitlines())
+        files["steps.jsonl"] = "".join(f'{head}"t": {int(t[:-1]) + shift}}}\n'
+                                       for head, t in lines)
+        header, rest = files["scores_wide.csv"].split("\n", 1)
+        files["scores_wide.csv"] = ",".join(
+            f"t{int(c[1:]) + shift}" if c[1:].lstrip("-").isdigit() else c
+            for c in header.split(",")) + "\n" + rest
+    return code, stdout, stderr, files
+
+
+# each example makes twenty-two CLI runs, so a failure is reported as drawn, not shrunk
 @settings(max_examples=25, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(cohort=cohorts(), data=st.data())
 def test_exact_metamorphic_relations(cohort, data):
@@ -203,3 +266,38 @@ def test_exact_metamorphic_relations(cohort, data):
     copied = _run(cohort, copy=original)
     for mode in plain:
         _check_copied(plain[mode], copied[mode], original)
+
+    old = sorted(cohort["subjects"])
+    new = sorted(data.draw(st.lists(st.text("-0123456789abcxyz", min_size=1, max_size=4),
+                                    min_size=len(old), max_size=len(old), unique=True),
+                           label="new ids"))
+    names = dict(zip(old, new))
+    renamed = _run(cohort, names=names)
+    for mode in plain:
+        assert renamed[mode] == _renamed(plain[mode], names)
+
+    corpus_labels = data.draw(st.permutations([label for _, label in cohort["corpus"]]),
+                              label="corpus classes interleaved")
+    assert _run(cohort, modes=["corpus"], corpus_labels=corpus_labels)["corpus"] == \
+        plain["corpus"]
+
+    shift = data.draw(st.integers(-2**40, 2**40), label="t shift")
+    shifted = _run(cohort, shift=shift)
+    for mode in plain:
+        assert shifted[mode] == _shifted(plain[mode], shift)
+
+
+def test_one_and_two_blas_threads_write_identical_demo_trees(tmp_path):
+    src = str(Path(trace_scores.__file__).parents[1])
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(path)}
+        subprocess.run([sys.executable, "-m", "trace_scores.cli", "demo", "--scenario", "icu",
+                        "--seed", "7", "--out", str(out)], env=env, check=True,
+                       capture_output=True)
+        trees.append({p.relative_to(out): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    assert {"steps.jsonl", "summary.csv", "comparison.json"} <= set(map(str, trees[0]))
+    assert trees[0] == trees[1]
