@@ -132,18 +132,12 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
                                           **build_kwargs))
         except TraceError as e:
             errors += [(subject, _error_text(series, e)) for series, _ in target_sets]
-    cohort = []
-    if built:
-        t = np.concatenate([traj.t[:-1] for traj in built])
-        x = np.concatenate([traj.x[:-1] for traj in built])
-        cohort = [provider(t, x) for _, provider in target_sets]
-    stop = 0
-    for traj in built:
+    cohort = [scoring.cohort_targets(provider, built) for _, provider in target_sets]
+    for i, traj in enumerate(built):
         subject, label = traj.subject_id, labels.get(traj.subject_id)
-        start, stop = stop, stop + len(traj.t) - 1
         for (series, _), targets in zip(target_sets, cohort):
             try:
-                ts = scoring.score_trajectory(traj, targets.of_steps(start, stop), cfg.lam)
+                ts = scoring.score_trajectory(traj, targets[i], cfg.lam)
                 agg = analytics.aggregate(ts)
             except TraceError as e:
                 errors.append((subject, _error_text(series, e)))

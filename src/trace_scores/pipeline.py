@@ -136,18 +136,17 @@ def parse_cells(cells: Sequence[str], where: str, error: type) -> List[float]:
 
 def read_csv(path, error: type) -> Iterator:
     """Yield a CSV's header, then ``(line, row)`` for each non-blank row,
-    ``line`` being its line number. Rows stream from the file one at a time,
-    and a UTF-8 byte order mark that starts it is dropped.
-    A file with no header or no data row, or a row whose length differs
-    from the header's, raises ``error``, and so does a line that is not
-    UTF-8 or a cell longer than ``csv.field_size_limit()``; the message of
-    a line's fault names ``path:line``."""
-    lineno = 0   # the last line read
+    ``line`` being the number of the physical line it ends on: a row whose
+    quoted cell holds a line break is named by its last line. Rows stream
+    from the file one at a time, and a UTF-8 byte order mark that starts it
+    is dropped. A file with no header or no data row, or a row whose length
+    differs from the header's, raises ``error``, and so does a line that is
+    not UTF-8 or a cell longer than ``csv.field_size_limit()``; the message
+    of a line's fault names ``path:line``."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            lineno = 1
             if header is None:
                 raise error(f"{path}: empty file")
             if not header:
@@ -155,18 +154,17 @@ def read_csv(path, error: type) -> Iterator:
             yield header
             rows = 0
             for row in reader:
-                lineno += 1
                 if not row:
                     continue
                 if len(row) != len(header):
-                    raise error(f"{path}:{lineno}: expected {len(header)} columns, "
+                    raise error(f"{path}:{reader.line_num}: expected {len(header)} columns, "
                                 f"got {len(row)}")
                 rows += 1
-                yield lineno, row
+                yield reader.line_num, row
             if not rows:
                 raise error(f"{path}: no data rows")
-    except csv.Error as e:   # a cell past the field size limit
-        raise error(f"{path}:{lineno + 1}: {e}") from None
+    except csv.Error as e:   # a cell past the field size limit, on the line last read
+        raise error(f"{path}:{reader.line_num}: {e}") from None
     except UnicodeDecodeError:
         # the text layer decodes whole blocks, so find the line in the bytes,
         # whose splitlines ends a line at \n, \r\n or \r as the csv module does

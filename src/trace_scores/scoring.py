@@ -81,11 +81,16 @@ class Targets:
     def __len__(self) -> int:
         return len(self.points)
 
-    def of_steps(self, start: int, stop: int) -> "Targets":
-        """The targets of steps ``start`` to ``stop - 1``; ``points`` is a view."""
-        slots = len(self.cls)
-        return Targets(cls=self.cls, labels=self.labels, polarity=self.polarity,
-                       points=self.points[start * slots:stop * slots])
+
+def cohort_targets(provider, trajectories) -> List[Targets]:
+    """Each trajectory's Targets, as views of one ``provider`` call on the
+    earlier points of all of them stacked in order; no call for no trajectory."""
+    if not trajectories:
+        return []
+    tg = provider(np.concatenate([traj.t[:-1] for traj in trajectories]),
+                  np.concatenate([traj.x[:-1] for traj in trajectories]))
+    ends = np.cumsum([len(traj.t) - 1 for traj in trajectories])[:-1] * len(tg.cls)
+    return [Targets(tg.cls, tg.labels, tg.polarity, points) for points in np.split(tg.points, ends)]
 
 
 def _inner(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:

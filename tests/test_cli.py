@@ -605,6 +605,18 @@ def _summary(cells, expect):
     return setup
 
 
+def _quoted_line_break(which, text):
+    """Quoted-line-break rows: ``which`` file holds ``text``, whose first data
+    row has a quoted cell over lines 2 and 3; the cell ``x`` on line 4 is
+    named by that physical line."""
+    def setup(corpus, traj, config, tdir):
+        path = {"traj": traj, "corpus": corpus, "summary": corpus.parent / "sm.csv"}[which]
+        path.write_text(text)
+        flags = [str(path), str(path)] if which == "summary" else ["--config", str(config)]
+        return flags, f"error: {path}:4: could not convert string to float: 'x'\n"
+    return setup
+
+
 def _both(first, then):
     """Two-fault rows: ``first``'s edit, then ``then``'s, whose error is the
     one reported."""
@@ -768,6 +780,12 @@ MALFORMED_INPUTS = [
      _summary(["0.1", "5", "0.2", "x"], ":5: could not convert string to float: 'x'")),
     ("summary-one-row-outside", "compare",
      _summary(["5"], ": needs at least 2 averages to compare, got 1")),
+    ("traj-after-quoted-line-break", "corpus", _quoted_line_break(
+        "traj", 'subject_id,t,hr,rr,label\n"s\n1",0,0.5,0.5,RFD\ns2,0,x,0.5,RFD\n')),
+    ("corpus-after-quoted-line-break", "build-index",
+     _quoted_line_break("corpus", 'hr,rr,label\n0.8,0.7,"A\nB"\nx,0.5,A\n')),
+    ("summary-after-quoted-line-break", "compare",
+     _quoted_line_break("summary", 'subject_id,average\n"s\n0",0.1\ns1,x\n')),
     ("series-t-text-then-cell-text", "series",
      _both(_bad_cell("series", 2, 0, "x"),
            _bad_cell("series", 4, 1, "zz", "could not convert string to float: 'zz'"))),

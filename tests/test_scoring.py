@@ -9,7 +9,8 @@ from trace_scores.errors import (ConfigError, DegenerateGeometry, DimensionError
                                  TrajectoryError)
 from trace_scores.geometry import EPSILON, Degeneracy, StepGeometry, norm_of, step_score
 from trace_scores.pipeline import Trajectory
-from trace_scores.scoring import Polarity, SkipReason, score_trajectory
+from trace_scores.scoring import Polarity, SkipReason, cohort_targets, score_trajectory
+from trace_scores.targets import build_index, knn_provider, series_provider
 from oracles import COORD, make_targets, trajectory_cases
 
 DESIRABLE, UNDESIRABLE = Polarity.DESIRABLE, Polarity.UNDESIRABLE
@@ -379,3 +380,51 @@ def test_targets_carry_one_polarity_per_class():
     tg.polarity = np.ones(2)
     with pytest.raises(DimensionError, match=r"polarities of shape \(2,\) do not match 1 classes"):
         score_trajectory(traj([(0, 0), (1, 0)]), tg, 0.5)
+
+
+_QUARTERS = st.integers(-4, 4).map(lambda i: i / 4)
+PMAP = {"a": DESIRABLE, "b": UNDESIRABLE}
+
+
+@st.composite
+def cohort_target_cases(draw):
+    """Zero to five trajectories of one to six points in two features, and
+    a provider: kNN over a corpus with duplicate rows, whose class ``b`` is
+    smaller than ``k``, or one series that lacks some t."""
+    point = st.lists(_QUARTERS, min_size=2, max_size=2)
+    trajs = []
+    for i in range(draw(st.integers(0, 5))):
+        ts = sorted(draw(st.sets(st.integers(0, 7), min_size=1, max_size=6)))
+        trajs.append(Trajectory(f"s{i}", ts, [draw(point) for _ in ts]))
+    if draw(st.booleans()):
+        rows = draw(st.lists(point, min_size=3, max_size=8))
+        rows += draw(st.lists(st.sampled_from(rows), min_size=1, max_size=4))
+        n_b = draw(st.integers(1, 2))
+        corpus = build_index(rows, ["b"] * n_b + ["a"] * (len(rows) - n_b))
+        provider = knn_provider(corpus, draw(st.integers(n_b + 1, len(rows) - n_b + 1)), PMAP)
+    else:
+        series = {t: draw(point) for t in draw(st.sets(st.integers(0, 7), min_size=1))}
+        provider = series_provider("goal", draw(st.sampled_from(Polarity)), series)
+    return trajs, provider
+
+
+@settings(max_examples=200, deadline=None)
+@given(cohort_target_cases())
+def test_cohort_targets_give_each_trajectory_its_own_bytes(case):
+    """One provider call on the stacked cohort, cut per trajectory, gives
+    what a call on that trajectory's earlier points alone gives."""
+    trajs, provider = case
+    calls = []
+
+    def counted(t, x):
+        calls.append(len(t))
+        return provider(t, x)
+    got = cohort_targets(counted, trajs)
+    assert calls == ([sum(len(tr.t) - 1 for tr in trajs)] if trajs else [])
+    assert len(got) == len(trajs)
+    for tr, tg in zip(trajs, got):
+        want = provider(tr.t[:-1], tr.x[:-1])
+        assert tg.points.shape == want.points.shape == ((len(tr.t) - 1) * len(want.cls), 2)
+        assert tg.points.tobytes() == want.points.tobytes()
+        assert tg.cls.tobytes() == want.cls.tobytes() and tg.labels == want.labels
+        assert tg.polarity.tobytes() == want.polarity.tobytes()
