@@ -107,8 +107,8 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
                   build_kwargs, row_extra=None) -> Tuple[List[dict], dict]:
     """Score every subject against each ``(series, provider)`` target set.
 
-    Each subject's trajectory is built once, and each provider is called once,
-    on the steps of every built trajectory stacked. A series of None marks
+    Each subject's trajectory is built once, and each target set scores every
+    built trajectory in one ``scoring.score_cohort`` call. A series of None marks
     the corpus's single target set; a named one tags step lines, summary rows
     and error messages with it, and a subject that cannot be scored against
     a set, say for a t it lacks, gets one error row for that set. Removes
@@ -132,12 +132,13 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
                                           **build_kwargs))
         except TraceError as e:
             errors += [(subject, _error_text(series, e)) for series, _ in target_sets]
-    cohort = [scoring.cohort_targets(provider, built) for _, provider in target_sets]
-    for i, traj in enumerate(built):
+    cohort = [scoring.score_cohort(provider, built, cfg.lam) for _, provider in target_sets]
+    for traj, *results in zip(built, *cohort):
         subject, label = traj.subject_id, labels.get(traj.subject_id)
-        for (series, _), targets in zip(target_sets, cohort):
+        for (series, _), ts in zip(target_sets, results):
             try:
-                ts = scoring.score_trajectory(traj, targets[i], cfg.lam)
+                if isinstance(ts, TraceError):
+                    raise ts
                 agg = analytics.aggregate(ts)
             except TraceError as e:
                 errors.append((subject, _error_text(series, e)))

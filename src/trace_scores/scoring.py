@@ -6,23 +6,29 @@ between the factual and every target are masked out, each target gets its
 own raw step geometry, targets are averaged within their class, and
 classes are combined into one signed score in [-1, 1].
 
-A trajectory's targets arrive as a ``Targets`` block of arrays, the same
-slots of classes at every step, and one array kernel (``_score_rows``)
-scores all of them into a ``TrajectoryScore`` of arrays;
-``geometry.step_score`` is the scalar reference it reproduces target by
-target.
+A step's score uses only its two points and its targets. So
+``score_cohort`` stacks the steps of a whole cohort, calls the target
+provider once for them and scores them in one pass of one array kernel
+(``_score_rows``), in blocks of whole steps; targets arrive as a ``Targets``
+block of arrays, the same slots of classes at every step. Each trajectory
+gets its ``TrajectoryScore`` of arrays as views of that pass, or the error
+that keeps it from being scored; ``score_trajectory`` is the one-trajectory
+case. ``geometry.step_score`` is the scalar reference the kernel reproduces
+target by target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import List
+from typing import List, Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, TargetError, TrajectoryError
+from .errors import ConfigError, DimensionError, TargetError, TraceError, TrajectoryError
 from .geometry import EPSILON
+
+_BLOCK_VALUES = 1 << 14   # (step, slot, dim) values per grid of a kernel block (128 KiB)
 
 
 class Polarity(IntEnum):
@@ -82,17 +88,6 @@ class Targets:
         return len(self.points)
 
 
-def cohort_targets(provider, trajectories) -> List[Targets]:
-    """Each trajectory's Targets, as views of one ``provider`` call on the
-    earlier points of all of them stacked in order; no call for no trajectory."""
-    if not trajectories:
-        return []
-    tg = provider(np.concatenate([traj.t[:-1] for traj in trajectories]),
-                  np.concatenate([traj.x[:-1] for traj in trajectories]))
-    ends = np.cumsum([len(traj.t) - 1 for traj in trajectories])[:-1] * len(tg.cls)
-    return [Targets(tg.cls, tg.labels, tg.polarity, points) for points in np.split(tg.points, ends)]
-
-
 def _inner(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (a * w * b).sum(axis=-1)
 
@@ -101,16 +96,15 @@ def _norm(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.sqrt(_inner(v, v, w))
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _score_rows(x: np.ndarray, t: np.ndarray, lam: float, tg: Targets) -> TrajectoryScore:
-    """Score the steps of the ``(n_steps + 1, dim)`` points ``x`` against
-    ``tg`` with ``geometry.step_score``'s arithmetic, applied to every
-    (step, slot) at once; step ``i`` runs from ``x[i]`` at ``t[i]`` to
-    ``x[i + 1]``, its label ``t[i + 1]``. A division by a zero norm only
-    reaches a target that is not kept, a reached goal's r2, which is
-    overwritten, or a NaN mean. A kept value whose square overflows raises
-    TrajectoryError."""
-    xt, xn, steps = x[:-1], x[1:], t[1:]
+def _score_rows(xt: np.ndarray, xn: np.ndarray, steps: np.ndarray, lam: float,
+                tg: Targets) -> Tuple[TrajectoryScore, np.ndarray, np.ndarray]:
+    """Score step ``i``, from ``xt[i]`` to ``xn[i]`` and labelled ``steps[i]``,
+    against its ``tg`` targets with ``geometry.step_score``'s arithmetic,
+    applied to every (step, slot) at once, in blocks of whole steps of at
+    most about ``_BLOCK_VALUES`` (step, slot, dim) values; no step's
+    arithmetic uses another's. Returns the TrajectoryScore of every step and
+    two per-step masks, whose steps' scores mean nothing: a target row that
+    is not finite, and a kept value whose square overflows."""
     n, dim = xt.shape
     slots = len(tg.cls)
     if not slots:
@@ -121,12 +115,27 @@ def _score_rows(x: np.ndarray, t: np.ndarray, lam: float, tg: Targets) -> Trajec
     if tg.polarity.shape != (len(tg.labels),):
         raise DimensionError(f"polarities of shape {tg.polarity.shape} do not match "
                              f"{len(tg.labels)} classes")
-    if not np.isfinite(tg.points).all():
-        row = np.argmin(np.isfinite(tg.points).all(axis=1))
-        raise TargetError(f"class {tg.labels[tg.cls[row % slots]]!r} has no target "
-                          f"at t={t[row // slots]}")
-    # (step, slot, dim) grids; each step's own vectors broadcast over its slots
     p = tg.points.reshape(n, slots, dim)
+    block = max(1, _BLOCK_VALUES // (slots * dim))
+    (skip, combined, per_class, step, cls, r1, r2, s, flag, no_target, overflow) = (
+        np.concatenate(field) for field in zip(*(
+            _score_block(xt[i:i + block], xn[i:i + block], p[i:i + block], lam, tg, i)
+            for i in range(0, n, block))))
+    return TrajectoryScore(
+        steps=steps, skip=skip, combined=combined, labels=tg.labels, polarity=tg.polarity,
+        per_class=per_class, step=step, cls=cls, r1=r1, r2=r2, s=s, flag=flag), no_target, overflow
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _score_block(xt, xn, p, lam, tg, first):
+    """``_score_rows`` on the steps ``first`` onwards, whose targets form the
+    ``(steps, slot, dim)`` grid ``p``: the per-step, then the per-kept-target
+    arrays, then the two masks. A division by a zero norm only reaches a
+    target that is not kept, a reached goal's r2, which is overwritten, or a
+    NaN mean."""
+    n = len(xt)
+    no_target = ~np.isfinite(p).all(axis=(1, 2))
+    # each step's own vectors broadcast over its slots
     x0 = xt[:, None]
     v_prime = p - x0
     # zero weight on the masked dims gives the inner products of the active
@@ -162,10 +171,7 @@ def _score_rows(x: np.ndarray, t: np.ndarray, lam: float, tg: Targets) -> Trajec
     # a reached goal blends r1 = r2 = 1 into exactly 1 for every lambda in [0, 1]
     s = r1 if lam == 1.0 else r2 if lam == 0.0 else lam * r1 + (1.0 - lam) * r2
     # each norm is at most sqrt(max float): the sum is finite iff all five are
-    bad = kept & ~np.isfinite(s + n_vt + n_vp + n_vs + n_vhat)
-    if bad.any():
-        raise TrajectoryError(f"score at t={steps[bad.any(axis=1).argmax()]} is not finite: "
-                              "a value's square overflows")
+    overflow = (kept & ~np.isfinite(s + n_vt + n_vp + n_vs + n_vhat)).any(axis=1)
 
     # class means per (step, class), then their polarity-signed mean; an empty
     # cell's mean is 0 / 0 = NaN and adds nothing to the combination
@@ -176,10 +182,55 @@ def _score_rows(x: np.ndarray, t: np.ndarray, lam: float, tg: Targets) -> Trajec
     count = np.bincount(key, minlength=n * n_cls).reshape(n, n_cls)
     per_class = np.bincount(key, s[kept], n * n_cls).reshape(n, n_cls) / count
     combined = np.nansum(tg.polarity * per_class, axis=1) / (count > 0).sum(axis=1)
-    return TrajectoryScore(
-        steps=steps, skip=all_masked + 2 * no_move, combined=combined,
-        labels=tg.labels, polarity=tg.polarity, per_class=per_class, step=ks, cls=cls,
-        r1=r1[kept], r2=r2[kept], s=s[kept], flag=(goal + 2 * best)[kept])
+    return (all_masked + 2 * no_move, combined, per_class, ks + first, cls,
+            r1[kept], r2[kept], s[kept], (goal + 2 * best)[kept], no_target, overflow)
+
+
+def score_cohort(provider, trajectories, lam: float) -> List[Union[TrajectoryScore, TraceError]]:
+    """Score every trajectory against the targets ``provider`` gives for its
+    steps' earlier points: one provider call on the earlier points of all of
+    them stacked in order (none for no trajectory), then one ``_score_rows``
+    pass over all their steps. Returns, per trajectory in order, its
+    TrajectoryScore as views of that pass, or in its place the TraceError it
+    fails with: fewer than 2 points, else a target row that is not finite
+    (naming its class and the t its step starts from), else an overflow
+    (naming the t of the first such step)."""
+    # the range test also rejects a nan lambda
+    if not (0.0 <= lam <= 1.0):
+        raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
+    if not trajectories:
+        return []
+    xt = np.concatenate([tr.x[:-1] for tr in trajectories])
+    tg = provider(np.concatenate([tr.t[:-1] for tr in trajectories]), xt)
+    bounds = np.cumsum([0, *(len(tr.t[1:]) for tr in trajectories)]).tolist()
+    out: list = [TrajectoryError(f"trajectory needs at least 2 points, got {len(tr.t)}")
+                 if len(tr.t) < 2 else None for tr in trajectories]
+    if not bounds[-1]:
+        return out
+    ts, no_target, overflow = _score_rows(xt, np.concatenate([tr.x[1:] for tr in trajectories]),
+                                          np.concatenate([tr.t[1:] for tr in trajectories]),
+                                          float(lam), tg)
+    slots = len(tg.cls)
+    flagged = np.searchsorted(bounds, np.flatnonzero(no_target | overflow), "right") - 1
+    for j in set(flagged.tolist()):
+        a, b = bounds[j:j + 2]
+        if no_target[a:b].any():
+            i = a + no_target[a:b].argmax()
+            row = np.isfinite(tg.points[i * slots:(i + 1) * slots]).all(axis=1).argmin()
+            out[j] = TargetError(f"class {tg.labels[tg.cls[row]]!r} has no target "
+                                 f"at t={trajectories[j].t[i - a]}")
+        else:
+            out[j] = TrajectoryError(f"score at t={ts.steps[a + overflow[a:b].argmax()]} is not "
+                                     "finite: a value's square overflows")
+    kept = np.searchsorted(ts.step, bounds).tolist()
+    for j, result in enumerate(out):
+        if result is None:
+            (a, b), (ka, kb) = bounds[j:j + 2], kept[j:j + 2]
+            out[j] = TrajectoryScore(
+                ts.steps[a:b], ts.skip[a:b], ts.combined[a:b], ts.labels, ts.polarity,
+                ts.per_class[a:b], ts.step[ka:kb] - a, ts.cls[ka:kb], ts.r1[ka:kb],
+                ts.r2[ka:kb], ts.s[ka:kb], ts.flag[ka:kb])
+    return out
 
 
 def score_trajectory(traj, targets: Targets, lam: float) -> TrajectoryScore:
@@ -188,14 +239,11 @@ def score_trajectory(traj, targets: Targets, lam: float) -> TrajectoryScore:
     ``traj`` is a pipeline.Trajectory: time indices ``t`` and one row of
     ``x`` per index. ``targets`` holds the targets of each step's earlier
     point, as a provider returns them for ``traj.t[:-1]`` and
-    ``traj.x[:-1]``; a target row that is not finite raises TargetError
-    naming its class and the t its step starts from. Steps are labelled with
-    the t index of the later point, so index 0 never appears.
+    ``traj.x[:-1]``. Steps are labelled with the t index of the later point,
+    so index 0 never appears. The one-trajectory case of ``score_cohort``:
+    raises the TraceError that it gives in the trajectory's place.
     """
-    t, x = traj.t, traj.x
-    if len(t) < 2:
-        raise TrajectoryError(f"trajectory needs at least 2 points, got {len(t)}")
-    # the range test also rejects a nan lambda
-    if not (0.0 <= lam <= 1.0):
-        raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
-    return _score_rows(x, t, float(lam), targets)
+    result, = score_cohort(lambda t, x: targets, [traj], lam)
+    if isinstance(result, TraceError):
+        raise result
+    return result

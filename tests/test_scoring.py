@@ -1,15 +1,18 @@
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trace_scores import scoring
 from trace_scores.errors import (ConfigError, DegenerateGeometry, DimensionError, TargetError,
-                                 TrajectoryError)
+                                 TraceError, TrajectoryError)
 from trace_scores.geometry import EPSILON, Degeneracy, StepGeometry, norm_of, step_score
 from trace_scores.pipeline import Trajectory
-from trace_scores.scoring import Polarity, SkipReason, cohort_targets, score_trajectory
+from trace_scores.scoring import Polarity, SkipReason, score_cohort, score_trajectory
 from trace_scores.targets import build_index, knn_provider, series_provider
 from oracles import COORD, make_targets, trajectory_cases
 
@@ -387,15 +390,20 @@ PMAP = {"a": DESIRABLE, "b": UNDESIRABLE}
 
 
 @st.composite
-def cohort_target_cases(draw):
-    """Zero to five trajectories of one to six points in two features, and
-    a provider: kNN over a corpus with duplicate rows, whose class ``b`` is
-    smaller than ``k``, or one series that lacks some t."""
+def cohort_cases(draw):
+    """Zero to five trajectories of one to six points in two features, some
+    with a value of 1e200 whose square overflows, a provider, a lambda and a
+    kernel block of one to three steps. The provider is kNN over a corpus
+    with duplicate rows, whose class ``b`` is smaller than ``k``, or one
+    series that lacks some t."""
     point = st.lists(_QUARTERS, min_size=2, max_size=2)
     trajs = []
     for i in range(draw(st.integers(0, 5))):
         ts = sorted(draw(st.sets(st.integers(0, 7), min_size=1, max_size=6)))
-        trajs.append(Trajectory(f"s{i}", ts, [draw(point) for _ in ts]))
+        x = np.array([draw(point) for _ in ts])
+        if draw(st.booleans()):
+            x[draw(st.integers(0, len(ts) - 1)), draw(st.integers(0, 1))] = 1e200
+        trajs.append(Trajectory(f"s{i}", ts, x))
     if draw(st.booleans()):
         rows = draw(st.lists(point, min_size=3, max_size=8))
         rows += draw(st.lists(st.sampled_from(rows), min_size=1, max_size=4))
@@ -405,26 +413,68 @@ def cohort_target_cases(draw):
     else:
         series = {t: draw(point) for t in draw(st.sets(st.integers(0, 7), min_size=1))}
         provider = series_provider("goal", draw(st.sampled_from(Polarity)), series)
-    return trajs, provider
+    return trajs, provider, draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])), draw(st.integers(1, 3))
+
+
+# the arrays of a TrajectoryScore
+ARRAYS = ("steps", "skip", "combined", "polarity", "per_class", "step", "cls", "r1", "r2", "s",
+          "flag")
+
+
+def one_result(tr, targets, lam):
+    try:
+        return score_trajectory(tr, targets, lam)
+    except TraceError as e:
+        return e
 
 
 @settings(max_examples=200, deadline=None)
-@given(cohort_target_cases())
-def test_cohort_targets_give_each_trajectory_its_own_bytes(case):
-    """One provider call on the stacked cohort, cut per trajectory, gives
-    what a call on that trajectory's earlier points alone gives."""
-    trajs, provider = case
+@given(cohort_cases())
+def test_score_cohort_gives_each_trajectory_its_own_result(case):
+    """One provider call on the stacked cohort and one blocked kernel pass,
+    cut per trajectory, give each trajectory the bytes, or the error type and
+    message, that ``score_trajectory`` gives it alone; segments cross blocks."""
+    trajs, provider, lam, block_steps = case
+    want = [one_result(tr, provider(tr.t[:-1], tr.x[:-1]), lam) for tr in trajs]
+    slots = len(provider(np.zeros(0, int), np.zeros((0, 2))).cls)
     calls = []
 
     def counted(t, x):
         calls.append(len(t))
         return provider(t, x)
-    got = cohort_targets(counted, trajs)
+    with mock.patch.object(scoring, "_BLOCK_VALUES", block_steps * slots * 2):
+        got = score_cohort(counted, trajs, lam)
     assert calls == ([sum(len(tr.t) - 1 for tr in trajs)] if trajs else [])
     assert len(got) == len(trajs)
-    for tr, tg in zip(trajs, got):
-        want = provider(tr.t[:-1], tr.x[:-1])
-        assert tg.points.shape == want.points.shape == ((len(tr.t) - 1) * len(want.cls), 2)
-        assert tg.points.tobytes() == want.points.tobytes()
-        assert tg.cls.tobytes() == want.cls.tobytes() and tg.labels == want.labels
-        assert tg.polarity.tobytes() == want.polarity.tobytes()
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        if isinstance(w, TraceError):
+            assert str(g) == str(w)
+            continue
+        for name in ARRAYS:
+            a, b = getattr(g, name), getattr(w, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert g.labels == w.labels
+
+
+def test_score_cohort_holds_about_two_blocks_beside_its_outputs():
+    """A cohort 20 kernel blocks long: the tracemalloc peak of ``score_cohort``
+    stays under its stacked steps, its outputs twice (the blocks' parts and
+    their join) and two blocks of at most 8 (step, slot, dim) grids each.
+    Unblocked, the grids of one pass would take about 16 MiB here."""
+    rng = np.random.default_rng(0)
+    slots, dim = 4, 16
+    n_steps = 20 * (scoring._BLOCK_VALUES // (slots * dim))
+    trajs = [Trajectory(f"s{i}", range(81), rng.random((81, dim))) for i in range(n_steps // 80)]
+    tg = scoring.Targets(np.arange(slots) % 2, ["a", "b"], np.array([1.0, -1.0]),
+                         rng.random((n_steps * slots, dim)))
+    tracemalloc.start()
+    try:
+        got = score_cohort(lambda t, x: tg, trajs, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(ts, scoring.TrajectoryScore) for ts in got)
+    stacked = n_steps * (2 * dim + 2) * 8   # the earlier and later points and t
+    outputs = sum(getattr(ts, name).nbytes for ts in got for name in ARRAYS)
+    assert peak < stacked + 2 * outputs + 2 * 8 * 8 * scoring._BLOCK_VALUES

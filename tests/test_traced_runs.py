@@ -1,8 +1,11 @@
 """The benchmark's tracer still reaches the library's call sites: a traced
 corpus score and series score finish, with one provider call per target
-set, and every target row, step, trajectory row, empty cell and normalize
-call counted."""
+set, and every target row, trajectory row, empty cell and normalize call
+counted. The CLI scores a cohort in one ``scoring.score_cohort`` call per
+target set, which the tracer does not wrap, so the scored subjects and steps
+are read from the runs' own outputs."""
 
+import csv
 import importlib.util
 from collections import Counter
 from pathlib import Path
@@ -21,6 +24,17 @@ def load_tracing():
     return module
 
 
+def scored(out):
+    """A score run's summary rows, its steps (a line of ``steps.jsonl`` per
+    scored step, and the skipped ones) and its skipped steps."""
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(out / "steps.jsonl") as fh:
+        lines = sum(1 for _ in fh)
+    skipped = sum(int(row["n_skipped"]) for row in rows)
+    return len(rows), lines + skipped, skipped
+
+
 def test_traced_corpus_and_series_scores(tmp_path):
     tracer = load_tracing().Tracer()
     with tracer.installed():
@@ -32,9 +46,8 @@ def test_traced_corpus_and_series_scores(tmp_path):
     assert calls["targets.query"] == 1
     assert tracer.counts["targets.returned"] == 2 * 2 * 3
     assert calls["targets.series_lookup"] == 5
-    assert calls["scoring.score_trajectory"] == 1 + 5
-    assert tracer.counts["scoring.steps"] == 2 + 5 * 35
-    assert tracer.counts["scoring.steps_skipped"] == 0
+    assert [a + b for a, b in zip(scored(tmp_path / "toy"), scored(tmp_path / "ssp"))] == [
+        1 + 5, 2 + 5 * 35, 0]
     assert (tmp_path / "toy" / "summary.csv").exists()
     assert (tmp_path / "ssp" / "ranking.json").exists()
 
@@ -62,7 +75,7 @@ def test_traced_gappy_corpus_score_counts_rows_and_empty_cells(tmp_path):
     assert calls["targets.query"] == 1
     assert tracer.counts["pipeline.rows"] == 8
     assert tracer.counts["pipeline.missing_cells"] == 7
-    assert tracer.counts["scoring.steps"] == 2 + 2 + 1
+    assert scored(tmp_path / "out")[1] == 2 + 2 + 1
     # 2 classes normalized at build and again at load, and 3 subjects
     assert calls["pipeline.normalize"] == 2 + 2 + 3
     assert not (tmp_path / "out" / "errors.csv").exists()
