@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,14 +43,47 @@ class GroupComparison:
                 "t": self.t_stat, "dof": self.dof, "p": self.p_value}
 
 
+_BLOCK_CELLS = 1 << 14   # running-sum grid cells per block (128 KiB)
+
+
+def _running_sums(scores: Sequence[TrajectoryScore]):
+    """Per block of scores, longest first, of about ``_BLOCK_CELLS`` cells or one
+    score: their indices, scored-step masks and running sums, one ``np.cumsum``
+    row each from 0.0, with 0.0 at skipped and padded steps (exact: a sum from
+    +0.0 is never -0.0)."""
+    lengths = np.array([len(ts.skip) for ts in scores])
+    order, i = np.argsort(-lengths, kind="stable"), 0
+    while i < len(order):
+        rows = order[i:i + max(1, _BLOCK_CELLS // (1 + lengths[order[i]]))]
+        i += len(rows)
+        flat = np.concatenate([scores[k].skip for k in rows]) == 0
+        scored = np.zeros((len(rows), lengths[rows[0]]), bool)
+        scored[np.arange(scored.shape[1]) < lengths[rows, None]] = flat
+        grid = np.zeros((len(rows), 1 + scored.shape[1]))
+        grid[:, 1:][scored] = np.concatenate([scores[k].combined for k in rows])[flat]
+        yield rows.tolist(), scored, np.cumsum(grid, axis=1)
+
+
+def summarize(scores: Sequence[TrajectoryScore]) -> List[Union[dict, AggregateError]]:
+    """Per score, its ``n_steps`` (scored), ``n_skipped``, ``average`` and
+    ``final_cumulative`` from one running-sum pass, or an AggregateError."""
+    out: list = [None] * len(scores)
+    for rows, scored, cumulative in _running_sums(scores):
+        for k, n, total in zip(rows, scored.sum(axis=1).tolist(), cumulative[:, -1].tolist()):
+            out[k] = ({"n_steps": n, "n_skipped": len(scores[k].skip) - n, "average": total / n,
+                       "final_cumulative": total} if n
+                      else AggregateError("no scored steps to aggregate"))
+    return out
+
+
 def aggregate(traj_score: TrajectoryScore) -> ScoreSeries:
-    """Condense a trajectory's step scores into the three reporting forms."""
-    scored = traj_score.skip == 0
+    """Condense a trajectory's step scores into the three reporting forms:
+    ``summarize``'s running sum on one score."""
+    (_, (scored,), (cumulative,)), = _running_sums([traj_score])
     if not scored.any():
         raise AggregateError("no scored steps to aggregate")
     values = list(zip(traj_score.steps[scored].tolist(), traj_score.combined[scored].tolist()))
-    # a running sum from 0.0, which writes a leading -0.0 as 0.0
-    cumulative = np.cumsum(np.concatenate(([0.0], traj_score.combined[scored])))[1:].tolist()
+    cumulative = cumulative[1:][scored].tolist()
     return ScoreSeries(values=values, average=cumulative[-1] / len(values), cumulative=cumulative)
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
@@ -113,9 +114,9 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
     and error messages with it, and a subject that cannot be scored against
     a set, say for a t it lacks, gets one error row for that set. Removes
     every file a score run writes from ``out_dir``, then writes
-    ``errors.csv``, ``steps.jsonl`` and ``scores_wide.csv`` (``_write_steps``,
-    one key's TrajectoryScore at a time) and ``summary.csv`` (``columns``);
-    returns the summary rows and the run info.
+    ``errors.csv``, ``steps.jsonl`` and ``scores_wide.csv`` (``_write_steps``)
+    and ``summary.csv`` (``columns``, from ``analytics.summarize``); returns
+    the summary rows and the run info.
     """
     by_subject, labels, _ = traj_data
     out_dir = Path(out_dir)
@@ -133,26 +134,18 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
         except TraceError as e:
             errors += [(subject, _error_text(series, e)) for series, _ in target_sets]
     cohort = [scoring.score_cohort(provider, built, cfg.lam) for _, provider in target_sets]
+    summaries = [iter(analytics.summarize([ts for ts in res if not isinstance(ts, TraceError)]))
+                 for res in cohort]
     for traj, *results in zip(built, *cohort):
         subject, label = traj.subject_id, labels.get(traj.subject_id)
-        for (series, _), ts in zip(target_sets, results):
-            try:
-                if isinstance(ts, TraceError):
-                    raise ts
-                agg = analytics.aggregate(ts)
-            except TraceError as e:
-                errors.append((subject, _error_text(series, e)))
+        for (series, _), ts, set_summaries in zip(target_sets, results, summaries):
+            summary = ts if isinstance(ts, TraceError) else next(set_summaries)
+            if isinstance(summary, TraceError):
+                errors.append((subject, _error_text(series, summary)))
                 continue
             tag = {} if series is None else {"series": series}
             scores[(subject, *tag.values())] = ts
-            summary_rows.append({
-                "subject_id": subject, **tag,
-                "label": label or "",
-                "n_steps": len(agg.values),
-                "n_skipped": ts.skipped_count,
-                "average": agg.average,
-                "final_cumulative": agg.cumulative[-1],
-            })
+            summary_rows.append({"subject_id": subject, **tag, "label": label or "", **summary})
     errors.sort(key=lambda e: e[0])   # stable: a subject's rows stay in target-set order
     if errors:
         write_csv(out_dir / "errors.csv", ["subject_id", "error"], errors)
@@ -253,33 +246,55 @@ def _write_steps(out_dir: Path, key_fields: Sequence[str],
     """``steps.jsonl``, one ``json.dumps(line, sort_keys=True)`` per scored
     step in scoring order, and ``scores_wide.csv``, one row per key in sorted
     order and one column per scored t, blank where the key has no score.
-    Each scored ``combined`` is formatted once, for both files."""
+    Keys whose scores share labels and polarities are formatted as one group
+    (``_group_lines``), each scored ``combined`` once, for both files."""
     rows: Dict[Tuple[str, ...], Dict[int, str]] = {}
-    with open(out_dir / "steps.jsonl", "w") as fh:
-        for key, ts in scores.items():
-            scored = ts.skip == 0
-            t, combined = ts.steps[scored].tolist(), list(map(repr, ts.combined[scored].tolist()))
-            rows[key] = dict(zip(t, combined))
-            order = sorted(range(len(ts.labels)), key=ts.labels.__getitem__)
-            names = [f"{json.dumps(ts.labels[c])}: " for c in order]
-            tag = "".join(f'"{f}": {json.dumps(v)}, ' for f, v in sorted(zip(key_fields, key)))
-            if len(order) == 1:
-                # the kernel's combined is polarity * per_class / 1: the same bits, but for
-                # a zero class mean, which nansum turns into a combined of +0.0
-                pc, polarity, name = ts.per_class[scored, 0], ts.polarity[0], names[0]
-                per_class = ([name + (c[1:] if c[0] == "-" else "-" + c) for c in combined]
-                             if polarity < 0 else [name + c for c in combined])
-                for i in np.flatnonzero(pc.view(np.int64) != (polarity * ts.combined[scored])
-                                        .view(np.int64)).tolist():
-                    per_class[i] = name + repr(float(pc[i]))
-            else:
-                per_class = [", ".join(name + repr(v) for name, v in zip(names, means) if v == v)
-                             for means in ts.per_class[scored][:, order].tolist()]
-            fh.write("".join([f'{{"combined": {c}, "per_class": {{{p}}}, {tag}"t": {ti}}}\n'
-                              for ti, c, p in zip(t, combined, per_class)]))
+    groups: Dict[tuple, list] = {}
+    for key, ts in scores.items():
+        groups.setdefault((tuple(ts.labels), ts.polarity.tobytes()), []).append(key)
+    lines = {key: group_lines for keys in groups.values()
+             for group_lines in [_group_lines(key_fields, keys, scores, rows)] for key in keys}
+    with open(out_dir / "steps.jsonl", "w") as fh:   # a group is freed after its last key
+        fh.writelines(next(lines.pop(key)) for key in scores)
     times = sorted({t for row in rows.values() for t in row})
     write_csv(out_dir / "scores_wide.csv", [*key_fields, *(f"t{t}" for t in times)],
               ([*key, *map(rows[key].get, times)] for key in sorted(rows)))
+
+
+def _group_lines(key_fields, keys, scores, rows):
+    """The step lines of each of ``keys`` in turn, whose scores share labels and
+    polarities, from their arrays stacked once: each key's ``{t: combined text}``
+    goes into ``rows``, and its ``per_class`` text comes from it or the class means."""
+    group = [scores[key] for key in keys]
+    scored = np.concatenate([ts.skip for ts in group]) == 0
+    ends = np.concatenate(([0], np.cumsum(scored)))[
+        np.cumsum([0, *(len(ts.skip) for ts in group)])].tolist()
+    combined = np.concatenate([ts.combined for ts in group])[scored]
+    labels, polarity = group[0].labels, group[0].polarity
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    names = [f"{json.dumps(labels[c])}: " for c in order]
+    per_class = np.concatenate([ts.per_class for ts in group])[scored][:, order]
+    if len(order) == 1:   # combined is polarity * per_class / 1, but +0.0 for a zero mean
+        fix = np.flatnonzero(per_class[:, 0].view(np.int64)
+                             != (polarity[0] * combined).view(np.int64))
+        fixed = [names[0] + repr(v) for v in per_class[fix, 0].tolist()]
+        fix, per_class = fix.tolist(), None
+    t = np.concatenate([ts.steps for ts in group])[scored]
+    for key, a, b in zip(keys, ends, ends[1:]):
+        rows[key] = dict(zip(t[a:b].tolist(), map(repr, combined[a:b].tolist())))
+    del t, scored, combined   # the groups' lines interleave: keep only what they need
+    for key, a, b in zip(keys, ends, ends[1:]):
+        if per_class is None:
+            pc = ([names[0] + (c[1:] if c[0] == "-" else "-" + c) for c in rows[key].values()]
+                  if polarity[0] < 0 else [names[0] + c for c in rows[key].values()])
+            for i in range(bisect_left(fix, a), bisect_left(fix, b)):
+                pc[fix[i] - a] = fixed[i]
+        else:
+            pc = [", ".join(name + repr(v) for name, v in zip(names, means) if v == v)
+                  for means in per_class[a:b].tolist()]
+        tag = "".join(f'"{f}": {json.dumps(v)}, ' for f, v in sorted(zip(key_fields, key)))
+        yield "".join([f'{{"combined": {c}, "per_class": {{{p}}}, {tag}"t": {ti}}}\n'
+                       for (ti, c), p in zip(rows[key].items(), pc)])
 
 
 def _write_json(path, doc, indent=None) -> None:

@@ -117,22 +117,24 @@ def _score_rows(xt: np.ndarray, xn: np.ndarray, steps: np.ndarray, lam: float,
                              f"{len(tg.labels)} classes")
     p = tg.points.reshape(n, slots, dim)
     block = max(1, _BLOCK_VALUES // (slots * dim))
-    (skip, combined, per_class, step, cls, r1, r2, s, flag, no_target, overflow) = (
-        np.concatenate(field) for field in zip(*(
-            _score_block(xt[i:i + block], xn[i:i + block], p[i:i + block], lam, tg, i)
-            for i in range(0, n, block))))
+    skip, combined, per_class, no_target, overflow = per_step = (
+        np.empty(n, np.int64), np.empty(n), np.empty((n, len(tg.labels))),
+        np.empty(n, bool), np.empty(n, bool))
+    step, cls, r1, r2, s, flag = (np.concatenate(field) for field in zip(*(
+        _score_block(xt[i:i + block], xn[i:i + block], p[i:i + block], lam, tg, i,
+                     [whole[i:i + block] for whole in per_step]) for i in range(0, n, block))))
     return TrajectoryScore(
         steps=steps, skip=skip, combined=combined, labels=tg.labels, polarity=tg.polarity,
         per_class=per_class, step=step, cls=cls, r1=r1, r2=r2, s=s, flag=flag), no_target, overflow
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _score_block(xt, xn, p, lam, tg, first):
+def _score_block(xt, xn, p, lam, tg, first, out):
     """``_score_rows`` on the steps ``first`` onwards, whose targets form the
-    ``(steps, slot, dim)`` grid ``p``: the per-step, then the per-kept-target
-    arrays, then the two masks. A division by a zero norm only reaches a
-    target that is not kept, a reached goal's r2, which is overwritten, or a
-    NaN mean."""
+    ``(steps, slot, dim)`` grid ``p``: writes the per-step arrays and the two
+    masks into ``out`` and returns the per-kept-target arrays, which
+    ``_score_rows`` joins. A division by a zero norm only reaches a target
+    that is not kept, a reached goal's r2, which is overwritten, or a NaN mean."""
     n = len(xt)
     no_target = ~np.isfinite(p).all(axis=(1, 2))
     # each step's own vectors broadcast over its slots
@@ -182,8 +184,10 @@ def _score_block(xt, xn, p, lam, tg, first):
     count = np.bincount(key, minlength=n * n_cls).reshape(n, n_cls)
     per_class = np.bincount(key, s[kept], n * n_cls).reshape(n, n_cls) / count
     combined = np.nansum(tg.polarity * per_class, axis=1) / (count > 0).sum(axis=1)
-    return (all_masked + 2 * no_move, combined, per_class, ks + first, cls,
-            r1[kept], r2[kept], s[kept], (goal + 2 * best)[kept], no_target, overflow)
+    for whole, part in zip(out, (all_masked + 2 * no_move, combined, per_class, no_target,
+                                 overflow)):
+        whole[...] = part
+    return ks + first, cls, r1[kept], r2[kept], s[kept], (goal + 2 * best)[kept]
 
 
 def score_cohort(provider, trajectories, lam: float) -> List[Union[TrajectoryScore, TraceError]]:

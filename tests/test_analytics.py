@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from trace_scores import analytics, cli
 from trace_scores.analytics import (_two_sided_p, aggregate, polarity_averages, rank_targets,
-                                    welch_t_test)
+                                    summarize, welch_t_test)
 from trace_scores.errors import AggregateError, StatsError
 from trace_scores.pipeline import Trajectory
 from trace_scores.scoring import Polarity, SkipReason, score_trajectory
@@ -127,6 +129,98 @@ def test_polarity_averages_equal_the_per_score_formula_bit_for_bit(scores):
     # np.mean sums fewer than 8 step means in order and 8 or more pairwise
     assert [_bits(a) for a in polarity_averages(scores)] == \
         [_bits(_polarity_averages_of_one(ts)) for ts in scores]
+
+
+def _python_running_sum(combined, skip):
+    total, sums = 0.0, []
+    for v, k in zip(combined, skip):
+        if not k:
+            total += v
+            sums.append(total)
+    return sums
+
+
+_VALUES = st.floats(-1.0, 1.0) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0])
+
+
+@st.composite
+def drawn_scores(draw):
+    """Zero to eight hand-scored scores of 0-60 steps, some skipped, some all
+    skipped, their values with -0.0 and subnormals."""
+    scores = []
+    for _ in range(draw(st.integers(0, 8))):
+        n = draw(st.integers(0, 60))
+        skip = draw(st.lists(_SKIPS, min_size=n, max_size=n) | st.just([SkipReason.ALL_MASKED] * n))
+        combined = [np.nan if k else v for k, v in zip(skip, draw(
+            st.lists(_VALUES, min_size=n, max_size=n)))]
+        scores.append(hand_scored(combined, skip))
+    return scores
+
+
+@given(scores=drawn_scores(), budget=st.integers(1, 200))
+def test_the_cohort_pass_is_a_python_running_sum_bit_for_bit(scores, budget):
+    # a small grid budget makes many blocks, of one score or several
+    with mock.patch.object(analytics, "_BLOCK_CELLS", budget):
+        got = summarize(scores)
+        series = []
+        for ts in scores:
+            try:
+                series.append(aggregate(ts))
+            except AggregateError:
+                series.append(None)
+    assert len(got) == len(scores)
+    for summary, agg, ts in zip(got, series, scores):
+        want = _python_running_sum(ts.combined.tolist(), ts.skip.tolist())
+        if not want:
+            assert isinstance(summary, AggregateError) and agg is None
+            assert str(summary) == "no scored steps to aggregate"
+            continue
+        assert summary["n_steps"] == len(agg.values) == len(want)
+        assert summary["n_skipped"] == len(ts.skip) - len(want)
+        assert summary["final_cumulative"].hex() == want[-1].hex()
+        assert summary["average"].hex() == agg.average.hex() == (want[-1] / len(want)).hex()
+        assert [v.hex() for v in agg.cumulative] == [v.hex() for v in want]
+
+
+def test_the_cohort_pass_pads_no_score_to_the_longest():
+    """One 200 000-step score among 2 000 three-step ones: the pass holds a
+    few arrays of about (longest + block budget) values, not a grid of
+    subjects x longest (3.2 GB here)."""
+    longest = 200_000
+    scores = [hand_scored(np.full(longest, 0.5))] + [hand_scored([0.25, -0.5, 1.0])] * 2_000
+    tracemalloc.start()
+    try:
+        got = summarize(scores)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[0]["final_cumulative"] == 0.5 * longest and got[1]["n_steps"] == 3
+    outputs = 2_000 * 400   # the summary dicts and their floats
+    assert peak < 6 * 8 * (longest + 1 + analytics._BLOCK_CELLS) + outputs
+
+
+def test_a_score_run_makes_no_aggregate_call(tmp_path, monkeypatch):
+    # each target set's summary columns come from one summarize pass
+    calls, passes = [], []
+    monkeypatch.setattr(analytics, "aggregate", calls.append)
+    monkeypatch.setattr(analytics, "summarize", lambda scores: passes.append(len(scores))
+                        or summarize(scores))
+    (tmp_path / "traj.csv").write_text("subject_id,t,f0,f1,label\n" + "".join(
+        f"s{i},{t},{0.1 * (i + t)!r},{0.5 - 0.1 * t!r},A\n" for i in range(4) for t in range(3)))
+    (tmp_path / "corpus.csv").write_text("f0,f1,label\n0.1,0.2,A\n0.9,0.8,B\n0.2,0.1,B\n")
+    (tmp_path / "targets").mkdir()
+    for name in ("up", "down"):
+        (tmp_path / "targets" / f"{name}.csv").write_text("t,f0,f1\n" + "".join(
+            f"{t},{0.2 * t!r},{(0.9 if name == 'up' else -0.9) * t!r}\n" for t in range(3)))
+    cli.run_build_index(tmp_path / "corpus.csv", tmp_path / "index.bin")
+    cfg = cli.RunConfig(k_neighbors=1, polarity_map={"A": Polarity.DESIRABLE,
+                                                     "B": Polarity.UNDESIRABLE})
+    assert cli.run_score_corpus(tmp_path / "traj.csv", tmp_path / "index.bin", cfg,
+                                tmp_path / "corpus_out") == {"errors": 0, "subjects": 4}
+    assert cli.run_score_series(tmp_path / "traj.csv", tmp_path / "targets", cli.RunConfig(),
+                                tmp_path / "series_out") == {"errors": 0, "subjects": 4}
+    assert calls == [] and passes == [4, 4, 4]
 
 
 def test_a_corpus_run_takes_the_polarity_averages_once(tmp_path, monkeypatch):

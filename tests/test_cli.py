@@ -5,6 +5,7 @@ import hashlib
 import json
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -283,6 +284,40 @@ class TestScoreSeriesMode:
         assert res.stderr.splitlines()[-1] == (
             f"error: {tdir / 'SSP1.csv'}: series features ['b', 'a'] do not match "
             "trajectory features ['a', 'b']")
+
+
+@pytest.mark.parametrize("mode", ["corpus", "series"])
+def test_a_subject_with_no_scored_step_gets_an_error_row(corpus_setup, series_setup, mode):
+    """In corpus mode, "still" never moves, so each of its steps is skipped. In
+    series mode, "mirror" follows SSP1, which masks every feature of each of its
+    steps against SSP1 alone; it is still scored against the other series."""
+    if mode == "corpus":
+        tmp, corpus, traj, config = corpus_setup
+        with open(traj, "a") as fh:
+            fh.write("".join(f"still,{t},0.5,0.5,RFD\n" for t in range(3)))
+        runner.invoke(main, ["build-index", str(corpus), "--out", str(tmp / "index.json")])
+        source = ["--index", str(tmp / "index.json"), "--config", str(config)]
+        subject, message, scored = "still", "no scored steps to aggregate", ["s0", "s1", "s2", "s3"]
+    else:
+        tmp, traj, tdir = series_setup
+        with open(traj, "a") as fh:
+            fh.write("".join(f"mirror,{t},{(t + 1) * 0.1!r},{(t + 1) * 0.05!r}\n"
+                             for t in range(6)))
+        source = ["--targets-dir", str(tdir)]
+        subject, message = "mirror", "SSP1: no scored steps to aggregate"
+        scored = [("mirror", f"SSP{i}") for i in range(2, 6)] + [("nor", f"SSP{i}")
+                                                                  for i in range(1, 6)]
+    res = runner.invoke(main, ["score", str(traj), *source, "--out", str(tmp / "out")])
+    assert res.exit_code == 0, res.output
+    with open(tmp / "out" / "errors.csv") as fh:
+        assert list(csv.DictReader(fh)) == [{"subject_id": subject, "error": message}]
+    assert f"subject {subject}: {message}" in res.stderr.splitlines()
+    with open(tmp / "out" / "summary.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["subject_id"] if mode == "corpus" else (r["subject_id"], r["series"])
+            for r in rows] == scored
+    subjects = 4 if mode == "corpus" else 2
+    assert json.loads(res.stdout.splitlines()[-1]) == {"errors": 1, "subjects": subjects}
 
 
 def test_series_missing_a_subjects_t_isolates_that_subject(series_setup, monkeypatch):
@@ -1032,6 +1067,70 @@ def test_written_steps_keep_every_scored_value(cases, series_mode):
         scored = dict(zip(ts.steps[ts.skip == 0].tolist(), ts.combined[ts.skip == 0].tolist()))
         assert [cell and float(cell).hex() for cell in row[len(key_fields):]] == [
             scored[t].hex() if t in scored else "" for t in times]
+
+
+_ZEROS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 0.5, -0.25])
+
+
+@settings(max_examples=50)
+@given(means=st.lists(st.lists(_ZEROS, min_size=1, max_size=6), min_size=1, max_size=12),
+       polarity=st.lists(st.sampled_from([1.0, -1.0]), min_size=12, max_size=12))
+def test_one_class_groups_write_each_class_mean_bit_for_bit(means, polarity):
+    """Keys of two interleaved one-class groups, one per polarity, whose
+    class means include zeros: the kernel's combined is +0.0 there, so the
+    written class mean cannot be taken from the combined text."""
+    from trace_scores.cli import _write_steps
+    scores = {}
+    for i, (pc, p) in enumerate(zip(means, polarity)):
+        combined = [p * v if v else 0.0 for v in pc]
+        scores[(f"s{i // 2}", "up" if p > 0 else "down")] = hand_scored(
+            combined, labels=["c"], polarity=[p], per_class=[[v] for v in pc])
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_steps(Path(tmp), ["subject", "series"], scores)
+        lines = [json.loads(line) for line in (Path(tmp) / "steps.jsonl").read_text().splitlines()]
+    assert [(d["subject"], d["series"], d["t"], d["combined"].hex(), d["per_class"]["c"].hex())
+            for d in lines] == [(*key, t, c.hex(), v.hex()) for key, ts in scores.items()
+                                for t, c, v in zip(ts.steps.tolist(), ts.combined.tolist(),
+                                                   ts.per_class[:, 0].tolist())]
+
+
+def _write_peak_ratio(scores, key_fields):
+    """The tracemalloc peak of ``_write_steps`` over the size of the
+    ``steps.jsonl`` it writes."""
+    from trace_scores.cli import _write_steps
+    with tempfile.TemporaryDirectory() as tmp:
+        tracemalloc.start()
+        try:
+            _write_steps(Path(tmp), key_fields, scores)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (Path(tmp) / "steps.jsonl").stat().st_size
+
+
+def test_writing_steps_holds_about_the_text_of_the_wide_table():
+    """The wide table needs every scored combined text until the end; the
+    step lines are written key by key, so the peak stays within 1.5x the
+    step file, on a series-shaped cohort (400 keys in 5 one-class groups of 47
+    steps) and a two-class corpus-shaped one. Holding every line reads about
+    4x on the first."""
+    rng = np.random.default_rng(0)
+    series = {}
+    for i in range(80):
+        for j, p in enumerate([1.0, 1.0, -1.0, 1.0, -1.0]):
+            pc = rng.uniform(-1, 1, 47)
+            series[(f"p{i:04d}", f"SSP{j}")] = hand_scored(
+                p * pc, labels=[f"SSP{j}"], polarity=[p], per_class=pc[:, None])
+    assert _write_peak_ratio(series, ["subject", "series"]) < 1.5
+    corpus = {}
+    for i in range(300):
+        pc = np.where(rng.random((8, 2)) < 0.05, np.nan, rng.uniform(-1, 1, (8, 2)))
+        skip = np.isnan(pc).all(axis=1).astype(int)
+        combined = np.where(skip, np.nan, np.nansum(pc * [1.0, -1.0], axis=1)
+                            / np.maximum(1, (~np.isnan(pc)).sum(axis=1)))
+        corpus[(f"s{i:04d}",)] = hand_scored(combined, skip, ["mortality", "RFD"], pc,
+                                             [1.0, -1.0])
+    assert _write_peak_ratio(corpus, ["subject"]) < 1.5
 
 
 def test_older_index_layout_scores_from_its_points(corpus_setup):
