@@ -21,8 +21,8 @@ EPSILON = 1e-9   # a norm at most this counts as zero
 
 
 class Degeneracy(Enum):
-    """Why a step's geometry collapsed to a special case; each value is the
-    code the scoring kernel stores, ``Degeneracy(code)`` its member."""
+    """Why a step's geometry collapsed to a special case, as ``r2`` and
+    ``step_score`` report it."""
 
     NONE = 0
     GOAL_REACHED = 1

@@ -9,19 +9,19 @@ classes are combined into one signed score in [-1, 1].
 A step's score uses only its two points and its targets. So
 ``score_cohort`` stacks the steps of a whole cohort, calls the target
 provider once for them and scores them in one pass of one array kernel
-(``_score_rows``), in blocks of whole steps; targets arrive as a ``Targets``
+(``_score_block``), in blocks of whole steps; targets arrive as a ``Targets``
 block of arrays, the same slots of classes at every step. Each trajectory
-gets its ``TrajectoryScore`` of arrays as views of that pass, or the error
-that keeps it from being scored; ``score_trajectory`` is the one-trajectory
-case. ``geometry.step_score`` is the scalar reference the kernel reproduces
-target by target.
+gets its ``TrajectoryScore`` of per-step arrays as views of that pass, or
+the error that keeps it from being scored; ``score_trajectory`` is the
+one-trajectory case. ``geometry.step_score`` is the scalar reference the
+kernel reproduces target by target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import List, Tuple, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -46,8 +46,8 @@ class SkipReason(IntEnum):
 
 @dataclass(eq=False)
 class TrajectoryScore:
-    """A trajectory's scores as the kernel's arrays: first one entry per
-    step, then one per kept target, in step order."""
+    """A trajectory's scores as the kernel's arrays, one entry per step and
+    one column of ``per_class`` per class."""
 
     steps: np.ndarray      # the t index of the step's later point
     skip: np.ndarray       # SkipReason code, 0 for a scored step
@@ -55,12 +55,6 @@ class TrajectoryScore:
     labels: List[str]
     polarity: np.ndarray   # (len(labels),) 1.0 or -1.0 for each class
     per_class: np.ndarray  # (n_steps, len(labels)) means, NaN for a class not scored
-    step: np.ndarray       # index into ``steps``
-    cls: np.ndarray        # index into ``labels``
-    r1: np.ndarray
-    r2: np.ndarray
-    s: np.ndarray
-    flag: np.ndarray       # Degeneracy code
 
     @property
     def skipped_count(self) -> int:
@@ -96,45 +90,16 @@ def _norm(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.sqrt(_inner(v, v, w))
 
 
-def _score_rows(xt: np.ndarray, xn: np.ndarray, steps: np.ndarray, lam: float,
-                tg: Targets) -> Tuple[TrajectoryScore, np.ndarray, np.ndarray]:
-    """Score step ``i``, from ``xt[i]`` to ``xn[i]`` and labelled ``steps[i]``,
-    against its ``tg`` targets with ``geometry.step_score``'s arithmetic,
-    applied to every (step, slot) at once, in blocks of whole steps of at
-    most about ``_BLOCK_VALUES`` (step, slot, dim) values; no step's
-    arithmetic uses another's. Returns the TrajectoryScore of every step and
-    two per-step masks, whose steps' scores mean nothing: a target row that
-    is not finite, and a kept value whose square overflows."""
-    n, dim = xt.shape
-    slots = len(tg.cls)
-    if not slots:
-        raise TargetError("no targets supplied for step")
-    if tg.points.shape != (n * slots, dim):
-        raise DimensionError(f"target points of shape {tg.points.shape} do not match "
-                             f"{n} steps of {slots} targets in dimension {dim}")
-    if tg.polarity.shape != (len(tg.labels),):
-        raise DimensionError(f"polarities of shape {tg.polarity.shape} do not match "
-                             f"{len(tg.labels)} classes")
-    p = tg.points.reshape(n, slots, dim)
-    block = max(1, _BLOCK_VALUES // (slots * dim))
-    skip, combined, per_class, no_target, overflow = per_step = (
-        np.empty(n, np.int64), np.empty(n), np.empty((n, len(tg.labels))),
-        np.empty(n, bool), np.empty(n, bool))
-    step, cls, r1, r2, s, flag = (np.concatenate(field) for field in zip(*(
-        _score_block(xt[i:i + block], xn[i:i + block], p[i:i + block], lam, tg, i,
-                     [whole[i:i + block] for whole in per_step]) for i in range(0, n, block))))
-    return TrajectoryScore(
-        steps=steps, skip=skip, combined=combined, labels=tg.labels, polarity=tg.polarity,
-        per_class=per_class, step=step, cls=cls, r1=r1, r2=r2, s=s, flag=flag), no_target, overflow
-
-
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _score_block(xt, xn, p, lam, tg, first, out):
-    """``_score_rows`` on the steps ``first`` onwards, whose targets form the
-    ``(steps, slot, dim)`` grid ``p``: writes the per-step arrays and the two
-    masks into ``out`` and returns the per-kept-target arrays, which
-    ``_score_rows`` joins. A division by a zero norm only reaches a target
-    that is not kept, a reached goal's r2, which is overwritten, or a NaN mean."""
+def _score_block(xt, xn, p, lam, tg, out):
+    """Score step ``i``, from ``xt[i]`` to ``xn[i]``, against its targets, the
+    row ``p[i]`` of a ``(steps, slot, dim)`` grid, with
+    ``geometry.step_score``'s arithmetic applied to every (step, slot) at
+    once. Writes into ``out`` the per-step ``skip``, ``combined`` and
+    ``per_class`` and two masks, whose steps' scores mean nothing: a target
+    row that is not finite, and a kept value whose square overflows. A
+    division by a zero norm only reaches a target that is not kept, a reached
+    goal's r2, which is overwritten, or a NaN mean."""
     n = len(xt)
     no_target = ~np.isfinite(p).all(axis=(1, 2))
     # each step's own vectors broadcast over its slots
@@ -177,24 +142,23 @@ def _score_block(xt, xn, p, lam, tg, first, out):
 
     # class means per (step, class), then their polarity-signed mean; an empty
     # cell's mean is 0 / 0 = NaN and adds nothing to the combination
-    ks, slot = np.nonzero(kept)
-    cls = tg.cls[slot]
     n_cls = len(tg.labels)
-    key = ks * n_cls + cls
+    key = (np.arange(n)[:, None] * n_cls + tg.cls)[kept]
     count = np.bincount(key, minlength=n * n_cls).reshape(n, n_cls)
     per_class = np.bincount(key, s[kept], n * n_cls).reshape(n, n_cls) / count
     combined = np.nansum(tg.polarity * per_class, axis=1) / (count > 0).sum(axis=1)
     for whole, part in zip(out, (all_masked + 2 * no_move, combined, per_class, no_target,
                                  overflow)):
         whole[...] = part
-    return ks + first, cls, r1[kept], r2[kept], s[kept], (goal + 2 * best)[kept]
 
 
 def score_cohort(provider, trajectories, lam: float) -> List[Union[TrajectoryScore, TraceError]]:
     """Score every trajectory against the targets ``provider`` gives for its
     steps' earlier points: one provider call on the earlier points of all of
-    them stacked in order (none for no trajectory), then one ``_score_rows``
-    pass over all their steps. Returns, per trajectory in order, its
+    them stacked in order (none for no trajectory), then one pass of
+    ``_score_block`` over all their steps, in blocks of whole steps of at
+    most about ``_BLOCK_VALUES`` (step, slot, dim) values; no step's
+    arithmetic uses another's. Returns, per trajectory in order, its
     TrajectoryScore as views of that pass, or in its place the TraceError it
     fails with: fewer than 2 points, else a target row that is not finite
     (naming its class and the t its step starts from), else an overflow
@@ -209,12 +173,27 @@ def score_cohort(provider, trajectories, lam: float) -> List[Union[TrajectorySco
     bounds = np.cumsum([0, *(len(tr.t[1:]) for tr in trajectories)]).tolist()
     out: list = [TrajectoryError(f"trajectory needs at least 2 points, got {len(tr.t)}")
                  if len(tr.t) < 2 else None for tr in trajectories]
-    if not bounds[-1]:
+    (n, dim), slots = xt.shape, len(tg.cls)
+    if not n:
         return out
-    ts, no_target, overflow = _score_rows(xt, np.concatenate([tr.x[1:] for tr in trajectories]),
-                                          np.concatenate([tr.t[1:] for tr in trajectories]),
-                                          float(lam), tg)
-    slots = len(tg.cls)
+    if not slots:
+        raise TargetError("no targets supplied for step")
+    if tg.points.shape != (n * slots, dim):
+        raise DimensionError(f"target points of shape {tg.points.shape} do not match "
+                             f"{n} steps of {slots} targets in dimension {dim}")
+    if tg.polarity.shape != (len(tg.labels),):
+        raise DimensionError(f"polarities of shape {tg.polarity.shape} do not match "
+                             f"{len(tg.labels)} classes")
+    xn = np.concatenate([tr.x[1:] for tr in trajectories])
+    steps = np.concatenate([tr.t[1:] for tr in trajectories])
+    p = tg.points.reshape(n, slots, dim)
+    block = max(1, _BLOCK_VALUES // (slots * dim))
+    skip, combined, per_class, no_target, overflow = per_step = (
+        np.empty(n, np.int64), np.empty(n), np.empty((n, len(tg.labels))),
+        np.empty(n, bool), np.empty(n, bool))
+    for i in range(0, n, block):
+        _score_block(xt[i:i + block], xn[i:i + block], p[i:i + block], float(lam), tg,
+                     [whole[i:i + block] for whole in per_step])
     flagged = np.searchsorted(bounds, np.flatnonzero(no_target | overflow), "right") - 1
     for j in set(flagged.tolist()):
         a, b = bounds[j:j + 2]
@@ -224,16 +203,13 @@ def score_cohort(provider, trajectories, lam: float) -> List[Union[TrajectorySco
             out[j] = TargetError(f"class {tg.labels[tg.cls[row]]!r} has no target "
                                  f"at t={trajectories[j].t[i - a]}")
         else:
-            out[j] = TrajectoryError(f"score at t={ts.steps[a + overflow[a:b].argmax()]} is not "
+            out[j] = TrajectoryError(f"score at t={steps[a + overflow[a:b].argmax()]} is not "
                                      "finite: a value's square overflows")
-    kept = np.searchsorted(ts.step, bounds).tolist()
     for j, result in enumerate(out):
         if result is None:
-            (a, b), (ka, kb) = bounds[j:j + 2], kept[j:j + 2]
-            out[j] = TrajectoryScore(
-                ts.steps[a:b], ts.skip[a:b], ts.combined[a:b], ts.labels, ts.polarity,
-                ts.per_class[a:b], ts.step[ka:kb] - a, ts.cls[ka:kb], ts.r1[ka:kb],
-                ts.r2[ka:kb], ts.s[ka:kb], ts.flag[ka:kb])
+            a, b = bounds[j:j + 2]
+            out[j] = TrajectoryScore(steps[a:b], skip[a:b], combined[a:b], tg.labels,
+                                     tg.polarity, per_class[a:b])
     return out
 
 

@@ -176,15 +176,13 @@ def trajectory_cases(draw, classes="abc"):
 
 
 def hand_scored(combined, skip=None, labels=(), per_class=None, polarity=()):
-    """A scoring.TrajectoryScore with the given per-step arrays, one polarity
-    per label and no target rows, its steps labelled 1, 2, ...; ``skip``
+    """A scoring.TrajectoryScore with the given per-step arrays and one
+    polarity per label, its steps labelled 1, 2, ...; ``skip``
     defaults to all scored."""
     from trace_scores.scoring import TrajectoryScore
     n = len(combined)
-    none = np.array([])
     return TrajectoryScore(
         steps=np.arange(1, n + 1), skip=np.zeros(n, dtype=int) if skip is None else np.array(skip),
         combined=np.array(combined, dtype=float), labels=list(labels),
         polarity=np.array(polarity, dtype=float),
-        per_class=np.empty((n, 0)) if per_class is None else np.array(per_class, dtype=float),
-        step=none, cls=none, r1=none, r2=none, s=none, flag=none)
+        per_class=np.empty((n, 0)) if per_class is None else np.array(per_class, dtype=float))

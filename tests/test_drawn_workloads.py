@@ -5,9 +5,12 @@ Each example writes a small workload in the generator's layout
 (``config.json``, ``trajectories.csv``, and ``corpus.csv`` or ``targets/``)
 with a manifest that names the subjects the draw made unscorable, runs it
 with ``bench/workflow.py`` and requires ``OutputCheck`` to find no problem
-on any step. It also checks two summary figures that ``OutputCheck``
-leaves out: ``n_skipped`` against the steps the oracle skips, and
-``final_cumulative`` against a running sum of the subject's step lines.
+on any step. It also checks what ``OutputCheck`` leaves out: each summary
+row's ``n_skipped`` against the steps the oracle skips, its
+``final_cumulative`` against a running sum of the subject's step lines and,
+in corpus mode, its ``average_desirable`` and ``average_undesirable``
+against list-loop means of those lines' class means; and the
+``errors.csv`` messages against the ones the draw calls for.
 
 The draws stay inside the oracle's limits: each subject's rows are sorted
 by ``t`` and carry one label, every series holds every ``t``, no cell is
@@ -48,12 +51,12 @@ _TIMES = range(7)
 
 @st.composite
 def workloads(draw, mode):
-    """Files and manifest of one drawn workload: one to five subjects of one
-    to five points over two or three features (the last static in some
-    draws), with empty cells, whole empty columns and repeated rows; in
-    corpus mode classes A and B mapped and C not, with duplicate rows and a
-    k that may pass a class's size; in series mode one to three series over
-    every t."""
+    """Files, manifest and each unscorable subject's error message (without
+    a series prefix) of one drawn workload: one to five subjects of one to
+    five points over two or three features (the last static in some draws),
+    with empty cells, whole empty columns and repeated rows; in corpus mode
+    classes A and B mapped and C not, with duplicate rows and a k that may
+    pass a class's size; in series mode one to three series over every t."""
     dim = draw(st.integers(2, 3))
     static = draw(st.booleans())
 
@@ -61,7 +64,7 @@ def workloads(draw, mode):
         cells = draw(st.lists(values, min_size=dim, max_size=dim))
         return cells[:-1] + [0.5] if static else cells
 
-    files, malformed, subjects = {}, [], []
+    files, errors, subjects = {}, {}, []
     if mode == "corpus":
         classes = {"A": draw(st.integers(1, 4)), "B": draw(st.integers(1, 4)),
                    "C": draw(st.integers(0, 2))}
@@ -92,18 +95,28 @@ def workloads(draw, mode):
         for row in cells if empty < dim else ():
             row[empty] = None
         no_mean = mode == "series" or label == "" or (label == "C" and not classes["C"])
-        if len(times) < 2 or (no_mean and any(all(row[j] is None for row in cells)
-                                              for j in range(dim))):
-            malformed.append(subject)
+        empty = [j for j in range(dim) if no_mean and all(row[j] is None for row in cells)]
+        if empty:
+            errors[subject] = f"feature 'f{empty[0]}' has no value and no class mean is available"
+        elif len(times) < 2:
+            errors[subject] = "trajectory needs at least 2 points, got 1"
         subjects += [[subject, t, *("" if v is None else repr(v) for v in row),
                       *([label] if label is not None else [])] for t, row in zip(times, cells)]
-    assume(len(malformed) < n_subjects)   # a run with no scorable subject fails
+    assume(len(errors) < n_subjects)   # a run with no scorable subject fails
     files["trajectories.csv"] = (["subject_id", "t", *(f"f{j}" for j in range(dim)),
                                   *(["label"] if mode == "corpus" else [])], subjects)
     files["config.json"] = config
-    manifest = {"mode": mode, "malformed": malformed, "workload": "drawn",
+    manifest = {"mode": mode, "malformed": list(errors), "workload": "drawn",
                 "subjects": n_subjects}
-    return files, manifest
+    return files, manifest, errors
+
+
+def _running_mean(values):
+    """The mean of ``values``, summed in order."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 def _write(inputs: Path, files, manifest):
@@ -122,7 +135,7 @@ def _write(inputs: Path, files, manifest):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(data=st.data())
 def test_oracle_accepts_runs_on_drawn_workloads(mode, data):
-    files, manifest = data.draw(workloads(mode))
+    files, manifest, errors = data.draw(workloads(mode))
     with tempfile.TemporaryDirectory() as d:
         inputs, out = Path(d) / "in", Path(d) / "out"
         _write(inputs, files, manifest)
@@ -136,19 +149,38 @@ def test_oracle_accepts_runs_on_drawn_workloads(mode, data):
         out.mkdir()
         result = workflow.run_sequence(inputs, out, manifest)
         assert check.check(out, result["info"], 0) == []
-        combined = {}
+        steps = {}
         with open(out / "scores" / "steps.jsonl") as fh:
             for line in fh:
                 step = json.loads(line)
-                combined.setdefault((step["subject"], step.get("series")), []).append(
-                    step["combined"])
+                steps.setdefault((step["subject"], step.get("series")), []).append(step)
         with open(out / "scores" / "summary.csv", newline="") as fh:
             summary = list(csv.DictReader(fh))
+        reported = []
+        if (out / "scores" / "errors.csv").exists():
+            with open(out / "scores" / "errors.csv", newline="") as fh:
+                reported = list(csv.reader(fh))
+    # one error row per target set in file order, the series named in series mode
+    series = ([""] if mode == "corpus" else
+              sorted(f"{Path(name).stem}: " for name in files if name.startswith("targets/")))
+    want = [[subject, prefix + message] for subject, message in sorted(errors.items())
+            for prefix in series]
+    assert reported == ([["subject_id", "error"], *want] if want else [])
     assert len(summary) == len(skipped)
+    polarity_map = files["config.json"]["polarity_map"]
     for row in summary:
         key = (row["subject_id"], row.get("series"))
         assert int(row["n_skipped"]) == sum(skipped[key])
         total = 0.0
-        for value in combined[key]:
-            total += value
+        for step in steps[key]:
+            total += step["combined"]
         assert row["final_cumulative"] == repr(total)
+        for polarity in ("desirable", "undesirable") if mode == "corpus" else ():
+            # the mean over the scored steps of each one's mean over the
+            # classes of that polarity it scores; empty where none scores one
+            means = [_running_mean(values) for values in (
+                [v for c, v in step["per_class"].items() if polarity_map[c] == polarity]
+                for step in steps[key]) if values]
+            average = row[f"average_{polarity}"]
+            assert (float(average) if average else None) == (
+                _running_mean(means) if means else None)

@@ -1,7 +1,8 @@
-"""The package root's exports and what importing it loads, the README's
-library example run as code, and the README's configuration keys,
-command-line options and index keys against the code's."""
+"""The package root's exports and what importing it loads, every module's
+imports used, the README's library example run as code, and the README's
+configuration keys, command-line options and index keys against the code's."""
 
+import ast
 import json
 import os
 import re
@@ -17,6 +18,7 @@ from trace_scores.cli import RunConfig, main
 from trace_scores.targets import build_index, save_corpus
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trace_scores"
 
 ROOT_NAMES = {
     "Polarity", "Trajectory", "aggregate", "build_index", "closest_point",
@@ -42,6 +44,21 @@ def test_import_loads_no_scipy_module(module):
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_module_level_import_is_used(path):
+    # no linter is installed: each name a module imports at its top level is
+    # read somewhere in it or exported through its __all__
+    tree = ast.parse(path.read_text())
+    imported = {(alias.asname or alias.name).split(".")[0] for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {name for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for name in ast.literal_eval(node.value)}
+    assert sorted(imported - used - exported) == []
 
 
 def test_readme_library_example_runs(capsys):

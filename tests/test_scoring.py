@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from trace_scores import scoring
 from trace_scores.errors import (ConfigError, DegenerateGeometry, DimensionError, TargetError,
                                  TraceError, TrajectoryError)
-from trace_scores.geometry import EPSILON, Degeneracy, StepGeometry, norm_of, step_score
+from trace_scores.geometry import EPSILON, Degeneracy, norm_of, step_score
 from trace_scores.pipeline import Trajectory
 from trace_scores.scoring import Polarity, SkipReason, score_cohort, score_trajectory
 from trace_scores.targets import build_index, knn_provider, series_provider
@@ -35,17 +35,27 @@ def fixed_target(tr, point, label="goal"):
     return make_targets([[(point, label)]] * (len(tr.t) - 1))
 
 
-def assert_same_geometry(got, want):
-    """Two lists of StepGeometry agree: flags exactly, scores to 1e-12."""
-    assert [g.degenerate for g in got] == [g.degenerate for g in want]
-    np.testing.assert_allclose([(g.r1, g.r2, g.s) for g in got],
-                               [(g.r1, g.r2, g.s) for g in want], rtol=0, atol=1e-12)
+def own_classes(points):
+    """``(point, class label)`` targets, each point of its own class."""
+    return [(p, f"c{j}") for j, p in enumerate(points)]
 
 
-def geometries(ts):
-    """The kept targets' scores of a TrajectoryScore as StepGeometry."""
-    return [StepGeometry(r1, r2, s, Degeneracy(f)) for r1, r2, s, f in
-            zip(ts.r1.tolist(), ts.r2.tolist(), ts.s.tolist(), ts.flag.tolist())]
+def target_terms(x_t, x_next, points, lam):
+    """Each target's ``(r1, r2, s)`` from the kernel, NaN for a dropped one:
+    with each target its own class, its class mean at lambda 1, 0 and
+    ``lam`` is its r1, r2 and s exactly."""
+    targets = own_classes(points)
+    return np.array([score_one(x_t, x_next, targets, at).per_class[0]
+                     for at in (1.0, 0.0, lam)]).T
+
+
+def reference_terms(x_t, x_next, points, lam):
+    """Each target's ``(r1, r2, s)`` from ``geometry.step_score``."""
+    return [(g.r1, g.r2, g.s) for g in (step_score(x_t, x_next, p, lam) for p in points)]
+
+
+def assert_same_terms(got, want):
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def class_means(ts, i=0):
@@ -61,12 +71,13 @@ class TestMaskStatic:
         # the move along dim 1 would cost r1 if dim 1 were scored
         step = score_one([1, 5], [2, 6], [([3, 5], "c")], 0.9)
         without = score_one([1], [2], [([3], "c")], 0.9)
-        assert_same_geometry(geometries(step), geometries(without))
+        assert_same_terms(target_terms([1, 5], [2, 6], [[3, 5]], 0.9),
+                          target_terms([1], [2], [[3]], 0.9))
         assert step.combined[0] == without.combined[0] == 1.0
 
     def test_all_dims_differ(self):
-        step = score_one([1, 5], [2, 6], [([3, 7], "c")], 0.9)
-        assert_same_geometry(geometries(step), [step_score([1, 5], [2, 6], [3, 7], 0.9)])
+        assert_same_terms(target_terms([1, 5], [2, 6], [[3, 7]], 0.9),
+                          reference_terms([1, 5], [2, 6], [[3, 7]], 0.9))
 
     def test_all_masked(self):
         step = score_one([1, 5], [2, 6], [([1, 5], "c")], 0.9)
@@ -75,10 +86,10 @@ class TestMaskStatic:
     def test_union_over_targets(self):
         # each target is static in one dim, so the union keeps both dims
         points = [[1, 7], [3, 5]]
-        step = score_one([1, 5], [2, 6], [(p, "c") for p in points], 0.9)
+        step = score_one([1, 5], [2, 6], own_classes(points), 0.9)
         assert step.skip[0] == 0
-        assert_same_geometry(geometries(step),
-                             [step_score([1, 5], [2, 6], p, 0.9) for p in points])
+        assert_same_terms(target_terms([1, 5], [2, 6], points, 0.9),
+                          reference_terms([1, 5], [2, 6], points, 0.9))
 
 
 class TestScoreStep:
@@ -176,7 +187,9 @@ class TestScoreStep:
         rng = np.random.default_rng(8)
         for _ in range(100):
             x_t, x_next, p = rng.normal(size=(3, 1))
-            assert set(score_one(x_t, x_next, [(p, "c")], 1.0).r1.tolist()) <= {-1.0, 1.0}
+            # at lambda 1 a one-target class mean is the target's r1
+            means = class_means(score_one(x_t, x_next, [(p, "c")], 1.0))
+            assert set(means.values()) <= {-1.0, 1.0}
 
     def test_degenerate_target_dropped(self):
         # one target sits exactly on the factual; the other still scores
@@ -239,27 +252,28 @@ def reference_step(x_t, x_next, targets, lam, polarity):
 
 def assert_matches_reference(ts, i, x_t, x_next, targets, lam, polarity):
     """Step ``i`` of ``ts`` against ``reference_step``: its skip reason, its
-    kept targets' classes, flags and scores, its classes' polarities, its
-    per-class means and its combined score."""
-    reason, per_target, per_class, combined = reference_step(x_t, x_next, targets, lam, polarity)
+    classes' polarities, its per-class means and its combined score. The step
+    rescored at lambda 1 and 0 gives each class the mean of its kept
+    targets' r1 and r2, so that each term is checked on its own."""
+    reason, per_target, _, combined = reference_step(x_t, x_next, targets, lam, polarity)
     assert ts.skip[i] == (0 if reason is None else reason)
     assert ts.polarity.tolist() == [float(polarity.get(c, DESIRABLE)) for c in ts.labels]
-    rows = ts.step == i
-    assert [ts.labels[c] for c in ts.cls[rows].tolist()] == [c for c, _ in per_target]
-    for r1, r2, s, flag, (_, want) in zip(ts.r1[rows].tolist(), ts.r2[rows].tolist(),
-                                         ts.s[rows].tolist(), ts.flag[rows].tolist(),
-                                         per_target):
-        assert Degeneracy(flag) is want.degenerate
-        # the documented ranges, and the exact ones of a reached goal, hold bit for bit
-        assert -1.0 <= r1 <= 1.0 and 0.0 <= r2 <= 1.0
-        if want.degenerate is Degeneracy.GOAL_REACHED:
-            assert r1 == r2 == s == 1.0
-        np.testing.assert_allclose([r1, r2, s], [want.r1, want.r2, want.s], rtol=0, atol=1e-12)
+    kept = {}
+    for label, geom in per_target:
+        kept.setdefault(label, []).append(geom)
     # the matrix has no per-step class order: compare the means as a mapping
-    got = class_means(ts, i)
-    assert got.keys() == per_class.keys()
-    np.testing.assert_allclose([got[c] for c in per_class], list(per_class.values()),
-                               rtol=0, atol=1e-12)
+    for term, got in (("s", class_means(ts, i)),
+                      ("r1", class_means(score_one(x_t, x_next, targets, 1.0, polarity))),
+                      ("r2", class_means(score_one(x_t, x_next, targets, 0.0, polarity)))):
+        want = {c: float(np.mean([getattr(g, term) for g in geoms])) for c, geoms in kept.items()}
+        assert got.keys() == want.keys()
+        np.testing.assert_allclose([got[c] for c in want], list(want.values()),
+                                   rtol=0, atol=1e-12)
+        # the documented ranges, and the exact one of reached goals, hold bit for bit
+        assert all(-1.0 <= v <= 1.0 and (term != "r2" or v >= 0.0) for v in got.values())
+        for c, geoms in kept.items():
+            if all(g.degenerate is Degeneracy.GOAL_REACHED for g in geoms):
+                assert got[c] == 1.0
     if combined is None:
         assert np.isnan(ts.combined[i])
     else:
@@ -273,7 +287,6 @@ def test_kernel_matches_scalar_step_score(case):
     tg = make_targets(target_lists, polarity)
     ts = score_trajectory(Trajectory("s", range(len(xs)), xs), tg, lam)
     assert ts.steps.tolist() == list(range(1, len(xs)))
-    assert (np.diff(ts.step) >= 0).all()
     # every scored step, and no skipped one, has a finite combined score
     assert (np.isfinite(ts.combined) == (ts.skip == 0)).all()
     for i in range(len(ts.steps)):
@@ -313,16 +326,18 @@ def test_one_class_mean_is_the_signed_combined_score(case):
 ], ids=["goal-reached", "goal-reached-rounded", "best-achieved", "best-achieved-past", "all-masked",
         "no-move", "dropped-target"])
 def test_kernel_matches_scalar_on_degenerate_steps(x_t, x_next, points, expect):
-    targets = list(zip(points, "ab"))
+    targets = own_classes(points)
     for lam in (0.0, 0.4, 1.0):
         step = score_one(x_t, x_next, targets, lam)
         assert_matches_reference(step, 0, x_t, x_next, targets, lam, {})
         if isinstance(expect, Degeneracy):
-            assert step.flag.tolist() == [expect.value]
+            # r2 is 1 for both; a reached goal's r1 is 1 as well
+            if lam == 0.0 or expect is Degeneracy.GOAL_REACHED:
+                assert class_means(step) == {"c0": 1.0}
         elif isinstance(expect, SkipReason):
             assert step.skip[0] == expect
         else:
-            assert len(step.s) == len(points) - 1
+            assert class_means(step).keys() == {"c1"}
             assert step.skip[0] == 0
 
 
@@ -356,7 +371,7 @@ def test_a_scored_step_keeps_a_target(case):
     ts = score_trajectory(Trajectory("s", range(len(xs)), xs), tg, 0.5)
     assert set(ts.skip.tolist()) <= {0, SkipReason.ALL_MASKED, SkipReason.NO_FEATURE_CHANGE}
     for i in np.flatnonzero(ts.skip == 0).tolist():
-        assert (ts.step == i).any()
+        assert not np.isnan(ts.per_class[i]).all()
         assert np.isfinite(ts.combined[i])
 
 def test_lambda_outside_the_unit_interval_raises():
@@ -417,8 +432,7 @@ def cohort_cases(draw):
 
 
 # the arrays of a TrajectoryScore
-ARRAYS = ("steps", "skip", "combined", "polarity", "per_class", "step", "cls", "r1", "r2", "s",
-          "flag")
+ARRAYS = ("steps", "skip", "combined", "polarity", "per_class")
 
 
 def one_result(tr, targets, lam):
@@ -459,8 +473,8 @@ def test_score_cohort_gives_each_trajectory_its_own_result(case):
 
 def test_score_cohort_holds_about_two_blocks_beside_its_outputs():
     """A cohort 20 kernel blocks long: the tracemalloc peak of ``score_cohort``
-    stays under its stacked steps, its outputs twice (the blocks' parts and
-    their join) and two blocks of at most 8 (step, slot, dim) grids each.
+    stays under its stacked steps, its outputs and two blocks of at most 8
+    (step, slot, dim) grids each.
     Unblocked, the grids of one pass would take about 16 MiB here."""
     rng = np.random.default_rng(0)
     slots, dim = 4, 16
@@ -477,4 +491,4 @@ def test_score_cohort_holds_about_two_blocks_beside_its_outputs():
     assert all(isinstance(ts, scoring.TrajectoryScore) for ts in got)
     stacked = n_steps * (2 * dim + 2) * 8   # the earlier and later points and t
     outputs = sum(getattr(ts, name).nbytes for ts in got for name in ARRAYS)
-    assert peak < stacked + 2 * outputs + 2 * 8 * 8 * scoring._BLOCK_VALUES
+    assert peak < stacked + outputs + 2 * 8 * 8 * scoring._BLOCK_VALUES
