@@ -104,21 +104,21 @@ def run_build_index(corpus_csv, out_path) -> Dict[str, int]:
     return {label: corpus.class_size(label) for label in corpus.classes()}
 
 
-def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
+def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir,
                   build_kwargs, row_extra=None) -> Tuple[List[dict], dict]:
     """Score every subject against each ``(series, provider)`` target set.
 
-    Each subject's trajectory is built once, and each target set scores every
-    built trajectory in one ``scoring.score_cohort`` call. A series of None marks
-    the corpus's single target set; a named one tags step lines, summary rows
-    and error messages with it, and a subject that cannot be scored against
-    a set, say for a t it lacks, gets one error row for that set. Removes
-    every file a score run writes from ``out_dir``, then writes
-    ``errors.csv``, ``steps.jsonl`` and ``scores_wide.csv`` (``_write_steps``)
-    and ``summary.csv`` (``columns``, from ``analytics.summarize``); returns
-    the summary rows and the run info.
-    """
-    by_subject, labels, _ = traj_data
+    Each subject's trajectory is built once (``build_kwargs`` and the table's
+    feature names), and each target set scores every built trajectory in one
+    ``scoring.score_cohort`` call. A series of None marks the corpus's single
+    target set; a named one tags step lines, summary rows and error messages
+    with it, and a subject that cannot be scored against a set, say for a t
+    it lacks, gets one error row for that set. Removes every file a score run
+    writes from ``out_dir``, then writes ``errors.csv``, ``steps.jsonl`` and
+    ``scores_wide.csv`` (``_write_steps``) and ``summary.csv``: ``subject_id``,
+    ``label`` or ``series``, then ``analytics.summarize``'s and ``row_extra``'s
+    keys. Returns the summary rows and the run info."""
+    by_subject, labels, names = traj_data
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in ("steps.jsonl", "scores_wide.csv", "summary.csv", "errors.csv", "ranking.json"):
@@ -130,22 +130,22 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
     for subject in sorted(by_subject):
         try:
             built.append(build_trajectory(by_subject[subject], label=labels.get(subject),
-                                          **build_kwargs))
+                                          names=names, **build_kwargs))
         except TraceError as e:
             errors += [(subject, _error_text(series, e)) for series, _ in target_sets]
     cohort = [scoring.score_cohort(provider, built, cfg.lam) for _, provider in target_sets]
     summaries = [iter(analytics.summarize([ts for ts in res if not isinstance(ts, TraceError)]))
                  for res in cohort]
     for traj, *results in zip(built, *cohort):
-        subject, label = traj.subject_id, labels.get(traj.subject_id)
+        subject = traj.subject_id
         for (series, _), ts, set_summaries in zip(target_sets, results, summaries):
             summary = ts if isinstance(ts, TraceError) else next(set_summaries)
             if isinstance(summary, TraceError):
                 errors.append((subject, _error_text(series, summary)))
                 continue
-            tag = {} if series is None else {"series": series}
-            scores[(subject, *tag.values())] = ts
-            summary_rows.append({"subject_id": subject, **tag, "label": label or "", **summary})
+            tag = {"label": labels.get(subject) or ""} if series is None else {"series": series}
+            scores[(subject,) if series is None else (subject, series)] = ts
+            summary_rows.append({"subject_id": subject, **tag, **summary})
     errors.sort(key=lambda e: e[0])   # stable: a subject's rows stay in target-set order
     if errors:
         write_csv(out_dir / "errors.csv", ["subject_id", "error"], errors)
@@ -157,7 +157,7 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, columns,
         row.update(extra)
     key_fields = ["subject"] if target_sets[0][0] is None else ["subject", "series"]
     _write_steps(out_dir, key_fields, scores)
-    write_csv(out_dir / "summary.csv", columns, ([row[c] for c in columns] for row in summary_rows))
+    write_csv(out_dir / "summary.csv", [*summary_rows[0]], ([*r.values()] for r in summary_rows))
     info = {"subjects": len({row["subject_id"] for row in summary_rows}),
             "errors": len(errors)}
     return summary_rows, info
@@ -186,9 +186,7 @@ def run_score_corpus(traj_csv, index_path, cfg: RunConfig, out_dir) -> dict:
     provider = knn_provider(corpus, cfg.k_neighbors, cfg.polarity_map)
     _, info = _score_cohort(
         traj_data, [(None, provider)], cfg, out_dir,
-        ["subject_id", "label", "n_steps", "n_skipped", "average",
-         "final_cumulative", "average_desirable", "average_undesirable"],
-        {"class_means": corpus.class_means, "normalizer": corpus.norm_stats, "names": features},
+        {"class_means": corpus.class_means, "normalizer": corpus.norm_stats},
         row_extra=analytics.polarity_averages)
     return info
 
@@ -229,10 +227,7 @@ def run_score_series(traj_csv, targets_dir, cfg: RunConfig, out_dir) -> dict:
     if unknown:
         raise ConfigError(f"polarity_map names series {unknown[0]!r}, which {targets_dir} "
                           f"lacks (series: {names})")
-    summary_rows, info = _score_cohort(
-        traj_data, target_sets, cfg, out_dir,
-        ["subject_id", "series", "n_steps", "n_skipped", "average", "final_cumulative"],
-        {"names": traj_data[2]})
+    summary_rows, info = _score_cohort(traj_data, target_sets, cfg, out_dir, {})
     averages: Dict[str, Dict[str, float]] = {}
     for row in summary_rows:
         averages.setdefault(row["subject_id"], {})[row["series"]] = row["average"]

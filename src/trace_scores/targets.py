@@ -45,18 +45,18 @@ class _ClassIndex:
     points: np.ndarray    # (n_class, dim), normalized when the corpus has a normalizer
 
     @np.errstate(over="ignore", invalid="ignore")
-    def query_rows(self, xs: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    def query_rows(self, xs: np.ndarray, k: int) -> np.ndarray:
         """For each row of the ``(n_q, dim)`` queries ``xs``, the positions in
         ``rows``/``points`` of its exact ``min(k, n_class)`` nearest class
-        members, nearest first with ties broken by position, and their
-        distances: two ``(n_q, min(k, n_class))`` matrices. One matrix
-        product prefilters the candidates; only those get the exact distance
-        of ``np.linalg.norm(points - x, axis=1)``."""
+        members, nearest first with ties broken by position: one
+        ``(n_q, min(k, n_class))`` matrix. One matrix product prefilters the
+        candidates; only those get the exact distance of
+        ``np.linalg.norm(points - x, axis=1)``, which orders them."""
         k = min(k, len(self.rows))
         sq_norms = np.einsum("ij,ij->i", self.points, self.points)
         n = self.points.shape[1] + 4
         gamma = n * _U / (1 - n * _U)
-        pos, dist = np.empty((len(xs), k), dtype=np.intp), np.empty((len(xs), k))
+        pos = np.empty((len(xs), k), dtype=np.intp)
         # sized for a block in which every row is a candidate
         block = max(1, _BLOCK_VALUES // self.points.size)
         for i in range(0, len(xs), block):
@@ -77,8 +77,7 @@ class _ClassIndex:
             order = np.lexsort((p, d, q))
             keep = order[np.arange(len(q)) - np.searchsorted(q, q) < k]
             pos[i:i + block] = p[keep].reshape(-1, k)
-            dist[i:i + block] = d[keep].reshape(-1, k)
-        return pos, dist
+        return pos
 
 
 @dataclass(eq=False)
@@ -182,8 +181,7 @@ def knn_provider(corpus: Corpus, k: int, polarity_map: Mapping[str, Polarity]):
         if xs.shape[1:] != (corpus.dim,):
             raise ConfigError(f"query dimension {xs.shape[-1]} does not match "
                               f"corpus dimension {corpus.dim}")
-        points = np.concatenate([idx.points[idx.query_rows(xs, k)[0]] for idx in indices],
-                                axis=1)
+        points = np.concatenate([idx.points[idx.query_rows(xs, k)] for idx in indices], axis=1)
         return Targets(cls=cls, labels=list(polarity_map), polarity=polarity,
                        points=points.reshape(-1, corpus.dim))
     return provide

@@ -1,13 +1,16 @@
 """The package root's exports and what importing it loads, every module's
-imports used, the README's library example run as code, and the README's
-configuration keys, command-line options and index keys against the code's."""
+imports used and every definition named, the README's library example run as
+code, and the README's configuration keys, command-line options, summary
+columns and index keys against the code's."""
 
 import ast
+import csv
 import json
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,8 +20,9 @@ import trace_scores
 from trace_scores.cli import RunConfig, main
 from trace_scores.targets import build_index, save_corpus
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trace_scores"
+REPO = Path(__file__).resolve().parents[1]
+README = (REPO / "README.md").read_text()
+PACKAGE = REPO / "src" / "trace_scores"
 
 ROOT_NAMES = {
     "Polarity", "Trajectory", "aggregate", "build_index", "closest_point",
@@ -61,6 +65,48 @@ def test_every_module_level_import_is_used(path):
     assert sorted(imported - used - exported) == []
 
 
+def _named(tree) -> Counter:
+    """How often ``tree`` names each identifier: as a name, an attribute, an
+    import, or a part of a string constant that is a dotted path (the
+    benchmark's tracer patches attributes by their names as strings)."""
+    named = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            named[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            named.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and re.fullmatch(r"[\w.]+", node.value):
+            named.update(node.value.split("."))
+    return named
+
+
+@pytest.fixture(scope="module")
+def named_in_repo() -> Counter:
+    return sum((_named(ast.parse(path.read_text())) for top in ("src", "bench", "tests")
+                for path in sorted((REPO / top).rglob("*.py"))), Counter())
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_src_definition_is_referenced(path, named_in_repo):
+    # no linter is installed: each top-level function or class, and each
+    # method that is not a dunder, is named outside its own definition
+    # somewhere in src/, bench/ or tests/; click commands are exempt
+    definitions = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not any(
+                isinstance(d, ast.Call) and ast.unparse(d.func) == "main.command"
+                for d in node.decorator_list):
+            definitions.append(node)
+        if isinstance(node, ast.ClassDef):
+            definitions += [m for m in node.body if isinstance(m, ast.FunctionDef)
+                            and not (m.name.startswith("__") and m.name.endswith("__"))]
+    unused = [d.name for d in definitions if named_in_repo[d.name] == _named(d)[d.name]]
+    assert unused == []
+
+
 def test_readme_library_example_runs(capsys):
     section = README.split("## Library example", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
@@ -91,3 +137,31 @@ def test_readme_names_exactly_the_index_keys(tmp_path):
         written = json.loads(fh.readline())
     assert len(listed) == len(set(listed))
     assert set(listed) == set(written)
+
+
+def test_readme_names_exactly_the_summary_columns(tmp_path):
+    # each mode's columns are the code spans, in order, before "in corpus
+    # mode" and before "in series mode"
+    sentence = re.search(r"^`summary\.csv` has the columns (.*?) in corpus mode, and "
+                         r"(.*?) in series mode\.", README, re.S | re.M)
+    (tmp_path / "corpus.csv").write_text("f0,label\n0.0,a\n1.0,b\n")
+    (tmp_path / "traj.csv").write_text("subject_id,t,f0,label\ns1,0,0.2,a\ns1,1,0.8,a\n")
+    (tmp_path / "config.json").write_text(
+        json.dumps({"polarity_map": {"a": "undesirable", "b": "desirable"}}))
+    (tmp_path / "targets").mkdir()
+    (tmp_path / "targets" / "goal.csv").write_text("t,f0\n0,1.0\n1,1.0\n")
+    runner = CliRunner()
+    res = runner.invoke(main, ["build-index", str(tmp_path / "corpus.csv"),
+                               "--out", str(tmp_path / "index.bin")])
+    assert res.exit_code == 0, res.output
+    runs = {"corpus": ["--index", str(tmp_path / "index.bin"),
+                       "--config", str(tmp_path / "config.json")],
+            "series": ["--targets-dir", str(tmp_path / "targets")]}
+    for mode, listed in zip(runs, sentence.groups()):
+        out = tmp_path / mode
+        res = runner.invoke(main, ["score", str(tmp_path / "traj.csv"), *runs[mode],
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        with open(out / "summary.csv", newline="") as fh:
+            header = next(csv.reader(fh))
+        assert re.findall(r"`(\w+)`", listed) == header
