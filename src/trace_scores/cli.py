@@ -104,25 +104,26 @@ def run_build_index(corpus_csv, out_path) -> Dict[str, int]:
     return {label: corpus.class_size(label) for label in corpus.classes()}
 
 
-def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir,
-                  build_kwargs, row_extra=None) -> Tuple[List[dict], dict]:
+def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, corpus=None) -> dict:
     """Score every subject against each ``(series, provider)`` target set.
 
-    Each subject's trajectory is built once (``build_kwargs`` and the table's
-    feature names), and each target set scores every built trajectory in one
-    ``scoring.score_cohort`` call. A series of None marks the corpus's single
-    target set; a named one tags step lines, summary rows and error messages
-    with it, and a subject that cannot be scored against a set, say for a t
-    it lacks, gets one error row for that set. Removes every file a score run
-    writes from ``out_dir``, then writes ``errors.csv``, ``steps.jsonl`` and
-    ``scores_wide.csv`` (``_write_steps``) and ``summary.csv``: ``subject_id``,
-    ``label`` or ``series``, then ``analytics.summarize``'s and ``row_extra``'s
-    keys. Returns the summary rows and the run info."""
+    Each subject's trajectory is built once, with ``corpus``'s class means and
+    normalizer (None in series mode), and each target set scores every built
+    trajectory in one ``scoring.score_cohort`` call. A series of None marks the
+    corpus's single target set; a named one tags step lines, summary rows and
+    error messages with it, and a subject that cannot be scored against a set,
+    say for a t it lacks, gets one error row for that set. Removes every file a
+    score run writes from ``out_dir``; both modes then write ``errors.csv`` (if
+    a subject failed), ``steps.jsonl`` and ``scores_wide.csv`` (``_write_steps``)
+    and ``summary.csv``: ``subject_id``, ``label`` or ``series``, the keys of
+    ``analytics.summarize`` and, with a corpus, of ``polarity_averages``. Series
+    mode last writes ``ranking.json``. Returns the run info."""
     by_subject, labels, names = traj_data
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in ("steps.jsonl", "scores_wide.csv", "summary.csv", "errors.csv", "ranking.json"):
         (out_dir / name).unlink(missing_ok=True)
+    means, normalizer = (None, None) if corpus is None else (corpus.class_means, corpus.norm_stats)
     scores: Dict[Tuple[str, ...], scoring.TrajectoryScore] = {}
     summary_rows: List[dict] = []
     errors: List[Tuple[str, str]] = []
@@ -130,7 +131,7 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir,
     for subject in sorted(by_subject):
         try:
             built.append(build_trajectory(by_subject[subject], label=labels.get(subject),
-                                          names=names, **build_kwargs))
+                                          class_means=means, normalizer=normalizer, names=names))
         except TraceError as e:
             errors += [(subject, _error_text(series, e)) for series, _ in target_sets]
     cohort = [scoring.score_cohort(provider, built, cfg.lam) for _, provider in target_sets]
@@ -153,14 +154,18 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir,
             click.echo(f"subject {subject}: {message}", err=True)
     if not summary_rows:
         raise TraceError("no subject could be scored")
-    for row, extra in zip(summary_rows, row_extra(list(scores.values())) if row_extra else ()):
-        row.update(extra)
-    key_fields = ["subject"] if target_sets[0][0] is None else ["subject", "series"]
-    _write_steps(out_dir, key_fields, scores)
+    if corpus is not None:
+        for row, extra in zip(summary_rows, analytics.polarity_averages([*scores.values()])):
+            row.update(extra)
+    _write_steps(out_dir, ["subject", "series"] if corpus is None else ["subject"], scores)
     write_csv(out_dir / "summary.csv", [*summary_rows[0]], ([*r.values()] for r in summary_rows))
-    info = {"subjects": len({row["subject_id"] for row in summary_rows}),
-            "errors": len(errors)}
-    return summary_rows, info
+    if corpus is None:
+        averages: Dict[str, Dict[str, float]] = {}
+        for row in summary_rows:
+            averages.setdefault(row["subject_id"], {})[row["series"]] = row["average"]
+        rankings = {subject: analytics.rank_targets(a) for subject, a in averages.items()}
+        _write_json(out_dir / "ranking.json", rankings, indent=2)
+    return {"subjects": len({row["subject_id"] for row in summary_rows}), "errors": len(errors)}
 
 
 def _error_text(series, error) -> str:
@@ -184,11 +189,7 @@ def run_score_corpus(traj_csv, index_path, cfg: RunConfig, out_dir) -> dict:
             click.echo(f"warning: k={cfg.k_neighbors} exceeds class {label!r} size "
                        f"{corpus.class_size(label)}; clamping", err=True)
     provider = knn_provider(corpus, cfg.k_neighbors, cfg.polarity_map)
-    _, info = _score_cohort(
-        traj_data, [(None, provider)], cfg, out_dir,
-        {"class_means": corpus.class_means, "normalizer": corpus.norm_stats},
-        row_extra=analytics.polarity_averages)
-    return info
+    return _score_cohort(traj_data, [(None, provider)], cfg, out_dir, corpus)
 
 
 def read_series_csv(path, feature_names) -> Dict[int, List[float]]:
@@ -227,13 +228,7 @@ def run_score_series(traj_csv, targets_dir, cfg: RunConfig, out_dir) -> dict:
     if unknown:
         raise ConfigError(f"polarity_map names series {unknown[0]!r}, which {targets_dir} "
                           f"lacks (series: {names})")
-    summary_rows, info = _score_cohort(traj_data, target_sets, cfg, out_dir, {})
-    averages: Dict[str, Dict[str, float]] = {}
-    for row in summary_rows:
-        averages.setdefault(row["subject_id"], {})[row["series"]] = row["average"]
-    rankings = {subject: analytics.rank_targets(a) for subject, a in averages.items()}
-    _write_json(Path(out_dir) / "ranking.json", rankings, indent=2)
-    return info
+    return _score_cohort(traj_data, target_sets, cfg, out_dir)
 
 
 def _write_steps(out_dir: Path, key_fields: Sequence[str],

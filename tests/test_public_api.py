@@ -1,7 +1,7 @@
 """The package root's exports and what importing it loads, every module's
-imports used and every definition named, the README's library example run as
-code, and the README's configuration keys, command-line options, summary
-columns and index keys against the code's."""
+imports used, every definition named and every parameter read, the README's
+library example run as code, and the README's configuration keys, command-line
+options, summary columns, index keys and score outputs against the code's."""
 
 import ast
 import csv
@@ -63,6 +63,26 @@ def test_every_module_level_import_is_used(path):
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
                 for name in ast.literal_eval(node.value)}
     assert sorted(imported - used - exported) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_src_parameter_is_read(path):
+    # no linter is installed: each parameter of a top-level function or method
+    # is read in its body, closures included; the parameters of functions
+    # nested in a function and of lambdas are exempt, and a zero-argument
+    # super() reads a method's first parameter
+    unread = []
+    for fn in (f for node in ast.parse(path.read_text()).body
+               for f in (node.body if isinstance(node, ast.ClassDef) else [node])
+               if isinstance(f, ast.FunctionDef)):
+        a = fn.args
+        params = [p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if p]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        if "super" in read:
+            read.add(params[0])
+        unread += [f"{fn.name}({p})" for p in params if p not in read]
+    assert unread == []
 
 
 def _named(tree) -> Counter:
@@ -165,3 +185,32 @@ def test_readme_names_exactly_the_summary_columns(tmp_path):
         with open(out / "summary.csv", newline="") as fh:
             header = next(csv.reader(fh))
         assert re.findall(r"`(\w+)`", listed) == header
+
+
+def test_readme_names_exactly_the_score_outputs(tmp_path):
+    # the files are the code spans in the parentheses after "each file a score
+    # run writes"; each run's trajectory file has a one-point subject, so both
+    # runs write errors.csv
+    listing = re.search(r"each file a\s+score run writes \((.*?)\)", README, re.S)
+    listed = re.findall(r"`([\w.]+)`", listing.group(1))
+    (tmp_path / "corpus.csv").write_text("f0,label\n0.0,a\n1.0,b\n")
+    (tmp_path / "traj.csv").write_text("subject_id,t,f0,label\ns1,0,0.2,a\ns1,1,0.8,a\n"
+                                       "s2,0,0.5,b\n")
+    (tmp_path / "config.json").write_text(json.dumps({"polarity_map": {"a": "desirable"}}))
+    (tmp_path / "targets").mkdir()
+    (tmp_path / "targets" / "goal.csv").write_text("t,f0\n0,1.0\n1,1.0\n")
+    runner = CliRunner()
+    res = runner.invoke(main, ["build-index", str(tmp_path / "corpus.csv"),
+                               "--out", str(tmp_path / "index.bin")])
+    assert res.exit_code == 0, res.output
+    written = {}
+    for mode, args in {"corpus": ["--index", str(tmp_path / "index.bin"),
+                                  "--config", str(tmp_path / "config.json")],
+                       "series": ["--targets-dir", str(tmp_path / "targets")]}.items():
+        res = runner.invoke(main, ["score", str(tmp_path / "traj.csv"), *args,
+                                   "--out", str(tmp_path / mode)])
+        assert res.exit_code == 0, res.output
+        written[mode] = {f.name for f in (tmp_path / mode).iterdir()}
+    assert len(listed) == len(set(listed))
+    assert written["corpus"] | written["series"] == set(listed)
+    assert written["series"] - {"ranking.json"} == written["corpus"]
