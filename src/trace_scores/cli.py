@@ -246,15 +246,16 @@ def _write_steps(out_dir: Path, key_fields: Sequence[str],
              for group_lines in [_group_lines(key_fields, keys, scores, rows)] for key in keys}
     with open(out_dir / "steps.jsonl", "w") as fh:   # a group is freed after its last key
         fh.writelines(next(lines.pop(key)) for key in scores)
-    times = sorted({t for row in rows.values() for t in row})
+    times = sorted(set().union(*rows.values()))
     write_csv(out_dir / "scores_wide.csv", [*key_fields, *(f"t{t}" for t in times)],
               ([*key, *map(rows[key].get, times)] for key in sorted(rows)))
 
 
 def _group_lines(key_fields, keys, scores, rows):
-    """The step lines of each of ``keys`` in turn, whose scores share labels and
-    polarities, from their arrays stacked once: each key's ``{t: combined text}``
-    goes into ``rows``, and its ``per_class`` text comes from it or the class means."""
+    """The step lines of each of ``keys`` in turn, one join of template parts, from
+    the arrays of their scores (which share labels and polarities) stacked once:
+    each key's ``{t: combined text}`` goes into ``rows``, and its ``per_class``
+    text comes from it or the class means."""
     group = [scores[key] for key in keys]
     scored = np.concatenate([ts.skip for ts in group]) == 0
     ends = np.concatenate(([0], np.cumsum(scored)))[
@@ -267,24 +268,29 @@ def _group_lines(key_fields, keys, scores, rows):
     if len(order) == 1:   # combined is polarity * per_class / 1, but +0.0 for a zero mean
         fix = np.flatnonzero(per_class[:, 0].view(np.int64)
                              != (polarity[0] * combined).view(np.int64))
-        fixed = [names[0] + repr(v) for v in per_class[fix, 0].tolist()]
+        fixed = [repr(v) for v in per_class[fix, 0].tolist()]
         fix, per_class = fix.tolist(), None
     t = np.concatenate([ts.steps for ts in group])[scored]
+    t_text = {v: str(v) for v in np.unique(t).tolist()}
+    t, combined = t.tolist(), [*map(repr, combined.tolist())]
     for key, a, b in zip(keys, ends, ends[1:]):
-        rows[key] = dict(zip(t[a:b].tolist(), map(repr, combined[a:b].tolist())))
+        rows[key] = dict(zip(t[a:b], combined[a:b]))
     del t, scored, combined   # the groups' lines interleave: keep only what they need
+    head = ', "per_class": {' + (names[0] if per_class is None else "")
     for key, a, b in zip(keys, ends, ends[1:]):
+        texts = rows[key]
         if per_class is None:
-            pc = ([names[0] + (c[1:] if c[0] == "-" else "-" + c) for c in rows[key].values()]
-                  if polarity[0] < 0 else [names[0] + c for c in rows[key].values()])
+            pc = ([c[1:] if c[0] == "-" else "-" + c for c in texts.values()]
+                  if polarity[0] < 0 else [*texts.values()])
             for i in range(bisect_left(fix, a), bisect_left(fix, b)):
                 pc[fix[i] - a] = fixed[i]
         else:
             pc = [", ".join(name + repr(v) for name, v in zip(names, means) if v == v)
                   for means in per_class[a:b].tolist()]
         tag = "".join(f'"{f}": {json.dumps(v)}, ' for f, v in sorted(zip(key_fields, key)))
-        yield "".join([f'{{"combined": {c}, "per_class": {{{p}}}, {tag}"t": {ti}}}\n'
-                       for (ti, c), p in zip(rows[key].items(), pc)])
+        parts = ['{"combined": ', "", head, "", "}, " + tag + '"t": ', "", "}\n"] * len(pc)
+        parts[1::7], parts[3::7], parts[5::7] = texts.values(), pc, map(t_text.get, texts)
+        yield "".join(parts)
 
 
 def _write_json(path, doc, indent=None) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
                     Tuple)
 
@@ -249,12 +249,19 @@ def _slow_table(path, error: type, numeric, gaps: bool) -> Table:
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write ``header``, then each of ``rows``, as one CSV table. A float
-    cell is written as its ``repr`` and a None cell as an empty one."""
+    """Write ``header``, then each of ``rows``, as ``csv.writer`` would: a None
+    cell is empty and any other is its ``str``, for a float its ``repr``. A
+    row that needs no quoting (no ``,``, ``"``, ``\\r`` or ``\\n`` in a cell, and
+    not one lone empty cell) is its cells joined by commas."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        for row in chain([header], rows):
+            cells = ["" if c is None else str(c) for c in row]
+            line = ",".join(cells)
+            if (line.count(",") == len(cells) - 1 and (line or len(cells) > 1)
+                    and '"' not in line and "\n" not in line and "\r" not in line):
+                fh.write(line + "\r\n")
+            else:
+                csv.writer(fh).writerow(cells)
 
 
 def parse_t(cell: str, where: str, error: type) -> int:
@@ -271,7 +278,9 @@ def parse_t(cell: str, where: str, error: type) -> int:
 
 def load_trajectory_csv(path):
     """Read a `subject_id,t,<feature...>[,label]` CSV with empty cells as
-    missing. Returns (records by subject, labels by subject, feature names)."""
+    missing. Returns (records by subject, each subject's sorted by t, labels by
+    subject, feature names). A bad t or a label conflict is raised in file order,
+    a t first on its line; only then a duplicate t: the first such subject's least."""
     def features(header):
         if header[:2] != ["subject_id", "t"]:
             raise TrajectoryError(f"{path}: header must start with subject_id,t")
@@ -282,27 +291,34 @@ def load_trajectory_csv(path):
 
     header, lines, text, matrix = read_table(path, TrajectoryError, features, gaps=True)
     has_label = header[-1] == "label"
-    by_subject: Dict[str, List[RawRecord]] = {}
+    subjects, t_cells = text[0], text[1]
+    try:
+        t = np.array([*map(int, t_cells)], dtype=np.int64)
+    except (ValueError, OverflowError):   # parse_t names the first bad cell below
+        t = None
     labels: Dict[str, Optional[str]] = {}
-    gappy = np.isnan(matrix).any(axis=1).tolist()
-    for line, cells, values, gaps in zip(lines, zip(*text), matrix.tolist(), gappy):
-        where, subject = f"{path}:{line}", cells[0]
-        t = parse_t(cells[1], where, TrajectoryError)
-        if gaps:
-            values = [v if v == v else None for v in values]
-        by_subject.setdefault(subject, []).append(
-            RawRecord(subject_id=subject, t_index=t, values=values))
-        if has_label and cells[2] != "":
-            earlier = labels.setdefault(subject, cells[2])
-            if earlier != cells[2]:
-                raise TrajectoryError(f"{where}: subject {subject!r} has label {cells[2]!r}, "
-                                      f"earlier rows say {earlier!r}")
-    for records in by_subject.values():
-        records.sort(key=lambda r: r.t_index)
-        for r, following in zip(records, records[1:]):
-            if r.t_index == following.t_index:
-                raise TrajectoryError(
-                    f"{path}: duplicate t={r.t_index} for subject {r.subject_id!r}")
+    for line, subject, cell, label in zip(lines, subjects, t_cells,
+                                          text[2] if has_label else repeat("")):
+        if t is None:
+            parse_t(cell, f"{path}:{line}", TrajectoryError)
+        if label != "" and labels.setdefault(subject, label) != label:
+            raise TrajectoryError(f"{path}:{line}: subject {subject!r} has label {label!r}, "
+                                  f"earlier rows say {labels[subject]!r}")
+    codes: Dict[str, int] = {}
+    code = np.array([codes.setdefault(s, len(codes)) for s in subjects])
+    order = np.lexsort((t, code))   # by subject in order of first row, then by t
+    t, code, matrix = t[order], code[order], matrix[order]
+    same = (t[1:] == t[:-1]) & (code[1:] == code[:-1])
+    if same.any():
+        first = np.argmax(same)
+        raise TrajectoryError(f"{path}: duplicate t={t[first]} for subject "
+                              f"{subjects[order[first]]!r}")
+    values = matrix.tolist()
+    for i in np.flatnonzero(np.isnan(matrix).any(axis=1)).tolist():
+        values[i] = [v if v == v else None for v in values[i]]
+    records = [*map(RawRecord, map(subjects.__getitem__, order.tolist()), t.tolist(), values)]
+    ends = np.cumsum(np.bincount(code)).tolist()
+    by_subject = {s: records[a:b] for s, a, b in zip(codes, [0, *ends], ends)}
     return by_subject, labels, header[2:-1] if has_label else header[2:]
 
 

@@ -1,3 +1,4 @@
+import csv
 import re
 
 import numpy as np
@@ -221,6 +222,26 @@ class TestCsvLoading:
         with pytest.raises(TrajectoryError):
             load_trajectory_csv(path)
 
+    @pytest.mark.parametrize("rows, message", [
+        (["a,0,1,X", "a,1,1,Y", "a,x,1,X"],
+         r"traj\.csv:3: subject 'a' has label 'Y', earlier rows say 'X'"),
+        (["a,0,1,X", "a,0.5,1,X", "a,2,1,Y"], r"traj\.csv:3: t must be an integer, got '0\.5'"),
+        (["a,0,1,X", "a,x,1,Y"], r"traj\.csv:3: t must be an integer, got 'x'"),
+        (["b,3,1,", "a,1,1,", "b,1,1,", "b,3,1,", "a,1,1,", "b,1,1,"],
+         r"traj\.csv: duplicate t=1 for subject 'b'$"),
+        (["a,0,1,X", "a,0,1,X", "a,1,1,Y"],
+         r"traj\.csv:4: subject 'a' has label 'Y', earlier rows say 'X'"),
+    ], ids=["label-before-t", "t-before-label", "t-and-label-on-one-line",
+            "duplicates-of-two-subjects", "label-after-duplicate"])
+    def test_the_first_fault_in_file_order_wins(self, tmp_path, rows, message):
+        """A bad t and a label conflict are raised in file order, the t first
+        on one line; duplicate t values only after both, for the subject
+        first in file order, at its smallest duplicated t."""
+        path = tmp_path / "traj.csv"
+        path.write_text("subject_id,t,hr,label\n" + "\n".join(rows) + "\n")
+        with pytest.raises(TrajectoryError, match=message):
+            load_trajectory_csv(path)
+
     def test_determinism(self, tmp_path):
         path = tmp_path / "traj.csv"
         path.write_text("subject_id,t,hr\np1,1,61\np1,0,60\n")
@@ -352,3 +373,55 @@ def test_clean_files_take_the_fast_path(tmp_path, monkeypatch):
     assert (labels, names) == ({"s": "A"}, ["hr", "rr"])
     assert [(r.t_index, r.values) for r in by_subject["s"]] == [(0, [0.1, 1e10]),
                                                                 (1, [0.5, 2.0])]
+
+
+# cells csv.writer quotes, or writes in a way of its own: text with a
+# delimiter, quote or line break, empty text, None, floats written as their
+# repr, ints and bools
+_WRITE_CELLS = st.one_of(
+    st.text(st.characters(blacklist_categories=["Cs"]), max_size=4),
+    st.sampled_from([",", '"', "\r", "\n", "a,b", 'x"y', "\r\n", "", " ", "\x00"]),
+    st.none(),
+    st.floats() | st.sampled_from([-0.0, 1e-05, 1e16, 5e-324]),
+    st.integers() | st.booleans())
+
+
+def _reference_write(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+@settings(max_examples=400)
+@given(st.lists(st.lists(_WRITE_CELLS, max_size=5), min_size=1, max_size=7))
+@example([["a", "b"], [""], [None], [], ["", ""], [-0.0, 1e-05, 1e16, 5e-324, True]])
+@example([["x"], ["1,5"], ['say "hi"'], ["two\nlines"], ["cr\r"], [1, None, "z"]])
+def test_fast_and_reference_writers_agree(tmp_path_factory, table):
+    header, *rows = table
+    path = tmp_path_factory.mktemp("csv")
+    write_csv(path / "fast.csv", header, rows)
+    _reference_write(path / "reference.csv", header, rows)
+    assert (path / "fast.csv").read_bytes() == (path / "reference.csv").read_bytes()
+
+
+def test_clean_tables_take_the_fast_writer(tmp_path, monkeypatch):
+    """A clean numeric table, and a tiny series run's scores_wide.csv and
+    summary.csv, are written without csv.writer."""
+    (tmp_path / "traj.csv").write_text("subject_id,t,f0,f1\n" + "".join(
+        f"s{i},{t},{0.1 * (i + t)!r},{0.5 - 0.1 * t!r}\n" for i in range(3) for t in range(3)))
+    (tmp_path / "targets").mkdir()
+    (tmp_path / "targets" / "up.csv").write_text("t,f0,f1\n0,0.0,0.0\n1,0.2,0.9\n2,0.4,1.8\n")
+
+    def refuse(*args):
+        raise AssertionError("csv.writer called")
+
+    monkeypatch.setattr(pipeline.csv, "writer", refuse)
+    write_csv(tmp_path / "table.csv", ["subject_id", "t", "x", "ok"],
+              [["s", 0, 0.25, True], ["s", 1, None, False], ["u", -2, 1e-300, True]])
+    assert (tmp_path / "table.csv").read_bytes() == \
+        b"subject_id,t,x,ok\r\ns,0,0.25,True\r\ns,1,,False\r\nu,-2,1e-300,True\r\n"
+    assert cli.run_score_series(tmp_path / "traj.csv", tmp_path / "targets", cli.RunConfig(),
+                                tmp_path / "out") == {"errors": 0, "subjects": 3}
+    wide = (tmp_path / "out" / "scores_wide.csv").read_text().splitlines()
+    assert wide[0] == "subject,series,t1,t2" and len(wide) == 4
