@@ -9,7 +9,7 @@ from typing import List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import AggregateError, StatsError
+from .errors import AggregateError, StatsError, TraceError
 from .scoring import Polarity, TrajectoryScore
 
 
@@ -46,31 +46,29 @@ class GroupComparison:
 _BLOCK_CELLS = 1 << 14   # running-sum grid cells per block (128 KiB)
 
 
-def _running_sums(scores: Sequence[TrajectoryScore]):
-    """Per block of scores, longest first, of about ``_BLOCK_CELLS`` cells or one
-    score: their indices, scored-step masks and running sums, one ``np.cumsum``
-    row each from 0.0, with 0.0 at skipped and padded steps (exact: a sum from
-    +0.0 is never -0.0)."""
-    lengths = np.array([len(ts.skip) for ts in scores])
-    order, i = np.argsort(-lengths, kind="stable"), 0
+def summarize(results: Sequence[Union[TrajectoryScore, TraceError]]
+              ) -> List[Union[dict, TraceError]]:
+    """Per entry of ``scoring.score_cohort``'s list: a TraceError as the same
+    object, and a score's ``n_steps`` (scored), ``n_skipped``, ``average``
+    and ``final_cumulative``, or an AggregateError. The scores' sums come
+    from one running-sum pass, in blocks, longest first, of about
+    ``_BLOCK_CELLS`` cells or one score: one ``np.cumsum`` row each from 0.0,
+    with 0.0 at skipped and padded steps (exact: a sum from +0.0 is never -0.0)."""
+    out = list(results)
+    # an error's length of -1 sorts it after every score, and out of the pass
+    lengths = np.array([-1 if isinstance(r, TraceError) else len(r.skip) for r in results])
+    order, i = np.argsort(-lengths, kind="stable")[:np.count_nonzero(lengths >= 0)], 0
     while i < len(order):
         rows = order[i:i + max(1, _BLOCK_CELLS // (1 + lengths[order[i]]))]
         i += len(rows)
-        flat = np.concatenate([scores[k].skip for k in rows]) == 0
+        flat = np.concatenate([results[k].skip for k in rows]) == 0
         scored = np.zeros((len(rows), lengths[rows[0]]), bool)
         scored[np.arange(scored.shape[1]) < lengths[rows, None]] = flat
         grid = np.zeros((len(rows), 1 + scored.shape[1]))
-        grid[:, 1:][scored] = np.concatenate([scores[k].combined for k in rows])[flat]
-        yield rows.tolist(), scored, np.cumsum(grid, axis=1)
-
-
-def summarize(scores: Sequence[TrajectoryScore]) -> List[Union[dict, AggregateError]]:
-    """Per score, its ``n_steps`` (scored), ``n_skipped``, ``average`` and
-    ``final_cumulative`` from one running-sum pass, or an AggregateError."""
-    out: list = [None] * len(scores)
-    for rows, scored, cumulative in _running_sums(scores):
-        for k, n, total in zip(rows, scored.sum(axis=1).tolist(), cumulative[:, -1].tolist()):
-            out[k] = ({"n_steps": n, "n_skipped": len(scores[k].skip) - n, "average": total / n,
+        grid[:, 1:][scored] = np.concatenate([results[k].combined for k in rows])[flat]
+        for k, n, total in zip(rows.tolist(), scored.sum(axis=1).tolist(),
+                               np.cumsum(grid, axis=1)[:, -1].tolist()):
+            out[k] = ({"n_steps": n, "n_skipped": len(results[k].skip) - n, "average": total / n,
                        "final_cumulative": total} if n
                       else AggregateError("no scored steps to aggregate"))
     return out
@@ -78,12 +76,14 @@ def summarize(scores: Sequence[TrajectoryScore]) -> List[Union[dict, AggregateEr
 
 def aggregate(traj_score: TrajectoryScore) -> ScoreSeries:
     """Condense a trajectory's step scores into the three reporting forms:
-    ``summarize``'s running sum on one score."""
-    (_, (scored,), (cumulative,)), = _running_sums([traj_score])
+    one in-order ``np.cumsum`` over its scored steps. Adding 0.0 turns only a
+    -0.0 partial sum into the +0.0 that ``summarize``'s sum from 0.0 gives."""
+    scored = traj_score.skip == 0
     if not scored.any():
         raise AggregateError("no scored steps to aggregate")
-    values = list(zip(traj_score.steps[scored].tolist(), traj_score.combined[scored].tolist()))
-    cumulative = cumulative[1:][scored].tolist()
+    combined = traj_score.combined[scored]
+    values = list(zip(traj_score.steps[scored].tolist(), combined.tolist()))
+    cumulative = (np.cumsum(combined) + 0.0).tolist()
     return ScoreSeries(values=values, average=cumulative[-1] / len(values), cumulative=cumulative)
 
 

@@ -109,7 +109,8 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, corpus=None) 
 
     Each subject's trajectory is built once, with ``corpus``'s class means and
     normalizer (None in series mode), and each target set scores every built
-    trajectory in one ``scoring.score_cohort`` call. A series of None marks the
+    trajectory in one ``scoring.score_cohort`` call, whose list, errors in their
+    places, ``analytics.summarize`` takes as it is. A series of None marks the
     corpus's single target set; a named one tags step lines, summary rows and
     error messages with it, and a subject that cannot be scored against a set,
     say for a t it lacks, gets one error row for that set. Removes every file a
@@ -135,12 +136,10 @@ def _score_cohort(traj_data, target_sets, cfg: RunConfig, out_dir, corpus=None) 
         except TraceError as e:
             errors += [(subject, _error_text(series, e)) for series, _ in target_sets]
     cohort = [scoring.score_cohort(provider, built, cfg.lam) for _, provider in target_sets]
-    summaries = [iter(analytics.summarize([ts for ts in res if not isinstance(ts, TraceError)]))
-                 for res in cohort]
-    for traj, *results in zip(built, *cohort):
+    summaries = [analytics.summarize(res) for res in cohort]
+    for traj, *results in zip(built, *map(zip, cohort, summaries)):
         subject = traj.subject_id
-        for (series, _), ts, set_summaries in zip(target_sets, results, summaries):
-            summary = ts if isinstance(ts, TraceError) else next(set_summaries)
+        for (series, _), (ts, summary) in zip(target_sets, results):
             if isinstance(summary, TraceError):
                 errors.append((subject, _error_text(series, summary)))
                 continue

@@ -12,7 +12,8 @@ from hypothesis.extra.numpy import arrays
 from trace_scores import analytics, cli
 from trace_scores.analytics import (_two_sided_p, aggregate, polarity_averages, rank_targets,
                                     summarize, welch_t_test)
-from trace_scores.errors import AggregateError, StatsError
+from trace_scores.errors import (AggregateError, StatsError, TargetError, TraceError,
+                                 TrajectoryError)
 from trace_scores.pipeline import Trajectory
 from trace_scores.scoring import Polarity, SkipReason, score_trajectory
 from oracles import hand_scored, make_targets, welch_oracle
@@ -200,12 +201,50 @@ def test_the_cohort_pass_pads_no_score_to_the_longest():
     assert peak < 6 * 8 * (longest + 1 + analytics._BLOCK_CELLS) + outputs
 
 
+@pytest.mark.parametrize("combined", [np.full(200_000, 0.5), [-0.0] * 4 + [0.25, -0.25, -0.0, 1.0]],
+                         ids=["200000-steps", "leading-negative-zeros"])
+def test_aggregate_is_an_in_order_running_sum(combined):
+    ts = hand_scored(combined)
+    s, (summary,) = aggregate(ts), summarize([ts])
+    want = _python_running_sum(ts.combined.tolist(), ts.skip.tolist())
+    assert [v.hex() for v in s.cumulative] == [v.hex() for v in want]
+    assert s.average.hex() == summary["average"].hex()
+    assert s.cumulative[-1].hex() == summary["final_cumulative"].hex()
+
+
+@st.composite
+def cohort_results(draw):
+    """``score_cohort``'s list: drawn scores with TrajectoryErrors and
+    TargetErrors in drawn places."""
+    results = draw(drawn_scores())
+    for i in range(draw(st.integers(0, 6))):
+        error = draw(st.sampled_from([TrajectoryError, TargetError]))(f"error {i}")
+        results.insert(draw(st.integers(0, len(results))), error)
+    return results
+
+
+def _summary_bits(summary):
+    if isinstance(summary, AggregateError):
+        return str(summary)
+    return {key: v.hex() if isinstance(v, float) else v for key, v in summary.items()}
+
+
+@given(results=cohort_results(), budget=st.integers(1, 200))
+def test_the_cohort_pass_keeps_each_error_in_its_place(results, budget):
+    places = [k for k, r in enumerate(results) if not isinstance(r, TraceError)]
+    with mock.patch.object(analytics, "_BLOCK_CELLS", budget):
+        got, alone = summarize(results), summarize([results[k] for k in places])
+    assert len(got) == len(results)
+    assert all(got[k] is r for k, r in enumerate(results) if isinstance(r, TraceError))
+    assert [_summary_bits(got[k]) for k in places] == [_summary_bits(s) for s in alone]
+
+
 def test_a_score_run_makes_no_aggregate_call(tmp_path, monkeypatch):
     # each target set's summary columns come from one summarize pass
     calls, passes = [], []
     monkeypatch.setattr(analytics, "aggregate", calls.append)
-    monkeypatch.setattr(analytics, "summarize", lambda scores: passes.append(len(scores))
-                        or summarize(scores))
+    monkeypatch.setattr(analytics, "summarize", lambda results: passes.append(results)
+                        or summarize(results))
     (tmp_path / "traj.csv").write_text("subject_id,t,f0,f1,label\n" + "".join(
         f"s{i},{t},{0.1 * (i + t)!r},{0.5 - 0.1 * t!r},A\n" for i in range(4) for t in range(3)))
     (tmp_path / "corpus.csv").write_text("f0,f1,label\n0.1,0.2,A\n0.9,0.8,B\n0.2,0.1,B\n")
@@ -220,7 +259,24 @@ def test_a_score_run_makes_no_aggregate_call(tmp_path, monkeypatch):
                                 tmp_path / "corpus_out") == {"errors": 0, "subjects": 4}
     assert cli.run_score_series(tmp_path / "traj.csv", tmp_path / "targets", cli.RunConfig(),
                                 tmp_path / "series_out") == {"errors": 0, "subjects": 4}
-    assert calls == [] and passes == [4, 4, 4]
+    assert calls == [] and [len(p) for p in passes] == [4, 4, 4]
+    # s2 steps from t=3, which the series down lacks: its set's list still
+    # holds every built subject, with the TargetError in s2's place
+    (tmp_path / "gap.csv").write_text("subject_id,t,f0,f1,label\n" + "".join(
+        f"s{i},{t},{0.1 * (i + t)!r},{0.5 - 0.1 * t!r},A\n"
+        for i in range(4) for t in range(5 if i == 2 else 3)))
+    (tmp_path / "gap").mkdir()
+    for name, n in (("up", 4), ("down", 3)):
+        (tmp_path / "gap" / f"{name}.csv").write_text("t,f0,f1\n" + "".join(
+            f"{t},{0.2 * t!r},{0.9 * t!r}\n" for t in range(n)))
+    passes.clear()
+    assert cli.run_score_series(tmp_path / "gap.csv", tmp_path / "gap", cli.RunConfig(),
+                                tmp_path / "gap_out") == {"errors": 1, "subjects": 4}
+    down, up = passes
+    assert len(down) == len(up) == 4 and isinstance(down[2], TargetError)
+    assert not any(isinstance(r, TraceError) for r in [*down[:2], down[3], *up])
+    assert (tmp_path / "gap_out" / "errors.csv").read_text().splitlines() == [
+        "subject_id,error", "s2,down: class 'down' has no target at t=3"]
 
 
 def test_a_corpus_run_takes_the_polarity_averages_once(tmp_path, monkeypatch):
