@@ -90,10 +90,13 @@ def aggregate(traj_score: TrajectoryScore) -> ScoreSeries:
 def polarity_averages(scores: Sequence[TrajectoryScore]) -> List[dict]:
     """Per score of one target set, per polarity: the mean over its scored steps
     of each step's mean over the classes of that polarity it scores, or None if
-    no step scores one. One ``np.mean`` per score, over its slice of the stacked step means."""
-    rows = [ts.per_class[ts.skip == 0] for ts in scores]
-    ends = np.cumsum([len(r) for r in rows])[:-1]
-    rows = np.concatenate(rows)
+    no step scores one. The scores with the same number of step means form one
+    block: one ``np.add.reduce(axis=1)`` per block, over its C-contiguous
+    ``(scores, length)`` gather of the step means, and one division by the
+    lengths give each score's ``np.mean`` of its own row, bit for bit."""
+    scored = np.concatenate([ts.skip for ts in scores]) == 0
+    owner = np.repeat(np.arange(len(scores)), [len(ts.skip) for ts in scores])[scored]
+    rows = np.concatenate([ts.per_class for ts in scores])[scored]
     out = [{} for _ in scores]
     for key, polarity in (("average_desirable", Polarity.DESIRABLE),
                           ("average_undesirable", Polarity.UNDESIRABLE)):
@@ -101,8 +104,21 @@ def polarity_averages(scores: Sequence[TrajectoryScore]) -> List[dict]:
         m = rows[:, scores[0].polarity == polarity]
         n = (~np.isnan(m)).sum(axis=1)
         means = np.nansum(m, axis=1)[n > 0] / n[n > 0]
-        for averages, part in zip(out, np.split(means, np.searchsorted(np.flatnonzero(n), ends))):
-            averages[key] = float(np.mean(part)) if len(part) else None
+        counts = np.bincount(owner[n > 0], minlength=len(scores))
+        # the step means score by score, fewest first: the scores with the same
+        # number of them are then one C-contiguous (scores, length) block
+        means = means[np.argsort(counts[owner[n > 0]], kind="stable")]
+        order = np.argsort(counts, kind="stable")
+        sizes = counts[order]
+        lengths, members = np.unique(counts, return_counts=True)
+        # np.mean's sum of each row (pairwise from 8 values on), then its division
+        sums = np.concatenate([np.add.reduce(means[end - k * size:end].reshape(k, size), axis=1)
+                               for size, k, end in zip(lengths.tolist(), members.tolist(),
+                                                       np.cumsum(lengths * members).tolist())])
+        with np.errstate(invalid="ignore"):   # 0 / 0 for a score with no step mean
+            averages = (sums / sizes).tolist()
+        for i, v, size in zip(order.tolist(), averages, sizes.tolist()):
+            out[i][key] = v if size else None
     return out
 
 

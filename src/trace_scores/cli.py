@@ -253,8 +253,11 @@ def _write_steps(out_dir: Path, key_fields: Sequence[str],
 def _group_lines(key_fields, keys, scores, rows):
     """The step lines of each of ``keys`` in turn, one join of template parts, from
     the arrays of their scores (which share labels and polarities) stacked once:
-    each key's ``{t: combined text}`` goes into ``rows``, and its ``per_class``
-    text comes from it or the class means."""
+    each key's ``{t: combined text}`` goes into ``rows``. The ``per_class`` cells
+    are placed in the template class by class, one class's text taken from the
+    combined text and several classes' from one ``repr`` pass per key; a step
+    whose class means are not all written (a zero mean under one class, a NaN
+    cell under several) gets the join of its present cells in their place."""
     group = [scores[key] for key in keys]
     scored = np.concatenate([ts.skip for ts in group]) == 0
     ends = np.concatenate(([0], np.cumsum(scored)))[
@@ -267,28 +270,36 @@ def _group_lines(key_fields, keys, scores, rows):
     if len(order) == 1:   # combined is polarity * per_class / 1, but +0.0 for a zero mean
         fix = np.flatnonzero(per_class[:, 0].view(np.int64)
                              != (polarity[0] * combined).view(np.int64))
-        fixed = [repr(v) for v in per_class[fix, 0].tolist()]
-        fix, per_class = fix.tolist(), None
+    else:   # a NaN cell: the step scores no target of that class
+        fix = np.flatnonzero(np.isnan(per_class).any(axis=1))
+    fixed = [", ".join(name + repr(v) for name, v in zip(names, means) if v == v)
+             for means in per_class[fix].tolist()]
+    fix = fix.tolist()
     t = np.concatenate([ts.steps for ts in group])[scored]
     t_text = {v: str(v) for v in np.unique(t).tolist()}
     t, combined = t.tolist(), [*map(repr, combined.tolist())]
     for key, a, b in zip(keys, ends, ends[1:]):
         rows[key] = dict(zip(t[a:b], combined[a:b]))
     del t, scored, combined   # the groups' lines interleave: keep only what they need
-    head = ', "per_class": {' + (names[0] if per_class is None else "")
+    # a step's parts: combined, each class's name and cell, t
+    head = ['{"combined": ', "", ', "per_class": {' + names[0], "",
+            *(p for name in names[1:] for p in (", " + name, ""))]
+    width, pad = len(head) + 3, [""] * (2 * len(names) - 2)
     for key, a, b in zip(keys, ends, ends[1:]):
         texts = rows[key]
-        if per_class is None:
-            pc = ([c[1:] if c[0] == "-" else "-" + c for c in texts.values()]
-                  if polarity[0] < 0 else [*texts.values()])
-            for i in range(bisect_left(fix, a), bisect_left(fix, b)):
-                pc[fix[i] - a] = fixed[i]
-        else:
-            pc = [", ".join(name + repr(v) for name, v in zip(names, means) if v == v)
-                  for means in per_class[a:b].tolist()]
         tag = "".join(f'"{f}": {json.dumps(v)}, ' for f, v in sorted(zip(key_fields, key)))
-        parts = ['{"combined": ', "", head, "", "}, " + tag + '"t": ', "", "}\n"] * len(pc)
-        parts[1::7], parts[3::7], parts[5::7] = texts.values(), pc, map(t_text.get, texts)
+        parts = [*head, "}, " + tag + '"t": ', "", "}\n"] * (b - a)
+        parts[1::width], parts[width - 2::width] = texts.values(), map(t_text.get, texts)
+        if len(names) == 1:
+            parts[3::width] = ([c[1:] if c[0] == "-" else "-" + c for c in texts.values()]
+                               if polarity[0] < 0 else texts.values())
+        else:
+            cells = [*map(repr, per_class[a:b].ravel().tolist())]
+            for c in range(len(names)):
+                parts[3 + 2 * c::width] = cells[c::len(names)]
+        for i in range(bisect_left(fix, a), bisect_left(fix, b)):
+            j = (fix[i] - a) * width + 2
+            parts[j:j + 2 + len(pad)] = [', "per_class": {', fixed[i], *pad]
         yield "".join(parts)
 
 

@@ -89,10 +89,12 @@ class NormStats:
 
     @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
+        span = self.maxs - self.mins
         # a non-finite min or max makes the span non-finite too
-        bad = np.flatnonzero(~np.isfinite(self.maxs - self.mins))
+        bad = np.flatnonzero(~np.isfinite(span))
         if bad.size:
             raise CorpusError(f"feature {self.names[bad[0]]!r} spans a non-finite range")
+        self._varies, self._divisor = span > 0, np.where(span > 0, span, 1.0)
 
     @property
     def dim(self) -> int:
@@ -106,8 +108,7 @@ class NormStats:
         if v.ndim != 2 or v.shape[1] != self.dim:
             raise DimensionError(
                 f"rows of shape {v.shape} do not match normalizer {self.dim}")
-        span = self.maxs - self.mins
-        return np.where(span > 0, (v - self.mins) / np.where(span > 0, span, 1.0), 0.5)
+        return np.where(self._varies, (v - self.mins) / self._divisor, 0.5)
 
 
 def fit_normalizer(rows, names: Optional[Sequence[str]] = None) -> NormStats:

@@ -132,6 +132,47 @@ def test_polarity_averages_equal_the_per_score_formula_bit_for_bit(scores):
         [_bits(_polarity_averages_of_one(ts)) for ts in scores]
 
 
+# np.mean sums up to 7 values in order, then 8 at a time into 8 partial sums,
+# and splits a row of more than 128 values in two, recursively
+_SHARED_LENGTHS = st.integers(1, 39) | st.sampled_from([127, 128, 129, 200, 257, 1000])
+
+
+@settings(max_examples=40, deadline=None)
+@given(lengths=st.lists(_SHARED_LENGTHS, min_size=1, max_size=4),
+       per_length=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_polarity_averages_of_scores_that_share_a_length_are_each_np_mean(
+        lengths, per_length, seed):
+    """Several scores share each drawn number of desirable step means, at
+    lengths on both sides of np.mean's summation boundaries, so a block holds
+    several rows; skipped steps, steps with no desirable mean and NaN cells
+    are scattered among them, and the one undesirable class leaves the scores'
+    undesirable lengths ragged."""
+    rng = np.random.default_rng(seed)
+    scores = []
+    for length in lengths:
+        for _ in range(per_length):
+            extra = int(rng.integers(0, 4))
+            n = length + extra
+            per_class = rng.uniform(-1, 1, (n, 3))
+            # one desirable cell of a step may be NaN, not both
+            hole = np.flatnonzero(rng.random(n) < 0.3)
+            per_class[hole, rng.integers(0, 2, len(hole))] = np.nan
+            per_class[rng.random(n) < 0.3, 2] = np.nan
+            per_class[rng.permutation(n)[:extra], :2] = np.nan   # no desirable step mean
+            skipped = rng.integers(0, 4)
+            skip = np.zeros(n + skipped, int)
+            skip[rng.permutation(n + skipped)[:skipped]] = SkipReason.ALL_MASKED
+            cells = np.full((n + skipped, 3), 0.5)
+            cells[skip == 0] = per_class
+            scores.append(hand_scored([0.0] * len(skip), skip, "abc", cells,
+                                      [Polarity.DESIRABLE, Polarity.DESIRABLE,
+                                       Polarity.UNDESIRABLE]))
+    order = rng.permutation(len(scores))
+    scores = [scores[i] for i in order]
+    assert [_bits(a) for a in polarity_averages(scores)] == \
+        [_bits(_polarity_averages_of_one(ts)) for ts in scores]
+
+
 def _python_running_sum(combined, skip):
     total, sums = 0.0, []
     for v, k in zip(combined, skip):

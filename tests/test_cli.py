@@ -1094,6 +1094,66 @@ def test_one_class_groups_write_each_class_mean_bit_for_bit(means, polarity):
                                                    ts.per_class[:, 0].tolist())]
 
 
+_CELL_VALUES = _ZEROS | st.floats(-1.0, 1.0) | st.sampled_from([2.2250738585072014e-308, 0.1])
+
+
+@st.composite
+def multi_class_keys(draw):
+    """Up to 12 keys of one or two groups, each of 2-4 classes (labels out of
+    order, one needing a JSON escape): per key, NaN cells nowhere, in one class
+    on every step, at the key's first and last steps, or at drawn cells, and
+    skipped steps at drawn places."""
+    from trace_scores.scoring import SkipReason
+    groups = []
+    for _ in range(draw(st.integers(1, 2))):
+        labels = draw(st.permutations(["mortality", "RFD", 'say "hi"', "b"]))[
+            :draw(st.integers(2, 4))]
+        polarity = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=len(labels),
+                                 max_size=len(labels)))
+        groups.append((labels, polarity))
+    scores = {}
+    for i in range(draw(st.integers(1, 12))):
+        labels, polarity = draw(st.sampled_from(groups))
+        n, c = draw(st.integers(1, 6)), len(labels)
+        cells = np.array(draw(st.lists(st.lists(_CELL_VALUES, min_size=c, max_size=c),
+                                       min_size=n, max_size=n)))
+        holes = draw(st.sampled_from(["none", "every step", "edges", "drawn"]))
+        if holes == "every step":
+            cells[np.arange(n), draw(st.lists(st.integers(0, c - 1), min_size=n,
+                                              max_size=n))] = np.nan
+        elif holes == "edges":
+            cells[[0, -1], draw(st.integers(0, c - 1))] = np.nan
+        elif holes == "drawn":
+            cells[np.array(draw(st.lists(st.lists(st.booleans(), min_size=c, max_size=c),
+                                         min_size=n, max_size=n)))] = np.nan
+        skip = draw(st.lists(st.sampled_from([0, 0, SkipReason.ALL_MASKED]), min_size=n,
+                             max_size=n))
+        skip[draw(st.integers(0, n - 1))] = 0
+        combined = draw(st.lists(_CELL_VALUES, min_size=n, max_size=n))
+        scores[(f"s{i:02d}",)] = hand_scored(combined, skip, labels, cells, polarity)
+    return scores
+
+
+@settings(max_examples=60, deadline=None)
+@given(scores=multi_class_keys())
+def test_multi_class_groups_write_each_class_mean_bit_for_bit(scores):
+    """Each line is canonical JSON; each present cell comes back bit for bit
+    under its class, and a NaN cell's class is left out of ``per_class``."""
+    from trace_scores.cli import _write_steps
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_steps(Path(tmp), ["subject"], scores)
+        lines = (Path(tmp) / "steps.jsonl").read_text().splitlines()
+    docs = [json.loads(line) for line in lines]
+    assert lines == [json.dumps(d, sort_keys=True) for d in docs]
+    assert [(d["subject"], d["t"], d["combined"].hex(), {c: v.hex() for c, v in
+                                                         d["per_class"].items()})
+            for d in docs] == [
+        (key[0], t, v.hex(), {c: m.hex() for c, m in zip(ts.labels, means) if m == m})
+        for key, ts in scores.items()
+        for t, v, means, k in zip(ts.steps.tolist(), ts.combined.tolist(),
+                                  ts.per_class.tolist(), ts.skip.tolist()) if not k]
+
+
 def _write_peak_ratio(scores, key_fields):
     """The tracemalloc peak of ``_write_steps`` over the size of the
     ``steps.jsonl`` it writes."""
